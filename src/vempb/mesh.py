@@ -9,8 +9,15 @@ opposite signs, boundary faces exactly once.
 
 All shipped generators tile [0,1]^3 exactly: structured cubes, a Kuhn
 (6-tetrahedra) subdivision of the cubes, and clipped Voronoi diagrams of
-random seeds.  Geometry (centroids, diameters, measures) is computed from
-exact polygonal face integrals via the divergence theorem.
+random seeds.  The Voronoi cells come from one Qhull call on the seeds and
+their mirror images across the six cube walls; the regions of the original
+seeds are exactly the clipped cells, because a point beyond a wall is
+nearer to the seed's own mirror, and a point inside the cube is never nearer
+to the mirror of seed j than to j.  Every generator hands integer vertex
+loops to one assembly path that finds shared faces with a single
+``np.unique`` over canonicalised loops.  Geometry (centroids, diameters,
+measures) is computed from exact polygonal face integrals via the
+divergence theorem.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi
 
 PLANARITY_TOL = 1e-10
 CLOSURE_TOL = 1e-12
-VERTEX_MERGE_TOL = 1e-9
+CUBE_TOL = 1e-12
+MIN_FACE_AREA = 1e-14
 MIN_CELL_VOLUME = 1e-12
 
 
@@ -134,24 +142,6 @@ class PolyMesh:
         return float(self.cell_volume.sum())
 
 
-def _newell_normal(points: np.ndarray) -> np.ndarray:
-    """Area-weighted normal of a vertex loop (exact for planar polygons)."""
-    r = points - points.mean(axis=0)
-    return 0.5 * np.cross(r, np.roll(r, -1, axis=0)).sum(axis=0)
-
-
-def _rotate_to_min(seq: tuple) -> tuple:
-    i = seq.index(min(seq))
-    return seq[i:] + seq[:i]
-
-
-def _face_key(loop: np.ndarray) -> tuple[tuple, int]:
-    """Canonical cycle key of a loop and its direction (+1 forward, -1 reversed)."""
-    fwd = _rotate_to_min(tuple(int(v) for v in loop))
-    bwd = _rotate_to_min(tuple(int(v) for v in loop[::-1]))
-    return (fwd, 1) if fwd <= bwd else (bwd, -1)
-
-
 def build_polymesh(
     vertices: np.ndarray,
     cell_loops: Sequence[Sequence[np.ndarray]],
@@ -161,40 +151,79 @@ def build_polymesh(
     """Assemble a mesh from per-cell outward-oriented vertex loops.
 
     Shared faces are deduplicated; the second cell referencing a face must
-    supply it with the opposite cycle direction.
+    supply it with the opposite cycle direction.  Faces are numbered by first
+    appearance and stored as first given.
     """
-    table: dict[tuple, tuple[int, int]] = {}
-    faces: list[np.ndarray] = []
-    uses = []
-    cells = []
-    for ck, loops in enumerate(cell_loops):
-        refs = np.zeros(len(loops), dtype=np.int64)
-        for li, loop in enumerate(loops):
-            loop = np.asarray(loop, dtype=np.int64)
-            if len(loop) < 3 or len(np.unique(loop)) != len(loop):
-                raise MeshError(f"cell {ck}: invalid face loop {loop.tolist()}", cell=ck)
-            key, direction = _face_key(loop)
-            if key not in table:
-                table[key] = (len(faces), direction)
-                faces.append(loop)
-                uses.append(1)
-                refs[li] = len(faces)  # 1-based, positive
-            else:
-                fid, stored_dir = table[key]
-                uses[fid] += 1
-                if uses[fid] > 2:
-                    raise MeshError(f"face {fid} referenced by more than two cells", cell=ck)
-                if direction == stored_dir:
-                    raise MeshError(
-                        f"cell {ck}: face {fid} repeated with the same orientation", cell=ck
-                    )
-                refs[li] = -(fid + 1)
-        cells.append(refs)
+    loops = [np.asarray(loop, dtype=np.int64) for cell in cell_loops for loop in cell]
+    lens = np.array([len(loop) for loop in loops], dtype=np.int64)
+    rows = np.full((len(loops), lens.max()), -1, dtype=np.int64)
+    rows[np.repeat(np.arange(len(loops)), lens), _concat_index(lens)] = np.concatenate(loops)
+    loop_cell = np.repeat(np.arange(len(cell_loops)), [len(cell) for cell in cell_loops])
+    return _assemble(vertices, rows, lens, loop_cell, len(cell_loops), family, n)
 
+
+def _assemble(
+    vertices: np.ndarray,
+    rows: np.ndarray,
+    lens: np.ndarray,
+    loop_cell: np.ndarray,
+    n_cells: int,
+    family: str | None,
+    n: int | None,
+) -> PolyMesh:
+    """Shared-face mesh from loops given as rows padded with -1 (``rows[l, :lens[l]]``).
+
+    ``loop_cell`` gives each loop's cell and must be nondecreasing.  Each loop
+    is canonicalised (rotated to its minimum vertex, the smaller of its two
+    directions kept) so one ``np.unique`` over the padded rows finds the
+    shared faces.
+    """
+    n_loops = len(rows)
+    invalid = lens < 3
+    keys = np.full_like(rows, -1)
+    forward = np.zeros(n_loops, dtype=bool)
+    for m in np.unique(lens[~invalid]):
+        idx = np.nonzero(lens == m)[0]
+        R = rows[idx, :m]
+        srt = np.sort(R, axis=1)
+        invalid[idx] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        j = np.arange(m)
+        fwd = np.take_along_axis(R, (R.argmin(axis=1)[:, None] + j) % m, axis=1)
+        # both directions start at the (unique) minimum, so position 1 decides
+        forward[idx] = fwd[:, 1] < fwd[:, -1]
+        keys[idx, :m] = np.where(forward[idx, None], fwd, fwd[:, -j % m])
+    if invalid.any():
+        li = int(np.argmax(invalid))
+        ck = int(loop_cell[li])
+        raise MeshError(f"cell {ck}: invalid face loop {rows[li, :lens[li]].tolist()}", cell=ck)
+
+    _, first, inverse, counts = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    fid = rank[inverse.reshape(-1)]
+    first, counts = first[order], counts[order]
+    # occurrence number of every loop among the loops of its face, in loop order
+    by_face = np.argsort(fid, kind="stable")
+    occ = np.empty(n_loops, dtype=np.int64)
+    occ[by_face] = np.arange(n_loops) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    bad = (occ >= 2) | ((occ == 1) & (forward == forward[first[fid]]))
+    if bad.any():
+        li = int(np.argmax(bad))
+        ck, fi = int(loop_cell[li]), int(fid[li])
+        if occ[li] >= 2:
+            raise MeshError(f"face {fi} referenced by more than two cells", cell=ck)
+        raise MeshError(f"cell {ck}: face {fi} repeated with the same orientation", cell=ck)
+
+    refs = np.where(occ == 0, fid + 1, -(fid + 1))
+    stored, stored_lens = rows[first], lens[first]
     mesh = PolyMesh(
         vertices=np.asarray(vertices, dtype=float),
-        faces=faces,
-        cells=cells,
+        faces=[stored[f, :stored_lens[f]] for f in range(len(first))],
+        cells=np.split(refs, np.cumsum(np.bincount(loop_cell, minlength=n_cells))[:-1]),
         family=family,
         n=n,
     )
@@ -205,20 +234,15 @@ def build_polymesh(
 
 
 def _index_cells(mesh: PolyMesh) -> None:
-    mesh._cell_vertex_ids = []
-    for ci in range(mesh.n_cells):
-        ids = np.unique(np.concatenate([mesh.faces[fi] for fi, _ in mesh.cell_faces(ci)]))
-        mesh._cell_vertex_ids.append(ids)
-
-    nf = mesh.n_faces
-    use = np.zeros(nf, dtype=int)
-    for refs in mesh.cells:
-        for r in refs:
-            use[abs(int(r)) - 1] += 1
-    mesh.boundary_face = use == 1
-    bv = np.zeros(mesh.n_vertices, dtype=bool)
-    for fi in np.nonzero(mesh.boundary_face)[0]:
-        bv[mesh.faces[fi]] = True
+    ref_cell, ref_face, _, c_ref, va, _ = _flat_corners(mesh)
+    nv = mesh.n_vertices
+    cell, vid = np.divmod(np.unique(ref_cell[c_ref] * nv + va), nv)
+    mesh._cell_vertex_ids = np.split(
+        vid, np.cumsum(np.bincount(cell, minlength=mesh.n_cells))[:-1]
+    )
+    mesh.boundary_face = np.bincount(ref_face, minlength=mesh.n_faces) == 1
+    bv = np.zeros(nv, dtype=bool)
+    bv[va[mesh.boundary_face[ref_face[c_ref]]]] = True
     mesh.boundary_vertex = bv
 
 
@@ -251,19 +275,15 @@ def _flat_corners(mesh: PolyMesh):
 def validate_topology(mesh: PolyMesh) -> None:
     """Check that every cell is a closed, oriented surface and face-use counts."""
     nf = mesh.n_faces
-    for refs in mesh.cells:
-        for r in refs:
-            fi = abs(int(r)) - 1
-            if fi < 0 or fi >= nf:
-                raise MeshError(f"cell references face index {r} out of range")
+    refs = np.concatenate(mesh.cells)
+    fi = np.abs(refs) - 1
+    out = (fi < 0) | (fi >= nf)
+    if out.any():
+        raise MeshError(f"cell references face index {refs[np.argmax(out)]} out of range")
     _check_watertight(mesh)
 
-    use = np.zeros(nf, dtype=int)
-    sign_sum = np.zeros(nf, dtype=int)
-    for refs in mesh.cells:
-        for r in refs:
-            use[abs(int(r)) - 1] += 1
-            sign_sum[abs(int(r)) - 1] += 1 if r > 0 else -1
+    use = np.bincount(fi, minlength=nf)
+    sign_sum = np.bincount(fi[refs > 0], minlength=nf) - np.bincount(fi[refs < 0], minlength=nf)
     bad = np.nonzero((use < 1) | (use > 2))[0]
     if len(bad):
         raise MeshError(f"face {bad[0]} referenced {use[bad[0]]} times (expected 1 or 2)")
@@ -329,8 +349,8 @@ def compute_geometry(mesh: PolyMesh) -> PolyMesh:
         cr = np.cross(r, np.roll(r, -1, axis=1))
         nrm = 0.5 * cr.sum(axis=1)
         area = np.linalg.norm(nrm, axis=1)
-        if np.any(area <= 1e-14):
-            raise MeshError(f"degenerate face {idx[int(np.argmax(area <= 1e-14))]}")
+        if np.any(area <= MIN_FACE_AREA):
+            raise MeshError(f"degenerate face {idx[int(np.argmax(area <= MIN_FACE_AREA))]}")
         n_hat = nrm / area[:, None]
         tri_a = 0.5 * np.einsum("fmj,fj->fm", cr, n_hat)       # signed fan areas
         tri_c = (P.mean(axis=1, keepdims=True) + P + np.roll(P, -1, axis=1)) / 3.0
@@ -412,30 +432,43 @@ def _vertex_grid(n: int) -> np.ndarray:
     return np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
 
-def _grid_id(i, j, k, n):
-    return i + (n + 1) * (j + (n + 1) * k)
+def _grid_offsets(corners: np.ndarray, n: int) -> np.ndarray:
+    """Grid-id offsets of integer (di, dj, dk) corner steps (last axis)."""
+    return corners[..., 0] + (n + 1) * (corners[..., 1] + (n + 1) * corners[..., 2])
+
+
+def _structured_mesh(n: int, cell_faces: np.ndarray, family: str) -> PolyMesh:
+    """Mesh of n^3 grid cubes, each split into the cells of ``cell_faces``.
+
+    ``cell_faces`` (cells per cube, faces per cell, loop length, 3) holds the
+    outward face loops as corner steps from a cube's low corner.  Cubes are
+    numbered with x fastest, then y, then z.
+    """
+    if n < 1:
+        raise ValueError("cells-per-axis must be >= 1")
+    s = np.arange(n)
+    base = _grid_offsets(np.stack(np.meshgrid(s, s, s, indexing="ij")[::-1], axis=-1), n)
+    cpc, fpc, m = cell_faces.shape[:3]
+    rows = (base.reshape(-1, 1, 1, 1) + _grid_offsets(cell_faces, n)).reshape(-1, m)
+    loop_cell = np.repeat(np.arange(n**3 * cpc), fpc)
+    return _assemble(
+        _vertex_grid(n), rows, np.full(len(rows), m), loop_cell, n**3 * cpc, family, n
+    )
+
+
+_CUBE_FACES = np.array([[
+    [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)],   # +x
+    [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0)],   # -x
+    [(0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)],   # +y
+    [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)],   # -y
+    [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)],   # +z
+    [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)],   # -z
+]])
 
 
 def generate_cube_mesh(n: int) -> PolyMesh:
     """Structured mesh of n^3 axis-aligned cubes on [0,1]^3."""
-    if n < 1:
-        raise ValueError("cells-per-axis must be >= 1")
-    verts = _vertex_grid(n)
-    cell_loops = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                v = lambda di, dj, dk: _grid_id(i + di, j + dj, k + dk, n)
-                loops = [
-                    [v(1, 0, 0), v(1, 1, 0), v(1, 1, 1), v(1, 0, 1)],   # +x
-                    [v(0, 0, 0), v(0, 0, 1), v(0, 1, 1), v(0, 1, 0)],   # -x
-                    [v(0, 1, 0), v(0, 1, 1), v(1, 1, 1), v(1, 1, 0)],   # +y
-                    [v(0, 0, 0), v(1, 0, 0), v(1, 0, 1), v(0, 0, 1)],   # -y
-                    [v(0, 0, 1), v(1, 0, 1), v(1, 1, 1), v(0, 1, 1)],   # +z
-                    [v(0, 0, 0), v(0, 1, 0), v(1, 1, 0), v(1, 0, 0)],   # -z
-                ]
-                cell_loops.append([np.array(l) for l in loops])
-    return build_polymesh(verts, cell_loops, family="cubic", n=n)
+    return _structured_mesh(n, _CUBE_FACES, "cubic")
 
 
 # Kuhn subdivision: walk the cube axes in each of the 6 permutation orders.
@@ -444,163 +477,152 @@ def generate_cube_mesh(n: int) -> PolyMesh:
 KUHN_PERMUTATIONS = tuple(itertools.permutations(range(3)))
 
 
-def _oriented_tet_faces(ids: Sequence[int], coords: np.ndarray) -> list[np.ndarray]:
-    p = coords
-    if np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]])) < 0:
-        ids = [ids[0], ids[1], ids[3], ids[2]]
-    a, b, c, d = ids
-    return [np.array(f) for f in ((b, c, d), (a, d, c), (a, b, d), (a, c, b))]
+def _kuhn_tet_faces() -> np.ndarray:
+    """Outward face loops of the 6 Kuhn tetrahedra as corner steps, (6, 4, 3, 3)."""
+    tets = []
+    for perm in KUHN_PERMUTATIONS:
+        corners = [np.zeros(3, dtype=int)]
+        for ax in perm:
+            corners.append(corners[-1] + np.eye(3, dtype=int)[ax])
+        a, b, c, d = corners
+        if np.linalg.det(np.array([b - a, c - a, d - a])) < 0:
+            c, d = d, c
+        tets.append([(b, c, d), (a, d, c), (a, b, d), (a, c, b)])
+    return np.array(tets)
+
+
+_KUHN_TET_FACES = _kuhn_tet_faces()
 
 
 def generate_tet_mesh(n: int) -> PolyMesh:
     """Kuhn subdivision of the structured cube mesh: 6*n^3 tetrahedra."""
-    if n < 1:
-        raise ValueError("cells-per-axis must be >= 1")
-    verts = _vertex_grid(n)
-    cell_loops = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                base = np.array([i, j, k])
-                for perm in KUHN_PERMUTATIONS:
-                    offs = [np.zeros(3, dtype=int)]
-                    for ax in perm:
-                        step = offs[-1].copy()
-                        step[ax] += 1
-                        offs.append(step)
-                    ids = [_grid_id(*(base + o), n) for o in offs]
-                    cell_loops.append(_oriented_tet_faces(ids, verts[ids]))
-    return build_polymesh(verts, cell_loops, family="tet", n=n)
-
-
-_UNIT_CUBE_FACES = [
-    np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]], dtype=float),
-    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0]], dtype=float),
-    np.array([[0, 1, 0], [0, 1, 1], [1, 1, 1], [1, 1, 0]], dtype=float),
-    np.array([[0, 0, 0], [1, 0, 0], [1, 0, 1], [0, 0, 1]], dtype=float),
-    np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float),
-    np.array([[0, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=float),
-]
-
-
-def _clip_cell_faces(
-    faces: list[np.ndarray], normal: np.ndarray, offset: float, eps: float = 1e-12
-) -> tuple[list[np.ndarray], bool]:
-    """Clip a convex polyhedron by the half-space {x : normal.x <= offset}.
-
-    Returns the clipped face list and whether the plane actually cut.
-    """
-    kept: list[np.ndarray] = []
-    chords: list[list[np.ndarray]] = []
-    cut = False
-    for poly in faces:
-        d = poly @ normal - offset
-        if np.all(d <= eps):
-            kept.append(poly)
-            continue
-        cut = True
-        if np.all(d >= -eps):
-            continue  # face entirely on the discarded side
-        m = len(poly)
-        out: list[np.ndarray] = []
-        crossings: list[np.ndarray] = []
-        for a in range(m):
-            b = (a + 1) % m
-            da, db = d[a], d[b]
-            if da <= eps:
-                out.append(poly[a])
-            if (da < -eps and db > eps) or (da > eps and db < -eps):
-                t = da / (da - db)
-                x = poly[a] + t * (poly[b] - poly[a])
-                out.append(x)
-                crossings.append(x)
-        if len(out) >= 3:
-            kept.append(np.asarray(out))
-        if len(crossings) == 2:
-            chords.append(crossings)
-        elif len(crossings) > 2:
-            raise MeshError("clip produced more than two crossings on one face")
-    if not cut:
-        return faces, False
-
-    if len(chords) < 3:
-        raise MeshError("degenerate clip: cap has fewer than three edges")
-    chain_tol = 1e-9
-    loop = [chords[0][0], chords[0][1]]
-    used = {0}
-    while len(used) < len(chords):
-        tail = loop[-1]
-        nxt = None
-        for idx, (p, q) in enumerate(chords):
-            if idx in used:
-                continue
-            if np.linalg.norm(p - tail) <= chain_tol:
-                nxt = (idx, q)
-                break
-            if np.linalg.norm(q - tail) <= chain_tol:
-                nxt = (idx, p)
-                break
-        if nxt is None:
-            raise MeshError("failed to chain clip cap")
-        used.add(nxt[0])
-        loop.append(nxt[1])
-    if np.linalg.norm(loop[-1] - loop[0]) > chain_tol:
-        raise MeshError("clip cap does not close")
-    cap = np.asarray(loop[:-1])
-    keep = [0] + [i for i in range(1, len(cap)) if np.linalg.norm(cap[i] - cap[i - 1]) > 1e-11]
-    cap = cap[keep]
-    if len(cap) < 3:
-        raise MeshError("degenerate clip cap")
-    if _newell_normal(cap) @ normal < 0:
-        cap = cap[::-1]
-    kept.append(cap)
-    return kept, True
+    return _structured_mesh(n, _KUHN_TET_FACES, "tet")
 
 
 def voronoi_mesh_from_seeds(seeds: np.ndarray) -> PolyMesh:
     """Clipped Voronoi diagram of explicit seed points inside [0,1]^3.
 
-    Each cell is the unit cube intersected with the bisector half-spaces of
-    its seed against the others.  Candidate bisectors are processed nearest
-    first; a bisector farther than twice the current max vertex distance
-    provably cannot cut, so the scan stops there (same cells as clipping
-    against every bisector).
+    One Qhull call (``scipy.spatial.Voronoi``) on the seeds and their
+    mirror images across the six cube walls.  The regions of the original
+    seeds are exactly the clipped cells: a point beyond a wall is nearer to
+    the seed's own mirror than to the seed, and inside the cube no point is
+    nearer to the mirror of seed j than to j itself.  Qhull numbers the
+    Voronoi vertices globally, so each ridge between seed a and point b is
+    one vertex loop shared by both cells, ordered counter-clockwise about
+    the outward normal ``b - a``.  The vertices of a ridge between a seed
+    and its own mirror are put exactly on that wall.  Cells come in seed
+    order.
+
+    Seeds outside the cube and duplicate seeds raise ``ValueError``.  Seeds
+    on a wall (their mirrors coincide with them), and cells Qhull cannot
+    resolve (too small, seeds too close together so that a Voronoi vertex is
+    farther than ``PLANARITY_TOL`` from its bisector, or nearly cospherical
+    seeds that leave a face of area ``MIN_FACE_AREA`` or less) raise
+    :class:`MeshError` naming the seed.
     """
     seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 2 or seeds.shape[1] != 3:
+        raise ValueError("seeds must be an array of shape (n, 3)")
     ns = len(seeds)
     if ns < 1:
         raise ValueError("need at least one seed")
-    cell_coord_faces = []
-    for i in range(ns):
-        s = seeds[i]
-        d = np.linalg.norm(seeds - s, axis=1)
-        order = np.lexsort((np.arange(ns), d))
-        faces = [f.copy() for f in _UNIT_CUBE_FACES]
-        radius2 = max(np.max(((f - s) ** 2).sum(axis=1)) for f in faces)
-        for j in order:
-            if j == i:
-                continue
-            if d[j] * d[j] > 4.0 * radius2:
-                break
-            normal = (seeds[j] - s) / d[j]
-            offset = normal @ (0.5 * (seeds[j] + s))
-            try:
-                faces, was_cut = _clip_cell_faces(faces, normal, offset)
-            except MeshError as exc:
-                raise MeshError(f"seed {i}: {exc}", cell=i) from exc
-            if was_cut:
-                if len(faces) < 4:
-                    raise MeshError(f"seed {i}: cell clipped away", cell=i)
-                radius2 = max(np.max(((f - s) ** 2).sum(axis=1)) for f in faces)
-        vol = 0.0
-        for poly in faces:
-            nrm = _newell_normal(poly)
-            vol += (poly.mean(axis=0) - s) @ nrm / 3.0
-        if vol < MIN_CELL_VOLUME:
-            raise MeshError(f"seed {i}: degenerate cell (volume {vol:.3e})", cell=i)
-        cell_coord_faces.append(faces)
+    outside = ~np.all((seeds >= 0.0) & (seeds <= 1.0), axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"seed {i} at {seeds[i].tolist()} lies outside the unit cube")
+    _, first, inverse = np.unique(seeds, axis=0, return_index=True, return_inverse=True)
+    dup = first[inverse.reshape(-1)] != np.arange(ns)
+    if dup.any():
+        i = int(np.argmax(dup))
+        raise ValueError(f"seed {i} duplicates seed {first[inverse.reshape(-1)[i]]}")
+    on_wall = np.any((seeds == 0.0) | (seeds == 1.0), axis=1)
+    if on_wall.any():
+        i = int(np.argmax(on_wall))
+        raise MeshError(f"seed {i}: lies on the cube boundary", cell=i)
 
-    return _mesh_from_coordinate_cells(cell_coord_faces, family="voronoi")
+    # point (q + 1) * ns + i is seed i reflected across wall q of
+    # x=0, x=1, y=0, y=1, z=0, z=1
+    pts = np.tile(seeds, (7, 1))
+    for q in range(6):
+        pts[(q + 1) * ns:(q + 2) * ns, q // 2] = 2.0 * (q % 2) - seeds[:, q // 2]
+    vor = Voronoi(pts)
+    ridge = np.sort(vor.ridge_points, axis=1)
+    keep = np.nonzero(ridge[:, 0] < ns)[0]
+    a, b = ridge[keep, 0], ridge[keep, 1]
+    loops = [vor.ridge_vertices[r] for r in keep]
+    lens = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+    flat = np.fromiter(itertools.chain.from_iterable(loops), dtype=np.int64, count=lens.sum())
+    ridge_of = np.repeat(np.arange(len(keep)), lens)
+    if flat.min() < 0:
+        i = int(a[ridge_of[np.argmax(flat < 0)]])
+        raise MeshError(f"seed {i}: unbounded Voronoi region", cell=i)
+    used, vid = np.unique(flat, return_inverse=True)
+    V = vor.vertices[used]
+    # a ridge between a seed and its own mirror lies on that mirror's wall
+    wall = np.where(b % ns == a, b // ns - 1, -1)[ridge_of]
+    on = wall >= 0
+    V[vid[on], wall[on] // 2] = wall[on] % 2
+    stray = np.nonzero(((V < -CUBE_TOL) | (V > 1.0 + CUBE_TOL)).any(axis=1)[vid])[0]
+    if len(stray):
+        i = int(a[ridge_of[stray[0]]])
+        raise MeshError(f"seed {i}: Voronoi vertex outside the cube", cell=i)
+
+    # sort every loop by angle about its normal (atan2 order is invariant
+    # under the positive scaling of an unnormalised basis); measure how far
+    # its vertices are off the bisector, and its area
+    rows = np.full((len(keep), lens.max()), -1, dtype=np.int64)
+    rows[ridge_of, _concat_index(lens)] = vid
+    reverse = rows.copy()
+    normal = pts[b] - pts[a]
+    dist = np.linalg.norm(normal, axis=1)
+    mid = 0.5 * (pts[a] + pts[b])
+    off = np.zeros(len(keep))
+    area = np.zeros(len(keep))
+    for m in np.unique(lens):
+        idx = np.nonzero(lens == m)[0]
+        R = rows[idx, :m]
+        r = V[R] - V[R].mean(axis=1, keepdims=True)
+        e2 = np.cross(normal[idx], r[:, 0])
+        ang = np.arctan2(np.einsum("fmj,fj->fm", r, e2), np.einsum("fmj,fj->fm", r, r[:, 0]))
+        R = np.take_along_axis(R, np.argsort(ang, axis=1), axis=1)
+        rows[idx, :m] = R
+        reverse[idx, :m] = R[:, ::-1]
+        P = V[R]
+        off[idx] = np.abs(np.einsum("fmj,fj->fm", P - mid[idx, None], normal[idx])).max(axis=1)
+        fan = np.cross(P - P[:, :1], np.roll(P, -1, axis=1) - P[:, :1]).sum(axis=1)
+        area[idx] = 0.5 * np.linalg.norm(fan, axis=1)
+    off /= dist
+
+    # each face is the base of a cone of height dist/2 in both of its cells
+    cone = area * dist / 6.0
+    shared = b < ns
+    volume = np.bincount(a, weights=cone, minlength=ns)
+    volume += np.bincount(b[shared], weights=cone[shared], minlength=ns)
+    if np.any(volume < MIN_CELL_VOLUME):
+        i = int(np.argmax(volume < MIN_CELL_VOLUME))
+        raise MeshError(f"seed {i}: degenerate cell (volume {volume[i]:.3e})", cell=i)
+    if np.any(off > PLANARITY_TOL):
+        f = int(np.argmax(off > PLANARITY_TOL))
+        i = int(a[f])
+        raise MeshError(
+            f"seed {i}: Voronoi vertex {off[f]:.1e} off its bisector with point {b[f]}", cell=i
+        )
+    if np.any(area <= MIN_FACE_AREA):
+        f = int(np.argmax(area <= MIN_FACE_AREA))
+        i = int(a[f])
+        raise MeshError(f"seed {i}: degenerate face with point {b[f]} (area {area[f]:.1e})", cell=i)
+
+    loop_cell = np.concatenate([a, b[shared]])
+    order = np.argsort(loop_cell, kind="stable")
+    return _assemble(
+        V,
+        np.concatenate([rows, reverse[shared]])[order],
+        np.concatenate([lens, lens[shared]])[order],
+        loop_cell[order],
+        ns,
+        "voronoi",
+        None,
+    )
 
 
 def generate_voronoi_mesh(n_seeds: int, rng_seed: int) -> PolyMesh:
@@ -610,53 +632,6 @@ def generate_voronoi_mesh(n_seeds: int, rng_seed: int) -> PolyMesh:
     rng = np.random.default_rng(rng_seed)
     seeds = rng.random((n_seeds, 3))
     return voronoi_mesh_from_seeds(seeds)
-
-
-def _mesh_from_coordinate_cells(cell_coord_faces, family: str) -> PolyMesh:
-    """Merge near-duplicate vertices globally and assemble the shared-face mesh."""
-    flat = [poly for faces in cell_coord_faces for poly in faces]
-    counts = [len(p) for p in flat]
-    pts = np.concatenate(flat, axis=0)
-
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(VERTEX_MERGE_TOL, output_type="ndarray")
-    parent = np.arange(len(pts))
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for a, b in pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(int(i)) for i in range(len(pts))])
-    unique_roots, ids = np.unique(roots, return_inverse=True)
-    vertices = pts[unique_roots]
-
-    loops_ids: list[np.ndarray] = []
-    offset = 0
-    for cnt in counts:
-        loop = ids[offset:offset + cnt]
-        offset += cnt
-        keep = [0] + [t for t in range(1, len(loop)) if loop[t] != loop[t - 1]]
-        loop = loop[keep]
-        if loop[0] == loop[-1]:
-            loop = loop[:-1]
-        if len(loop) < 3:
-            raise MeshError("face degenerated during vertex merge")
-        loops_ids.append(loop.astype(np.int64))
-
-    cell_loops = []
-    offset = 0
-    for faces in cell_coord_faces:
-        cell_loops.append(loops_ids[offset:offset + len(faces)])
-        offset += len(faces)
-    return build_polymesh(vertices, cell_loops, family=family)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@
 
 Nothing here shares code with the library's quadrature or assembly paths:
 polytope moments come from the divergence-theorem recursion (face and edge
-reductions ending in 1D Gauss), and the linear finite element stiffness of a
-tetrahedron from barycentric gradients.
+reductions ending in 1D Gauss), the linear finite element stiffness of a
+tetrahedron from barycentric gradients, and clipped Voronoi cells from
+half-space clipping of the unit cube, seed by seed.
 """
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
+
+from vempb.mesh import MeshError
 
 
 def _edge_gauss(a, b, fn, npts):
@@ -97,6 +103,15 @@ def p1_tet_stiffness(verts):
     return vol * grads @ grads.T
 
 
+def oriented_tet_faces(ids, coords):
+    """Outward face loops of one tetrahedron, reordering its vertices if negatively oriented."""
+    p = coords
+    if np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]])) < 0:
+        ids = [ids[0], ids[1], ids[3], ids[2]]
+    a, b, c, d = ids
+    return [np.array(f) for f in ((b, c, d), (a, d, c), (a, b, d), (a, c, b))]
+
+
 def kkt_solve(A, F, mask, values):
     """Dense equality-constrained minimizer of 0.5 u'Au - F'u with u[mask]=values."""
     n = len(F)
@@ -107,3 +122,145 @@ def kkt_solve(A, F, mask, values):
     rhs = np.concatenate([F, values[con]])
     sol = np.linalg.solve(kkt, rhs)
     return sol[:n]
+
+
+def newell_normal(points):
+    """Area-weighted normal of a vertex loop (exact for planar polygons)."""
+    r = points - points.mean(axis=0)
+    return 0.5 * np.cross(r, np.roll(r, -1, axis=0)).sum(axis=0)
+
+
+UNIT_CUBE_FACES = [
+    np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]], dtype=float),
+    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0]], dtype=float),
+    np.array([[0, 1, 0], [0, 1, 1], [1, 1, 1], [1, 1, 0]], dtype=float),
+    np.array([[0, 0, 0], [1, 0, 0], [1, 0, 1], [0, 0, 1]], dtype=float),
+    np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float),
+    np.array([[0, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=float),
+]
+
+
+def clip_cell_faces(
+    faces: list[np.ndarray], normal: np.ndarray, offset: float, eps: float = 1e-12
+) -> tuple[list[np.ndarray], bool]:
+    """Clip a convex polyhedron by the half-space {x : normal.x <= offset}.
+
+    Returns the clipped face list and whether the plane actually cut.
+    """
+    kept: list[np.ndarray] = []
+    chords: list[list[np.ndarray]] = []
+    cut = False
+    for poly in faces:
+        d = poly @ normal - offset
+        if np.all(d <= eps):
+            kept.append(poly)
+            continue
+        cut = True
+        if np.all(d >= -eps):
+            continue  # face entirely on the discarded side
+        m = len(poly)
+        out: list[np.ndarray] = []
+        crossings: list[np.ndarray] = []
+        for a in range(m):
+            b = (a + 1) % m
+            da, db = d[a], d[b]
+            if da <= eps:
+                out.append(poly[a])
+            if (da < -eps and db > eps) or (da > eps and db < -eps):
+                t = da / (da - db)
+                x = poly[a] + t * (poly[b] - poly[a])
+                out.append(x)
+                crossings.append(x)
+        if len(out) >= 3:
+            kept.append(np.asarray(out))
+        if len(crossings) == 2:
+            chords.append(crossings)
+        elif len(crossings) > 2:
+            raise MeshError("clip produced more than two crossings on one face")
+    if not cut:
+        return faces, False
+
+    if len(chords) < 3:
+        raise MeshError("degenerate clip: cap has fewer than three edges")
+    chain_tol = 1e-9
+    loop = [chords[0][0], chords[0][1]]
+    used = {0}
+    while len(used) < len(chords):
+        tail = loop[-1]
+        nxt = None
+        for idx, (p, q) in enumerate(chords):
+            if idx in used:
+                continue
+            if np.linalg.norm(p - tail) <= chain_tol:
+                nxt = (idx, q)
+                break
+            if np.linalg.norm(q - tail) <= chain_tol:
+                nxt = (idx, p)
+                break
+        if nxt is None:
+            raise MeshError("failed to chain clip cap")
+        used.add(nxt[0])
+        loop.append(nxt[1])
+    if np.linalg.norm(loop[-1] - loop[0]) > chain_tol:
+        raise MeshError("clip cap does not close")
+    cap = np.asarray(loop[:-1])
+    keep = [0] + [i for i in range(1, len(cap)) if np.linalg.norm(cap[i] - cap[i - 1]) > 1e-11]
+    cap = cap[keep]
+    if len(cap) < 3:
+        raise MeshError("degenerate clip cap")
+    if newell_normal(cap) @ normal < 0:
+        cap = cap[::-1]
+    kept.append(cap)
+    return kept, True
+
+
+def clipped_voronoi_cells(seeds):
+    """Reference clipped Voronoi cells by half-space clipping, one per seed.
+
+    Each cell is the unit cube intersected with the bisector half-spaces of
+    its seed against the others, returned as a list of outward-oriented
+    coordinate loops.  Candidate bisectors are processed nearest first; a
+    bisector farther than twice the current max vertex distance provably
+    cannot cut, so the scan stops there.
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    ns = len(seeds)
+    cells = []
+    for i in range(ns):
+        s = seeds[i]
+        d = np.linalg.norm(seeds - s, axis=1)
+        order = np.lexsort((np.arange(ns), d))
+        faces = [f.copy() for f in UNIT_CUBE_FACES]
+        radius2 = max(np.max(((f - s) ** 2).sum(axis=1)) for f in faces)
+        for j in order:
+            if j == i:
+                continue
+            if d[j] * d[j] > 4.0 * radius2:
+                break
+            normal = (seeds[j] - s) / d[j]
+            offset = normal @ (0.5 * (seeds[j] + s))
+            faces, was_cut = clip_cell_faces(faces, normal, offset)
+            if was_cut:
+                radius2 = max(np.max(((f - s) ** 2).sum(axis=1)) for f in faces)
+        cells.append(faces)
+    return cells
+
+
+def cone_volume_centroid(faces, apex):
+    """Volume and centroid of a closed polyhedron from the cone of fan tetrahedra at ``apex``."""
+    vol = 0.0
+    moment = np.zeros(3)
+    for poly in faces:
+        fm = poly.mean(axis=0)
+        for p, q in zip(poly, np.roll(poly, -1, axis=0)):
+            tv = np.cross(p - apex, q - apex) @ (fm - apex) / 6.0
+            vol += tv
+            moment += tv * (apex + fm + p + q) / 4.0
+    return vol, moment / vol
+
+
+def merged_vertex_count(points, tol=1e-9):
+    """Number of distinct points when points closer than ``tol`` are merged transitively."""
+    pairs = cKDTree(points).query_pairs(tol, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(points),) * 2)
+    return connected_components(graph, directed=False)[0]

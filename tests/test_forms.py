@@ -4,10 +4,9 @@ import pytest
 import vempb as vp
 import vempb.forms as forms
 from vempb.mesh import build_polymesh
-from vempb.mesh import _oriented_tet_faces
 from vempb.polybasis import cell_quadrature
 
-from _oracles import p1_tet_stiffness
+from _oracles import oriented_tet_faces, p1_tet_stiffness
 
 
 def random_tet_mesh(rng):
@@ -16,7 +15,7 @@ def random_tet_mesh(rng):
         vol = np.linalg.det(verts[1:] - verts[0]) / 6.0
         if abs(vol) > 5e-3:
             break
-    loops = _oriented_tet_faces(list(range(4)), verts)
+    loops = oriented_tet_faces(list(range(4)), verts)
     return build_polymesh(verts, [loops])
 
 

@@ -1,10 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import vempb as vp
 from vempb.mesh import MeshError, VpmParseError, build_polymesh
 
-from _oracles import cell_monomial_integral
+from _oracles import (
+    cell_monomial_integral,
+    clipped_voronoi_cells,
+    cone_volume_centroid,
+    merged_vertex_count,
+)
 
 
 def permuted_copy(mesh, perm):
@@ -108,6 +115,77 @@ def test_voronoi_degenerate_cell_reports_seed():
         vp.voronoi_mesh_from_seeds(np.array(seeds))
 
 
+def assert_matches_oracle(m, seeds):
+    ref = clipped_voronoi_cells(seeds)
+    assert m.n_cells == len(seeds)
+    loops = [poly for faces in ref for poly in faces]
+    on_wall = sum(
+        any(np.all(poly[:, k] == w) for k in range(3) for w in (0.0, 1.0)) for poly in loops
+    )
+    assert m.n_faces == (len(loops) + on_wall) // 2
+    assert m.n_vertices == merged_vertex_count(np.concatenate(loops))
+    for ci, (faces, seed) in enumerate(zip(ref, seeds)):
+        # one cell per seed, in seed order
+        assert len(m.cells[ci]) == len(faces)
+        vol, centroid = cone_volume_centroid(faces, seed)
+        assert abs(m.cell_volume[ci] - vol) <= 1e-12
+        assert np.abs(m.cell_centroid[ci] - centroid).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_seeds, rng_seed", [(27, r) for r in range(1, 7)] + [(64, 0), (200, 5)]
+)
+def test_voronoi_matches_clipping_oracle(n_seeds, rng_seed):
+    seeds = np.random.default_rng(rng_seed).random((n_seeds, 3))
+    assert_matches_oracle(vp.generate_voronoi_mesh(n_seeds, rng_seed), seeds)
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        # 1e-10 from a wall and from an edge
+        np.array([[1e-10, 0.3, 0.5], [0.6, 0.5, 0.5], [0.5, 1 - 1e-10, 1e-10]]),
+        # a lattice: groups of 8 cospherical seeds
+        (np.stack(np.meshgrid(*(np.arange(3),) * 3, indexing="ij"), -1).reshape(-1, 3) + 0.5) / 3,
+    ],
+)
+def test_voronoi_special_seeds_match_clipping_oracle(seeds):
+    assert_matches_oracle(vp.voronoi_mesh_from_seeds(seeds), seeds)
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: vp.generate_cube_mesh(3),
+         "7ee5b6715e0831f13862a90c5e8e2b2fa3aea39fe5c0dab2df130d46fe3ac56f"),
+        (lambda: vp.generate_tet_mesh(2),
+         "af8325df7f666295f3cd0336d785d789caa117dd1a08ef5f3b7d8ffd839150b1"),
+    ],
+)
+def test_structured_meshes_unchanged(make, digest, tmp_path):
+    # digests of the files written before the generators were vectorised; the
+    # Kuhn cell order also feeds the structured point locator in analysis
+    path = tmp_path / "m.vpm"
+    vp.save_mesh(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "seeds, error, match",
+    [
+        ([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5], [0.1, 0.2, 0.3]], ValueError, "seed 2 duplicates seed 0"),
+        ([[0.1, 0.2, 0.3], [1.2, 0.5, 0.5]], ValueError, "seed 1 .* outside the unit cube"),
+        ([[0.1, 0.2, 0.3], [np.nan, 0.5, 0.5]], ValueError, "seed 1 .* outside the unit cube"),
+        ([[0.0, 0.0, 0.5], [0.6, 0.5, 0.5], [0.5, 0.9, 0.1]], MeshError, "seed 0: lies on the cube boundary"),
+        ([[0.6, 0.5, 0.5], [0.5, 0.9, 1.0]], MeshError, "seed 1: lies on the cube boundary"),
+    ],
+)
+def test_voronoi_rejects_bad_seeds(seeds, error, match):
+    with pytest.raises(error, match=match):
+        vp.voronoi_mesh_from_seeds(np.array(seeds))
+
+
 def test_voronoi_determinism_byte_exact(tmp_path):
     a = vp.generate_voronoi_mesh(64, 7)
     b = vp.generate_voronoi_mesh(64, 7)
@@ -179,6 +257,35 @@ def test_orientation_error_reported():
     loops = [np.array(l[::-1]) for l in ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))]
     with pytest.raises(MeshError, match="volume"):
         build_polymesh(verts, [loops])
+
+
+UNIT_TET_VERTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+UNIT_TET_LOOPS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+
+
+@pytest.mark.parametrize("bad", [(0, 3, 3, 2), (0, 3, 2, 0), (0, 3)])
+def test_build_rejects_invalid_loop(bad):
+    loops = [np.array(l) for l in UNIT_TET_LOOPS]
+    loops[1] = np.array(bad)
+    with pytest.raises(MeshError, match="cell 0: invalid face loop") as exc:
+        build_polymesh(UNIT_TET_VERTS, [loops])
+    assert exc.value.cell == 0
+
+
+def test_build_rejects_face_used_by_three_cells():
+    fwd = [np.array(l) for l in UNIT_TET_LOOPS]
+    rev = [l[::-1].copy() for l in fwd]
+    with pytest.raises(MeshError, match="referenced by more than two cells") as exc:
+        build_polymesh(UNIT_TET_VERTS, [fwd, rev, [np.array((2, 3, 1))]])
+    assert exc.value.cell == 2
+
+
+def test_build_rejects_shared_face_with_same_orientation():
+    fwd = [np.array(l) for l in UNIT_TET_LOOPS]
+    # the same cycle as (1, 2, 3), rotated
+    with pytest.raises(MeshError, match="cell 1: face 0 repeated with the same orientation") as exc:
+        build_polymesh(UNIT_TET_VERTS, [fwd, [np.array((3, 1, 2))]])
+    assert exc.value.cell == 1
 
 
 def test_voronoi_volume_against_monte_carlo():

@@ -5,6 +5,8 @@ import vempb as vp
 from vempb.mesh import build_polymesh
 from vempb.projectors import face_integral, face_pi_nabla
 
+from _oracles import newell_normal
+
 
 def _random_plane_polygon(rng, n_verts=5):
     """Planar polygon mesh (single degenerate 'cell' is not needed: faces only)."""
@@ -25,10 +27,8 @@ def _random_plane_polygon(rng, n_verts=5):
 
 def _prism_mesh_from_polygon(pts, normal_shift=0.3):
     """Extrude a planar polygon into a prism so the face lives in a real mesh."""
-    from vempb.mesh import _newell_normal
-
     n = len(pts)
-    nrm = _newell_normal(pts)
+    nrm = newell_normal(pts)
     nrm /= np.linalg.norm(nrm)
     top = pts + normal_shift * nrm
     verts = np.vstack([pts, top])
