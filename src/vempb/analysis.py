@@ -18,8 +18,9 @@ import numpy as np
 
 from .forms import LoadSpec, PhysicsConfig
 from .mesh import KUHN_PERMUTATIONS, PolyMesh
-from .polybasis import DEFAULT_DEGREE, cell_quadrature
-from .projectors import CellProjectors, build_projectors
+# cell_quadrature stays importable here: perfbench/tracer.py wraps analysis.cell_quadrature
+from .polybasis import DEFAULT_DEGREE, cell_quadrature  # noqa: F401
+from .projectors import CellProjectorSet, build_projectors
 from .solver import NewtonConfig, SolveReport, Workspace, newton_solve
 
 
@@ -32,7 +33,7 @@ def error_l2(
     mesh: PolyMesh,
     u_h: np.ndarray,
     u_exact: Callable[[np.ndarray], np.ndarray],
-    projectors: list[CellProjectors] | None = None,
+    projectors: CellProjectorSet | None = None,
     degree: int = DEFAULT_DEGREE,
     workspace: Workspace | None = None,
 ) -> float:
@@ -45,15 +46,12 @@ def error_h1(
     mesh: PolyMesh,
     u_h: np.ndarray,
     grad_u_exact: Callable[[np.ndarray], np.ndarray],
-    projectors: list[CellProjectors] | None = None,
+    projectors: CellProjectorSet | None = None,
     degree: int = DEFAULT_DEGREE,
     workspace: Workspace | None = None,
 ) -> float:
     ws = workspace or Workspace(mesh, projectors, degree)
-    grads = np.zeros((mesh.n_cells, 3))
-    for grp in ws.groups:
-        grads[grp.cells] = np.einsum("gkn,gn->gk", grp.g, u_h[grp.ids])
-    gdiff = grad_u_exact(ws.points) - grads[ws.cop]
+    gdiff = grad_u_exact(ws.points) - ws.projectors.gradients(u_h)[ws.cop]
     return float(np.sqrt(ws.weights @ (gdiff**2).sum(axis=1)))
 
 
@@ -202,6 +200,13 @@ def run_convergence_study(
 # reference-solution comparison on nested structured meshes
 
 
+# rank of each Kuhn permutation, looked up by o0*9 + o1*3 + o2
+_KUHN_RANK = np.zeros(27, dtype=np.int64)
+_KUHN_RANK[[p[0] * 9 + p[1] * 3 + p[2] for p in KUHN_PERMUTATIONS]] = np.arange(
+    len(KUHN_PERMUTATIONS)
+)
+
+
 def _locate_structured(mesh: PolyMesh, points: np.ndarray) -> np.ndarray:
     """Cell indices of points in a generator-ordered cubic or tet mesh."""
     n = mesh.n
@@ -213,8 +218,7 @@ def _locate_structured(mesh: PolyMesh, points: np.ndarray) -> np.ndarray:
     frac = scaled - idx
     # Kuhn cell: permutation sorting the fractional coordinates descending
     order = np.argsort(-frac, axis=1, kind="stable")
-    perm_rank = np.array([KUHN_PERMUTATIONS.index(tuple(o)) for o in order])
-    return cube_id * 6 + perm_rank
+    return cube_id * 6 + _KUHN_RANK[order @ np.array([9, 3, 1])]
 
 
 def compare_to_reference(
@@ -222,16 +226,17 @@ def compare_to_reference(
     u_h: np.ndarray,
     fine_mesh: PolyMesh,
     u_ref: np.ndarray,
-    coarse_projectors: list[CellProjectors] | None = None,
-    fine_projectors: list[CellProjectors] | None = None,
+    coarse_projectors: CellProjectorSet | None = None,
+    fine_projectors: CellProjectorSet | None = None,
     degree: int = DEFAULT_DEGREE,
 ) -> tuple[float, float]:
     """Errors of u_h against the projected reference field on a nested fine mesh.
 
     The fine projection (cellwise linear) stands in for the exact solution
-    inside the error integrals; fine cells are located by structured
-    indexing, so both meshes must come from the same structured generator
-    with the fine resolution a multiple of the coarse one.
+    inside the error integrals, which run over the coarse mesh's quadrature
+    nodes; fine cells are located by structured indexing, so both meshes must
+    come from the same structured generator with the fine resolution a
+    multiple of the coarse one.
     """
     if coarse_mesh.family not in ("cubic", "tet") or fine_mesh.family != coarse_mesh.family:
         raise ValueError("reference comparison needs nested structured meshes of one family")
@@ -239,26 +244,23 @@ def compare_to_reference(
         raise ValueError(
             f"meshes are not nested (coarse n={coarse_mesh.n}, fine n={fine_mesh.n})"
         )
-    coarse_projectors = coarse_projectors or build_projectors(coarse_mesh)
-    fine_projectors = fine_projectors or build_projectors(fine_mesh)
+    for what, values, mesh in (("u_h", u_h, coarse_mesh), ("u_ref", u_ref, fine_mesh)):
+        if len(values) != mesh.n_vertices:
+            raise ValueError(f"{what} has {len(values)} values for {mesh.n_vertices} vertices")
+    for what, projs, mesh in (
+        ("coarse", coarse_projectors, coarse_mesh), ("fine", fine_projectors, fine_mesh)
+    ):
+        if projs is not None and len(projs) != mesh.n_cells:
+            raise ValueError(f"{what} projectors cover {len(projs)} cells, mesh has {mesh.n_cells}")
+    if fine_projectors is None:
+        fine_projectors = build_projectors(fine_mesh)
+    ws = Workspace(coarse_mesh, coarse_projectors, degree)
 
-    coeffs = np.array(
-        [p.value_coeffs(u_ref[p.vertex_ids]) for p in fine_projectors]
-    )
-    grads = np.array([p.gradient(u_ref[p.vertex_ids]) for p in fine_projectors])
-    anchors = fine_mesh.cell_centroid
-    scales = fine_mesh.cell_diameter
-
-    total_l2 = 0.0
-    total_h1 = 0.0
-    for ci in range(coarse_mesh.n_cells):
-        proj = coarse_projectors[ci]
-        quad = cell_quadrature(coarse_mesh, ci, degree)
-        fid = _locate_structured(fine_mesh, quad.points)
-        xi = (quad.points - anchors[fid]) / scales[fid, None]
-        ref_vals = coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
-        vals = proj.evaluate(u_h[proj.vertex_ids], quad.points)
-        total_l2 += float(quad.weights @ (ref_vals - vals) ** 2)
-        gdiff = grads[fid] - proj.gradient(u_h[proj.vertex_ids])
-        total_h1 += float(quad.weights @ (gdiff**2).sum(axis=1))
-    return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))
+    coeffs = fine_projectors.value_coeffs(u_ref)
+    fid = _locate_structured(fine_mesh, ws.points)
+    xi = (ws.points - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
+    ref_vals = coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
+    e2 = ws.weights @ (ref_vals - ws.projected_values(u_h)) ** 2
+    gdiff = fine_projectors.gradients(u_ref)[fid] - ws.projectors.gradients(u_h)[ws.cop]
+    e1 = ws.weights @ (gdiff**2).sum(axis=1)
+    return float(np.sqrt(e2)), float(np.sqrt(e1))

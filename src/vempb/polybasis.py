@@ -65,22 +65,6 @@ class MonomialBasis:
                     out[:, j] *= xi[:, d] ** alpha[d]
         return out
 
-    def grad_all(self, points: np.ndarray) -> np.ndarray:
-        """Gradients of every basis monomial, shape (npts, size, dim)."""
-        xi = self.local(points)
-        out = np.zeros((len(xi), self.size, self.dim))
-        for j, alpha in enumerate(self.alphas):
-            for d in range(self.dim):
-                if alpha[d] == 0:
-                    continue
-                g = np.full(len(xi), alpha[d] / self.scale)
-                for e in range(self.dim):
-                    p = alpha[e] - (1 if e == d else 0)
-                    if p:
-                        g *= xi[:, e] ** p
-                out[:, j, d] = g
-        return out
-
 
 def monomial_basis(anchor, scale: float, degree: int, dim: int = 3) -> MonomialBasis:
     if degree < 0 or dim not in (2, 3):

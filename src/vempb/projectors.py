@@ -7,6 +7,12 @@ is fixed by matching the mean over the cell boundary.  Face integrals of the
 virtual functions equal those of their face projections, which are exact
 because edge traces are piecewise linear (trapezoid rule).
 
+:func:`build_projectors` builds all cells with array operations into one
+:class:`ProjectorGroup` per distinct DoF count n: the group's cells and their
+stacked ``vertex_ids`` (G, n), ``pi_nabla`` (G, 4, n), ``pi0_grad`` (G, 3, n)
+and ``stab_q`` (G, n, n), which batched assembly uses directly.
+:func:`cell_projectors` is the single-cell reference.
+
 The degree is carried explicitly so the interfaces extend to higher orders
 (edge/face/cell moment DoFs) without change; only degree 1 is implemented.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, PolyMesh
+from .mesh import MeshError, PolyMesh, _concat_index, _flat_corners
 from .polybasis import MonomialBasis, monomial_basis
 
 DEGENERATE_FACE_AREA = 1e-14
@@ -39,12 +45,6 @@ class FaceProjector:
     coeff: np.ndarray            # (3, n_face_vertices)
     integral_row: np.ndarray     # (n_face_vertices,)
 
-    def evaluate(self, mesh: PolyMesh, dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate the projected polynomial at 3D points on the face plane."""
-        c = self.coeff @ dofs
-        rel = (np.atleast_2d(points) - mesh.face_centroid[self.face]) / mesh.face_diameter[self.face]
-        return c[0] + rel @ self.frame.T @ c[1:]
-
 
 def _face_frames(normals: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal in-plane frames, shape (F, 2, 3)."""
@@ -57,8 +57,13 @@ def _face_frames(normals: np.ndarray) -> np.ndarray:
     return np.stack([t1, t2], axis=1)
 
 
-def _face_rows_batch(mesh: PolyMesh, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """coeff (F,3,m), integral_row (F,m), frames (F,2,3) for equal-length loops."""
+def _face_rows_batch(
+    mesh: PolyMesh, idx: np.ndarray, frames: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """coeff (F,3,m), integral_row (F,m), frames (F,2,3) for equal-length loops.
+
+    ``frames`` defaults to the deterministic in-plane frames of the faces.
+    """
     if np.any(mesh.face_area[idx] < DEGENERATE_FACE_AREA):
         fi = idx[int(np.argmax(mesh.face_area[idx] < DEGENERATE_FACE_AREA))]
         raise MeshError(f"degenerate face {fi} (area {mesh.face_area[fi]:.3e})")
@@ -66,7 +71,8 @@ def _face_rows_batch(mesh: PolyMesh, idx: np.ndarray) -> tuple[np.ndarray, np.nd
     n_hat = mesh.face_normal[idx]
     area = mesh.face_area[idx]
     h = mesh.face_diameter[idx]
-    frames = _face_frames(n_hat)
+    if frames is None:
+        frames = _face_frames(n_hat)
 
     edge_vec = np.roll(P, -1, axis=1) - P
     edge_len = np.linalg.norm(edge_vec, axis=2)
@@ -92,30 +98,23 @@ def _face_rows_batch(mesh: PolyMesh, idx: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class FaceProjectorTable:
-    """Precomputed face-projector rows for every face of a mesh."""
+    """Integral rows of every face, flat in the order of the concatenated loops.
+
+    ``integral_row[start[fi]:start[fi + 1]]`` holds face ``fi``'s row; the
+    rows are computed in one batch per loop length.
+    """
 
     def __init__(self, mesh: PolyMesh):
-        nf = mesh.n_faces
-        self.coeff: list[np.ndarray] = [None] * nf
-        self.integral_row: list[np.ndarray] = [None] * nf
-        self.frame: list[np.ndarray] = [None] * nf
         lengths = np.array([len(l) for l in mesh.faces])
+        self.start = np.concatenate([[0], np.cumsum(lengths)])
+        self.integral_row = np.empty(self.start[-1])
         for m in np.unique(lengths):
             idx = np.nonzero(lengths == m)[0]
-            coeff, rows, frames = _face_rows_batch(mesh, idx)
-            for k, fi in enumerate(idx):
-                self.coeff[fi] = coeff[k]
-                self.integral_row[fi] = rows[k]
-                self.frame[fi] = frames[k]
+            _, rows, _ = _face_rows_batch(mesh, idx)
+            self.integral_row[self.start[idx][:, None] + np.arange(m)] = rows
 
-    def projector(self, mesh: PolyMesh, fi: int) -> FaceProjector:
-        return FaceProjector(
-            face=fi,
-            vertex_ids=mesh.faces[fi].copy(),
-            frame=self.frame[fi],
-            coeff=self.coeff[fi],
-            integral_row=self.integral_row[fi],
-        )
+    def row(self, fi: int) -> np.ndarray:
+        return self.integral_row[self.start[fi]:self.start[fi + 1]]
 
 
 def face_pi_nabla(mesh: PolyMesh, fi: int, frame: np.ndarray | None = None) -> FaceProjector:
@@ -124,34 +123,12 @@ def face_pi_nabla(mesh: PolyMesh, fi: int, frame: np.ndarray | None = None) -> F
     An explicit ``frame`` overrides the deterministic default (used to check
     frame independence of frame-free quantities).
     """
-    idx = np.array([fi])
-    if frame is None:
-        coeff, rows, frames = _face_rows_batch(mesh, idx)
-        return FaceProjector(
-            face=fi, vertex_ids=mesh.faces[fi].copy(), frame=frames[0],
-            coeff=coeff[0], integral_row=rows[0],
-        )
-    # recompute in the supplied frame
-    if mesh.face_area[fi] < DEGENERATE_FACE_AREA:
-        raise MeshError(f"degenerate face {fi} (area {mesh.face_area[fi]:.3e})")
-    P = mesh.vertices[mesh.faces[fi]]
-    n_hat = mesh.face_normal[fi]
-    area = mesh.face_area[fi]
-    h = mesh.face_diameter[fi]
-    edge_vec = np.roll(P, -1, axis=0) - P
-    edge_len = np.linalg.norm(edge_vec, axis=1)
-    edge_out = np.cross(edge_vec / edge_len[:, None], n_hat)
-    w_bnd = 0.5 * (edge_len + np.roll(edge_len, 1))
-    c = 0.5 * edge_len[:, None] * edge_out
-    grad_rows = (c + np.roll(c, 1, axis=0)).T / area
-    xi = (P - mesh.face_centroid[fi]) / h @ frame.T
-    c_lin = h * (frame @ grad_rows)
-    s = w_bnd @ xi
-    c0 = (w_bnd - s @ c_lin) / edge_len.sum()
-    coeff = np.vstack([c0, c_lin])
+    coeff, rows, frames = _face_rows_batch(
+        mesh, np.array([fi]), None if frame is None else np.asarray(frame)[None]
+    )
     return FaceProjector(
-        face=fi, vertex_ids=mesh.faces[fi].copy(), frame=frame,
-        coeff=coeff, integral_row=area * c0,
+        face=fi, vertex_ids=mesh.faces[fi].copy(), frame=frames[0],
+        coeff=coeff[0], integral_row=rows[0],
     )
 
 
@@ -195,11 +172,33 @@ class CellProjectors:
         return self.pi0_grad @ dofs
 
 
+def _local_face_rows(
+    mesh: PolyMesh, ci: int, vids: np.ndarray, face_table: FaceProjectorTable
+) -> list[np.ndarray]:
+    """Per face of cell ``ci``: its integral row spread over the local DoFs."""
+    rows = []
+    for fi, _ in mesh.cell_faces(ci):
+        row = np.zeros(len(vids))
+        row[np.searchsorted(vids, mesh.faces[fi])] = face_table.row(fi)
+        rows.append(row)
+    return rows
+
+
+def _dof_matrix(mesh: PolyMesh, ci: int, vids: np.ndarray) -> np.ndarray:
+    """Values of {1, xi1, xi2, xi3} at the cell's vertices, shape (n, 4)."""
+    xe, h = mesh.cell_centroid[ci], mesh.cell_diameter[ci]
+    return np.column_stack([np.ones(len(vids)), (mesh.vertices[vids] - xe) / h])
+
+
 def cell_projectors(
     mesh: PolyMesh, ci: int, face_table: FaceProjectorTable | None = None
 ) -> CellProjectors:
-    """Assemble the projector matrices of one cell from its face integrals."""
-    face_table = face_table or FaceProjectorTable(mesh)
+    """Assemble the projector matrices of one cell from its face integrals.
+
+    The single-cell reference for :func:`build_projectors`, which computes
+    the same sums batched over all cells.
+    """
+    face_table = face_table if face_table is not None else FaceProjectorTable(mesh)
     vids = mesh.cell_vertex_ids(ci)
     n = len(vids)
     vol = mesh.cell_volume[ci]
@@ -210,12 +209,8 @@ def cell_projectors(
     bnd_rows = np.zeros(n)             # integral of v over the cell boundary
     poly_bnd_vec = np.zeros(3)         # boundary integral of (x - x_E)
     total_area = 0.0
-    face_rows = []
-    for fi, sgn in mesh.cell_faces(ci):
-        local = np.searchsorted(vids, mesh.faces[fi])
-        row = np.zeros(n)
-        row[local] = face_table.integral_row[fi]
-        face_rows.append(row)
+    face_rows = _local_face_rows(mesh, ci, vids, face_table)
+    for (fi, sgn), row in zip(mesh.cell_faces(ci), face_rows):
         grad_rows += sgn * np.outer(mesh.face_normal[fi], row)
         bnd_rows += row
         area = mesh.face_area[fi]
@@ -228,23 +223,134 @@ def cell_projectors(
     c0 = (bnd_rows - (poly_bnd_vec / h) @ c_lin) / total_area
     pi_nabla = np.vstack([c0, c_lin])
 
-    basis = monomial_basis(xe, h, degree=1, dim=3)
-    dof_matrix = np.column_stack([np.ones(n), (mesh.vertices[vids] - xe) / h])
-    stab_q = np.eye(n) - dof_matrix @ pi_nabla
+    dof_matrix = _dof_matrix(mesh, ci, vids)
     return CellProjectors(
         cell=ci,
         degree=1,
         vertex_ids=vids,
-        basis=basis,
+        basis=monomial_basis(xe, h, degree=1, dim=3),
         pi_nabla=pi_nabla,
         pi0_grad=pi0_grad,
         dof_matrix=dof_matrix,
-        stab_q=stab_q,
+        stab_q=np.eye(n) - dof_matrix @ pi_nabla,
         face_rows=face_rows,
     )
 
 
-def build_projectors(mesh: PolyMesh) -> list[CellProjectors]:
-    """Projectors for every cell, sharing one batched face pass."""
+@dataclass
+class ProjectorGroup:
+    """The cells with one DoF count n, their projector matrices stacked."""
+
+    cells: np.ndarray            # (G,) cell indices, increasing
+    vertex_ids: np.ndarray       # (G, n) local DoF order (sorted vertex ids)
+    pi_nabla: np.ndarray         # (G, 4, n)
+    pi0_grad: np.ndarray         # (G, 3, n)
+    stab_q: np.ndarray           # (G, n, n)
+
+
+class CellProjectorSet:
+    """Projectors of every cell of a mesh, in one group per distinct DoF count.
+
+    ``groups`` is what batched assembly works on; ``projs[ci]`` gives one
+    cell's :class:`CellProjectors` with its matrices taken from the groups.
+    """
+
+    def __init__(
+        self, mesh: PolyMesh, groups: list[ProjectorGroup], face_table: FaceProjectorTable
+    ):
+        self.mesh = mesh
+        self.groups = groups
+        self.face_table = face_table
+
+    def __len__(self) -> int:
+        return self.mesh.n_cells
+
+    def __getitem__(self, ci: int) -> CellProjectors:
+        if not 0 <= ci < len(self):
+            raise IndexError(f"cell {ci} out of range for {len(self)} cells")
+        mesh = self.mesh
+        n = len(mesh.cell_vertex_ids(ci))
+        grp = next(g for g in self.groups if g.vertex_ids.shape[1] == n)
+        k = np.searchsorted(grp.cells, ci)
+        vids = grp.vertex_ids[k]
+        return CellProjectors(
+            cell=ci,
+            degree=1,
+            vertex_ids=vids,
+            basis=monomial_basis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], degree=1, dim=3),
+            pi_nabla=grp.pi_nabla[k],
+            pi0_grad=grp.pi0_grad[k],
+            dof_matrix=_dof_matrix(mesh, ci, vids),
+            stab_q=grp.stab_q[k],
+            face_rows=_local_face_rows(mesh, ci, vids, self.face_table),
+        )
+
+    def value_coeffs(self, u: np.ndarray) -> np.ndarray:
+        """Projected polynomial coefficients of the global field u per cell, (C, 4)."""
+        out = np.zeros((len(self), 4))
+        for grp in self.groups:
+            out[grp.cells] = np.einsum("gan,gn->ga", grp.pi_nabla, u[grp.vertex_ids])
+        return out
+
+    def gradients(self, u: np.ndarray) -> np.ndarray:
+        """Projected gradient of the global field u per cell, (C, 3)."""
+        out = np.zeros((len(self), 3))
+        for grp in self.groups:
+            out[grp.cells] = np.einsum("gkn,gn->gk", grp.pi0_grad, u[grp.vertex_ids])
+        return out
+
+
+def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
+    """Projectors of every cell, stacked in one group per distinct DoF count.
+
+    Computes the sums of :func:`cell_projectors` over flat arrays of all
+    face-vertex corners, accumulated with ``bincount`` in the same (cell,
+    face) order as the per-cell loop.
+    """
     table = FaceProjectorTable(mesh)
-    return [cell_projectors(mesh, ci, table) for ci in range(mesh.n_cells)]
+    ref_cell, ref_face, ref_sign, c_ref, va, _ = _flat_corners(mesh)
+    corner_cell = ref_cell[c_ref]
+    # (cell, vertex) keys; sorted, they give each cell's local DoF order
+    nv = mesh.n_vertices
+    corner_key = corner_cell * nv + va
+    keys = np.unique(corner_key)
+    n_dofs = np.bincount(keys // nv, minlength=mesh.n_cells)
+    first = np.concatenate([[0], np.cumsum(n_dofs)])
+    slot = np.searchsorted(keys, corner_key) - first[corner_cell]
+    # each corner's entry of its face's integral row (corner k of a loop is entry k)
+    w = table.integral_row[table.start[ref_face][c_ref] + _concat_index(np.bincount(c_ref))]
+
+    # boundary integral rows, flat (cell, slot)
+    dof_bin = first[corner_cell] + slot
+    bnd = np.bincount(dof_bin, weights=w, minlength=first[-1])
+    # |E| * gradient rows, flat (cell, component, slot)
+    grad_bin = (2 * first[corner_cell] + dof_bin)[:, None] + np.outer(n_dofs[corner_cell], range(3))
+    flux = (ref_sign[c_ref, None] * mesh.face_normal[ref_face[c_ref]]) * w[:, None]
+    grad = np.bincount(grad_bin.ravel(), weights=flux.ravel(), minlength=3 * first[-1])
+    area = mesh.face_area[ref_face]
+    total_area = np.bincount(ref_cell, weights=area, minlength=mesh.n_cells)
+    moment = area[:, None] * (mesh.face_centroid[ref_face] - mesh.cell_centroid[ref_cell])
+    poly_bnd = np.column_stack([
+        np.bincount(ref_cell, weights=moment[:, k], minlength=mesh.n_cells) for k in range(3)
+    ])
+
+    groups = []
+    for n in np.unique(n_dofs):
+        cells = np.nonzero(n_dofs == n)[0]
+        at = first[cells][:, None] + np.arange(n)
+        vids = keys[at] - cells[:, None] * nv
+        h = mesh.cell_diameter[cells]
+        xe = mesh.cell_centroid[cells]
+        g3 = (3 * first[cells])[:, None] + np.arange(3 * n)
+        pi0_grad = grad[g3].reshape(-1, 3, n) / mesh.cell_volume[cells, None, None]
+        c_lin = h[:, None, None] * pi0_grad
+        c0 = bnd[at] - np.einsum("gk,gkn->gn", poly_bnd[cells] / h[:, None], c_lin)
+        c0 /= total_area[cells, None]
+        pi_nabla = np.concatenate([c0[:, None, :], c_lin], axis=1)
+        dof_matrix = np.concatenate(
+            [np.ones((len(cells), n, 1)), (mesh.vertices[vids] - xe[:, None]) / h[:, None, None]],
+            axis=2,
+        )
+        stab_q = np.eye(n) - np.matmul(dof_matrix, pi_nabla)
+        groups.append(ProjectorGroup(cells, vids, pi_nabla, pi0_grad, stab_q))
+    return CellProjectorSet(mesh, groups, table)

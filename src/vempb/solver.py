@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
 from .mesh import MeshError, PolyMesh, _flat_corners
 from .polybasis import DEFAULT_DEGREE, reference_tet_rule
-from .projectors import CellProjectors, build_projectors
+from .projectors import CellProjectorSet, build_projectors
 
 
 class SolverError(Exception):
@@ -72,27 +72,13 @@ class SparseSystem:
     dirichlet_values: np.ndarray
 
 
-class _CellGroup:
-    """Cells with equal DoF count, projector matrices stacked for batch einsums."""
-
-    def __init__(self, cells: np.ndarray, projectors: list[CellProjectors]):
-        self.cells = cells
-        self.ids = np.array([projectors[c].vertex_ids for c in cells])
-        self.pn = np.array([projectors[c].pi_nabla for c in cells])
-        self.g = np.array([projectors[c].pi0_grad for c in cells])
-        self.q = np.array([projectors[c].stab_q for c in cells])
-        nv = self.ids.shape[1]
-        self.rows = np.repeat(self.ids, nv, axis=1).ravel()
-        self.cols = np.tile(self.ids, (1, nv)).ravel()
-
-
 class Workspace:
     """Flat quadrature and stacked projectors for fast repeated assembly."""
 
     def __init__(
         self,
         mesh: PolyMesh,
-        projectors: list[CellProjectors] | None = None,
+        projectors: CellProjectorSet | None = None,
         degree: int = DEFAULT_DEGREE,
     ):
         self.mesh = mesh
@@ -116,20 +102,23 @@ class Workspace:
             ci = int(corner_cell[int(np.argmax(dets <= 0))])
             raise MeshError(f"cell {ci} not star-shaped w.r.t. centroid", cell=ci)
         basis = np.stack([e1, e2, e3], axis=1)                    # (T, 3, 3)
-        pts = origin[:, None, :] + np.einsum("qk,tkj->tqj", ref, basis)
-        self.points = pts.reshape(-1, 3)
+        offset = np.matmul(ref, basis)                            # (T, nq, 3) from x_E
+        self.points = (origin[:, None, :] + offset).reshape(-1, 3)
         self.weights = (dets[:, None] * wref[None, :]).ravel()
         tets_per_cell = np.bincount(corner_cell, minlength=mesh.n_cells)
         self.cell_ptr = np.concatenate([[0], np.cumsum(tets_per_cell * nq)])
         self.cop = np.repeat(np.arange(mesh.n_cells, dtype=np.int64), tets_per_cell * nq)
-        self.xi = (self.points - mesh.cell_centroid[self.cop]) / mesh.cell_diameter[
-            self.cop, None
-        ]
+        offset /= mesh.cell_diameter[corner_cell, None, None]
+        self.xi = offset.reshape(-1, 3)
 
-        nvs = np.array([p.n_dofs for p in self.projectors])
-        self.groups = [
-            _CellGroup(np.nonzero(nvs == nv)[0], self.projectors) for nv in np.unique(nvs)
-        ]
+        self.groups = self.projectors.groups
+        # COO coordinates of every group's element matrices, in group order
+        self.rows = np.concatenate(
+            [np.repeat(g.vertex_ids, g.vertex_ids.shape[1], axis=1).ravel() for g in self.groups]
+        )
+        self.cols = np.concatenate(
+            [np.tile(g.vertex_ids, (1, g.vertex_ids.shape[1])).ravel() for g in self.groups]
+        )
         self._physics = None
 
     # -- reductions ------------------------------------------------------
@@ -161,29 +150,28 @@ class Workspace:
     def stiffness(self, physics: PhysicsConfig) -> sp.csr_matrix:
         eps_int = self.cell_sums(self.weights * physics.epsilon(self.points))
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
-        rows, cols, vals = [], [], []
+        vals = []
         for grp in self.groups:
-            K = eps_int[grp.cells, None, None] * np.einsum("gan,gam->gnm", grp.g, grp.g)
-            K += sigma[grp.cells, None, None] * np.einsum("gkn,gkm->gnm", grp.q, grp.q)
-            rows.append(grp.rows)
-            cols.append(grp.cols)
+            K = eps_int[grp.cells, None, None] * np.einsum(
+                "gan,gam->gnm", grp.pi0_grad, grp.pi0_grad
+            )
+            K += sigma[grp.cells, None, None] * np.einsum("gkn,gkm->gnm", grp.stab_q, grp.stab_q)
             vals.append(K.ravel())
         n = self.mesh.n_vertices
         vals = np.concatenate(vals)
         if not np.all(np.isfinite(vals)):
             raise SolverError("non-finite stiffness entry")
-        A = sp.coo_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        return A.tocsr()
+        return sp.coo_matrix((vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
 
     def _gather_rhs(self, per_cell_grad: np.ndarray, moments: np.ndarray | None) -> np.ndarray:
         """F_i = g_i . vec_E + pi_nabla_i . mom_E scattered to global DoFs."""
         F = np.zeros(self.mesh.n_vertices)
         for grp in self.groups:
-            contrib = np.einsum("gkn,gk->gn", grp.g, per_cell_grad[grp.cells])
+            contrib = np.einsum("gkn,gk->gn", grp.pi0_grad, per_cell_grad[grp.cells])
             if moments is not None:
-                contrib += np.einsum("gan,ga->gn", grp.pn, moments[grp.cells])
+                contrib += np.einsum("gan,ga->gn", grp.pi_nabla, moments[grp.cells])
             F += np.bincount(
-                grp.ids.ravel(), weights=contrib.ravel(), minlength=self.mesh.n_vertices
+                grp.vertex_ids.ravel(), weights=contrib.ravel(), minlength=self.mesh.n_vertices
             )
         return F
 
@@ -226,16 +214,9 @@ class Workspace:
             )
         return self.cell_sums(vec)
 
-    def project_coeffs(self, u: np.ndarray) -> np.ndarray:
-        """Projected polynomial coefficients of u per cell, shape (C, 4)."""
-        out = np.zeros((self.mesh.n_cells, 4))
-        for grp in self.groups:
-            out[grp.cells] = np.einsum("gan,gn->ga", grp.pn, u[grp.ids])
-        return out
-
     def projected_values(self, u: np.ndarray) -> np.ndarray:
         """Pointwise values of the cellwise projection of u at all quadrature nodes."""
-        c = self.project_coeffs(u)[self.cop]
+        c = self.projectors.value_coeffs(u)[self.cop]
         return c[:, 0] + np.einsum("pj,pj->p", self.xi, c[:, 1:])
 
     def nonlinear(
@@ -259,8 +240,8 @@ class Workspace:
         mom = self.moments4(s)
         B = np.zeros(n)
         for grp in self.groups:
-            contrib = np.einsum("gan,ga->gn", grp.pn, mom[grp.cells])
-            B += np.bincount(grp.ids.ravel(), weights=contrib.ravel(), minlength=n)
+            contrib = np.einsum("gan,ga->gn", grp.pi_nabla, mom[grp.cells])
+            B += np.bincount(grp.vertex_ids.ravel(), weights=contrib.ravel(), minlength=n)
         if not with_jacobian:
             return B, None
 
@@ -271,26 +252,18 @@ class Workspace:
                 xi_i = 1.0 if i == 0 else self.xi[:, i - 1]
                 xi_j = 1.0 if j == 0 else self.xi[:, j - 1]
                 M[:, i, j] = M[:, j, i] = np.add.reduceat(s * xi_i * xi_j, self.cell_ptr[:-1])
-        rows, cols, vals = [], [], []
-        for grp in self.groups:
-            J = np.einsum("gan,gab,gbm->gnm", grp.pn, M[grp.cells], grp.pn)
-            rows.append(grp.rows)
-            cols.append(grp.cols)
-            vals.append(J.ravel())
-        Bmat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
+        vals = [
+            np.einsum("gan,gab,gbm->gnm", grp.pi_nabla, M[grp.cells], grp.pi_nabla).ravel()
+            for grp in self.groups
+        ]
+        Bmat = sp.coo_matrix((np.concatenate(vals), (self.rows, self.cols)), shape=(n, n)).tocsr()
         return B, Bmat
 
     def error_norms(self, u: np.ndarray, u_exact, grad_u_exact) -> tuple[float, float]:
         """L2 and H1-seminorm errors of the projected solution against exact fields."""
         diff = u_exact(self.points) - self.projected_values(u)
         e2 = float(self.weights @ diff**2)
-        grads = np.zeros((self.mesh.n_cells, 3))
-        for grp in self.groups:
-            grads[grp.cells] = np.einsum("gkn,gn->gk", grp.g, u[grp.ids])
-        gdiff = grad_u_exact(self.points) - grads[self.cop]
+        gdiff = grad_u_exact(self.points) - self.projectors.gradients(u)[self.cop]
         e1 = float(self.weights @ (gdiff**2).sum(axis=1))
         return float(np.sqrt(e2)), float(np.sqrt(e1))
 
@@ -302,7 +275,7 @@ class Workspace:
 def assemble_linear(
     mesh: PolyMesh,
     physics: PhysicsConfig,
-    projectors: list[CellProjectors] | None = None,
+    projectors: CellProjectorSet | None = None,
     degree: int = DEFAULT_DEGREE,
     workspace: Workspace | None = None,
 ) -> sp.csr_matrix:
@@ -315,7 +288,7 @@ def assemble_load(
     mesh: PolyMesh,
     physics: PhysicsConfig,
     load: LoadSpec,
-    projectors: list[CellProjectors] | None = None,
+    projectors: CellProjectorSet | None = None,
     degree: int = DEFAULT_DEGREE,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
@@ -330,7 +303,7 @@ def assemble_residual(
     u: np.ndarray,
     A: sp.csr_matrix | None = None,
     F: np.ndarray | None = None,
-    projectors: list[CellProjectors] | None = None,
+    projectors: CellProjectorSet | None = None,
     degree: int = DEFAULT_DEGREE,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
@@ -351,7 +324,7 @@ def assemble_jacobian(
     physics: PhysicsConfig,
     u: np.ndarray,
     A: sp.csr_matrix | None = None,
-    projectors: list[CellProjectors] | None = None,
+    projectors: CellProjectorSet | None = None,
     degree: int = DEFAULT_DEGREE,
     workspace: Workspace | None = None,
 ) -> sp.csr_matrix:
@@ -434,7 +407,7 @@ def newton_solve(
     physics: PhysicsConfig,
     load: LoadSpec,
     config: NewtonConfig | None = None,
-    projectors: list[CellProjectors] | None = None,
+    projectors: CellProjectorSet | None = None,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton iteration from u = 0 (boundary values applied).

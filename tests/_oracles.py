@@ -4,7 +4,10 @@ Nothing here shares code with the library's quadrature or assembly paths:
 polytope moments come from the divergence-theorem recursion (face and edge
 reductions ending in 1D Gauss), the linear finite element stiffness of a
 tetrahedron from barycentric gradients, and clipped Voronoi cells from
-half-space clipping of the unit cube, seed by seed.
+half-space clipping of the unit cube, seed by seed.  The one exception is
+the reference-error loop, which runs the library's per-cell quadrature and
+per-cell projectors cell by cell, as the reference for the batched
+``compare_to_reference``.
 """
 
 import numpy as np
@@ -12,7 +15,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from vempb.mesh import MeshError
+from vempb.mesh import KUHN_PERMUTATIONS, MeshError
+from vempb.polybasis import cell_quadrature
+from vempb.projectors import FaceProjectorTable, cell_projectors
 
 
 def _edge_gauss(a, b, fn, npts):
@@ -264,3 +269,36 @@ def merged_vertex_count(points, tol=1e-9):
     pairs = cKDTree(points).query_pairs(tol, output_type="ndarray")
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(points),) * 2)
     return connected_components(graph, directed=False)[0]
+
+
+def _locate_structured_loop(mesh, points):
+    """Structured cell of each point; Kuhn cells ranked by tuple lookup."""
+    n = mesh.n
+    scaled = points * n
+    idx = np.clip(np.floor(scaled).astype(int), 0, n - 1)
+    cube_id = idx[:, 0] + n * (idx[:, 1] + n * idx[:, 2])
+    if mesh.family == "cubic":
+        return cube_id
+    order = np.argsort(-(scaled - idx), axis=1, kind="stable")
+    return cube_id * 6 + np.array([KUHN_PERMUTATIONS.index(tuple(o)) for o in order])
+
+
+def reference_errors_per_cell(coarse_mesh, u_h, fine_mesh, u_ref, degree=4):
+    """L2 and H1 errors of u_h against the projected fine field, one coarse cell at a time."""
+    coarse_table, fine_table = FaceProjectorTable(coarse_mesh), FaceProjectorTable(fine_mesh)
+    fine = [cell_projectors(fine_mesh, ci, fine_table) for ci in range(fine_mesh.n_cells)]
+    coeffs = np.array([p.value_coeffs(u_ref[p.vertex_ids]) for p in fine])
+    grads = np.array([p.gradient(u_ref[p.vertex_ids]) for p in fine])
+    total_l2 = 0.0
+    total_h1 = 0.0
+    for ci in range(coarse_mesh.n_cells):
+        proj = cell_projectors(coarse_mesh, ci, coarse_table)
+        quad = cell_quadrature(coarse_mesh, ci, degree)
+        fid = _locate_structured_loop(fine_mesh, quad.points)
+        xi = (quad.points - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
+        ref_vals = coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
+        vals = proj.evaluate(u_h[proj.vertex_ids], quad.points)
+        total_l2 += float(quad.weights @ (ref_vals - vals) ** 2)
+        gdiff = grads[fid] - proj.gradient(u_h[proj.vertex_ids])
+        total_h1 += float(quad.weights @ (gdiff**2).sum(axis=1))
+    return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vempb as vp
+from _oracles import reference_errors_per_cell
 from test_mesh import permuted_copy
 
 # printed errors and orders of the reference cubic-mesh table; mesh size
@@ -220,6 +221,34 @@ def test_reference_rejects_non_nested():
     vor = vp.generate_voronoi_mesh(8, 0)
     with pytest.raises(ValueError):
         vp.compare_to_reference(vor, np.zeros(vor.n_vertices), vor, np.zeros(vor.n_vertices))
+
+
+@pytest.mark.parametrize("make", [vp.generate_cube_mesh, vp.generate_tet_mesh], ids=["cube", "tet"])
+def test_reference_matches_per_cell_loop(make):
+    coarse, fine = make(2), make(4)
+    rng = np.random.default_rng(5)
+    u_h = rng.normal(size=coarse.n_vertices)
+    u_ref = rng.normal(size=fine.n_vertices)     # no symmetry that could hide a misplaced cell
+    got = vp.compare_to_reference(coarse, u_h, fine, u_ref)
+    want = reference_errors_per_cell(coarse, u_h, fine, u_ref)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bad", ["u_h", "u_ref", "coarse projectors", "fine projectors"])
+def test_reference_rejects_mismatched_inputs(bad):
+    coarse, fine = vp.generate_tet_mesh(2), vp.generate_tet_mesh(4)
+    u_c, u_f = np.zeros(coarse.n_vertices), np.zeros(fine.n_vertices)
+    args = {"coarse_mesh": coarse, "u_h": u_c, "fine_mesh": fine, "u_ref": u_f}
+    if bad == "u_h":
+        args["u_h"] = u_f           # the fine solution passed as the coarse one
+    elif bad == "u_ref":
+        args["u_ref"] = u_c
+    elif bad == "coarse projectors":
+        args["coarse_projectors"] = vp.build_projectors(fine)
+    else:
+        args["fine_projectors"] = vp.build_projectors(coarse)
+    with pytest.raises(ValueError, match=bad):
+        vp.compare_to_reference(**args)
 
 
 def test_voronoi_study_errors_decrease_monotonically(voronoi_study):

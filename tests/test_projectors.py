@@ -3,7 +3,7 @@ import pytest
 
 import vempb as vp
 from vempb.mesh import build_polymesh
-from vempb.projectors import face_integral, face_pi_nabla
+from vempb.projectors import FaceProjectorTable, face_integral, face_pi_nabla
 
 from _oracles import newell_normal
 
@@ -204,3 +204,29 @@ def test_stabilization_annihilates_linears(random_cells):
         a0, a = rng.normal(), rng.normal(size=3)
         dofs = a0 + m.vertices[p.vertex_ids] @ a
         assert np.abs(p.stab_q @ dofs).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: vp.generate_cube_mesh(3),
+        lambda: vp.generate_tet_mesh(2),
+        lambda: vp.generate_voronoi_mesh(64, 0),
+        lambda: vp.generate_voronoi_mesh(200, 5),
+    ],
+    ids=["cube3", "tet2", "voronoi64", "voronoi200"],
+)
+def test_batched_builder_matches_per_cell_reference(make):
+    m = make()
+    projs = vp.build_projectors(m)
+    table = FaceProjectorTable(m)
+    n_dofs = {len(m.cell_vertex_ids(ci)) for ci in range(m.n_cells)}
+    assert len(projs.groups) == len(n_dofs)
+    cells = np.concatenate([grp.cells for grp in projs.groups])
+    assert np.array_equal(np.sort(cells), np.arange(m.n_cells))
+    for grp in projs.groups:
+        for k, ci in enumerate(grp.cells):
+            ref = vp.cell_projectors(m, ci, table)
+            assert np.array_equal(grp.vertex_ids[k], ref.vertex_ids)
+            for name in ("pi_nabla", "pi0_grad", "stab_q"):
+                assert np.abs(getattr(grp, name)[k] - getattr(ref, name)).max() <= 1e-14

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import vempb as vp
 import vempb.forms as forms
 from vempb.polybasis import cell_quadrature
+from vempb.projectors import FaceProjectorTable
 from vempb.solver import SolverError, SparseSystem, Workspace, cg_solve, constrain_matrix
 
 from _oracles import kkt_solve
@@ -34,17 +35,31 @@ def test_single_cell_assembly_equals_local_matrix():
     assert np.abs(A.toarray() - K).max() <= 1e-13
 
 
-def test_assembly_matches_dense_scatter_oracle():
-    m = vp.generate_cube_mesh(2)
-    phys = vp.PhysicsConfig()
-    projs = vp.build_projectors(m)
-    A = vp.assemble_linear(m, phys, projs)
+def _dense_scatter_stiffness(m, phys, projs):
     dense = np.zeros((m.n_vertices, m.n_vertices))
     for ci in range(m.n_cells):
         K = forms.local_stiffness(m, ci, projs[ci], phys, cell_quadrature(m, ci))
         ids = projs[ci].vertex_ids
         dense[np.ix_(ids, ids)] += K
+    return dense
+
+
+def test_assembly_matches_dense_scatter_oracle():
+    m = vp.generate_cube_mesh(2)
+    phys = vp.PhysicsConfig()
+    projs = vp.build_projectors(m)
+    A = vp.assemble_linear(m, phys, projs)
+    dense = _dense_scatter_stiffness(m, phys, projs)
     assert np.abs(A.toarray() - dense).max() <= 1e-13
+
+
+def test_workspace_stiffness_matches_per_cell_scatter_cube4():
+    m = vp.generate_cube_mesh(4)
+    phys = vp.PhysicsConfig()
+    table = FaceProjectorTable(m)
+    per_cell = [vp.cell_projectors(m, ci, table) for ci in range(m.n_cells)]
+    A = Workspace(m).stiffness(phys)
+    assert np.abs(A.toarray() - _dense_scatter_stiffness(m, phys, per_cell)).max() <= 1e-13
 
 
 def test_global_symmetry():
