@@ -19,13 +19,9 @@ from .mesh import (
     voronoi_mesh_from_seeds,
 )
 from .polybasis import (
-    CellQuadrature,
     MonomialBasis,
-    cell_quadrature,
     face_quadrature,
-    integrate,
     monomial_basis,
-    tetrahedralize_cell,
     triangulate_face,
 )
 from .projectors import CellProjectors, FaceProjector, build_projectors, cell_projectors, face_pi_nabla
@@ -45,10 +41,8 @@ from .solver import (
     SolveReport,
     SolverError,
     SparseSystem,
+    Workspace,
     apply_dirichlet,
-    assemble_jacobian,
-    assemble_linear,
-    assemble_load,
     assemble_residual,
     cg_solve,
     newton_solve,
@@ -57,8 +51,6 @@ from .analysis import (
     ConvergenceReport,
     compare_to_reference,
     convergence_order,
-    error_h1,
-    error_l2,
     fitted_order,
     mesh_size,
     run_convergence_study,

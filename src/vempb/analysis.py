@@ -2,7 +2,8 @@
 
 Errors compare the exact field against the cellwise projected polynomial of
 the discrete solution: the L2 norm of (u_ex - projection) and the H1
-seminorm of its gradient defect, both by cell quadrature.  The mesh size is
+seminorm of its gradient defect, both by :meth:`Workspace.error_norms` on
+the solver's own quadrature.  The mesh size is
 the averaged (|Omega|/N_E)^(1/3), and orders are reported pairwise per
 refinement plus as a least-squares slope over the last levels (the robust
 number quoted by the acceptance checks).
@@ -27,32 +28,6 @@ from .solver import NewtonConfig, SolveReport, Workspace, newton_solve
 def mesh_size(mesh: PolyMesh) -> float:
     """Averaged size (|Omega| / N_E)^(1/3)."""
     return float((mesh.total_volume() / mesh.n_cells) ** (1.0 / 3.0))
-
-
-def error_l2(
-    mesh: PolyMesh,
-    u_h: np.ndarray,
-    u_exact: Callable[[np.ndarray], np.ndarray],
-    projectors: CellProjectorSet | None = None,
-    degree: int = DEFAULT_DEGREE,
-    workspace: Workspace | None = None,
-) -> float:
-    ws = workspace or Workspace(mesh, projectors, degree)
-    diff = u_exact(ws.points) - ws.projected_values(u_h)
-    return float(np.sqrt(ws.weights @ diff**2))
-
-
-def error_h1(
-    mesh: PolyMesh,
-    u_h: np.ndarray,
-    grad_u_exact: Callable[[np.ndarray], np.ndarray],
-    projectors: CellProjectorSet | None = None,
-    degree: int = DEFAULT_DEGREE,
-    workspace: Workspace | None = None,
-) -> float:
-    ws = workspace or Workspace(mesh, projectors, degree)
-    gdiff = grad_u_exact(ws.points) - ws.projectors.gradients(u_h)[ws.cop]
-    return float(np.sqrt(ws.weights @ (gdiff**2).sum(axis=1)))
 
 
 def convergence_order(errors: Sequence[float], sizes: Sequence[float]) -> float:

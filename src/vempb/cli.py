@@ -307,9 +307,6 @@ def cmd_study(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vempb", description=__doc__)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (0 = all cores); assembly is deterministic "
-                        "so any value gives identical results")
     sub = p.add_subparsers(dest="command", required=True)
 
     pm = sub.add_parser("mesh", help="mesh generation and inspection")
@@ -342,9 +339,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.threads < 0:
-        print("error: --threads must be >= 0", file=sys.stderr)
-        return EXIT_VALIDATION
     return args.func(args)
 
 

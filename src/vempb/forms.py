@@ -1,11 +1,10 @@
-"""Physics coefficients and local element forms.
+"""Physics coefficients, Coulomb fields and right-hand-side selection.
 
 The dielectric and screening coefficients switch on the sign of the level
 set at each quadrature node (points on the surface count as molecular); no
-sub-cell interface reconstruction is attempted.  The element stiffness is
-the projected-gradient consistency term plus a dofi-dofi stabilization
-scaled by h_E times the cell-averaged dielectric, which keeps the two parts
-spectrally comparable for any dielectric contrast.
+sub-cell interface reconstruction is attempted.  The element forms built on
+them (the stabilized stiffness, the screened sinh term and the loads) are
+assembled batched over all cells by :class:`vempb.solver.Workspace`.
 
 The singular Coulomb part of the potential enters the nonlinear term and
 the load; it is evaluated only where the screening coefficient is nonzero,
@@ -20,9 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import LevelSet, PolyMesh, box_levelset
-from .polybasis import CellQuadrature
-from .projectors import CellProjectors
+from .mesh import LevelSet, box_levelset
 
 SINH_ARG_LIMIT = 700.0
 CHARGE_SINGULARITY_TOL = 1e-14
@@ -193,112 +190,3 @@ MANUFACTURED_SOLUTIONS: dict[str, Callable[[], LoadSpec]] = {
     "sine3": manufactured_sine,
 }
 
-
-# ---------------------------------------------------------------------------
-# local element forms
-
-
-def local_stiffness(
-    mesh: PolyMesh, ci: int, proj: CellProjectors, physics: PhysicsConfig, quad: CellQuadrature
-) -> np.ndarray:
-    """Stabilized element stiffness: consistency + dofi-dofi remainder term."""
-    eps_int = float(quad.weights @ physics.epsilon(quad.points))
-    vol = mesh.cell_volume[ci]
-    sigma = mesh.cell_diameter[ci] * eps_int / vol
-    g = proj.pi0_grad
-    return eps_int * (g.T @ g) + sigma * (proj.stab_q.T @ proj.stab_q)
-
-
-def _projected_values(proj: CellProjectors, points: np.ndarray) -> np.ndarray:
-    """Values of the projected local shape functions at points, shape (nq, n)."""
-    return proj.basis.eval_all(points) @ proj.pi_nabla
-
-
-def local_nonlinear(
-    mesh: PolyMesh,
-    ci: int,
-    proj: CellProjectors,
-    physics: PhysicsConfig,
-    u_loc: np.ndarray,
-    quad: CellQuadrature,
-    with_jacobian: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Residual and Jacobian of the screened sinh term on one cell.
-
-    Both vanish on cells fully inside the molecular region.  Raises
-    :class:`NonlinearOverflow` when the sinh argument leaves the safe range,
-    signalling the Newton driver to damp.
-    """
-    n = proj.n_dofs
-    kap = physics.kappa_bar_sq(quad.points)
-    active = kap > 0
-    if not active.any():
-        return np.zeros(n), (np.zeros((n, n)) if with_jacobian else None)
-    pts = quad.points[active]
-    wk = quad.weights[active] * kap[active]
-    N = _projected_values(proj, pts)
-    arg = N @ u_loc + physics.coulomb_potential(pts)
-    if np.abs(arg).max() > SINH_ARG_LIMIT:
-        raise NonlinearOverflow(
-            f"cell {ci}: sinh argument {np.abs(arg).max():.3g} exceeds {SINH_ARG_LIMIT:g}"
-        )
-    residual = N.T @ (wk * np.sinh(arg))
-    jac = (N * (wk * np.cosh(arg))[:, None]).T @ N if with_jacobian else None
-    return residual, jac
-
-
-def local_nonlinear_residual(mesh, ci, proj, physics, u_loc, quad) -> np.ndarray:
-    return local_nonlinear(mesh, ci, proj, physics, u_loc, quad, with_jacobian=False)[0]
-
-
-def local_nonlinear_jacobian(mesh, ci, proj, physics, u_loc, quad) -> np.ndarray:
-    return local_nonlinear(mesh, ci, proj, physics, u_loc, quad, with_jacobian=True)[1]
-
-
-def local_load(
-    mesh: PolyMesh,
-    ci: int,
-    proj: CellProjectors,
-    physics: PhysicsConfig,
-    load: LoadSpec,
-    quad: CellQuadrature,
-) -> np.ndarray:
-    """Element load vector for the selected right-hand-side mode."""
-    n = proj.n_dofs
-    w = quad.weights
-    pts = quad.points
-    if load.mode == "regularized":
-        return _dielectric_jump_load(proj, physics, pts, w, n)
-
-    eps = physics.epsilon(pts)
-    if load.pointwise_rhs:
-        f = -eps * load.lap_u_exact(pts)
-        kap = physics.kappa_bar_sq(pts)
-        active = kap > 0
-        if active.any():
-            f[active] += kap[active] * np.sinh(
-                load.u_exact(pts[active]) + physics.coulomb_potential(pts[active])
-            )
-        out = _projected_values(proj, pts).T @ (w * f)
-        return out + _dielectric_jump_load(proj, physics, pts, w, n)
-
-    flux = w[:, None] * eps[:, None] * load.grad_u_exact(pts)
-    out = proj.pi0_grad.T @ flux.sum(axis=0)
-    kap = physics.kappa_bar_sq(pts)
-    active = kap > 0
-    if active.any():
-        arg = load.u_exact(pts[active]) + physics.coulomb_potential(pts[active])
-        out += _projected_values(proj, pts[active]).T @ (
-            w[active] * kap[active] * np.sinh(arg)
-        )
-    return out
-
-
-def _dielectric_jump_load(proj, physics, pts, w, n) -> np.ndarray:
-    """Weak dielectric-jump source -((eps - eps_m) grad G, projected grad v)."""
-    solvent = physics.solvent_mask(pts)
-    if not solvent.any():
-        return np.zeros(n)
-    gG = physics.coulomb_gradient(pts[solvent])
-    vec = ((physics.eps_s - physics.eps_m) * w[solvent])[:, None] * gG
-    return -proj.pi0_grad.T @ vec.sum(axis=0)

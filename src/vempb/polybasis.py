@@ -5,6 +5,10 @@ each cell into tetrahedra coned from the cell centroid over the face
 triangles, then maps positive-weight Gauss rules from the reference
 simplices.  All shipped rules have strictly positive weights, so pointwise
 inequalities (e.g. monotone nonlinearities) survive discretization.
+
+:func:`mesh_quadrature` builds the nodes of every cell in one flat array,
+contiguous per cell; it is the only cell rule, and the solver's
+``Workspace`` assembles on it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import permutations
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import MeshError, PolyMesh, LevelSet
+from .mesh import MeshError, PolyMesh, _flat_corners
 
 MAX_DEGREE = 6
 DEFAULT_DEGREE = 4
@@ -200,70 +204,48 @@ def triangulate_face(mesh: PolyMesh, fi: int) -> np.ndarray:
     return tris
 
 
-def tetrahedralize_cell(mesh: PolyMesh, ci: int) -> np.ndarray:
-    """Tetrahedra coning the cell centroid over all face-fan triangles, shape (T,4,3).
+def mesh_quadrature(mesh: PolyMesh, degree: int = DEFAULT_DEGREE):
+    """Positive-weight rule over every cell, exact for total degree <= degree.
 
-    Signed volumes must all be positive; a non-positive one means the cell is
-    not star-shaped with respect to its centroid.
+    Each cell is split into the tetrahedra (x_E, x_f, v_i, v_i+1) coning its
+    centroid over the fan triangles of its faces, and the reference rule is
+    mapped onto each.  Returns flat ``points``, ``weights`` (carrying the
+    volume measure), ``xi`` = (points - x_E)/h_E, the cell of every node
+    ``cop`` and ``cell_ptr``: the nodes of cell ci are
+    ``cell_ptr[ci]:cell_ptr[ci + 1]``.  A non-positive tetrahedron means the
+    cell is not star-shaped with respect to its centroid.
     """
-    xe = mesh.cell_centroid[ci]
-    tet_list = []
-    for fi, sgn in mesh.cell_faces(ci):
-        loop = mesh.faces[fi] if sgn > 0 else mesh.faces[fi][::-1]
-        P = mesh.vertices[loop]
-        xf = mesh.face_centroid[fi]
-        Pn = np.roll(P, -1, axis=0)
-        m = len(P)
-        tets = np.empty((m, 4, 3))
-        tets[:, 0] = xe
-        tets[:, 1] = xf
-        tets[:, 2] = P
-        tets[:, 3] = Pn
-        tet_list.append(tets)
-    tets = np.concatenate(tet_list, axis=0)
-    vols = np.einsum(
-        "ij,ij->i",
-        np.cross(tets[:, 2] - tets[:, 0], tets[:, 3] - tets[:, 0]),
-        tets[:, 1] - tets[:, 0],
-    ) / 6.0
-    if np.any(vols <= 0):
-        raise MeshError(f"cell {ci} not star-shaped w.r.t. centroid", cell=ci)
-    return tets
-
-
-@dataclass
-class CellQuadrature:
-    """Volume quadrature of one cell; weights carry the volume measure.
-
-    ``phi_sign`` tags each node with the sign of an attached level set
-    (-1 molecular side, +1 solvent, 0 on the surface); None when no level
-    set was attached.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    degree: int
-    phi_sign: np.ndarray | None = None
-
-
-def cell_quadrature(
-    mesh: PolyMesh, ci: int, degree: int = DEFAULT_DEGREE, levelset: LevelSet | None = None
-) -> CellQuadrature:
-    """Positive-weight rule over the cell, exact for polynomials of total degree <= degree."""
-    _check_degree(degree)
     ref, wref = reference_tet_rule(degree)
-    tets = tetrahedralize_cell(mesh, ci)
-    origin = tets[:, 0]
-    basis = tets[:, 1:] - origin[:, None, :]
-    dets = np.einsum("ij,ij->i", np.cross(basis[:, 0], basis[:, 1]), basis[:, 2])
-    pts = origin[:, None, :] + np.einsum("qk,tkj->tqj", ref, basis)
-    w = dets[:, None] * wref[None, :]  # reference weights sum to 1/6 = unit-tet volume
-    sign = None
-    if levelset is not None:
-        sign = np.sign(levelset(pts.reshape(-1, 3)))
-    return CellQuadrature(
-        points=pts.reshape(-1, 3), weights=w.ravel(), degree=degree, phi_sign=sign
-    )
+    nq = len(wref)
+    ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
+    corner_cell = ref_cell[c_ref]
+    swapped = ref_sign[c_ref] < 0
+    a = np.where(swapped, vb, va)
+    b = np.where(swapped, va, vb)
+    origin = mesh.cell_centroid[corner_cell]
+    e1 = mesh.face_centroid[ref_face[c_ref]] - origin
+    e2 = mesh.vertices[a] - origin
+    e3 = mesh.vertices[b] - origin
+    dets = np.einsum("tj,tj->t", np.cross(e2, e3), e1)
+    if np.any(dets <= 0):
+        ci = int(corner_cell[int(np.argmax(dets <= 0))])
+        raise MeshError(f"cell {ci} not star-shaped w.r.t. centroid", cell=ci)
+    basis = np.stack([e1, e2, e3], axis=1)                    # (T, 3, 3)
+    offset = np.matmul(ref, basis)                            # (T, nq, 3) from x_E
+    points = (origin[:, None, :] + offset).reshape(-1, 3)
+    weights = (dets[:, None] * wref[None, :]).ravel()   # reference weights sum to 1/6
+    tets_per_cell = np.bincount(corner_cell, minlength=mesh.n_cells)
+    cell_ptr = np.concatenate([[0], np.cumsum(tets_per_cell * nq)])
+    cop = np.repeat(np.arange(mesh.n_cells, dtype=np.int64), tets_per_cell * nq)
+    offset /= mesh.cell_diameter[corner_cell, None, None]
+    return points, weights, offset.reshape(-1, 3), cop, cell_ptr
+
+
+def cell_quadrature(mesh: PolyMesh, ci: int, degree: int = DEFAULT_DEGREE):
+    """Points and weights of cell ``ci``: its slice of :func:`mesh_quadrature`."""
+    points, weights, _, _, cell_ptr = mesh_quadrature(mesh, degree)
+    nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
+    return points[nodes], weights[nodes]
 
 
 def face_quadrature(mesh: PolyMesh, fi: int, degree: int = DEFAULT_DEGREE):
@@ -281,19 +263,3 @@ def face_quadrature(mesh: PolyMesh, fi: int, degree: int = DEFAULT_DEGREE):
     w = jac[:, None] * wref[None, :]
     return pts.reshape(-1, 3), w.ravel()
 
-
-def integrate(mesh: PolyMesh, ci: int, fn, degree: int = DEFAULT_DEGREE) -> float | np.ndarray:
-    """Quadrature of a pointwise field over one cell.
-
-    ``fn`` takes an (n,3) array of points and returns (n,) or (n,d) values;
-    non-finite values are reported with the offending location.
-    """
-    quad = cell_quadrature(mesh, ci, degree)
-    vals = np.asarray(fn(quad.points), dtype=float)
-    finite = np.isfinite(vals) if vals.ndim == 1 else np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        bad = int(np.nonzero(~finite)[0][0])
-        raise ValueError(f"non-finite field value at quadrature node {quad.points[bad]}")
-    if vals.ndim == 1:
-        return float(quad.weights @ vals)
-    return quad.weights @ vals

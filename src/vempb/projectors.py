@@ -11,7 +11,8 @@ because edge traces are piecewise linear (trapezoid rule).
 :class:`ProjectorGroup` per distinct DoF count n: the group's cells and their
 stacked ``vertex_ids`` (G, n), ``pi_nabla`` (G, 4, n), ``pi0_grad`` (G, 3, n)
 and ``stab_q`` (G, n, n), which batched assembly uses directly.
-:func:`cell_projectors` is the single-cell reference.
+:func:`cell_projectors` is the single-cell reference; nothing in the
+package assembles cell by cell.
 
 The degree is carried explicitly so the interfaces extend to higher orders
 (edge/face/cell moment DoFs) without change; only degree 1 is implemented.
@@ -196,7 +197,8 @@ def cell_projectors(
     """Assemble the projector matrices of one cell from its face integrals.
 
     The single-cell reference for :func:`build_projectors`, which computes
-    the same sums batched over all cells.
+    the same sums batched over all cells.  Without ``face_table`` it builds
+    the table of the whole mesh, so a loop over cells passes one table.
     """
     face_table = face_table if face_table is not None else FaceProjectorTable(mesh)
     vids = mesh.cell_vertex_ids(ci)

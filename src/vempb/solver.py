@@ -1,7 +1,7 @@
 """Global assembly, Dirichlet constraints, CG, and the damped Newton driver.
 
-Assembly runs through a per-mesh :class:`Workspace`: one flat array of
-quadrature points/weights over all cells (contiguous per cell) plus the
+Assembly runs through a per-mesh :class:`Workspace`: the flat quadrature
+of :func:`~vempb.polybasis.mesh_quadrature` (contiguous per cell) plus the
 projector matrices stacked in groups of equal DoF count.  Every sweep is
 then plain array arithmetic with `reduceat`/`bincount` reductions, which
 keeps the summation order fixed and the results deterministic.
@@ -22,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
-from .mesh import MeshError, PolyMesh, _flat_corners
-from .polybasis import DEFAULT_DEGREE, reference_tet_rule
+from .mesh import PolyMesh
+from .polybasis import DEFAULT_DEGREE, mesh_quadrature
 from .projectors import CellProjectorSet, build_projectors
 
 
@@ -85,32 +85,9 @@ class Workspace:
         self.degree = degree
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 
-        ref, wref = reference_tet_rule(degree)
-        nq = len(wref)
-        ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
-        corner_cell = ref_cell[c_ref]
-        sign = ref_sign[c_ref]
-        swapped = sign < 0
-        a = np.where(swapped, vb, va)
-        b = np.where(swapped, va, vb)
-        origin = mesh.cell_centroid[corner_cell]
-        e1 = mesh.face_centroid[ref_face[c_ref]] - origin
-        e2 = mesh.vertices[a] - origin
-        e3 = mesh.vertices[b] - origin
-        dets = np.einsum("tj,tj->t", np.cross(e2, e3), e1)
-        if np.any(dets <= 0):
-            ci = int(corner_cell[int(np.argmax(dets <= 0))])
-            raise MeshError(f"cell {ci} not star-shaped w.r.t. centroid", cell=ci)
-        basis = np.stack([e1, e2, e3], axis=1)                    # (T, 3, 3)
-        offset = np.matmul(ref, basis)                            # (T, nq, 3) from x_E
-        self.points = (origin[:, None, :] + offset).reshape(-1, 3)
-        self.weights = (dets[:, None] * wref[None, :]).ravel()
-        tets_per_cell = np.bincount(corner_cell, minlength=mesh.n_cells)
-        self.cell_ptr = np.concatenate([[0], np.cumsum(tets_per_cell * nq)])
-        self.cop = np.repeat(np.arange(mesh.n_cells, dtype=np.int64), tets_per_cell * nq)
-        offset /= mesh.cell_diameter[corner_cell, None, None]
-        self.xi = offset.reshape(-1, 3)
-
+        self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(
+            mesh, degree
+        )
         self.groups = self.projectors.groups
         # COO coordinates of every group's element matrices, in group order
         self.rows = np.concatenate(
@@ -148,6 +125,11 @@ class Workspace:
     # -- assembly --------------------------------------------------------
 
     def stiffness(self, physics: PhysicsConfig) -> sp.csr_matrix:
+        """Projected-gradient consistency term plus a dofi-dofi stabilization.
+
+        The stabilization is scaled by h_E times the cell-averaged dielectric,
+        which keeps the two parts spectrally comparable for any contrast.
+        """
         eps_int = self.cell_sums(self.weights * physics.epsilon(self.points))
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
         vals = []
@@ -272,30 +254,6 @@ class Workspace:
 # public assembly API
 
 
-def assemble_linear(
-    mesh: PolyMesh,
-    physics: PhysicsConfig,
-    projectors: CellProjectorSet | None = None,
-    degree: int = DEFAULT_DEGREE,
-    workspace: Workspace | None = None,
-) -> sp.csr_matrix:
-    """Global stiffness (sum of stabilized element matrices); kernel = constants."""
-    ws = workspace or Workspace(mesh, projectors, degree)
-    return ws.stiffness(physics)
-
-
-def assemble_load(
-    mesh: PolyMesh,
-    physics: PhysicsConfig,
-    load: LoadSpec,
-    projectors: CellProjectorSet | None = None,
-    degree: int = DEFAULT_DEGREE,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    ws = workspace or Workspace(mesh, projectors, degree)
-    return ws.load_vector(physics, load)
-
-
 def assemble_residual(
     mesh: PolyMesh,
     physics: PhysicsConfig,
@@ -317,23 +275,6 @@ def assemble_residual(
     r = A @ u + B - F
     r[mesh.boundary_vertex] = 0.0
     return r
-
-
-def assemble_jacobian(
-    mesh: PolyMesh,
-    physics: PhysicsConfig,
-    u: np.ndarray,
-    A: sp.csr_matrix | None = None,
-    projectors: CellProjectorSet | None = None,
-    degree: int = DEFAULT_DEGREE,
-    workspace: Workspace | None = None,
-) -> sp.csr_matrix:
-    """A + B'(u), unconstrained (symmetric; nonlinear part PSD)."""
-    ws = workspace or Workspace(mesh, projectors, degree)
-    if A is None:
-        A = ws.stiffness(physics)
-    _, Bmat = ws.nonlinear(physics, u, with_jacobian=True)
-    return (A + Bmat).tocsr()
 
 
 def constrain_matrix(A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
@@ -425,14 +366,8 @@ def newton_solve(
     u = np.zeros(mesh.n_vertices)
     u[mask] = load.boundary_values(mesh.vertices[mask])
 
-    def residual(state: np.ndarray) -> np.ndarray:
-        B, _ = ws.nonlinear(physics, state, with_jacobian=False)
-        r = A @ state + B - F
-        r[mask] = 0.0
-        return r
-
     report = SolveReport()
-    r = residual(u)
+    r = assemble_residual(mesh, physics, load, u, A=A, F=F, workspace=ws)
     rnorm = float(np.linalg.norm(r))
     report.residual_history.append(rnorm)
     target = config.rel_tol * rnorm + config.abs_tol
@@ -458,7 +393,7 @@ def newton_solve(
         for _ in range(config.max_halvings + 1):
             trial = u + lam * delta
             try:
-                r_trial = residual(trial)
+                r_trial = assemble_residual(mesh, physics, load, trial, A=A, F=F, workspace=ws)
                 t_norm = float(np.linalg.norm(r_trial))
             except NonlinearOverflow:
                 t_norm = np.inf

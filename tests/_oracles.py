@@ -4,10 +4,12 @@ Nothing here shares code with the library's quadrature or assembly paths:
 polytope moments come from the divergence-theorem recursion (face and edge
 reductions ending in 1D Gauss), the linear finite element stiffness of a
 tetrahedron from barycentric gradients, and clipped Voronoi cells from
-half-space clipping of the unit cube, seed by seed.  The one exception is
-the reference-error loop, which runs the library's per-cell quadrature and
-per-cell projectors cell by cell, as the reference for the batched
-``compare_to_reference``.
+half-space clipping of the unit cube, seed by seed.  Two exceptions run
+library code cell by cell: the element stiffness, the reference for the
+batched ``Workspace.stiffness``, and the reference-error loop, the reference
+for the batched ``compare_to_reference``.  Both work on nodes from
+``mesh_quadrature``, the node builder that ``compare_to_reference`` and the
+solver use, with projectors from the per-cell ``cell_projectors``.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from vempb.mesh import KUHN_PERMUTATIONS, MeshError
-from vempb.polybasis import cell_quadrature
+from vempb.polybasis import mesh_quadrature
 from vempb.projectors import FaceProjectorTable, cell_projectors
 
 
@@ -289,16 +291,32 @@ def reference_errors_per_cell(coarse_mesh, u_h, fine_mesh, u_ref, degree=4):
     fine = [cell_projectors(fine_mesh, ci, fine_table) for ci in range(fine_mesh.n_cells)]
     coeffs = np.array([p.value_coeffs(u_ref[p.vertex_ids]) for p in fine])
     grads = np.array([p.gradient(u_ref[p.vertex_ids]) for p in fine])
+    points, weights, _, _, cell_ptr = mesh_quadrature(coarse_mesh, degree)
     total_l2 = 0.0
     total_h1 = 0.0
     for ci in range(coarse_mesh.n_cells):
         proj = cell_projectors(coarse_mesh, ci, coarse_table)
-        quad = cell_quadrature(coarse_mesh, ci, degree)
-        fid = _locate_structured_loop(fine_mesh, quad.points)
-        xi = (quad.points - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
+        nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
+        pts, w = points[nodes], weights[nodes]
+        fid = _locate_structured_loop(fine_mesh, pts)
+        xi = (pts - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
         ref_vals = coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
-        vals = proj.evaluate(u_h[proj.vertex_ids], quad.points)
-        total_l2 += float(quad.weights @ (ref_vals - vals) ** 2)
+        vals = proj.evaluate(u_h[proj.vertex_ids], pts)
+        total_l2 += float(w @ (ref_vals - vals) ** 2)
         gdiff = grads[fid] - proj.gradient(u_h[proj.vertex_ids])
-        total_h1 += float(quad.weights @ (gdiff**2).sum(axis=1))
+        total_h1 += float(w @ (gdiff**2).sum(axis=1))
     return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))
+
+
+def local_stiffness(mesh, ci, proj, physics, points, weights):
+    """Stabilized element stiffness of one cell from its quadrature nodes.
+
+    Consistency term eps_int * G'G plus the dofi-dofi remainder scaled by
+    h_E * eps_int / |E|, with G the projected gradient and eps_int the
+    quadrature of the dielectric over the cell.
+    """
+    eps_int = float(weights @ physics.epsilon(points))
+    sigma = mesh.cell_diameter[ci] * eps_int / mesh.cell_volume[ci]
+    g = proj.pi0_grad
+    return eps_int * (g.T @ g) + sigma * (proj.stab_q.T @ proj.stab_q)
+

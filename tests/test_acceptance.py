@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 import vempb as vp
-import vempb.forms as forms
-from vempb.polybasis import cell_quadrature
+from vempb.polybasis import mesh_quadrature
 from vempb.solver import Workspace
 
 from _oracles import p1_tet_stiffness
@@ -37,8 +36,9 @@ def test_criterion_1_projector_reproduction(random_cells):
         worst = 0.0
         by_mesh = {}
         for m, ci in random_cells:
-            projs = by_mesh.setdefault(id(m), vp.build_projectors(m))
-            p = projs[ci]
+            if id(m) not in by_mesh:
+                by_mesh[id(m)] = vp.build_projectors(m)
+            p = by_mesh[id(m)][ci]
             for a0, a in [(1.0, np.zeros(3)), (0.0, np.eye(3)[0]), (0.0, np.eye(3)[1]),
                           (0.0, np.eye(3)[2]), (rng.normal(), rng.normal(size=3))]:
                 dofs = a0 + m.vertices[p.vertex_ids] @ a
@@ -77,8 +77,7 @@ def test_criterion_3_single_tet_fem_oracle():
         phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
         for _ in range(20):
             m = random_tet_mesh(rng)
-            proj = vp.cell_projectors(m, 0)
-            K = forms.local_stiffness(m, 0, proj, phys, cell_quadrature(m, 0))
+            K = Workspace(m).stiffness(phys).toarray()   # one cell, vertices 0..3
             K_ref = p1_tet_stiffness(m.vertices)
             assert np.abs(K - K_ref).max() <= 1e-12
 
@@ -138,7 +137,7 @@ def test_criterion_7_newton_behavior(cube_study, tet_study):
         F = ws.load_vector(phys, load)
         rng = np.random.default_rng(7)
         u = rng.normal(size=m.n_vertices) * 0.3
-        J = vp.assemble_jacobian(m, phys, u, A=A, workspace=ws).toarray()
+        J = (A + ws.nonlinear(phys, u)[1]).toarray()
         free = ~m.boundary_vertex
         step = 1e-6
         J_fd = np.zeros_like(J)
@@ -159,21 +158,22 @@ def test_criterion_8_monotonicity():
         pool = []
         for m in (vp.generate_cube_mesh(4), vp.generate_voronoi_mesh(100, 3)):
             phi = phys.levelset(m.vertices)
+            points, weights, _, _, cell_ptr = mesh_quadrature(m)
             for ci in range(m.n_cells):
                 if phi[m.cell_vertex_ids(ci)].min() > 0:   # strictly in the solvent
-                    pool.append((m, ci))
+                    nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
+                    pool.append((points[nodes], weights[nodes]))
         assert len(pool) >= 100
         rng = np.random.default_rng(8)
         idx = rng.integers(len(pool), size=100)
         for k in idx:
-            m, ci = pool[k]
+            pts, w = pool[k]
             au, bv = rng.normal(size=4), rng.normal(size=4)
-            quad = cell_quadrature(m, ci)
-            G = phys.coulomb_potential(quad.points)
-            u = au[0] + quad.points @ au[1:]
-            v = bv[0] + quad.points @ bv[1:]
-            lhs = quad.weights @ ((k2 * np.sinh(u + G) - k2 * np.sinh(v + G)) * (u - v))
-            rhs = k2 * (quad.weights @ (u - v) ** 2)
+            G = phys.coulomb_potential(pts)
+            u = au[0] + pts @ au[1:]
+            v = bv[0] + pts @ bv[1:]
+            lhs = w @ ((k2 * np.sinh(u + G) - k2 * np.sinh(v + G)) * (u - v))
+            rhs = k2 * (w @ (u - v) ** 2)
             assert lhs - rhs >= -1e-12
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import vempb as vp
+from vempb.solver import Workspace
+
 from _oracles import reference_errors_per_cell
 from test_mesh import permuted_copy
 
@@ -63,14 +65,15 @@ def test_errors_vanish_for_linear_interpolant():
     load = vp.manufactured_linear((0.2, 1.0, -0.7, 0.3))
     for m in (vp.generate_cube_mesh(2), vp.generate_voronoi_mesh(25, 3)):
         u = load.u_exact(m.vertices)
-        assert vp.error_l2(m, u, load.u_exact) <= 1e-12
-        assert vp.error_h1(m, u, load.grad_u_exact) <= 1e-12
+        e2, e1 = Workspace(m).error_norms(u, load.u_exact, load.grad_u_exact)
+        assert e2 <= 1e-12
+        assert e1 <= 1e-12
 
 
 def test_l2_error_of_zero_solution_is_field_norm():
     load = vp.manufactured_sine()
     m = vp.generate_cube_mesh(4)
-    e = vp.error_l2(m, np.zeros(m.n_vertices), load.u_exact)
+    e, _ = Workspace(m).error_norms(np.zeros(m.n_vertices), load.u_exact, load.grad_u_exact)
     assert e == pytest.approx(0.5**1.5, abs=1e-4)
 
 
@@ -94,7 +97,7 @@ def test_h1_interpolant_error_halves_per_refinement():
     errs = []
     for n in (4, 8):
         m = vp.generate_cube_mesh(n)
-        errs.append(vp.error_h1(m, u(m.vertices), grad))
+        errs.append(Workspace(m).error_norms(u(m.vertices), u, grad)[1])
     ratio = errs[1] / errs[0]
     assert 0.5 * 0.85 <= ratio <= 0.5 * 1.15
 
@@ -104,19 +107,20 @@ def test_error_norms_invariant_under_reorder_and_reload(tmp_path):
     m = vp.generate_voronoi_mesh(30, 4)
     rng = np.random.default_rng(1)
     u = rng.normal(size=m.n_vertices)
-    e2 = vp.error_l2(m, u, load.u_exact)
-    e1 = vp.error_h1(m, u, load.grad_u_exact)
+    e2, e1 = Workspace(m).error_norms(u, load.u_exact, load.grad_u_exact)
 
     perm = rng.permutation(m.n_cells)
     m2 = permuted_copy(m, perm)
-    assert abs(vp.error_l2(m2, u, load.u_exact) - e2) <= 1e-13
-    assert abs(vp.error_h1(m2, u, load.grad_u_exact) - e1) <= 1e-13
+    e2_perm, e1_perm = Workspace(m2).error_norms(u, load.u_exact, load.grad_u_exact)
+    assert abs(e2_perm - e2) <= 1e-13
+    assert abs(e1_perm - e1) <= 1e-13
 
     path = tmp_path / "m.vpm"
     vp.save_mesh(m, path)
     m3 = vp.load_mesh(path)
-    assert abs(vp.error_l2(m3, u, load.u_exact) - e2) <= 1e-13
-    assert abs(vp.error_h1(m3, u, load.grad_u_exact) - e1) <= 1e-13
+    e2_load, e1_load = Workspace(m3).error_norms(u, load.u_exact, load.grad_u_exact)
+    assert abs(e2_load - e2) <= 1e-13
+    assert abs(e1_load - e1) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

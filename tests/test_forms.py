@@ -4,7 +4,8 @@ import pytest
 import vempb as vp
 import vempb.forms as forms
 from vempb.mesh import build_polymesh
-from vempb.polybasis import cell_quadrature
+from vempb.polybasis import mesh_quadrature
+from vempb.solver import Workspace
 
 from _oracles import oriented_tet_faces, p1_tet_stiffness
 
@@ -91,19 +92,21 @@ def test_single_tet_matches_linear_fem():
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
     for _ in range(20):
         m = random_tet_mesh(rng)
-        proj = vp.cell_projectors(m, 0)
-        quad = cell_quadrature(m, 0)
-        K = forms.local_stiffness(m, 0, proj, phys, quad)
-        order = np.argsort(proj.vertex_ids)  # local DoFs are sorted ids = 0..3 here
+        # one cell whose vertices are 0..3: the global matrix is the element matrix
+        K = Workspace(m).stiffness(phys).toarray()
         K_ref = p1_tet_stiffness(m.vertices)
         assert np.abs(K - K_ref).max() <= 1e-12
 
 
+def _meshes(random_cells):
+    """The distinct meshes of the random-cell pool, in pool order."""
+    return list({id(m): m for m, _ in random_cells}.values())
+
+
 def test_stiffness_row_sums_vanish(random_cells):
     phys = vp.PhysicsConfig()
-    for m, ci in random_cells[::9]:
-        proj = vp.cell_projectors(m, ci)
-        K = forms.local_stiffness(m, ci, proj, phys, cell_quadrature(m, ci))
+    for m in _meshes(random_cells):
+        K = Workspace(m).stiffness(phys).toarray()
         assert np.abs(K.sum(axis=1)).max() <= 1e-12 * max(1.0, np.abs(K).max())
 
 
@@ -121,26 +124,26 @@ def test_k_consistency_identities(random_cells):
     """Stabilization vanishes on linear DoFs; consistency term integrates eps exactly."""
     rng = np.random.default_rng(1)
     phys = vp.PhysicsConfig()
-    for m, ci in random_cells[::7]:
-        proj = vp.cell_projectors(m, ci)
-        quad = cell_quadrature(m, ci)
-        K = forms.local_stiffness(m, ci, proj, phys, quad)
-        p_dofs = rng.normal() + m.vertices[proj.vertex_ids] @ rng.normal(size=3)
-        q_dofs = rng.normal() + m.vertices[proj.vertex_ids] @ (q_grad := rng.normal(size=3))
+    for m in _meshes(random_cells):
+        ws = Workspace(m)
+        K = ws.stiffness(phys)
+        p_dofs = rng.normal() + m.vertices @ rng.normal(size=3)
+        q_dofs = rng.normal() + m.vertices @ (q_grad := rng.normal(size=3))
         # the stabilized part contributes nothing between two linears
-        eps_int = float(quad.weights @ phys.epsilon(quad.points))
-        p_grad = proj.pi0_grad @ p_dofs
-        expect = eps_int * (p_grad @ q_grad)
+        eps_int = ws.cell_sums(ws.weights * phys.epsilon(ws.points))
+        p_grad = ws.projectors.gradients(p_dofs)
+        expect = eps_int @ (p_grad @ q_grad)
         assert K @ q_dofs @ p_dofs == pytest.approx(expect, rel=1e-12, abs=1e-13)
         # and the remainder annihilates the linear DoF vector
-        assert np.abs(proj.stab_q @ p_dofs).max() <= 1e-12
+        for grp in ws.groups:
+            remainder = np.einsum("gkn,gn->gk", grp.stab_q, p_dofs[grp.vertex_ids])
+            assert np.abs(remainder).max() <= 1e-12
 
 
 def test_stiffness_psd_with_constant_kernel(random_cells):
     phys = vp.PhysicsConfig()
-    for m, ci in random_cells[::15]:
-        proj = vp.cell_projectors(m, ci)
-        K = forms.local_stiffness(m, ci, proj, phys, cell_quadrature(m, ci))
+    for m in _meshes(random_cells):
+        K = Workspace(m).stiffness(phys).toarray()
         vals = np.linalg.eigvalsh(K)
         scale = np.abs(vals).max()
         assert vals[0] >= -1e-12 * scale
@@ -156,44 +159,47 @@ def test_stiffness_psd_with_constant_kernel(random_cells):
 def test_molecular_cell_contributes_nothing():
     phys = vp.PhysicsConfig()
     m = vp.generate_cube_mesh(4)
-    ci = 0  # cell inside the molecular box
-    proj = vp.cell_projectors(m, ci)
-    u = np.random.default_rng(0).normal(size=proj.n_dofs)
-    r, J = forms.local_nonlinear(m, ci, proj, phys, u, cell_quadrature(m, ci))
-    assert np.all(r == 0.0)
-    assert np.all(J == 0.0)
+    ci = 0  # cell inside the molecular box; so is every cell sharing one of its vertices
+    ids = m.cell_vertex_ids(ci)
+    u = np.random.default_rng(0).normal(size=m.n_vertices)
+    r, J = Workspace(m).nonlinear(phys, u)
+    assert np.all(r[ids] == 0.0)
+    assert np.all(J[ids].toarray() == 0.0)
 
 
 def test_zero_state_no_charges_gives_projected_mass_jacobian():
     phys = solvent_physics()
     m = vp.generate_voronoi_mesh(8, 3)
-    ci = 2
-    proj = vp.cell_projectors(m, ci)
-    quad = cell_quadrature(m, ci)
-    r, J = forms.local_nonlinear(m, ci, proj, phys, np.zeros(proj.n_dofs), quad)
+    ws = Workspace(m)
+    r, J = ws.nonlinear(phys, np.zeros(m.n_vertices))
     assert np.abs(r).max() == 0.0
-    N = quad.weights[:, None] * (proj.basis.eval_all(quad.points) @ proj.pi_nabla)
-    mass = (proj.basis.eval_all(quad.points) @ proj.pi_nabla).T @ N
-    assert np.allclose(J, phys.kappa_bar_sq_solvent * mass, rtol=1e-13, atol=1e-16)
+    mass = np.zeros((m.n_vertices, m.n_vertices))
+    for ci in range(m.n_cells):
+        proj = ws.projectors[ci]
+        nodes = slice(ws.cell_ptr[ci], ws.cell_ptr[ci + 1])
+        V = proj.basis.eval_all(ws.points[nodes]) @ proj.pi_nabla
+        ids = proj.vertex_ids
+        mass[np.ix_(ids, ids)] += V.T @ (ws.weights[nodes, None] * V)
+    assert np.allclose(J.toarray(), phys.kappa_bar_sq_solvent * mass, rtol=1e-13, atol=1e-16)
 
 
 def test_jacobian_matches_finite_differences(random_cells):
     rng = np.random.default_rng(5)
     phys = vp.PhysicsConfig()
     step = 1e-6
-    for m, ci in random_cells[::23]:
-        proj = vp.cell_projectors(m, ci)
-        quad = cell_quadrature(m, ci)
-        u = rng.normal(size=proj.n_dofs) * 0.5
-        _, J = forms.local_nonlinear(m, ci, proj, phys, u, quad)
+    for m in _meshes(random_cells):
+        ws = Workspace(m)
+        u = rng.normal(size=m.n_vertices) * 0.5
+        _, J = ws.nonlinear(phys, u)
+        J = J.toarray()
         if np.abs(J).max() == 0.0:
             continue
         J_fd = np.zeros_like(J)
-        for k in range(proj.n_dofs):
+        for k in range(m.n_vertices):
             up = u.copy(); up[k] += step
             dn = u.copy(); dn[k] -= step
-            rp, _ = forms.local_nonlinear(m, ci, proj, phys, up, quad, with_jacobian=False)
-            rm, _ = forms.local_nonlinear(m, ci, proj, phys, dn, quad, with_jacobian=False)
+            rp, _ = ws.nonlinear(phys, up, with_jacobian=False)
+            rm, _ = ws.nonlinear(phys, dn, with_jacobian=False)
             J_fd[:, k] = (rp - rm) / (2 * step)
         assert np.abs(J - J_fd).max() <= 1e-6 * np.abs(J).max()
 
@@ -201,20 +207,18 @@ def test_jacobian_matches_finite_differences(random_cells):
 def test_jacobian_symmetry(random_cells):
     rng = np.random.default_rng(6)
     phys = vp.PhysicsConfig()
-    for m, ci in random_cells[::19]:
-        proj = vp.cell_projectors(m, ci)
-        u = rng.normal(size=proj.n_dofs)
-        _, J = forms.local_nonlinear(m, ci, proj, phys, u, cell_quadrature(m, ci))
+    for m in _meshes(random_cells):
+        u = rng.normal(size=m.n_vertices)
+        J = Workspace(m).nonlinear(phys, u)[1].toarray()
         assert np.abs(J - J.T).max() <= 1e-13 * max(1.0, np.abs(J).max())
 
 
 def test_overflow_guard():
     phys = solvent_physics()
     m = vp.generate_cube_mesh(1)
-    proj = vp.cell_projectors(m, 0)
-    u = np.full(proj.n_dofs, 800.0)
+    u = np.full(m.n_vertices, 800.0)
     with pytest.raises(forms.NonlinearOverflow):
-        forms.local_nonlinear(m, 0, proj, phys, u, cell_quadrature(m, 0))
+        Workspace(m).nonlinear(phys, u)
 
 
 def test_monotonicity_sample():
@@ -222,18 +226,20 @@ def test_monotonicity_sample():
     m = vp.generate_voronoi_mesh(20, 5)
     rng = np.random.default_rng(7)
     k2 = phys.kappa_bar_sq_solvent
+    points, weights, _, _, cell_ptr = mesh_quadrature(m)
     for _ in range(20):
         ci = int(rng.integers(m.n_cells))
         au, bu = rng.normal(size=4), rng.normal(size=4)
         u = lambda p: au[0] + p @ au[1:]
         v = lambda p: bu[0] + p @ bu[1:]
-        quad = cell_quadrature(m, ci)
-        G = phys.coulomb_potential(quad.points) if phys.charges else 0.0
-        Bu = k2 * np.sinh(u(quad.points) + G)
-        Bv = k2 * np.sinh(v(quad.points) + G)
-        duv = u(quad.points) - v(quad.points)
-        lhs = quad.weights @ ((Bu - Bv) * duv)
-        rhs = k2 * (quad.weights @ duv**2)
+        nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
+        pts, w = points[nodes], weights[nodes]
+        G = phys.coulomb_potential(pts) if phys.charges else 0.0
+        Bu = k2 * np.sinh(u(pts) + G)
+        Bv = k2 * np.sinh(v(pts) + G)
+        duv = u(pts) - v(pts)
+        lhs = w @ ((Bu - Bv) * duv)
+        rhs = k2 * (w @ duv**2)
         assert lhs - rhs >= -1e-12
 
 
@@ -244,10 +250,10 @@ def test_monotonicity_sample():
 def test_regularized_load_zero_in_molecular_region():
     phys = vp.PhysicsConfig()
     m = vp.generate_cube_mesh(4)
-    proj = vp.cell_projectors(m, 0)
+    ids = m.cell_vertex_ids(0)  # every cell sharing a vertex with cell 0 is molecular
     load = vp.regularized_load()
-    out = forms.local_load(m, 0, proj, phys, load, cell_quadrature(m, 0))
-    assert np.all(out == 0.0)
+    out = Workspace(m).load_vector(phys, load)
+    assert np.all(out[ids] == 0.0)
 
 
 def test_manufactured_zero_solution_no_charges():
@@ -255,10 +261,8 @@ def test_manufactured_zero_solution_no_charges():
     phys = vp.PhysicsConfig(charges=[], levelset=ls)
     spec = vp.manufactured_linear((0.0, 0.0, 0.0, 0.0))
     m = vp.generate_voronoi_mesh(6, 9)
-    for ci in range(m.n_cells):
-        proj = vp.cell_projectors(m, ci)
-        out = forms.local_load(m, ci, proj, phys, spec, cell_quadrature(m, ci))
-        assert np.abs(out).max() <= 1e-15
+    out = Workspace(m).load_vector(phys, spec)
+    assert np.abs(out).max() <= 1e-15
 
 
 def test_manufactured_linear_load_consistency_identity():
@@ -267,15 +271,15 @@ def test_manufactured_linear_load_consistency_identity():
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
     spec = vp.manufactured_linear((0.0, 1.0, 0.0, 0.0))
     m = vp.generate_voronoi_mesh(10, 14)
+    ws = Workspace(m)
+    out = ws.load_vector(phys, spec)
+    expect = np.zeros(m.n_vertices)
     for ci in range(m.n_cells):
-        proj = vp.cell_projectors(m, ci)
-        quad = cell_quadrature(m, ci)
-        out = forms.local_load(m, ci, proj, phys, spec, quad)
-        expect = m.cell_volume[ci] * proj.pi0_grad.T @ np.array([1.0, 0.0, 0.0])
-        assert np.allclose(out, expect, atol=1e-13)
-        K = forms.local_stiffness(m, ci, proj, phys, quad)
-        dofs = m.vertices[proj.vertex_ids][:, 0]
-        assert np.allclose(out, K @ dofs, atol=1e-12)
+        proj = ws.projectors[ci]
+        expect[proj.vertex_ids] += m.cell_volume[ci] * proj.pi0_grad.T @ np.array([1.0, 0.0, 0.0])
+    assert np.allclose(out, expect, atol=1e-13)
+    K = ws.stiffness(phys)
+    assert np.allclose(out, K @ m.vertices[:, 0], atol=1e-12)
 
 
 def test_load_spec_validation():
@@ -301,8 +305,8 @@ def test_pointwise_mode_converges_on_smooth_problem():
     )
     errors = []
     for n in (4, 8):
-        m = vp.generate_cube_mesh(n)
-        u, _ = vp.newton_solve(m, phys, pw)
-        errors.append(vp.error_l2(m, u, weak.u_exact))
+        ws = Workspace(vp.generate_cube_mesh(n))
+        u, _ = vp.newton_solve(ws.mesh, phys, pw, workspace=ws)
+        errors.append(ws.error_norms(u, weak.u_exact, weak.grad_u_exact)[0])
     # near-second-order decay between the two levels
     assert errors[1] <= 0.35 * errors[0]

@@ -3,6 +3,7 @@ import pytest
 
 import vempb as vp
 from vempb.polybasis import (
+    mesh_quadrature,
     monomial_basis,
     reference_tet_rule,
     reference_triangle_rule,
@@ -68,41 +69,33 @@ def test_degree_guard():
 # decomposition
 
 
+def _tet_volumes(m):
+    """Cone-tetrahedron volumes: the degree-1 rule has one node per tet, weighted by its volume."""
+    _, vols, _, _, cell_ptr = mesh_quadrature(m, degree=1)
+    return vols, cell_ptr
+
+
 def test_cube_tetrahedralization_count_and_volume():
     m = vp.generate_cube_mesh(1)
-    tets = vp.tetrahedralize_cell(m, 0)
-    assert len(tets) == 24  # 6 faces x 4 fan triangles
-    vols = np.einsum(
-        "ij,ij->i",
-        np.cross(tets[:, 2] - tets[:, 0], tets[:, 3] - tets[:, 0]),
-        tets[:, 1] - tets[:, 0],
-    ) / 6.0
+    vols, _ = _tet_volumes(m)
+    assert len(vols) == 24  # 6 faces x 4 fan triangles
     assert np.all(vols > 0)
     assert vols.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_tet_cell_decomposition_volume():
     m = vp.generate_tet_mesh(1)
+    vols, cell_ptr = _tet_volumes(m)
     for ci in range(m.n_cells):
-        tets = vp.tetrahedralize_cell(m, ci)
-        vols = np.einsum(
-            "ij,ij->i",
-            np.cross(tets[:, 2] - tets[:, 0], tets[:, 3] - tets[:, 0]),
-            tets[:, 1] - tets[:, 0],
-        ) / 6.0
-        assert vols.sum() == pytest.approx(m.cell_volume[ci], abs=1e-15)
+        cell_vols = vols[cell_ptr[ci]:cell_ptr[ci + 1]]
+        assert cell_vols.sum() == pytest.approx(m.cell_volume[ci], abs=1e-15)
 
 
 def test_voronoi_decomposition_volume_crosscheck():
     m = vp.generate_voronoi_mesh(30, 6)
+    vols, cell_ptr = _tet_volumes(m)
     for ci in range(m.n_cells):
-        tets = vp.tetrahedralize_cell(m, ci)
-        vols = np.einsum(
-            "ij,ij->i",
-            np.cross(tets[:, 2] - tets[:, 0], tets[:, 3] - tets[:, 0]),
-            tets[:, 1] - tets[:, 0],
-        ) / 6.0
-        assert abs(vols.sum() - m.cell_volume[ci]) <= 1e-12
+        assert abs(vols[cell_ptr[ci]:cell_ptr[ci + 1]].sum() - m.cell_volume[ci]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +138,22 @@ def test_reference_triangle_rule_exactness_and_positivity(degree):
 def test_unsupported_degree_rejected():
     m = vp.generate_cube_mesh(1)
     with pytest.raises(ValueError, match="unsupported"):
-        vp.cell_quadrature(m, 0, degree=7)
+        mesh_quadrature(m, degree=7)
 
 
 # ---------------------------------------------------------------------------
 # cell/face quadrature
 
 
+def _integral(m, fn, degree=4):
+    """Quadrature of a pointwise field over the whole mesh."""
+    points, weights, _, _, _ = mesh_quadrature(m, degree)
+    return float(weights @ fn(points))
+
+
 def test_cube_linear_integral():
     m = vp.generate_cube_mesh(1)
-    val = vp.integrate(m, 0, lambda p: p[:, 0])
+    val = _integral(m, lambda p: p[:, 0])
     assert val == pytest.approx(0.5, abs=1e-14)
 
 
@@ -164,24 +163,29 @@ def test_unit_tet_linear_integral():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     loops = [np.array(l) for l in ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))]
     m = build_polymesh(verts, [loops])
-    val = vp.integrate(m, 0, lambda p: p[:, 0])
+    val = _integral(m, lambda p: p[:, 0])
     assert val == pytest.approx(1.0 / 24.0, abs=1e-15)
 
 
 def test_quadrature_weights_sum_and_positivity(random_cells):
+    quads = {}
     for m, ci in random_cells[::7]:
-        quad = vp.cell_quadrature(m, ci)
-        assert np.all(quad.weights > 0)
-        assert quad.weights.sum() == pytest.approx(m.cell_volume[ci], abs=1e-12)
+        if id(m) not in quads:
+            quads[id(m)] = mesh_quadrature(m)
+        _, weights, _, _, cell_ptr = quads[id(m)]
+        w = weights[cell_ptr[ci]:cell_ptr[ci + 1]]
+        assert np.all(w > 0)
+        assert w.sum() == pytest.approx(m.cell_volume[ci], abs=1e-12)
 
 
 def test_quadrature_points_inside_convex_cells():
     m = vp.generate_voronoi_mesh(20, 13)
+    points, _, _, _, cell_ptr = mesh_quadrature(m)
     for ci in range(m.n_cells):
-        quad = vp.cell_quadrature(m, ci)
+        pts = points[cell_ptr[ci]:cell_ptr[ci + 1]]
         for fi, sgn in m.cell_faces(ci):
             n_out = sgn * m.face_normal[fi]
-            d = (quad.points - m.face_centroid[fi]) @ n_out
+            d = (pts - m.face_centroid[fi]) @ n_out
             assert d.max() <= 1e-12
 
 
@@ -195,14 +199,16 @@ def test_exactness_against_moment_oracle():
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
         (2, 0, 0), (1, 1, 0), (0, 1, 1), (2, 1, 0), (1, 1, 1), (2, 2, 0), (0, 2, 2),
     ]
+    quads = {id(m): mesh_quadrature(m, degree=4) for m in meshes}
     for m, ci in cases:
-        quad = vp.cell_quadrature(m, ci, degree=4)
-        basis = monomial_basis(m.cell_centroid[ci], m.cell_diameter[ci], 4)
-        xi = basis.local(quad.points)
+        # the scaled offsets xi = (x - x_E)/h_E the solver integrates with
+        _, weights, xi_all, _, cell_ptr = quads[id(m)]
+        nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
+        w, xi = weights[nodes], xi_all[nodes]
         cache = {}
         for alpha in basis_alphas:
             vals = xi[:, 0] ** alpha[0] * xi[:, 1] ** alpha[1] * xi[:, 2] ** alpha[2]
-            q = float(quad.weights @ vals)
+            q = float(w @ vals)
             exact = cell_scaled_monomial_integral(m, ci, alpha, cache)
             assert abs(q - exact) <= 1e-12
 
@@ -222,34 +228,17 @@ def test_integrate_piecewise_dielectric():
     phys = vp.PhysicsConfig()
     # aligned n=2 mesh: every cell lies on one side, quadrature exact
     m2 = vp.generate_cube_mesh(2)
-    total = sum(vp.integrate(m2, ci, phys.epsilon) for ci in range(m2.n_cells))
+    total = _integral(m2, phys.epsilon)
     assert total == pytest.approx(2 * 0.125 + 80 * 0.875, abs=1e-12)
     # single uncut cell: fixed rule is inexact; value must approach the limit
     m1 = vp.generate_cube_mesh(1)
-    v1 = vp.integrate(m1, 0, phys.epsilon)
+    v1 = _integral(m1, phys.epsilon)
     assert abs(v1 - 70.25) < 8.0
     m4 = vp.generate_cube_mesh(4)
-    v4 = sum(vp.integrate(m4, ci, phys.epsilon) for ci in range(m4.n_cells))
+    v4 = _integral(m4, phys.epsilon)
     assert v4 == pytest.approx(70.25, abs=1e-12)
 
 
 def test_integrate_sinh_zero():
     m = vp.generate_cube_mesh(1)
-    assert vp.integrate(m, 0, lambda p: np.sinh(np.zeros(len(p)))) == 0.0
-
-
-def test_integrate_reports_nonfinite():
-    m = vp.generate_cube_mesh(1)
-    def bad(p):
-        out = np.ones(len(p))
-        out[3] = np.inf
-        return out
-    with pytest.raises(ValueError, match="non-finite"):
-        vp.integrate(m, 0, bad)
-
-
-def test_levelset_tagging():
-    m = vp.generate_voronoi_mesh(10, 21)
-    quad = vp.cell_quadrature(m, 0, levelset=vp.box_levelset())
-    assert quad.phi_sign is not None
-    assert set(np.unique(quad.phi_sign)) <= {-1.0, 0.0, 1.0}
+    assert _integral(m, lambda p: np.sinh(np.zeros(len(p)))) == 0.0

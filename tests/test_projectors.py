@@ -128,9 +128,17 @@ def test_degenerate_face_rejected():
 # cell projectors
 
 
+def _per_cell(pairs):
+    """(mesh, cell, cell_projectors) per (mesh, cell) pair, one face table per mesh."""
+    tables = {}
+    for m, ci in pairs:
+        if id(m) not in tables:
+            tables[id(m)] = FaceProjectorTable(m)
+        yield m, ci, vp.cell_projectors(m, ci, tables[id(m)])
+
+
 def test_cell_constant_reproduction(random_cells):
-    for m, ci in random_cells[::11]:
-        p = vp.cell_projectors(m, ci)
+    for m, ci, p in _per_cell(random_cells[::11]):
         c = -2.4
         coeffs = p.pi_nabla @ (c * np.ones(p.n_dofs))
         assert coeffs[0] == pytest.approx(c, abs=1e-12)
@@ -153,8 +161,7 @@ def test_cell_coordinate_reproduction():
 
 def test_cell_random_linear_change_of_basis(random_cells):
     rng = np.random.default_rng(2)
-    for m, ci in random_cells[::5]:
-        p = vp.cell_projectors(m, ci)
+    for m, ci, p in _per_cell(random_cells[::5]):
         a0, a = rng.normal(), rng.normal(size=3)
         dofs = a0 + m.vertices[p.vertex_ids] @ a
         xe, h = m.cell_centroid[ci], m.cell_diameter[ci]
@@ -165,8 +172,7 @@ def test_cell_random_linear_change_of_basis(random_cells):
 def test_gradient_identity_with_face_integrals(random_cells):
     """|E| * projected gradient equals the signed sum of face-normal integrals."""
     rng = np.random.default_rng(4)
-    for m, ci in random_cells[::13]:
-        p = vp.cell_projectors(m, ci)
+    for m, ci, p in _per_cell(random_cells[::13]):
         dofs = rng.normal(size=p.n_dofs)
         lhs = m.cell_volume[ci] * (p.pi0_grad @ dofs)
         rhs = np.zeros(3)
@@ -177,8 +183,7 @@ def test_gradient_identity_with_face_integrals(random_cells):
 
 def test_boundary_mean_constraint(random_cells):
     rng = np.random.default_rng(8)
-    for m, ci in random_cells[::13]:
-        p = vp.cell_projectors(m, ci)
+    for m, ci, p in _per_cell(random_cells[::13]):
         dofs = rng.normal(size=p.n_dofs)
         coeffs = p.pi_nabla @ dofs
         total = 0.0
@@ -191,16 +196,14 @@ def test_boundary_mean_constraint(random_cells):
 
 
 def test_idempotence(random_cells):
-    for m, ci in random_cells[::17]:
-        p = vp.cell_projectors(m, ci)
+    for m, ci, p in _per_cell(random_cells[::17]):
         # applying the projector to the DoFs of its own output is the identity
         assert np.allclose(p.pi_nabla @ p.dof_matrix, np.eye(4), atol=1e-12)
 
 
 def test_stabilization_annihilates_linears(random_cells):
     rng = np.random.default_rng(9)
-    for m, ci in random_cells[::9]:
-        p = vp.cell_projectors(m, ci)
+    for m, ci, p in _per_cell(random_cells[::9]):
         a0, a = rng.normal(), rng.normal(size=3)
         dofs = a0 + m.vertices[p.vertex_ids] @ a
         assert np.abs(p.stab_q @ dofs).max() <= 1e-12

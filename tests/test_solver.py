@@ -1,14 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import vempb as vp
-import vempb.forms as forms
-from vempb.polybasis import cell_quadrature
+from vempb.polybasis import mesh_quadrature
 from vempb.projectors import FaceProjectorTable
 from vempb.solver import SolverError, SparseSystem, Workspace, cg_solve, constrain_matrix
 
-from _oracles import kkt_solve
+from _oracles import kkt_solve, local_stiffness
 from test_mesh import permuted_copy
 
 
@@ -22,23 +23,16 @@ def laplace_physics():
 
 
 def test_constants_in_kernel():
-    A = vp.assemble_linear(vp.generate_cube_mesh(2), vp.PhysicsConfig())
+    A = Workspace(vp.generate_cube_mesh(2)).stiffness(vp.PhysicsConfig())
     assert np.abs(A @ np.ones(A.shape[0])).max() <= 1e-12
 
 
-def test_single_cell_assembly_equals_local_matrix():
-    m = vp.generate_cube_mesh(1)
-    phys = vp.PhysicsConfig()
-    proj = vp.cell_projectors(m, 0)
-    K = forms.local_stiffness(m, 0, proj, phys, cell_quadrature(m, 0))
-    A = vp.assemble_linear(m, phys)
-    assert np.abs(A.toarray() - K).max() <= 1e-13
-
-
 def _dense_scatter_stiffness(m, phys, projs):
+    points, weights, _, _, cell_ptr = mesh_quadrature(m)
     dense = np.zeros((m.n_vertices, m.n_vertices))
     for ci in range(m.n_cells):
-        K = forms.local_stiffness(m, ci, projs[ci], phys, cell_quadrature(m, ci))
+        nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
+        K = local_stiffness(m, ci, projs[ci], phys, points[nodes], weights[nodes])
         ids = projs[ci].vertex_ids
         dense[np.ix_(ids, ids)] += K
     return dense
@@ -48,7 +42,7 @@ def test_assembly_matches_dense_scatter_oracle():
     m = vp.generate_cube_mesh(2)
     phys = vp.PhysicsConfig()
     projs = vp.build_projectors(m)
-    A = vp.assemble_linear(m, phys, projs)
+    A = Workspace(m, projs).stiffness(phys)
     dense = _dense_scatter_stiffness(m, phys, projs)
     assert np.abs(A.toarray() - dense).max() <= 1e-13
 
@@ -62,6 +56,28 @@ def test_workspace_stiffness_matches_per_cell_scatter_cube4():
     assert np.abs(A.toarray() - _dense_scatter_stiffness(m, phys, per_cell)).max() <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: vp.generate_cube_mesh(3),
+         "843008a192dffc61ca8b795b702b26fef217a793fddac0c25457c32cce465544"),
+        (lambda: vp.generate_tet_mesh(2),
+         "7c98a700558afab7da237adc01a9ae6847656254a99765ec89542ebdc33f3d00"),
+        (lambda: vp.generate_voronoi_mesh(64, 0),
+         "b01aea58397f5e37e98138fbf3a318bdc7b2543a98c95960972ab02bcd31d8b1"),
+    ],
+    ids=["cube3", "tet2", "voronoi64"],
+)
+def test_workspace_quadrature_unchanged(make, digest):
+    # digests of the arrays built inside Workspace.__init__ before the node
+    # construction moved to polybasis.mesh_quadrature
+    ws = Workspace(make())
+    h = hashlib.sha256()
+    for a in (ws.points, ws.weights, ws.xi, ws.cop, ws.cell_ptr):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_global_symmetry():
     m = vp.generate_voronoi_mesh(40, 3)
     phys = vp.PhysicsConfig()
@@ -69,17 +85,17 @@ def test_global_symmetry():
     A = ws.stiffness(phys)
     assert abs(A - A.T).max() <= 1e-13
     u = np.random.default_rng(0).normal(size=m.n_vertices) * 0.2
-    J = vp.assemble_jacobian(m, phys, u, A=A, workspace=ws)
+    J = A + ws.nonlinear(phys, u)[1]
     assert abs(J - J.T).max() <= 1e-13
 
 
 def test_assembly_permutation_invariant():
     m = vp.generate_voronoi_mesh(30, 10)
     phys = vp.PhysicsConfig()
-    A = vp.assemble_linear(m, phys)
+    A = Workspace(m).stiffness(phys)
     perm = np.random.default_rng(1).permutation(m.n_cells)
     m2 = permuted_copy(m, perm)
-    A2 = vp.assemble_linear(m2, phys)
+    A2 = Workspace(m2).stiffness(phys)
     # 1e-13 relative to the entry scale (entries reach ~eps_s here)
     assert abs(A - A2).max() <= 1e-13 * max(1.0, abs(A).max())
 
@@ -107,7 +123,7 @@ def test_global_jacobian_matches_finite_difference_residual():
     F = ws.load_vector(phys, load)
     rng = np.random.default_rng(3)
     u = rng.normal(size=m.n_vertices) * 0.3
-    J = vp.assemble_jacobian(m, phys, u, A=A, workspace=ws).toarray()
+    J = (A + ws.nonlinear(phys, u)[1]).toarray()
     free = ~m.boundary_vertex
     step = 1e-6
     J_fd = np.zeros_like(J)
@@ -129,7 +145,7 @@ def test_global_jacobian_matches_finite_difference_residual():
 def test_all_boundary_mesh_gives_identity_system():
     m = vp.generate_cube_mesh(1)
     phys = vp.PhysicsConfig()
-    A = vp.assemble_linear(m, phys)
+    A = Workspace(m).stiffness(phys)
     sys0 = SparseSystem(A, np.zeros(8), m.boundary_vertex, np.zeros(8))
     con = vp.apply_dirichlet(sys0)
     assert np.abs(con.matrix.toarray() - np.eye(8)).max() <= 1e-15
@@ -269,7 +285,7 @@ def test_linear_case_matches_dense_direct_solve():
 
 def test_constrain_matrix_keeps_symmetry():
     m = vp.generate_cube_mesh(2)
-    A = vp.assemble_linear(m, vp.PhysicsConfig())
+    A = Workspace(m).stiffness(vp.PhysicsConfig())
     C = constrain_matrix(A, m.boundary_vertex)
     assert abs(C - C.T).max() == 0.0
     n_bnd = int(m.boundary_vertex.sum())
