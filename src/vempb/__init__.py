@@ -18,20 +18,12 @@ from .mesh import (
     save_mesh,
     voronoi_mesh_from_seeds,
 )
-from .polybasis import (
-    MonomialBasis,
-    face_quadrature,
-    monomial_basis,
-    triangulate_face,
-)
-from .projectors import CellProjectors, FaceProjector, build_projectors, cell_projectors, face_pi_nabla
+from .projectors import build_projectors
 from .forms import (
     LoadSpec,
     NonlinearOverflow,
     PhysicsConfig,
     SingularityError,
-    eval_G,
-    eval_grad_G,
     manufactured_linear,
     manufactured_sine,
     regularized_load,
@@ -40,9 +32,7 @@ from .solver import (
     NewtonConfig,
     SolveReport,
     SolverError,
-    SparseSystem,
     Workspace,
-    apply_dirichlet,
     assemble_residual,
     cg_solve,
     newton_solve,

@@ -20,7 +20,7 @@ import numpy as np
 from .forms import LoadSpec, PhysicsConfig
 from .mesh import KUHN_PERMUTATIONS, PolyMesh
 # cell_quadrature stays importable here: perfbench/tracer.py wraps analysis.cell_quadrature
-from .polybasis import DEFAULT_DEGREE, cell_quadrature  # noqa: F401
+from .polybasis import cell_quadrature  # noqa: F401
 from .projectors import CellProjectorSet, build_projectors
 from .solver import NewtonConfig, SolveReport, Workspace, newton_solve
 
@@ -203,7 +203,6 @@ def compare_to_reference(
     u_ref: np.ndarray,
     coarse_projectors: CellProjectorSet | None = None,
     fine_projectors: CellProjectorSet | None = None,
-    degree: int = DEFAULT_DEGREE,
 ) -> tuple[float, float]:
     """Errors of u_h against the projected reference field on a nested fine mesh.
 
@@ -229,7 +228,7 @@ def compare_to_reference(
             raise ValueError(f"{what} projectors cover {len(projs)} cells, mesh has {mesh.n_cells}")
     if fine_projectors is None:
         fine_projectors = build_projectors(fine_mesh)
-    ws = Workspace(coarse_mesh, coarse_projectors, degree)
+    ws = Workspace(coarse_mesh, coarse_projectors)
 
     coeffs = fine_projectors.value_coeffs(u_ref)
     fid = _locate_structured(fine_mesh, ws.points)

@@ -98,17 +98,6 @@ class PhysicsConfig:
         return out
 
 
-def eval_G(physics: PhysicsConfig, x) -> float | np.ndarray:
-    """Coulomb potential of the charge set at one point or an array of points."""
-    vals = physics.coulomb_potential(x)
-    return float(vals[0]) if np.asarray(x).ndim == 1 else vals
-
-
-def eval_grad_G(physics: PhysicsConfig, x) -> np.ndarray:
-    vals = physics.coulomb_gradient(x)
-    return vals[0] if np.asarray(x).ndim == 1 else vals
-
-
 @dataclass
 class LoadSpec:
     """Right-hand-side selection: regularized charge splitting or manufactured.

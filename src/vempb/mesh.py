@@ -646,18 +646,17 @@ def classify_interface(mesh: PolyMesh, levelset: LevelSet) -> np.ndarray:
     positive samples occur; zeros alone (surface aligned with cell boundary)
     do not flag.  Returns a boolean array over cells.
     """
-    phi_v = levelset(mesh.vertices)
-    phi_f = levelset(mesh.face_centroid)
-    phi_c = levelset(mesh.cell_centroid)
-    flags = np.zeros(mesh.n_cells, dtype=bool)
-    for ci in range(mesh.n_cells):
-        vals = np.concatenate([
-            phi_v[mesh.cell_vertex_ids(ci)],
-            phi_f[[fi for fi, _ in mesh.cell_faces(ci)]],
-            [phi_c[ci]],
-        ])
-        flags[ci] = (vals < 0).any() and (vals > 0).any()
-    return flags
+    ref_cell, ref_face, _, c_ref, va, _ = _flat_corners(mesh)
+    # every sample with its cell: face corners, face centroids, cell centroids
+    cell = np.concatenate([ref_cell[c_ref], ref_cell, np.arange(mesh.n_cells)])
+    phi = np.concatenate([
+        levelset(mesh.vertices)[va],
+        levelset(mesh.face_centroid)[ref_face],
+        levelset(mesh.cell_centroid),
+    ])
+    negative = np.bincount(cell[phi < 0], minlength=mesh.n_cells)
+    positive = np.bincount(cell[phi > 0], minlength=mesh.n_cells)
+    return (negative > 0) & (positive > 0)
 
 
 # ---------------------------------------------------------------------------

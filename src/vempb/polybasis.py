@@ -1,10 +1,10 @@
-"""Scaled monomial bases and quadrature on star-shaped polytopes.
+"""Positive-weight quadrature on star-shaped polytopes.
 
-Quadrature decomposes each face into a triangle fan from its centroid and
-each cell into tetrahedra coned from the cell centroid over the face
-triangles, then maps positive-weight Gauss rules from the reference
-simplices.  All shipped rules have strictly positive weights, so pointwise
-inequalities (e.g. monotone nonlinearities) survive discretization.
+Each cell is split into tetrahedra coned from the cell centroid over the fan
+triangles (face centroid, edge) of its faces, and positive-weight Gauss
+rules are mapped from the reference tetrahedron.  All shipped rules have
+strictly positive weights, so pointwise inequalities (e.g. monotone
+nonlinearities) survive discretization.
 
 :func:`mesh_quadrature` builds the nodes of every cell in one flat array,
 contiguous per cell; it is the only cell rule, and the solver's
@@ -13,7 +13,6 @@ contiguous per cell; it is the only cell rule, and the solver's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -24,89 +23,6 @@ from .mesh import MeshError, PolyMesh, _flat_corners
 
 MAX_DEGREE = 6
 DEFAULT_DEGREE = 4
-
-
-def _multi_indices(degree: int, dim: int) -> np.ndarray:
-    """Multi-indices with |alpha| <= degree, ordered by total degree then position."""
-    out = []
-    for total in range(degree + 1):
-        if dim == 2:
-            out.extend((total - b, b) for b in range(total + 1))
-        else:
-            for a in range(total, -1, -1):
-                out.extend((a, total - a - c, c) for c in range(total - a + 1))
-    return np.array(out, dtype=int)
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Monomials ((x - anchor)/scale)^alpha up to a total degree.
-
-    For faces (dim 2) the coordinates are understood in a local orthonormal
-    in-plane frame supplied by the caller.
-    """
-
-    anchor: np.ndarray
-    scale: float
-    degree: int
-    dim: int
-    alphas: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.alphas)
-
-    def local(self, points: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(points) - self.anchor) / self.scale
-
-    def eval_all(self, points: np.ndarray) -> np.ndarray:
-        """Values of every basis monomial at the points, shape (npts, size)."""
-        xi = self.local(points)
-        out = np.ones((len(xi), self.size))
-        for j, alpha in enumerate(self.alphas):
-            for d in range(self.dim):
-                if alpha[d]:
-                    out[:, j] *= xi[:, d] ** alpha[d]
-        return out
-
-
-def monomial_basis(anchor, scale: float, degree: int, dim: int = 3) -> MonomialBasis:
-    if degree < 0 or dim not in (2, 3):
-        raise ValueError("degree must be >= 0 and dim in (2, 3)")
-    return MonomialBasis(
-        anchor=np.asarray(anchor, dtype=float),
-        scale=float(scale),
-        degree=degree,
-        dim=dim,
-        alphas=_multi_indices(degree, dim),
-    )
-
-
-def scaled_monomial_eval(basis: MonomialBasis, alpha, x) -> float:
-    """Value of the single scaled monomial with multi-index ``alpha`` at ``x``."""
-    alpha = np.asarray(alpha, dtype=int)
-    if alpha.sum() > basis.degree:
-        raise ValueError("multi-index exceeds basis degree")
-    xi = basis.local(x)[0]
-    return float(np.prod(xi ** alpha))
-
-
-def scaled_monomial_grad(basis: MonomialBasis, alpha, x) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=int)
-    if alpha.sum() > basis.degree:
-        raise ValueError("multi-index exceeds basis degree")
-    xi = basis.local(x)[0]
-    grad = np.zeros(basis.dim)
-    for d in range(basis.dim):
-        if alpha[d] == 0:
-            continue
-        g = alpha[d] / basis.scale
-        for e in range(basis.dim):
-            p = alpha[e] - (1 if e == d else 0)
-            if p:
-                g *= xi[e] ** p
-        grad[d] = g
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +39,6 @@ def _gauss01(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule for weight (1-x)^alpha on [0,1]."""
     x, w = roots_jacobi(m, alpha, 0.0)
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
-
-
-@lru_cache(maxsize=None)
-def reference_triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points/weights on {x,y >= 0, x+y <= 1}, exact for total degree <= degree."""
-    _check_degree(degree)
-    if degree <= 1:
-        return np.array([[1 / 3, 1 / 3]]), np.array([0.5])
-    m = degree // 2 + 1
-    u, wu = _gauss01(m, 1)
-    v, wv = _gauss01(m, 0)
-    U, Vm = np.meshgrid(u, v, indexing="ij")
-    pts = np.column_stack([U.ravel(), (Vm * (1.0 - U)).ravel()])
-    w = np.outer(wu, wv).ravel()
-    return pts, w
 
 
 def _tet_orbit_s31(a: float) -> np.ndarray:
@@ -187,21 +88,7 @@ def reference_tet_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# polytope decomposition
-
-
-def triangulate_face(mesh: PolyMesh, fi: int) -> np.ndarray:
-    """Triangles (face centroid, v_i, v_{i+1}) over the boundary edges, shape (T,3,3)."""
-    loop = mesh.vertices[mesh.faces[fi]]
-    xf = mesh.face_centroid[fi]
-    nxt = np.roll(loop, -1, axis=0)
-    tris = np.stack([np.broadcast_to(xf, loop.shape), loop, nxt], axis=1)
-    areas = 0.5 * np.einsum(
-        "ij,ij->i", np.cross(loop - xf, nxt - xf), np.broadcast_to(mesh.face_normal[fi], loop.shape)
-    )
-    if np.any(areas <= 0):
-        raise MeshError(f"face {fi} not star-shaped w.r.t. centroid")
-    return tris
+# cell quadrature
 
 
 def mesh_quadrature(mesh: PolyMesh, degree: int = DEFAULT_DEGREE):
@@ -246,20 +133,3 @@ def cell_quadrature(mesh: PolyMesh, ci: int, degree: int = DEFAULT_DEGREE):
     points, weights, _, _, cell_ptr = mesh_quadrature(mesh, degree)
     nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
     return points[nodes], weights[nodes]
-
-
-def face_quadrature(mesh: PolyMesh, fi: int, degree: int = DEFAULT_DEGREE):
-    """Positive-weight rule over a (planar) face; points are 3D, weights sum to |f|."""
-    _check_degree(degree)
-    ref, wref = reference_triangle_rule(degree)
-    tris = triangulate_face(mesh, fi)
-    origin = tris[:, 0]
-    e1 = tris[:, 1] - origin
-    e2 = tris[:, 2] - origin
-    pts = origin[:, None, :] + np.einsum("q,tj->tqj", ref[:, 0], e1) + np.einsum(
-        "q,tj->tqj", ref[:, 1], e2
-    )
-    jac = np.linalg.norm(np.cross(e1, e2), axis=1)  # = 2 * triangle area
-    w = jac[:, None] * wref[None, :]
-    return pts.reshape(-1, 3), w.ravel()
-

@@ -62,16 +62,6 @@ class SolveReport:
     max_abs_u: float = 0.0
 
 
-@dataclass
-class SparseSystem:
-    """Assembled symmetric operator with its Dirichlet data."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    dirichlet_mask: np.ndarray
-    dirichlet_values: np.ndarray
-
-
 class Workspace:
     """Flat quadrature and stacked projectors for fast repeated assembly."""
 
@@ -82,7 +72,6 @@ class Workspace:
         degree: int = DEFAULT_DEGREE,
     ):
         self.mesh = mesh
-        self.degree = degree
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 
         self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(
@@ -261,12 +250,10 @@ def assemble_residual(
     u: np.ndarray,
     A: sp.csr_matrix | None = None,
     F: np.ndarray | None = None,
-    projectors: CellProjectorSet | None = None,
-    degree: int = DEFAULT_DEGREE,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """R(u) = A u + B(u) - F with Dirichlet rows zeroed."""
-    ws = workspace or Workspace(mesh, projectors, degree)
+    ws = workspace or Workspace(mesh)
     if A is None:
         A = ws.stiffness(physics)
     if F is None:
@@ -282,25 +269,6 @@ def constrain_matrix(A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
     free = sp.diags((~mask).astype(float))
     fixed = sp.diags(mask.astype(float))
     return (free @ A @ free + fixed).tocsr()
-
-
-def apply_dirichlet(system: SparseSystem) -> SparseSystem:
-    """Eliminate constrained DoFs with the symmetry-preserving lift.
-
-    Constrained rows/columns become identity rows with the boundary values on
-    the right-hand side; interior rows receive the lifted contribution.
-    """
-    mask = system.dirichlet_mask
-    g = np.zeros(len(system.rhs))
-    g[mask] = system.dirichlet_values[mask]
-    b = system.rhs - system.matrix @ g
-    b[mask] = system.dirichlet_values[mask]
-    return SparseSystem(
-        matrix=constrain_matrix(system.matrix, mask),
-        rhs=b,
-        dirichlet_mask=mask,
-        dirichlet_values=system.dirichlet_values,
-    )
 
 
 def cg_solve(
@@ -348,7 +316,6 @@ def newton_solve(
     physics: PhysicsConfig,
     load: LoadSpec,
     config: NewtonConfig | None = None,
-    projectors: CellProjectorSet | None = None,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton iteration from u = 0 (boundary values applied).
@@ -358,7 +325,7 @@ def newton_solve(
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
-    ws = workspace or Workspace(mesh, projectors, config.quad_degree)
+    ws = workspace or Workspace(mesh, degree=config.quad_degree)
     A = ws.stiffness(physics)
     F = ws.load_vector(physics, load)
     mask = mesh.boundary_vertex

@@ -3,14 +3,19 @@
 Nothing here shares code with the library's quadrature or assembly paths:
 polytope moments come from the divergence-theorem recursion (face and edge
 reductions ending in 1D Gauss), the linear finite element stiffness of a
-tetrahedron from barycentric gradients, and clipped Voronoi cells from
-half-space clipping of the unit cube, seed by seed.  Two exceptions run
-library code cell by cell: the element stiffness, the reference for the
-batched ``Workspace.stiffness``, and the reference-error loop, the reference
-for the batched ``compare_to_reference``.  Both work on nodes from
-``mesh_quadrature``, the node builder that ``compare_to_reference`` and the
-solver use, with projectors from the per-cell ``cell_projectors``.
+tetrahedron from barycentric gradients, clipped Voronoi cells from
+half-space clipping of the unit cube, seed by seed, and interface flags from
+a loop over the cells.  The cell-by-cell references of batched library code
+start from library face data: ``cell_projector_reference``, the reference for
+``build_projectors``, sums one cell's face integral rows from
+``FaceProjectorTable``; the element stiffness, the reference for the batched
+``Workspace.stiffness``, and the reference-error loop, the reference for the
+batched ``compare_to_reference``, work on nodes from ``mesh_quadrature``, the
+node builder that ``compare_to_reference`` and the solver use, with
+projectors from ``cell_projector_reference``.
 """
+
+from collections import namedtuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -19,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from vempb.mesh import KUHN_PERMUTATIONS, MeshError
 from vempb.polybasis import mesh_quadrature
-from vempb.projectors import FaceProjectorTable, cell_projectors
+from vempb.projectors import FaceProjectorTable
 
 
 def _edge_gauss(a, b, fn, npts):
@@ -285,30 +290,72 @@ def _locate_structured_loop(mesh, points):
     return cube_id * 6 + np.array([KUHN_PERMUTATIONS.index(tuple(o)) for o in order])
 
 
+CellProjectorReference = namedtuple(
+    "CellProjectorReference", "vertex_ids pi_nabla pi0_grad stab_q dof_matrix face_rows"
+)
+
+
+def cell_projector_reference(mesh, ci, face_table):
+    """Projector matrices of one cell, summed face by face from its integral rows.
+
+    ``face_rows`` holds each face's integral row spread over the cell's local
+    DoFs (its sorted vertex ids); ``dof_matrix`` the values of
+    {1, xi1, xi2, xi3} at the vertices, xi = (x - x_E)/h_E.
+    """
+    vids = mesh.cell_vertex_ids(ci)
+    xe, h = mesh.cell_centroid[ci], mesh.cell_diameter[ci]
+    grad_rows = np.zeros((3, len(vids)))   # |E| * averaged gradient
+    bnd_rows = np.zeros(len(vids))         # integral of v over the cell boundary
+    poly_bnd = np.zeros(3)                 # boundary integral of (x - x_E)
+    total_area = 0.0
+    face_rows = []
+    for fi, sgn in mesh.cell_faces(ci):
+        row = np.zeros(len(vids))
+        row[np.searchsorted(vids, mesh.faces[fi])] = face_table.integral_row[
+            face_table.start[fi]:face_table.start[fi + 1]
+        ]
+        face_rows.append(row)
+        grad_rows += sgn * np.outer(mesh.face_normal[fi], row)
+        bnd_rows += row
+        total_area += mesh.face_area[fi]
+        poly_bnd += mesh.face_area[fi] * (mesh.face_centroid[fi] - xe)
+    pi0_grad = grad_rows / mesh.cell_volume[ci]
+    c_lin = h * pi0_grad
+    c0 = (bnd_rows - (poly_bnd / h) @ c_lin) / total_area
+    pi_nabla = np.vstack([c0, c_lin])
+    dof_matrix = np.column_stack([np.ones(len(vids)), (mesh.vertices[vids] - xe) / h])
+    stab_q = np.eye(len(vids)) - dof_matrix @ pi_nabla
+    return CellProjectorReference(vids, pi_nabla, pi0_grad, stab_q, dof_matrix, face_rows)
+
+
 def reference_errors_per_cell(coarse_mesh, u_h, fine_mesh, u_ref, degree=4):
     """L2 and H1 errors of u_h against the projected fine field, one coarse cell at a time."""
-    coarse_table, fine_table = FaceProjectorTable(coarse_mesh), FaceProjectorTable(fine_mesh)
-    fine = [cell_projectors(fine_mesh, ci, fine_table) for ci in range(fine_mesh.n_cells)]
-    coeffs = np.array([p.value_coeffs(u_ref[p.vertex_ids]) for p in fine])
-    grads = np.array([p.gradient(u_ref[p.vertex_ids]) for p in fine])
+    fine_table = FaceProjectorTable(fine_mesh)
+    fine = [cell_projector_reference(fine_mesh, ci, fine_table) for ci in range(fine_mesh.n_cells)]
+    coeffs = np.array([p.pi_nabla @ u_ref[p.vertex_ids] for p in fine])
+    grads = np.array([p.pi0_grad @ u_ref[p.vertex_ids] for p in fine])
+    coarse_table = FaceProjectorTable(coarse_mesh)
     points, weights, _, _, cell_ptr = mesh_quadrature(coarse_mesh, degree)
     total_l2 = 0.0
     total_h1 = 0.0
     for ci in range(coarse_mesh.n_cells):
-        proj = cell_projectors(coarse_mesh, ci, coarse_table)
+        proj = cell_projector_reference(coarse_mesh, ci, coarse_table)
         nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
         pts, w = points[nodes], weights[nodes]
         fid = _locate_structured_loop(fine_mesh, pts)
         xi = (pts - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
         ref_vals = coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
-        vals = proj.evaluate(u_h[proj.vertex_ids], pts)
+        monomials = np.column_stack(
+            [np.ones(len(pts)), (pts - coarse_mesh.cell_centroid[ci]) / coarse_mesh.cell_diameter[ci]]
+        )
+        vals = monomials @ (proj.pi_nabla @ u_h[proj.vertex_ids])
         total_l2 += float(w @ (ref_vals - vals) ** 2)
-        gdiff = grads[fid] - proj.gradient(u_h[proj.vertex_ids])
+        gdiff = grads[fid] - proj.pi0_grad @ u_h[proj.vertex_ids]
         total_h1 += float(w @ (gdiff**2).sum(axis=1))
     return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))
 
 
-def local_stiffness(mesh, ci, proj, physics, points, weights):
+def local_stiffness(mesh, ci, pi0_grad, stab_q, physics, points, weights):
     """Stabilized element stiffness of one cell from its quadrature nodes.
 
     Consistency term eps_int * G'G plus the dofi-dofi remainder scaled by
@@ -317,6 +364,20 @@ def local_stiffness(mesh, ci, proj, physics, points, weights):
     """
     eps_int = float(weights @ physics.epsilon(points))
     sigma = mesh.cell_diameter[ci] * eps_int / mesh.cell_volume[ci]
-    g = proj.pi0_grad
-    return eps_int * (g.T @ g) + sigma * (proj.stab_q.T @ proj.stab_q)
+    return eps_int * (pi0_grad.T @ pi0_grad) + sigma * (stab_q.T @ stab_q)
 
+
+def interface_flags_per_cell(mesh, levelset):
+    """Cells whose vertex, face-centroid and centroid samples take both strict signs."""
+    phi_v = levelset(mesh.vertices)
+    phi_f = levelset(mesh.face_centroid)
+    phi_c = levelset(mesh.cell_centroid)
+    flags = np.zeros(mesh.n_cells, dtype=bool)
+    for ci in range(mesh.n_cells):
+        vals = np.concatenate([
+            phi_v[mesh.cell_vertex_ids(ci)],
+            phi_f[[fi for fi, _ in mesh.cell_faces(ci)]],
+            [phi_c[ci]],
+        ])
+        flags[ci] = (vals < 0).any() and (vals > 0).any()
+    return flags

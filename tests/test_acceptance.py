@@ -37,14 +37,18 @@ def test_criterion_1_projector_reproduction(random_cells):
         by_mesh = {}
         for m, ci in random_cells:
             if id(m) not in by_mesh:
-                by_mesh[id(m)] = vp.build_projectors(m)
-            p = by_mesh[id(m)][ci]
+                # (vertex_ids, pi_nabla) of every cell, read from the groups
+                by_mesh[id(m)] = cells = [None] * m.n_cells
+                for grp in vp.build_projectors(m).groups:
+                    for k, cj in enumerate(grp.cells):
+                        cells[cj] = (grp.vertex_ids[k], grp.pi_nabla[k])
+            vids, pi_nabla = by_mesh[id(m)][ci]
             for a0, a in [(1.0, np.zeros(3)), (0.0, np.eye(3)[0]), (0.0, np.eye(3)[1]),
                           (0.0, np.eye(3)[2]), (rng.normal(), rng.normal(size=3))]:
-                dofs = a0 + m.vertices[p.vertex_ids] @ a
+                dofs = a0 + m.vertices[vids] @ a
                 xe, h = m.cell_centroid[ci], m.cell_diameter[ci]
                 expect = np.concatenate([[a0 + a @ xe], h * a])
-                worst = max(worst, float(np.abs(p.pi_nabla @ dofs - expect).max()))
+                worst = max(worst, float(np.abs(pi_nabla @ dofs - expect).max()))
         elapsed = time.perf_counter() - t0
         assert worst <= 1e-12, f"coefficient error {worst:.3e}"
         assert elapsed < 10.0, f"took {elapsed:.1f}s"

@@ -32,10 +32,10 @@ def solvent_physics():
 
 def test_coulomb_point_values():
     phys = vp.PhysicsConfig(charges=[(1.0, (0.0, 0.0, 0.0))])
-    assert forms.eval_G(phys, np.array([1.0, 1.0, 1.0])) == pytest.approx(
+    assert phys.coulomb_potential(np.array([[1.0, 1.0, 1.0]]))[0] == pytest.approx(
         1.0 / (2.0 * np.sqrt(3.0)), rel=1e-14
     )
-    g = forms.eval_grad_G(phys, np.array([1.0, 0.0, 0.0]))
+    g = phys.coulomb_gradient(np.array([[1.0, 0.0, 0.0]]))[0]
     assert np.allclose(g, [-0.5, 0.0, 0.0], atol=1e-15)
 
 
@@ -114,8 +114,8 @@ def test_consistency_rank_three_on_cube():
     ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)), convex=True)
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
     m = vp.generate_cube_mesh(1)
-    proj = vp.cell_projectors(m, 0)
-    consistency = m.cell_volume[0] * proj.pi0_grad.T @ proj.pi0_grad
+    pi0_grad = vp.build_projectors(m).groups[0].pi0_grad[0]   # the one cell
+    consistency = m.cell_volume[0] * pi0_grad.T @ pi0_grad
     rank = np.linalg.matrix_rank(consistency, tol=1e-12)
     assert rank == 3
 
@@ -174,12 +174,11 @@ def test_zero_state_no_charges_gives_projected_mass_jacobian():
     r, J = ws.nonlinear(phys, np.zeros(m.n_vertices))
     assert np.abs(r).max() == 0.0
     mass = np.zeros((m.n_vertices, m.n_vertices))
-    for ci in range(m.n_cells):
-        proj = ws.projectors[ci]
-        nodes = slice(ws.cell_ptr[ci], ws.cell_ptr[ci + 1])
-        V = proj.basis.eval_all(ws.points[nodes]) @ proj.pi_nabla
-        ids = proj.vertex_ids
-        mass[np.ix_(ids, ids)] += V.T @ (ws.weights[nodes, None] * V)
+    for grp in ws.groups:
+        for ci, ids, pi_nabla in zip(grp.cells, grp.vertex_ids, grp.pi_nabla):
+            nodes = slice(ws.cell_ptr[ci], ws.cell_ptr[ci + 1])
+            V = np.column_stack([np.ones(nodes.stop - nodes.start), ws.xi[nodes]]) @ pi_nabla
+            mass[np.ix_(ids, ids)] += V.T @ (ws.weights[nodes, None] * V)
     assert np.allclose(J.toarray(), phys.kappa_bar_sq_solvent * mass, rtol=1e-13, atol=1e-16)
 
 
@@ -274,9 +273,9 @@ def test_manufactured_linear_load_consistency_identity():
     ws = Workspace(m)
     out = ws.load_vector(phys, spec)
     expect = np.zeros(m.n_vertices)
-    for ci in range(m.n_cells):
-        proj = ws.projectors[ci]
-        expect[proj.vertex_ids] += m.cell_volume[ci] * proj.pi0_grad.T @ np.array([1.0, 0.0, 0.0])
+    for grp in ws.groups:
+        for ci, ids, pi0_grad in zip(grp.cells, grp.vertex_ids, grp.pi0_grad):
+            expect[ids] += m.cell_volume[ci] * pi0_grad.T @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(out, expect, atol=1e-13)
     K = ws.stiffness(phys)
     assert np.allclose(out, K @ m.vertices[:, 0], atol=1e-12)

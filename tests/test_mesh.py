@@ -10,6 +10,7 @@ from _oracles import (
     cell_monomial_integral,
     clipped_voronoi_cells,
     cone_volume_centroid,
+    interface_flags_per_cell,
     merged_vertex_count,
 )
 
@@ -340,6 +341,20 @@ def test_interface_invariant_under_relabeling():
     m2 = permuted_copy(m, perm)
     flags2 = vp.classify_interface(m2, vp.box_levelset())
     assert np.array_equal(flags2, flags[perm])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: vp.generate_tet_mesh(3), lambda: vp.generate_voronoi_mesh(200, 5)],
+    ids=["tet3", "voronoi200"],
+)
+def test_interface_matches_per_cell_loop(make):
+    m = make()
+    ball = vp.LevelSet(fn=lambda p: np.linalg.norm(p - 0.5, axis=1) - 0.3, convex=True)
+    for ls in (vp.box_levelset(), ball):
+        flags = vp.classify_interface(m, ls)
+        assert flags.any() and not flags.all()
+        assert np.array_equal(flags, interface_flags_per_cell(m, ls))
 
 
 # ---------------------------------------------------------------------------

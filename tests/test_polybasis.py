@@ -2,67 +2,9 @@ import numpy as np
 import pytest
 
 import vempb as vp
-from vempb.polybasis import (
-    mesh_quadrature,
-    monomial_basis,
-    reference_tet_rule,
-    reference_triangle_rule,
-    scaled_monomial_eval,
-    scaled_monomial_grad,
-)
+from vempb.polybasis import mesh_quadrature, reference_tet_rule
 
 from _oracles import cell_scaled_monomial_integral
-
-
-def test_basis_sizes():
-    assert monomial_basis(np.zeros(3), 1.0, 1, dim=3).size == 4
-    assert monomial_basis(np.zeros(3), 1.0, 2, dim=3).size == 10
-    assert monomial_basis(np.zeros(2), 1.0, 1, dim=2).size == 3
-    assert monomial_basis(np.zeros(2), 1.0, 2, dim=2).size == 6
-
-
-def test_constant_monomial():
-    b = monomial_basis(np.array([0.3, 0.1, 0.9]), 2.0, 1)
-    x = np.array([0.7, -0.4, 1.2])
-    assert scaled_monomial_eval(b, (0, 0, 0), x) == 1.0
-    assert np.allclose(scaled_monomial_grad(b, (0, 0, 0), x), 0.0)
-
-
-def test_linear_monomial_definition():
-    anchor = np.array([0.2, 0.5, 0.8])
-    h = 0.37
-    b = monomial_basis(anchor, h, 1)
-    x = anchor + np.array([h, 0.0, 0.0])
-    assert scaled_monomial_eval(b, (1, 0, 0), x) == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(scaled_monomial_grad(b, (1, 0, 0), x), [1.0 / h, 0, 0])
-
-
-def test_mixed_monomial_against_direct_product():
-    rng = np.random.default_rng(0)
-    anchor = rng.random(3)
-    h = 0.61
-    b = monomial_basis(anchor, h, 2)
-    x = rng.random(3)
-    xi = (x - anchor) / h
-    assert scaled_monomial_eval(b, (1, 1, 0), x) == pytest.approx(xi[0] * xi[1], rel=1e-14)
-    expect = np.array([xi[1] / h, xi[0] / h, 0.0])
-    assert np.allclose(scaled_monomial_grad(b, (1, 1, 0), x), expect, rtol=1e-13)
-
-
-def test_eval_all_matches_single():
-    rng = np.random.default_rng(1)
-    b = monomial_basis(rng.random(3), 0.8, 2)
-    pts = rng.random((5, 3))
-    vals = b.eval_all(pts)
-    for j, alpha in enumerate(b.alphas):
-        for i, x in enumerate(pts):
-            assert vals[i, j] == pytest.approx(scaled_monomial_eval(b, alpha, x), rel=1e-13, abs=1e-15)
-
-
-def test_degree_guard():
-    b = monomial_basis(np.zeros(3), 1.0, 1)
-    with pytest.raises(ValueError):
-        scaled_monomial_eval(b, (2, 0, 0), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +63,6 @@ def test_reference_tet_rule_exactness_and_positivity(degree):
                 assert q == pytest.approx(_exact_tet_moment(a, b, c), rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6])
-def test_reference_triangle_rule_exactness_and_positivity(degree):
-    from math import factorial
-
-    pts, w = reference_triangle_rule(degree)
-    assert np.all(w > 0)
-    for d in range(degree + 1):
-        for a in range(d + 1):
-            b = d - a
-            q = (w * pts[:, 0] ** a * pts[:, 1] ** b).sum()
-            exact = factorial(a) * factorial(b) / factorial(a + b + 2)
-            assert q == pytest.approx(exact, rel=1e-12, abs=1e-15)
-
-
 def test_unsupported_degree_rejected():
     m = vp.generate_cube_mesh(1)
     with pytest.raises(ValueError, match="unsupported"):
@@ -142,7 +70,7 @@ def test_unsupported_degree_rejected():
 
 
 # ---------------------------------------------------------------------------
-# cell/face quadrature
+# cell quadrature
 
 
 def _integral(m, fn, degree=4):
@@ -211,17 +139,6 @@ def test_exactness_against_moment_oracle():
             q = float(w @ vals)
             exact = cell_scaled_monomial_integral(m, ci, alpha, cache)
             assert abs(q - exact) <= 1e-12
-
-
-def test_face_quadrature_area_and_moment():
-    m = vp.generate_voronoi_mesh(15, 2)
-    for fi in range(0, m.n_faces, 5):
-        pts, w = vp.face_quadrature(m, fi, degree=2)
-        assert np.all(w > 0)
-        assert w.sum() == pytest.approx(m.face_area[fi], abs=1e-13)
-        # first moment about the centroid vanishes
-        mom = (w[:, None] * (pts - m.face_centroid[fi])).sum(axis=0)
-        assert np.linalg.norm(mom) <= 1e-13
 
 
 def test_integrate_piecewise_dielectric():

@@ -3,9 +3,9 @@ import pytest
 
 import vempb as vp
 from vempb.mesh import build_polymesh
-from vempb.projectors import FaceProjectorTable, face_integral, face_pi_nabla
+from vempb.projectors import FaceProjectorTable
 
-from _oracles import newell_normal
+from _oracles import cell_projector_reference, face_monomial_integral, newell_normal
 
 
 def _random_plane_polygon(rng, n_verts=5):
@@ -40,55 +40,44 @@ def _prism_mesh_from_polygon(pts, normal_shift=0.3):
 
 
 # ---------------------------------------------------------------------------
-# face projector
+# face integral rows
 
 
-def test_face_constant_reproduction():
-    m = vp.generate_cube_mesh(1)
-    fp = face_pi_nabla(m, 0)
-    c = 3.7
-    coeffs = fp.coeff @ (c * np.ones(len(fp.vertex_ids)))
-    assert coeffs[0] == pytest.approx(c, abs=1e-13)
-    assert np.allclose(coeffs[1:], 0.0, atol=1e-13)
+def _face_row(m, fi):
+    """Face ``fi``'s integral row, sliced out of the mesh's face table."""
+    table = FaceProjectorTable(m)
+    return table.integral_row[table.start[fi]:table.start[fi + 1]]
 
 
-def test_face_inplane_linear_reproduction():
-    m = vp.generate_cube_mesh(1)
-    for fi in range(m.n_faces):
-        fp = face_pi_nabla(m, fi)
-        P = m.vertices[fp.vertex_ids]
-        xi = (P - m.face_centroid[fi]) / m.face_diameter[fi] @ fp.frame.T
-        dofs = xi[:, 0]
-        coeffs = fp.coeff @ dofs
-        assert np.allclose(coeffs, [0.0, 1.0, 0.0], atol=1e-13)
+def _linear_face_integral(m, fi, a0, a):
+    """Exact integral of a0 + a.x over face ``fi`` (divergence recursion)."""
+    P, n_hat = m.vertices[m.faces[fi]], m.face_normal[fi]
+    alphas = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    moments = np.array([face_monomial_integral(P, n_hat, alpha) for alpha in alphas])
+    return a0 * moments[0] + a @ moments[1:]
 
 
 def test_face_random_pentagon_least_squares_oracle():
+    """Integral rows are exact for linear fields on random pentagons (moment oracle)."""
     rng = np.random.default_rng(12)
     for _ in range(10):
         pts = _random_plane_polygon(rng, 5)
         m = _prism_mesh_from_polygon(pts)
         fi = 0  # the bottom pentagon
-        fp = face_pi_nabla(m, fi)
         a0, a = rng.normal(), rng.normal(size=3)
-        P = m.vertices[fp.vertex_ids]
-        dofs = a0 + P @ a
-        coeffs = fp.coeff @ dofs
-        # least-squares fit of the same linear field on the scaled local frame
-        xi = (P - m.face_centroid[fi]) / m.face_diameter[fi] @ fp.frame.T
-        A = np.column_stack([np.ones(len(P)), xi])
-        fit, *_ = np.linalg.lstsq(A, dofs, rcond=None)
-        assert np.allclose(coeffs, fit, atol=1e-12)
+        dofs = a0 + m.vertices[m.faces[fi]] @ a
+        assert np.allclose(_face_row(m, fi) @ dofs, _linear_face_integral(m, fi, a0, a), atol=1e-12)
 
 
 def test_face_integral_constant_and_linear():
     m = vp.generate_tet_mesh(1)
     fi = 0
     nv = len(m.faces[fi])
-    assert face_integral(m, fi, np.ones(nv)) == pytest.approx(m.face_area[fi], rel=1e-13)
+    row = _face_row(m, fi)
+    assert row @ np.ones(nv) == pytest.approx(m.face_area[fi], rel=1e-13)
     # linear field on a triangle integrates to area * mean of vertex values
     vals = np.array([0.3, -1.2, 2.0])
-    assert face_integral(m, fi, vals) == pytest.approx(m.face_area[fi] * vals.mean(), rel=1e-13)
+    assert row @ vals == pytest.approx(m.face_area[fi] * vals.mean(), rel=1e-13)
 
 
 def test_face_integral_matches_quadrature_on_random_quad():
@@ -98,30 +87,15 @@ def test_face_integral_matches_quadrature_on_random_quad():
     fi = 0
     a0, a = rng.normal(), rng.normal(size=3)
     dofs = a0 + m.vertices[m.faces[fi]] @ a
-    qp, qw = vp.face_quadrature(m, fi, degree=2)
-    expect = qw @ (a0 + qp @ a)
-    assert face_integral(m, fi, dofs) == pytest.approx(expect, rel=1e-12)
-
-
-def test_face_integral_frame_independent():
-    m = vp.generate_cube_mesh(1)
-    fi = 2
-    rng = np.random.default_rng(3)
-    dofs = rng.normal(size=len(m.faces[fi]))
-    base = face_pi_nabla(m, fi)
-    # rotate the in-plane frame by an arbitrary angle
-    th = 1.1
-    t1 = np.cos(th) * base.frame[0] + np.sin(th) * base.frame[1]
-    t2 = -np.sin(th) * base.frame[0] + np.cos(th) * base.frame[1]
-    rotated = face_pi_nabla(m, fi, frame=np.vstack([t1, t2]))
-    assert rotated.integral_row @ dofs == pytest.approx(base.integral_row @ dofs, abs=1e-12)
+    expect = _linear_face_integral(m, fi, a0, a)
+    assert _face_row(m, fi) @ dofs == pytest.approx(expect, rel=1e-12)
 
 
 def test_degenerate_face_rejected():
     m = vp.generate_cube_mesh(1)
     m.face_area[0] = 1e-16  # simulate a degenerate face record
     with pytest.raises(Exception, match="degenerate"):
-        face_pi_nabla(m, 0)
+        FaceProjectorTable(m)
 
 
 # ---------------------------------------------------------------------------
@@ -129,34 +103,35 @@ def test_degenerate_face_rejected():
 
 
 def _per_cell(pairs):
-    """(mesh, cell, cell_projectors) per (mesh, cell) pair, one face table per mesh."""
+    """(mesh, cell, cell_projector_reference) per (mesh, cell) pair, one face table per mesh."""
     tables = {}
     for m, ci in pairs:
         if id(m) not in tables:
             tables[id(m)] = FaceProjectorTable(m)
-        yield m, ci, vp.cell_projectors(m, ci, tables[id(m)])
+        yield m, ci, cell_projector_reference(m, ci, tables[id(m)])
 
 
 def test_cell_constant_reproduction(random_cells):
     for m, ci, p in _per_cell(random_cells[::11]):
         c = -2.4
-        coeffs = p.pi_nabla @ (c * np.ones(p.n_dofs))
+        coeffs = p.pi_nabla @ (c * np.ones(len(p.vertex_ids)))
         assert coeffs[0] == pytest.approx(c, abs=1e-12)
         assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
-        assert np.allclose(p.pi0_grad @ (c * np.ones(p.n_dofs)), 0.0, atol=1e-12)
+        assert np.allclose(p.pi0_grad @ (c * np.ones(len(p.vertex_ids))), 0.0, atol=1e-12)
 
 
 def test_cell_coordinate_reproduction():
     m = vp.generate_voronoi_mesh(25, 31)
     projs = vp.build_projectors(m)
-    for ci in range(m.n_cells):
-        p = projs[ci]
-        dofs = m.vertices[p.vertex_ids][:, 0]          # v = x
-        grad = p.pi0_grad @ dofs
-        assert np.allclose(grad, [1.0, 0.0, 0.0], atol=1e-12)
-        pts = np.random.default_rng(ci).random((4, 3))
-        vals = p.evaluate(dofs, pts)
-        assert np.allclose(vals, pts[:, 0], atol=1e-12)
+    for grp in projs.groups:
+        for vids, pi_nabla, pi0_grad, ci in zip(grp.vertex_ids, grp.pi_nabla, grp.pi0_grad, grp.cells):
+            dofs = m.vertices[vids][:, 0]          # v = x
+            grad = pi0_grad @ dofs
+            assert np.allclose(grad, [1.0, 0.0, 0.0], atol=1e-12)
+            pts = np.random.default_rng(ci).random((4, 3))
+            xi = (pts - m.cell_centroid[ci]) / m.cell_diameter[ci]
+            vals = np.column_stack([np.ones(len(pts)), xi]) @ (pi_nabla @ dofs)
+            assert np.allclose(vals, pts[:, 0], atol=1e-12)
 
 
 def test_cell_random_linear_change_of_basis(random_cells):
@@ -173,7 +148,7 @@ def test_gradient_identity_with_face_integrals(random_cells):
     """|E| * projected gradient equals the signed sum of face-normal integrals."""
     rng = np.random.default_rng(4)
     for m, ci, p in _per_cell(random_cells[::13]):
-        dofs = rng.normal(size=p.n_dofs)
+        dofs = rng.normal(size=len(p.vertex_ids))
         lhs = m.cell_volume[ci] * (p.pi0_grad @ dofs)
         rhs = np.zeros(3)
         for (fi, sgn), row in zip(m.cell_faces(ci), p.face_rows):
@@ -184,7 +159,7 @@ def test_gradient_identity_with_face_integrals(random_cells):
 def test_boundary_mean_constraint(random_cells):
     rng = np.random.default_rng(8)
     for m, ci, p in _per_cell(random_cells[::13]):
-        dofs = rng.normal(size=p.n_dofs)
+        dofs = rng.normal(size=len(p.vertex_ids))
         coeffs = p.pi_nabla @ dofs
         total = 0.0
         for (fi, sgn), row in zip(m.cell_faces(ci), p.face_rows):
@@ -229,7 +204,7 @@ def test_batched_builder_matches_per_cell_reference(make):
     assert np.array_equal(np.sort(cells), np.arange(m.n_cells))
     for grp in projs.groups:
         for k, ci in enumerate(grp.cells):
-            ref = vp.cell_projectors(m, ci, table)
+            ref = cell_projector_reference(m, ci, table)
             assert np.array_equal(grp.vertex_ids[k], ref.vertex_ids)
             for name in ("pi_nabla", "pi0_grad", "stab_q"):
                 assert np.abs(getattr(grp, name)[k] - getattr(ref, name)).max() <= 1e-14

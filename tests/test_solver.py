@@ -7,9 +7,9 @@ import scipy.sparse as sp
 import vempb as vp
 from vempb.polybasis import mesh_quadrature
 from vempb.projectors import FaceProjectorTable
-from vempb.solver import SolverError, SparseSystem, Workspace, cg_solve, constrain_matrix
+from vempb.solver import SolverError, Workspace, cg_solve, constrain_matrix
 
-from _oracles import kkt_solve, local_stiffness
+from _oracles import cell_projector_reference, kkt_solve, local_stiffness
 from test_mesh import permuted_copy
 
 
@@ -27,13 +27,13 @@ def test_constants_in_kernel():
     assert np.abs(A @ np.ones(A.shape[0])).max() <= 1e-12
 
 
-def _dense_scatter_stiffness(m, phys, projs):
+def _dense_scatter_stiffness(m, phys, per_cell):
+    """Dense stiffness scattered from (vertex_ids, pi0_grad, stab_q) of every cell, in cell order."""
     points, weights, _, _, cell_ptr = mesh_quadrature(m)
     dense = np.zeros((m.n_vertices, m.n_vertices))
-    for ci in range(m.n_cells):
+    for ci, (ids, pi0_grad, stab_q) in enumerate(per_cell):
         nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
-        K = local_stiffness(m, ci, projs[ci], phys, points[nodes], weights[nodes])
-        ids = projs[ci].vertex_ids
+        K = local_stiffness(m, ci, pi0_grad, stab_q, phys, points[nodes], weights[nodes])
         dense[np.ix_(ids, ids)] += K
     return dense
 
@@ -43,7 +43,11 @@ def test_assembly_matches_dense_scatter_oracle():
     phys = vp.PhysicsConfig()
     projs = vp.build_projectors(m)
     A = Workspace(m, projs).stiffness(phys)
-    dense = _dense_scatter_stiffness(m, phys, projs)
+    per_cell = [None] * m.n_cells
+    for grp in projs.groups:
+        for k, ci in enumerate(grp.cells):
+            per_cell[ci] = (grp.vertex_ids[k], grp.pi0_grad[k], grp.stab_q[k])
+    dense = _dense_scatter_stiffness(m, phys, per_cell)
     assert np.abs(A.toarray() - dense).max() <= 1e-13
 
 
@@ -51,7 +55,8 @@ def test_workspace_stiffness_matches_per_cell_scatter_cube4():
     m = vp.generate_cube_mesh(4)
     phys = vp.PhysicsConfig()
     table = FaceProjectorTable(m)
-    per_cell = [vp.cell_projectors(m, ci, table) for ci in range(m.n_cells)]
+    refs = [cell_projector_reference(m, ci, table) for ci in range(m.n_cells)]
+    per_cell = [(r.vertex_ids, r.pi0_grad, r.stab_q) for r in refs]
     A = Workspace(m).stiffness(phys)
     assert np.abs(A.toarray() - _dense_scatter_stiffness(m, phys, per_cell)).max() <= 1e-13
 
@@ -142,14 +147,20 @@ def test_global_jacobian_matches_finite_difference_residual():
 # Dirichlet constraints
 
 
+def _lifted(A, F, mask, g):
+    """Symmetric elimination of u[mask] = g[mask]: constrained matrix and lifted rhs."""
+    b = F - A @ np.where(mask, g, 0.0)
+    b[mask] = g[mask]
+    return constrain_matrix(A, mask), b
+
+
 def test_all_boundary_mesh_gives_identity_system():
     m = vp.generate_cube_mesh(1)
     phys = vp.PhysicsConfig()
     A = Workspace(m).stiffness(phys)
-    sys0 = SparseSystem(A, np.zeros(8), m.boundary_vertex, np.zeros(8))
-    con = vp.apply_dirichlet(sys0)
-    assert np.abs(con.matrix.toarray() - np.eye(8)).max() <= 1e-15
-    assert np.all(con.rhs == 0.0)
+    matrix, rhs = _lifted(A, np.zeros(8), m.boundary_vertex, np.zeros(8))
+    assert np.abs(matrix.toarray() - np.eye(8)).max() <= 1e-15
+    assert np.all(rhs == 0.0)
 
 
 def test_constrained_solution_has_exact_boundary_values():
@@ -170,8 +181,8 @@ def test_constrained_energy_matches_kkt_oracle():
     F = ws.load_vector(phys, load)
     g = np.zeros(m.n_vertices)
     g[m.boundary_vertex] = load.boundary_values(m.vertices[m.boundary_vertex])
-    con = vp.apply_dirichlet(SparseSystem(A, F, m.boundary_vertex, g))
-    u, _ = cg_solve(con.matrix, con.rhs, tol=1e-14)
+    matrix, rhs = _lifted(A, F, m.boundary_vertex, g)
+    u, _ = cg_solve(matrix, rhs, tol=1e-14)
     u_ref = kkt_solve(A.toarray(), F, m.boundary_vertex, g)
     energy = lambda v: 0.5 * v @ (A @ v) - F @ v
     assert abs(energy(u) - energy(u_ref)) <= 1e-10
@@ -278,8 +289,8 @@ def test_linear_case_matches_dense_direct_solve():
     F = ws.load_vector(phys, load)
     g = np.zeros(m.n_vertices)
     g[m.boundary_vertex] = load.boundary_values(m.vertices[m.boundary_vertex])
-    con = vp.apply_dirichlet(SparseSystem(A, F, m.boundary_vertex, g))
-    u_dense = np.linalg.solve(con.matrix.toarray(), con.rhs)
+    matrix, rhs = _lifted(A, F, m.boundary_vertex, g)
+    u_dense = np.linalg.solve(matrix.toarray(), rhs)
     assert np.abs(u - u_dense).max() <= 1e-10
 
 
