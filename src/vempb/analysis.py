@@ -141,7 +141,7 @@ def run_convergence_study(
         t0 = time.perf_counter()
         try:
             mesh = factory() if callable(factory) else factory
-            ws = Workspace(mesh, degree=(newton or NewtonConfig()).quad_degree)
+            ws = Workspace(mesh)
             u, sr = newton_solve(mesh, physics, load, newton, workspace=ws)
         except Exception as exc:
             # abort with the partial report attached and flagged incomplete

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation/parse failure, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -43,15 +44,7 @@ _DEFAULTS = {
     },
     "mesh": {"family": "cubic", "n": 8, "n_seeds": None, "rng_seed": 0, "path": None},
     "load": {"mode": "manufactured", "solution": "sine3", "pointwise_rhs": False},
-    "solver": {
-        "rel_tol": 1e-10,
-        "abs_tol": 1e-14,
-        "max_iterations": 50,
-        "max_halvings": 20,
-        "cg_tol": 1e-12,
-        "cg_max_iterations": None,
-        "quad_degree": 4,
-    },
+    "solver": dataclasses.asdict(NewtonConfig()),
     "study": {"levels": []},
     "output": {"solution": "solution.csv", "report": "report.csv", "plot": None},
 }
@@ -163,7 +156,6 @@ def build_newton(cfg: dict) -> NewtonConfig:
         max_halvings=int(s["max_halvings"]),
         cg_tol=float(s["cg_tol"]),
         cg_max_iterations=None if s["cg_max_iterations"] is None else int(s["cg_max_iterations"]),
-        quad_degree=int(s["quad_degree"]),
     )
 
 
@@ -228,7 +220,7 @@ def cmd_solve(args) -> int:
         return EXIT_VALIDATION
 
     out = args.out or cfg["output"]["solution"]
-    workspace = solver.Workspace(m, degree=newton.quad_degree)
+    workspace = solver.Workspace(m)
     try:
         u, report = solver.newton_solve(m, physics, load, newton, workspace=workspace)
     except SolverError as exc:

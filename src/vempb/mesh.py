@@ -54,14 +54,9 @@ class VpmParseError(MeshError):
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Signed implicit surface; negative inside the molecular region.
-
-    ``convex`` declares that the scalar function is convex, which lets
-    callers bound the sign of the function over a cell by its vertex values.
-    """
+    """Signed implicit surface; negative inside the molecular region."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    convex: bool = False
 
     def __call__(self, points) -> np.ndarray | float:
         pts = np.asarray(points, dtype=float)
@@ -79,7 +74,7 @@ def box_levelset(threshold: float = 0.5) -> LevelSet:
     def fn(pts: np.ndarray) -> np.ndarray:
         return np.max(pts, axis=1) - threshold
 
-    return LevelSet(fn=fn, convex=True)
+    return LevelSet(fn=fn)
 
 
 @dataclass
@@ -121,22 +116,9 @@ class PolyMesh:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def cell_faces(self, ci: int) -> list[tuple[int, int]]:
-        """Face indices of cell ``ci`` with outward-orientation signs (+1/-1)."""
-        refs = self.cells[ci]
-        return [(abs(int(r)) - 1, 1 if r > 0 else -1) for r in refs]
-
     def cell_vertex_ids(self, ci: int) -> np.ndarray:
         """Sorted unique vertex indices of cell ``ci`` (the local DoF order)."""
         return self._cell_vertex_ids[ci]
-
-    def cell_face_loops(self, ci: int) -> list[np.ndarray]:
-        """Vertex loops of cell ``ci`` oriented outward (signs applied)."""
-        loops = []
-        for fi, sgn in self.cell_faces(ci):
-            loop = self.faces[fi]
-            loops.append(loop.copy() if sgn > 0 else loop[::-1].copy())
-        return loops
 
     def total_volume(self) -> float:
         return float(self.cell_volume.sum())
@@ -688,31 +670,26 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
     measures; exact for convex geometry.
     """
     V = mesh.vertices
-    min_ef = np.inf
-    star_fail_faces = 0
-    for fi, loop in enumerate(mesh.faces):
-        P = V[loop]
-        e = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
-        min_ef = min(min_ef, e.min() / mesh.face_diameter[fi])
-        r = P - mesh.face_centroid[fi]
-        tri_a = 0.5 * (np.cross(r, np.roll(r, -1, axis=0)) @ mesh.face_normal[fi])
-        if np.any(tri_a <= 0):
-            star_fail_faces += 1
+    ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
+    corner_face = ref_face[c_ref]
+    corner_cell = ref_cell[c_ref]
+    xf = mesh.face_centroid[corner_face]
+    # every face appears once per referencing cell, in its stored order
+    edge = np.linalg.norm(V[vb] - V[va], axis=1)
+    min_ef = (edge / mesh.face_diameter[corner_face]).min()
+    fan = np.cross(V[va] - xf, V[vb] - xf)
+    tri_a = 0.5 * np.einsum("tj,tj->t", fan, mesh.face_normal[corner_face])
+    fail = np.bincount(corner_face[tri_a <= 0], minlength=mesh.n_faces)
+    star_fail_faces = int(np.count_nonzero(fail))
 
-    min_fE = np.inf
-    star_fail_cells = 0
-    for ci in range(mesh.n_cells):
-        xe = mesh.cell_centroid[ci]
-        ok = True
-        for fi, sgn in mesh.cell_faces(ci):
-            min_fE = min(min_fE, mesh.face_diameter[fi] / mesh.cell_diameter[ci])
-            loop = mesh.faces[fi] if sgn > 0 else mesh.faces[fi][::-1]
-            P = V[loop]
-            tv = np.cross(P - xe, np.roll(P, -1, axis=0) - xe) @ (mesh.face_centroid[fi] - xe)
-            if np.any(tv <= 0):
-                ok = False
-        if not ok:
-            star_fail_cells += 1
+    min_fE = (mesh.face_diameter[ref_face] / mesh.cell_diameter[ref_cell]).min()
+    swapped = ref_sign[c_ref] < 0
+    xe = mesh.cell_centroid[corner_cell]
+    a = V[np.where(swapped, vb, va)] - xe
+    b = V[np.where(swapped, va, vb)] - xe
+    tv = np.einsum("tj,tj->t", np.cross(a, b), xf - xe)
+    fail = np.bincount(corner_cell[tv <= 0], minlength=mesh.n_cells)
+    star_fail_cells = int(np.count_nonzero(fail))
 
     passed = (
         min_ef >= gamma_min

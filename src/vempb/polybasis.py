@@ -1,10 +1,10 @@
 """Positive-weight quadrature on star-shaped polytopes.
 
 Each cell is split into tetrahedra coned from the cell centroid over the fan
-triangles (face centroid, edge) of its faces, and positive-weight Gauss
-rules are mapped from the reference tetrahedron.  All shipped rules have
-strictly positive weights, so pointwise inequalities (e.g. monotone
-nonlinearities) survive discretization.
+triangles (face centroid, edge) of its faces, and one rule is mapped from
+the reference tetrahedron onto each: the classical positive 14-point rule,
+exact to total degree 5.  Its weights are strictly positive, so pointwise
+inequalities (e.g. monotone nonlinearities) survive discretization.
 
 :func:`mesh_quadrature` builds the nodes of every cell in one flat array,
 contiguous per cell; it is the only cell rule, and the solver's
@@ -13,32 +13,15 @@ contiguous per cell; it is the only cell rule, and the solver's
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .mesh import MeshError, PolyMesh, _flat_corners
 
-MAX_DEGREE = 6
-DEFAULT_DEGREE = 4
-
 
 # ---------------------------------------------------------------------------
-# reference-simplex rules
-
-
-def _check_degree(degree: int) -> None:
-    if degree < 0 or degree > MAX_DEGREE:
-        raise ValueError(f"unsupported quadrature degree {degree} (0..{MAX_DEGREE})")
-
-
-@lru_cache(maxsize=None)
-def _gauss01(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule for weight (1-x)^alpha on [0,1]."""
-    x, w = roots_jacobi(m, alpha, 0.0)
-    return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+# reference-simplex rule
 
 
 def _tet_orbit_s31(a: float) -> np.ndarray:
@@ -52,47 +35,26 @@ def _tet_orbit_s22(a: float) -> np.ndarray:
     return np.array(sorted(set(permutations((a, a, b, b)))))
 
 
-@lru_cache(maxsize=None)
-def reference_tet_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points/weights on the unit tetrahedron, exact for total degree <= degree.
-
-    Degrees 2..5 use the classical positive 14-point rule; degree 6 falls
-    back to the conical-product construction (also positive).
-    """
-    _check_degree(degree)
-    if degree <= 1:
-        return np.array([[0.25, 0.25, 0.25]]), np.array([1.0 / 6.0])
-    if degree <= 5:
-        bary = np.vstack([
-            _tet_orbit_s31(0.09273525031089123),
-            _tet_orbit_s31(0.31088591926330050),
-            _tet_orbit_s22(0.04550370412564962),
-        ])
-        w = np.concatenate([
-            np.full(4, 0.012248840519393658),
-            np.full(4, 0.018781320953002642),
-            np.full(6, 0.007091003462846911),
-        ])
-        return bary[:, 1:], w
-    m = degree // 2 + 1
-    u, wu = _gauss01(m, 2)
-    v, wv = _gauss01(m, 1)
-    t, wt = _gauss01(m, 0)
-    U, Vm, T = np.meshgrid(u, v, t, indexing="ij")
-    x = U
-    y = Vm * (1.0 - U)
-    z = T * (1.0 - U) * (1.0 - Vm)
-    pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    w = (wu[:, None, None] * wv[None, :, None] * wt[None, None, :]).ravel()
-    return pts, w
+# Points and weights on the unit tetrahedron, exact for total degree <= 5;
+# the points are the last three barycentric coordinates of the orbits.
+REFERENCE_TET_POINTS = np.vstack([
+    _tet_orbit_s31(0.09273525031089123),
+    _tet_orbit_s31(0.31088591926330050),
+    _tet_orbit_s22(0.04550370412564962),
+])[:, 1:]
+REFERENCE_TET_WEIGHTS = np.concatenate([
+    np.full(4, 0.012248840519393658),
+    np.full(4, 0.018781320953002642),
+    np.full(6, 0.007091003462846911),
+])
 
 
 # ---------------------------------------------------------------------------
 # cell quadrature
 
 
-def mesh_quadrature(mesh: PolyMesh, degree: int = DEFAULT_DEGREE):
-    """Positive-weight rule over every cell, exact for total degree <= degree.
+def mesh_quadrature(mesh: PolyMesh):
+    """Positive-weight rule over every cell, exact for total degree <= 5.
 
     Each cell is split into the tetrahedra (x_E, x_f, v_i, v_i+1) coning its
     centroid over the fan triangles of its faces, and the reference rule is
@@ -102,7 +64,7 @@ def mesh_quadrature(mesh: PolyMesh, degree: int = DEFAULT_DEGREE):
     ``cell_ptr[ci]:cell_ptr[ci + 1]``.  A non-positive tetrahedron means the
     cell is not star-shaped with respect to its centroid.
     """
-    ref, wref = reference_tet_rule(degree)
+    ref, wref = REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS
     nq = len(wref)
     ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
     corner_cell = ref_cell[c_ref]
@@ -128,8 +90,8 @@ def mesh_quadrature(mesh: PolyMesh, degree: int = DEFAULT_DEGREE):
     return points, weights, offset.reshape(-1, 3), cop, cell_ptr
 
 
-def cell_quadrature(mesh: PolyMesh, ci: int, degree: int = DEFAULT_DEGREE):
+def cell_quadrature(mesh: PolyMesh, ci: int):
     """Points and weights of cell ``ci``: its slice of :func:`mesh_quadrature`."""
-    points, weights, _, _, cell_ptr = mesh_quadrature(mesh, degree)
+    points, weights, _, _, cell_ptr = mesh_quadrature(mesh)
     nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
     return points[nodes], weights[nodes]

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
 from .mesh import PolyMesh
-from .polybasis import DEFAULT_DEGREE, mesh_quadrature
+from .polybasis import mesh_quadrature
 from .projectors import CellProjectorSet, build_projectors
 
 
@@ -44,7 +44,6 @@ class NewtonConfig:
     max_halvings: int = 20
     cg_tol: float = 1e-12
     cg_max_iterations: int | None = None     # defaults to 10 * n_dofs
-    quad_degree: int = DEFAULT_DEGREE
 
     def __post_init__(self):
         if min(self.rel_tol, self.abs_tol, self.cg_tol) <= 0:
@@ -65,18 +64,11 @@ class SolveReport:
 class Workspace:
     """Flat quadrature and stacked projectors for fast repeated assembly."""
 
-    def __init__(
-        self,
-        mesh: PolyMesh,
-        projectors: CellProjectorSet | None = None,
-        degree: int = DEFAULT_DEGREE,
-    ):
+    def __init__(self, mesh: PolyMesh, projectors: CellProjectorSet | None = None):
         self.mesh = mesh
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 
-        self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(
-            mesh, degree
-        )
+        self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(mesh)
         self.groups = self.projectors.groups
         # COO coordinates of every group's element matrices, in group order
         self.rows = np.concatenate(
@@ -154,24 +146,22 @@ class Workspace:
 
         if load.pointwise_rhs:
             f = -physics.epsilon(self.points) * load.lap_u_exact(self.points)
-            s = np.zeros(len(w))
-            if len(self.act):
-                s[self.act] = self.kappa2[self.act] * np.sinh(
-                    load.u_exact(self.points[self.act]) + self.G_act
-                )
-            mom = self.moments4(w * (f + s))
+            mom = self.moments4(w * (f + self._exact_sinh(load)))
             return self._gather_rhs(self._jump_flux(physics), mom)
 
         flux = self.cell_sums(
             (w * physics.epsilon(self.points))[:, None] * load.grad_u_exact(self.points)
         )
-        s = np.zeros(len(w))
+        return self._gather_rhs(flux, self.moments4(w * self._exact_sinh(load)))
+
+    def _exact_sinh(self, load: LoadSpec) -> np.ndarray:
+        """kappa_bar^2 sinh(u_exact + G) at every node, zero where kappa_bar vanishes."""
+        s = np.zeros(len(self.weights))
         if len(self.act):
             s[self.act] = self.kappa2[self.act] * np.sinh(
                 load.u_exact(self.points[self.act]) + self.G_act
             )
-        mom = self.moments4(w * s)
-        return self._gather_rhs(flux, mom)
+        return s
 
     def _jump_flux(self, physics: PhysicsConfig) -> np.ndarray:
         """Per-cell integral of -(eps - eps_m) grad G over the solvent points."""
@@ -325,7 +315,7 @@ def newton_solve(
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
-    ws = workspace or Workspace(mesh, degree=config.quad_degree)
+    ws = workspace or Workspace(mesh)
     A = ws.stiffness(physics)
     F = ws.load_vector(physics, load)
     mask = mesh.boundary_vertex

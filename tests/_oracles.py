@@ -5,9 +5,12 @@ polytope moments come from the divergence-theorem recursion (face and edge
 reductions ending in 1D Gauss), the linear finite element stiffness of a
 tetrahedron from barycentric gradients, clipped Voronoi cells from
 half-space clipping of the unit cube, seed by seed, and interface flags from
-a loop over the cells.  The cell-by-cell references of batched library code
-start from library face data: ``cell_projector_reference``, the reference for
-``build_projectors``, sums one cell's face integral rows from
+a loop over the cells.  ``cell_faces`` and ``cell_face_loops`` give one
+cell's signed faces and outward vertex loops, and ``mesh_quality_per_cell``,
+the reference for the batched ``check_mesh_assumptions``, walks the faces
+and the cells one by one.  The cell-by-cell references of batched library
+code start from library face data: ``cell_projector_reference``, the
+reference for ``build_projectors``, sums one cell's face integral rows from
 ``FaceProjectorTable``; the element stiffness, the reference for the batched
 ``Workspace.stiffness``, and the reference-error loop, the reference for the
 batched ``compare_to_reference``, work on nodes from ``mesh_quadrature``, the
@@ -25,6 +28,51 @@ from scipy.spatial import cKDTree
 from vempb.mesh import KUHN_PERMUTATIONS, MeshError
 from vempb.polybasis import mesh_quadrature
 from vempb.projectors import FaceProjectorTable
+
+
+def cell_faces(mesh, ci):
+    """Face indices of cell ``ci`` with outward-orientation signs (+1/-1)."""
+    return [(abs(int(r)) - 1, 1 if r > 0 else -1) for r in mesh.cells[ci]]
+
+
+def cell_face_loops(mesh, ci):
+    """Vertex loops of cell ``ci`` oriented outward (signs applied)."""
+    loops = []
+    for fi, sgn in cell_faces(mesh, ci):
+        loop = mesh.faces[fi]
+        loops.append(loop.copy() if sgn > 0 else loop[::-1].copy())
+    return loops
+
+
+def mesh_quality_per_cell(mesh):
+    """(min edge/face ratio, min face/cell ratio, star-fail faces, star-fail cells), face by face."""
+    V = mesh.vertices
+    min_ef = np.inf
+    star_fail_faces = 0
+    for fi, loop in enumerate(mesh.faces):
+        P = V[loop]
+        e = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
+        min_ef = min(min_ef, e.min() / mesh.face_diameter[fi])
+        r = P - mesh.face_centroid[fi]
+        tri_a = 0.5 * (np.cross(r, np.roll(r, -1, axis=0)) @ mesh.face_normal[fi])
+        if np.any(tri_a <= 0):
+            star_fail_faces += 1
+
+    min_fE = np.inf
+    star_fail_cells = 0
+    for ci in range(mesh.n_cells):
+        xe = mesh.cell_centroid[ci]
+        ok = True
+        for fi, sgn in cell_faces(mesh, ci):
+            min_fE = min(min_fE, mesh.face_diameter[fi] / mesh.cell_diameter[ci])
+            loop = mesh.faces[fi] if sgn > 0 else mesh.faces[fi][::-1]
+            P = V[loop]
+            tv = np.cross(P - xe, np.roll(P, -1, axis=0) - xe) @ (mesh.face_centroid[fi] - xe)
+            if np.any(tv <= 0):
+                ok = False
+        if not ok:
+            star_fail_cells += 1
+    return float(min_ef), float(min_fE), star_fail_faces, star_fail_cells
 
 
 def _edge_gauss(a, b, fn, npts):
@@ -79,7 +127,7 @@ def cell_monomial_integral(mesh, ci, alpha, cache=None):
     """Exact integral of x^alpha over one polyhedral cell."""
     alpha = tuple(int(a) for a in alpha)
     total = 0.0
-    for fi, sgn in mesh.cell_faces(ci):
+    for fi, sgn in cell_faces(mesh, ci):
         P = mesh.vertices[mesh.faces[fi]]
         n_hat = sgn * mesh.face_normal[fi]
         loop = P if sgn > 0 else P[::-1]
@@ -309,7 +357,7 @@ def cell_projector_reference(mesh, ci, face_table):
     poly_bnd = np.zeros(3)                 # boundary integral of (x - x_E)
     total_area = 0.0
     face_rows = []
-    for fi, sgn in mesh.cell_faces(ci):
+    for fi, sgn in cell_faces(mesh, ci):
         row = np.zeros(len(vids))
         row[np.searchsorted(vids, mesh.faces[fi])] = face_table.integral_row[
             face_table.start[fi]:face_table.start[fi + 1]
@@ -328,14 +376,14 @@ def cell_projector_reference(mesh, ci, face_table):
     return CellProjectorReference(vids, pi_nabla, pi0_grad, stab_q, dof_matrix, face_rows)
 
 
-def reference_errors_per_cell(coarse_mesh, u_h, fine_mesh, u_ref, degree=4):
+def reference_errors_per_cell(coarse_mesh, u_h, fine_mesh, u_ref):
     """L2 and H1 errors of u_h against the projected fine field, one coarse cell at a time."""
     fine_table = FaceProjectorTable(fine_mesh)
     fine = [cell_projector_reference(fine_mesh, ci, fine_table) for ci in range(fine_mesh.n_cells)]
     coeffs = np.array([p.pi_nabla @ u_ref[p.vertex_ids] for p in fine])
     grads = np.array([p.pi0_grad @ u_ref[p.vertex_ids] for p in fine])
     coarse_table = FaceProjectorTable(coarse_mesh)
-    points, weights, _, _, cell_ptr = mesh_quadrature(coarse_mesh, degree)
+    points, weights, _, _, cell_ptr = mesh_quadrature(coarse_mesh)
     total_l2 = 0.0
     total_h1 = 0.0
     for ci in range(coarse_mesh.n_cells):
@@ -376,7 +424,7 @@ def interface_flags_per_cell(mesh, levelset):
     for ci in range(mesh.n_cells):
         vals = np.concatenate([
             phi_v[mesh.cell_vertex_ids(ci)],
-            phi_f[[fi for fi, _ in mesh.cell_faces(ci)]],
+            phi_f[[fi for fi, _ in cell_faces(mesh, ci)]],
             [phi_c[ci]],
         ])
         flags[ci] = (vals < 0).any() and (vals > 0).any()

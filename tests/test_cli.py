@@ -105,6 +105,11 @@ def test_unknown_nested_key_rejected(tmp_path, capsys):
     assert "solver" in capsys.readouterr().err
 
 
+def test_empty_solver_section_builds_default_newton_config(tmp_path):
+    cfg = write_config(tmp_path / "c.json", solver={})
+    assert cli.build_newton(cli.load_config(cfg)) == vp.NewtonConfig()
+
+
 def test_study_two_levels(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",

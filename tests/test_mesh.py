@@ -7,17 +7,20 @@ import vempb as vp
 from vempb.mesh import MeshError, VpmParseError, build_polymesh
 
 from _oracles import (
+    cell_face_loops,
+    cell_faces,
     cell_monomial_integral,
     clipped_voronoi_cells,
     cone_volume_centroid,
     interface_flags_per_cell,
     merged_vertex_count,
+    mesh_quality_per_cell,
 )
 
 
 def permuted_copy(mesh, perm):
     """Rebuild the mesh with cells in a new order (faces renumbered)."""
-    loops = [mesh.cell_face_loops(ci) for ci in perm]
+    loops = [cell_face_loops(mesh, ci) for ci in perm]
     return build_polymesh(mesh.vertices.copy(), loops, family=mesh.family, n=mesh.n)
 
 
@@ -212,7 +215,7 @@ def test_cell_surfaces_closed(make):
     m = make()
     for ci in range(m.n_cells):
         closure = np.zeros(3)
-        for fi, sgn in m.cell_faces(ci):
+        for fi, sgn in cell_faces(m, ci):
             closure += sgn * m.face_area[fi] * m.face_normal[fi]
         assert np.linalg.norm(closure) <= 1e-12
 
@@ -350,7 +353,7 @@ def test_interface_invariant_under_relabeling():
 )
 def test_interface_matches_per_cell_loop(make):
     m = make()
-    ball = vp.LevelSet(fn=lambda p: np.linalg.norm(p - 0.5, axis=1) - 0.3, convex=True)
+    ball = vp.LevelSet(fn=lambda p: np.linalg.norm(p - 0.5, axis=1) - 0.3)
     for ls in (vp.box_levelset(), ball):
         flags = vp.classify_interface(m, ls)
         assert flags.any() and not flags.all()
@@ -381,6 +384,40 @@ def test_quality_voronoi_star_shaped():
 def test_quality_gamma_one_always_fails():
     for m in (vp.generate_cube_mesh(2), vp.generate_tet_mesh(1)):
         assert not vp.check_mesh_assumptions(m, gamma_min=1.0).passed
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: vp.generate_cube_mesh(3),
+        lambda: vp.generate_tet_mesh(2),
+        lambda: vp.generate_voronoi_mesh(200, 5),
+    ],
+    ids=["cube3", "tet2", "voronoi200"],
+)
+def test_quality_report_matches_per_cell_oracle(make):
+    m = make()
+    rep = vp.check_mesh_assumptions(m)
+    got = (rep.min_edge_face_ratio, rep.min_face_cell_ratio, rep.star_fail_faces, rep.star_fail_cells)
+    assert got == mesh_quality_per_cell(m)
+
+
+def test_quality_star_failures_match_per_cell_oracle():
+    """Centroids moved out of their faces and cells: both star counters fire."""
+    import dataclasses
+
+    m = vp.generate_cube_mesh(2)
+    fc = m.face_centroid.copy()
+    for fi in (0, 5, 17):
+        corner = m.vertices[m.faces[fi][0]]
+        fc[fi] = corner + 2.0 * (corner - fc[fi])   # in the face plane, outside the face
+    cc = m.cell_centroid.copy()
+    cc[[1, 6]] += 0.3                                # outside the cell
+    m = dataclasses.replace(m, face_centroid=fc, cell_centroid=cc)
+    rep = vp.check_mesh_assumptions(m)
+    got = (rep.min_edge_face_ratio, rep.min_face_cell_ratio, rep.star_fail_faces, rep.star_fail_cells)
+    assert got == mesh_quality_per_cell(m)
+    assert rep.star_fail_faces > 0 and rep.star_fail_cells > 0
 
 
 def test_mean_size():

@@ -14,7 +14,7 @@ from test_mesh import permuted_copy
 
 
 def laplace_physics():
-    ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)), convex=True)
+    ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)))
     return vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
 
 
