@@ -228,13 +228,15 @@ def compare_to_reference(
             raise ValueError(f"{what} projectors cover {len(projs)} cells, mesh has {mesh.n_cells}")
     if fine_projectors is None:
         fine_projectors = build_projectors(fine_mesh)
-    ws = Workspace(coarse_mesh, coarse_projectors)
+    coeffs, grads = fine_projectors.value_coeffs(u_ref), fine_projectors.gradients(u_ref)
 
-    coeffs = fine_projectors.value_coeffs(u_ref)
-    fid = _locate_structured(fine_mesh, ws.points)
-    xi = (ws.points - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
-    ref_vals = coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
-    e2 = ws.weights @ (ref_vals - ws.projected_values(u_h)) ** 2
-    gdiff = fine_projectors.gradients(u_ref)[fid] - ws.projectors.gradients(u_h)[ws.cop]
-    e1 = ws.weights @ (gdiff**2).sum(axis=1)
-    return float(np.sqrt(e2)), float(np.sqrt(e1))
+    def ref_value(points):
+        fid = _locate_structured(fine_mesh, points)
+        xi = (points - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
+        return coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
+
+    def ref_gradient(points):
+        return grads[_locate_structured(fine_mesh, points)]
+
+    ws = Workspace(coarse_mesh, coarse_projectors)
+    return ws.error_norms(u_h, ref_value, ref_gradient)

@@ -34,12 +34,13 @@ class ConfigError(ValueError):
     pass
 
 
+_DEFAULT_PHYSICS = PhysicsConfig()
 _DEFAULTS = {
     "physics": {
-        "eps_m": 2.0,
-        "eps_s": 80.0,
-        "kappa": 1.0 / (20.0 * np.sqrt(2.0)),
-        "charges": [{"q": 1.0, "x": [0.0, 0.0, 0.0]}],
+        "eps_m": _DEFAULT_PHYSICS.eps_m,
+        "eps_s": _DEFAULT_PHYSICS.eps_s,
+        "kappa": _DEFAULT_PHYSICS.kappa,
+        "charges": [{"q": q, "x": list(x)} for q, x in _DEFAULT_PHYSICS.charges],
         "levelset": {"type": "box", "threshold": 0.5},
     },
     "mesh": {"family": "cubic", "n": 8, "n_seeds": None, "rng_seed": 0, "path": None},

@@ -1,11 +1,12 @@
 """Polyhedral meshes of the unit cube: data model, generators, quality checks, I/O.
 
-A mesh is a flat polyhedral complex.  Faces are stored once as oriented
-vertex loops (counter-clockwise with respect to the stored normal); cells
-reference faces through signed 1-based indices, where a negative sign means
-the stored orientation points into the cell and must be flipped to get the
-outward normal.  Interior faces are therefore referenced exactly twice with
-opposite signs, boundary faces exactly once.
+A mesh is a flat polyhedral complex held in CSR arrays (:class:`PolyMesh`).
+Faces are stored once as oriented vertex loops (counter-clockwise with
+respect to the stored normal); cells reference faces through signed 1-based
+indices, where a negative sign means the stored orientation points into the
+cell and must be flipped to get the outward normal.  Interior faces are
+therefore referenced exactly twice with opposite signs, boundary faces
+exactly once.
 
 All shipped generators tile [0,1]^3 exactly: structured cubes, a Kuhn
 (6-tetrahedra) subdivision of the cubes, and clipped Voronoi diagrams of
@@ -23,7 +24,7 @@ divergence theorem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,19 +80,24 @@ def box_levelset(threshold: float = 0.5) -> LevelSet:
 
 @dataclass
 class PolyMesh:
-    """Polyhedral mesh with precomputed exact geometry.
+    """Polyhedral mesh with precomputed exact geometry, topology in CSR arrays.
 
-    ``faces[i]`` is an int array of vertex indices; ``cells[k]`` is an int
-    array of signed 1-based face references.  Geometric arrays are filled by
-    :func:`compute_geometry` and the mesh is treated as immutable afterwards.
+    Face fi's loop is ``face_vertex[face_ptr[fi]:face_ptr[fi + 1]]``; cell
+    ci's face refs and sorted unique vertices (its local DoF order) are sliced
+    alike by ``cell_ptr`` and ``cell_vertex_ptr``.  :func:`_index_cells` and
+    :func:`compute_geometry` fill the rest; the mesh is immutable afterwards.
     """
 
     vertices: np.ndarray                 # (nv, 3)
-    faces: list[np.ndarray]              # vertex loops
-    cells: list[np.ndarray]              # signed 1-based face refs
+    face_ptr: np.ndarray                 # (nf + 1,) offsets into face_vertex
+    face_vertex: np.ndarray              # face vertex loops, concatenated
+    cell_ptr: np.ndarray                 # (nc + 1,) offsets into cell_face
+    cell_face: np.ndarray                # signed 1-based face refs, concatenated
     family: str | None = None            # generator tag: cubic | tet | voronoi
     n: int | None = None                 # cells-per-axis for structured families
 
+    cell_vertex_ptr: np.ndarray | None = None    # (nc + 1,) offsets into cell_vertex
+    cell_vertex: np.ndarray | None = None        # sorted unique vertices per cell
     face_normal: np.ndarray | None = None
     face_centroid: np.ndarray | None = None
     face_area: np.ndarray | None = None
@@ -102,23 +108,17 @@ class PolyMesh:
     boundary_face: np.ndarray | None = None
     boundary_vertex: np.ndarray | None = None
 
-    _cell_vertex_ids: list[np.ndarray] = field(default_factory=list, repr=False)
-
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_ptr) - 1
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
-
-    def cell_vertex_ids(self, ci: int) -> np.ndarray:
-        """Sorted unique vertex indices of cell ``ci`` (the local DoF order)."""
-        return self._cell_vertex_ids[ci]
+        return len(self.cell_ptr) - 1
 
     def total_volume(self) -> float:
         return float(self.cell_volume.sum())
@@ -204,8 +204,10 @@ def _assemble(
     stored, stored_lens = rows[first], lens[first]
     mesh = PolyMesh(
         vertices=np.asarray(vertices, dtype=float),
-        faces=[stored[f, :stored_lens[f]] for f in range(len(first))],
-        cells=np.split(refs, np.cumsum(np.bincount(loop_cell, minlength=n_cells))[:-1]),
+        face_ptr=np.concatenate([[0], np.cumsum(stored_lens)]),
+        face_vertex=stored[np.arange(stored.shape[1]) < stored_lens[:, None]],
+        cell_ptr=np.searchsorted(loop_cell, np.arange(n_cells + 1)),
+        cell_face=refs,
         family=family,
         n=n,
     )
@@ -218,10 +220,8 @@ def _assemble(
 def _index_cells(mesh: PolyMesh) -> None:
     ref_cell, ref_face, _, c_ref, va, _ = _flat_corners(mesh)
     nv = mesh.n_vertices
-    cell, vid = np.divmod(np.unique(ref_cell[c_ref] * nv + va), nv)
-    mesh._cell_vertex_ids = np.split(
-        vid, np.cumsum(np.bincount(cell, minlength=mesh.n_cells))[:-1]
-    )
+    cell, mesh.cell_vertex = np.divmod(np.unique(ref_cell[c_ref] * nv + va), nv)
+    mesh.cell_vertex_ptr = np.searchsorted(cell, np.arange(mesh.n_cells + 1))
     mesh.boundary_face = np.bincount(ref_face, minlength=mesh.n_faces) == 1
     bv = np.zeros(nv, dtype=bool)
     bv[va[mesh.boundary_face[ref_face[c_ref]]]] = True
@@ -234,30 +234,33 @@ def _concat_index(lens: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) - np.repeat(ends - lens, lens)
 
 
+def _segments_by_length(ptr: np.ndarray):
+    """Per segment length m of CSR pointer ``ptr``: segments ``idx``, positions ``at`` (., m)."""
+    lens = np.diff(ptr)
+    for m in np.unique(lens):
+        idx = np.nonzero(lens == m)[0]
+        yield idx, ptr[idx, None] + np.arange(m)
+
+
 def _flat_corners(mesh: PolyMesh):
     """Flat (cell, face, sign, corner vertex, next vertex) arrays over all face refs."""
-    counts = np.array([len(refs) for refs in mesh.cells])
-    flat_refs = np.concatenate(mesh.cells)
-    ref_cell = np.repeat(np.arange(mesh.n_cells), counts)
-    ref_face = np.abs(flat_refs) - 1
-    ref_sign = np.sign(flat_refs)
+    ref_cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+    ref_face = np.abs(mesh.cell_face) - 1
+    ref_sign = np.sign(mesh.cell_face)
 
-    lengths = np.array([len(l) for l in mesh.faces])
-    faces_flat = np.concatenate(mesh.faces)
-    face_start = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    c_lens = lengths[ref_face]
-    c_ref = np.repeat(np.arange(len(flat_refs)), c_lens)
+    c_lens = np.diff(mesh.face_ptr)[ref_face]
+    c_ref = np.repeat(np.arange(len(ref_face)), c_lens)
     pos = _concat_index(c_lens)
-    start = face_start[ref_face][c_ref]
-    va = faces_flat[start + pos]
-    vb = faces_flat[start + (pos + 1) % c_lens[c_ref]]
+    start = mesh.face_ptr[ref_face][c_ref]
+    va = mesh.face_vertex[start + pos]
+    vb = mesh.face_vertex[start + (pos + 1) % c_lens[c_ref]]
     return ref_cell, ref_face, ref_sign, c_ref, va, vb
 
 
 def validate_topology(mesh: PolyMesh) -> None:
     """Check that every cell is a closed, oriented surface and face-use counts."""
     nf = mesh.n_faces
-    refs = np.concatenate(mesh.cells)
+    refs = mesh.cell_face
     fi = np.abs(refs) - 1
     out = (fi < 0) | (fi >= nf)
     if out.any():
@@ -323,10 +326,8 @@ def compute_geometry(mesh: PolyMesh) -> PolyMesh:
     f_area = np.zeros(nf)
     f_diam = np.zeros(nf)
 
-    lengths = np.array([len(l) for l in mesh.faces])
-    for m in np.unique(lengths):
-        idx = np.nonzero(lengths == m)[0]
-        P = V[np.array([mesh.faces[i] for i in idx])]          # (F, m, 3)
+    for idx, at in _segments_by_length(mesh.face_ptr):
+        P = V[mesh.face_vertex[at]]                            # (F, m, 3)
         r = P - P.mean(axis=1, keepdims=True)
         cr = np.cross(r, np.roll(r, -1, axis=1))
         nrm = 0.5 * cr.sum(axis=1)
@@ -348,10 +349,8 @@ def compute_geometry(mesh: PolyMesh) -> PolyMesh:
         f_diam[idx] = np.sqrt(d2.reshape(len(idx), -1).max(axis=1))
 
     # cell vertex means
-    vcounts = np.array([len(ids) for ids in mesh._cell_vertex_ids])
-    vptr = np.concatenate([[0], np.cumsum(vcounts)])
-    vflat = np.concatenate(mesh._cell_vertex_ids)
-    p0 = np.add.reduceat(V[vflat], vptr[:-1], axis=0) / vcounts[:, None]
+    vptr = mesh.cell_vertex_ptr
+    p0 = np.add.reduceat(V[mesh.cell_vertex], vptr[:-1], axis=0) / np.diff(vptr)[:, None]
 
     ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
     n_out = f_normal[ref_face] * ref_sign[:, None]
@@ -388,9 +387,8 @@ def compute_geometry(mesh: PolyMesh) -> PolyMesh:
     c_centroid = moment / tet_total[:, None]
 
     c_diam = np.zeros(nc)
-    for m in np.unique(vcounts):
-        idx = np.nonzero(vcounts == m)[0]
-        pts = V[np.array([mesh._cell_vertex_ids[i] for i in idx])]  # (C, m, 3)
+    for idx, at in _segments_by_length(vptr):
+        pts = V[mesh.cell_vertex[at]]                          # (C, m, 3)
         d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(axis=3)
         c_diam[idx] = np.sqrt(d2.reshape(len(idx), -1).max(axis=1))
 
@@ -715,18 +713,20 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
 
 def save_mesh(mesh: PolyMesh, path) -> None:
     """Write the VPM text format (version 1), coordinates at 17 significant digits."""
-    lines = ["vpm 1"]
-    lines.append(f"vertices {mesh.n_vertices}")
-    for v in mesh.vertices:
-        lines.append(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    lines.append(f"faces {mesh.n_faces}")
-    for loop in mesh.faces:
-        lines.append(f"{len(loop)} " + " ".join(str(int(i)) for i in loop))
-    lines.append(f"cells {mesh.n_cells}")
-    for refs in mesh.cells:
-        lines.append(f"{len(refs)} " + " ".join(str(int(r)) for r in refs))
+    lines = ["vpm 1", f"vertices {mesh.n_vertices}"]
+    lines += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in mesh.vertices]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write(f"faces {mesh.n_faces}\n" + _records(mesh.face_ptr, mesh.face_vertex))
+        fh.write(f"cells {mesh.n_cells}\n" + _records(mesh.cell_ptr, mesh.cell_face))
+
+
+def _records(ptr: np.ndarray, values: np.ndarray) -> str:
+    """One line per CSR segment: its length, then its entries."""
+    tokens = np.insert(values, ptr[:-1], np.diff(ptr)).astype(str).astype(object)
+    sep = np.full(len(tokens), " ", dtype=object)
+    sep[ptr[1:] + np.arange(len(ptr) - 1)] = "\n"     # after the last token of each line
+    return "".join(tokens + sep)
 
 
 class _LineReader:
@@ -761,6 +761,25 @@ def _parse_count(reader: _LineReader, keyword: str) -> int:
     return count
 
 
+def _parse_records(reader: _LineReader, kind: str, count: int, check):
+    """CSR arrays and line numbers of ``count`` records ``m e1 ... em``, vetted by ``check``."""
+    lens, entries, lines = [], [], []
+    for i in range(count):
+        parts = reader.next(f"{kind} {i}").split()
+        try:
+            vals = [int(p) for p in parts]
+        except ValueError:
+            raise VpmParseError(f"{kind} record {i}: bad integer", reader.line_no) from None
+        if len(vals) < 1 or len(vals) != vals[0] + 1:
+            raise VpmParseError(f"{kind} record {i}: count mismatch", reader.line_no)
+        if message := check(vals[1:]):
+            raise VpmParseError(f"{kind} record {i}: {message}", reader.line_no)
+        lens.append(vals[0])
+        entries += vals[1:]
+        lines.append(reader.line_no)
+    return np.cumsum([0] + lens), np.array(entries, dtype=np.int64), lines
+
+
 def load_mesh(path) -> PolyMesh:
     """Parse a VPM file; malformed records raise :class:`VpmParseError` with line numbers."""
     with open(path) as fh:
@@ -782,46 +801,25 @@ def load_mesh(path) -> PolyMesh:
             raise VpmParseError(f"vertex {i}: bad coordinate", reader.line_no) from None
 
     nf = _parse_count(reader, "faces")
-    faces: list[np.ndarray] = []
-    for i in range(nf):
-        parts = reader.next(f"face {i}").split()
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise VpmParseError(f"face record {i}: bad integer", reader.line_no) from None
-        if len(vals) < 1 or len(vals) != vals[0] + 1:
-            raise VpmParseError(f"face record {i}: count mismatch", reader.line_no)
-        loop = np.array(vals[1:], dtype=np.int64)
+
+    def bad_loop(loop):
         if len(loop) < 3:
-            raise VpmParseError(f"face record {i}: fewer than 3 vertices", reader.line_no)
-        if loop.min() < 0 or loop.max() >= nv:
-            raise VpmParseError(
-                f"face record {i}: vertex index {loop[np.argmax((loop < 0) | (loop >= nv))]} out of range",
-                reader.line_no,
-            )
-        faces.append(loop)
+            return "fewer than 3 vertices"
+        bad = [v for v in loop if v < 0 or v >= nv]
+        return bad and f"vertex index {bad[0]} out of range"
+
+    face_ptr, face_vertex, _ = _parse_records(reader, "face", nf, bad_loop)
 
     nc = _parse_count(reader, "cells")
     if nv == 0 or nf == 0 or nc == 0:
         raise VpmParseError("mesh must have at least one vertex, face, and cell", reader.line_no)
-    cells: list[np.ndarray] = []
-    cell_lines: list[int] = []
-    for i in range(nc):
-        parts = reader.next(f"cell {i}").split()
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise VpmParseError(f"cell record {i}: bad integer", reader.line_no) from None
-        if len(vals) < 1 or len(vals) != vals[0] + 1:
-            raise VpmParseError(f"cell record {i}: count mismatch", reader.line_no)
-        refs = np.array(vals[1:], dtype=np.int64)
-        if np.any(refs == 0) or np.any(np.abs(refs) > nf):
-            bad = refs[np.argmax((refs == 0) | (np.abs(refs) > nf))]
-            raise VpmParseError(f"cell record {i}: face index {bad} out of range", reader.line_no)
-        cells.append(refs)
-        cell_lines.append(reader.line_no)
 
-    mesh = PolyMesh(vertices=verts, faces=faces, cells=cells)
+    def bad_refs(refs):
+        bad = [r for r in refs if r == 0 or abs(r) > nf]
+        return bad and f"face index {bad[0]} out of range"
+
+    cell_ptr, cell_face, cell_lines = _parse_records(reader, "cell", nc, bad_refs)
+    mesh = PolyMesh(verts, face_ptr, face_vertex, cell_ptr, cell_face)
     _index_cells(mesh)
     try:
         validate_topology(mesh)

@@ -7,10 +7,12 @@ is fixed by matching the mean over the cell boundary.  Face integrals of the
 virtual functions equal those of their face projections, which are exact
 because edge traces are piecewise linear (trapezoid rule).
 
-:func:`build_projectors` builds all cells with array operations into one
-:class:`ProjectorGroup` per distinct DoF count n: the group's cells and their
-stacked ``vertex_ids`` (G, n), ``pi_nabla`` (G, 4, n), ``pi0_grad`` (G, 3, n)
-and ``stab_q`` (G, n, n), which batched assembly uses directly.
+:func:`face_integral_rows` holds these face integrals flat, aligned with the
+mesh's ``face_vertex``.  :func:`build_projectors` builds all cells with array
+operations into one :class:`ProjectorGroup` per distinct DoF count n: the
+group's cells and their stacked ``vertex_ids`` (G, n; each cell's
+``cell_vertex`` segment), ``pi_nabla`` (G, 4, n), ``pi0_grad`` (G, 3, n) and
+``stab_q`` (G, n, n), which batched assembly uses directly.
 """
 
 from __future__ import annotations
@@ -19,58 +21,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, PolyMesh, _concat_index, _flat_corners
+from .mesh import MeshError, PolyMesh, _concat_index, _flat_corners, _segments_by_length
 
 DEGENERATE_FACE_AREA = 1e-14
 
 
-def _face_rows_batch(mesh: PolyMesh, idx: np.ndarray) -> np.ndarray:
-    """Integral rows (F, m) of the faces ``idx``, which all have m vertices.
+def face_integral_rows(mesh: PolyMesh) -> np.ndarray:
+    """Integral rows of every face, aligned with ``mesh.face_vertex``.
 
-    The row of a face is |f| times the constant coefficient of the face
-    projection, fixed by matching the boundary mean of the virtual function.
+    Face fi's row, ``rows[mesh.face_ptr[fi]:mesh.face_ptr[fi + 1]]``, is |f|
+    times the constant coefficient of the face projection, fixed by matching
+    the boundary mean of the virtual function.  Faces of one loop length are
+    computed in one batch.
     """
-    if np.any(mesh.face_area[idx] < DEGENERATE_FACE_AREA):
-        fi = idx[int(np.argmax(mesh.face_area[idx] < DEGENERATE_FACE_AREA))]
-        raise MeshError(f"degenerate face {fi} (area {mesh.face_area[fi]:.3e})")
-    P = mesh.vertices[np.array([mesh.faces[i] for i in idx])]     # (F, m, 3)
-    n_hat = mesh.face_normal[idx]
-    area = mesh.face_area[idx]
+    rows = np.empty(len(mesh.face_vertex))
+    for idx, at in _segments_by_length(mesh.face_ptr):
+        area = mesh.face_area[idx]
+        if np.any(area < DEGENERATE_FACE_AREA):
+            fi = idx[int(np.argmax(area < DEGENERATE_FACE_AREA))]
+            raise MeshError(f"degenerate face {fi} (area {mesh.face_area[fi]:.3e})")
+        P = mesh.vertices[mesh.face_vertex[at]]                      # (F, m, 3)
+        edge_vec = np.roll(P, -1, axis=1) - P
+        edge_len = np.linalg.norm(edge_vec, axis=2)
+        edge_out = np.cross(edge_vec / edge_len[:, :, None], mesh.face_normal[idx][:, None, :])
 
-    edge_vec = np.roll(P, -1, axis=1) - P
-    edge_len = np.linalg.norm(edge_vec, axis=2)
-    edge_out = np.cross(edge_vec / edge_len[:, :, None], n_hat[:, None, :])
+        # trapezoid weights along the boundary
+        w_bnd = 0.5 * (edge_len + np.roll(edge_len, 1, axis=1))
 
-    # trapezoid weights along the boundary
-    w_bnd = 0.5 * (edge_len + np.roll(edge_len, 1, axis=1))
+        # per-vertex accumulation of the edge-flux rows:
+        # |f| grad = sum_e |e| (v_a+v_b)/2 n_e
+        c = 0.5 * edge_len[:, :, None] * edge_out
+        flux_rows = c + np.roll(c, 1, axis=1)                        # (F, m, 3)
 
-    # per-vertex accumulation of the edge-flux rows:
-    # |f| grad = sum_e |e| (v_a+v_b)/2 n_e
-    c = 0.5 * edge_len[:, :, None] * edge_out
-    flux_rows = c + np.roll(c, 1, axis=1)                            # (F, m, 3)
-
-    # boundary integral of the linear part (x - x_f).grad, per DoF
-    bnd_moment = np.einsum("fm,fmj->fj", w_bnd, P - mesh.face_centroid[idx][:, None, :])
-    lin = np.einsum("fj,fmj->fm", bnd_moment, flux_rows) / area[:, None]
-    perimeter = edge_len.sum(axis=1)
-    return area[:, None] * (w_bnd - lin) / perimeter[:, None]
-
-
-class FaceProjectorTable:
-    """Integral rows of every face, flat in the order of the concatenated loops.
-
-    ``integral_row[start[fi]:start[fi + 1]]`` holds face ``fi``'s row; the
-    rows are computed in one batch per loop length.
-    """
-
-    def __init__(self, mesh: PolyMesh):
-        lengths = np.array([len(l) for l in mesh.faces])
-        self.start = np.concatenate([[0], np.cumsum(lengths)])
-        self.integral_row = np.empty(self.start[-1])
-        for m in np.unique(lengths):
-            idx = np.nonzero(lengths == m)[0]
-            rows = _face_rows_batch(mesh, idx)
-            self.integral_row[self.start[idx][:, None] + np.arange(m)] = rows
+        # boundary integral of the linear part (x - x_f).grad, per DoF
+        bnd_moment = np.einsum("fm,fmj->fj", w_bnd, P - mesh.face_centroid[idx][:, None, :])
+        lin = np.einsum("fj,fmj->fm", bnd_moment, flux_rows) / area[:, None]
+        perimeter = edge_len.sum(axis=1)
+        rows[at] = area[:, None] * (w_bnd - lin) / perimeter[:, None]
+    return rows
 
 
 @dataclass
@@ -125,18 +113,17 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     both sums run over flat arrays of all face-vertex corners, accumulated
     with ``bincount`` in (cell, face) order.
     """
-    table = FaceProjectorTable(mesh)
+    rows = face_integral_rows(mesh)
     ref_cell, ref_face, ref_sign, c_ref, va, _ = _flat_corners(mesh)
     corner_cell = ref_cell[c_ref]
-    # (cell, vertex) keys; sorted, they give each cell's local DoF order
+    # each cell's sorted (cell, vertex) keys give its local DoF order
     nv = mesh.n_vertices
-    corner_key = corner_cell * nv + va
-    keys = np.unique(corner_key)
-    n_dofs = np.bincount(keys // nv, minlength=mesh.n_cells)
-    first = np.concatenate([[0], np.cumsum(n_dofs)])
-    slot = np.searchsorted(keys, corner_key) - first[corner_cell]
+    first = mesh.cell_vertex_ptr
+    n_dofs = np.diff(first)
+    keys = np.repeat(np.arange(mesh.n_cells), n_dofs) * nv + mesh.cell_vertex
+    slot = np.searchsorted(keys, corner_cell * nv + va) - first[corner_cell]
     # each corner's entry of its face's integral row (corner k of a loop is entry k)
-    w = table.integral_row[table.start[ref_face][c_ref] + _concat_index(np.bincount(c_ref))]
+    w = rows[mesh.face_ptr[ref_face][c_ref] + _concat_index(np.bincount(c_ref))]
 
     # boundary integral rows, flat (cell, slot)
     dof_bin = first[corner_cell] + slot
@@ -153,10 +140,9 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     ])
 
     groups = []
-    for n in np.unique(n_dofs):
-        cells = np.nonzero(n_dofs == n)[0]
-        at = first[cells][:, None] + np.arange(n)
-        vids = keys[at] - cells[:, None] * nv
+    for cells, at in _segments_by_length(first):
+        n = at.shape[1]
+        vids = mesh.cell_vertex[at]
         h = mesh.cell_diameter[cells]
         xe = mesh.cell_centroid[cells]
         g3 = (3 * first[cells])[:, None] + np.arange(3 * n)

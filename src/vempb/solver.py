@@ -96,12 +96,16 @@ class Workspace:
     # -- physics cache ---------------------------------------------------
 
     def _attach(self, physics: PhysicsConfig) -> None:
+        """Evaluate the level set once per physics; kappa_bar^2 > 0 only on ``solvent``."""
         if self._physics is physics:
             return
-        self.kappa2 = physics.kappa_bar_sq(self.points)
-        self.act = np.nonzero(self.kappa2 > 0)[0]
-        self.G_act = physics.coulomb_potential(self.points[self.act]) if len(self.act) else None
+        self.solvent = physics.solvent_mask(self.points)
+        screened = physics.kappa_bar_sq_solvent > 0 and self.solvent.any()
+        self.G_solvent = physics.coulomb_potential(self.points[self.solvent]) if screened else None
         self._physics = physics
+
+    def _epsilon(self, physics: PhysicsConfig) -> np.ndarray:
+        return np.where(self.solvent, physics.eps_s, physics.eps_m)
 
     # -- assembly --------------------------------------------------------
 
@@ -111,7 +115,8 @@ class Workspace:
         The stabilization is scaled by h_E times the cell-averaged dielectric,
         which keeps the two parts spectrally comparable for any contrast.
         """
-        eps_int = self.cell_sums(self.weights * physics.epsilon(self.points))
+        self._attach(physics)
+        eps_int = self.cell_sums(self.weights * self._epsilon(physics))
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
         vals = []
         for grp in self.groups:
@@ -126,13 +131,16 @@ class Workspace:
             raise SolverError("non-finite stiffness entry")
         return sp.coo_matrix((vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
 
-    def _gather_rhs(self, per_cell_grad: np.ndarray, moments: np.ndarray | None) -> np.ndarray:
-        """F_i = g_i . vec_E + pi_nabla_i . mom_E scattered to global DoFs."""
+    def _gather_rhs(self, per_cell_grad, moments) -> np.ndarray:
+        """F_i = g_i . vec_E + pi_nabla_i . mom_E scattered to global DoFs (None parts omitted)."""
         F = np.zeros(self.mesh.n_vertices)
         for grp in self.groups:
-            contrib = np.einsum("gkn,gk->gn", grp.pi0_grad, per_cell_grad[grp.cells])
-            if moments is not None:
-                contrib += np.einsum("gan,ga->gn", grp.pi_nabla, moments[grp.cells])
+            if per_cell_grad is None:
+                contrib = np.einsum("gan,ga->gn", grp.pi_nabla, moments[grp.cells])
+            else:
+                contrib = np.einsum("gkn,gk->gn", grp.pi0_grad, per_cell_grad[grp.cells])
+                if moments is not None:
+                    contrib += np.einsum("gan,ga->gn", grp.pi_nabla, moments[grp.cells])
             F += np.bincount(
                 grp.vertex_ids.ravel(), weights=contrib.ravel(), minlength=self.mesh.n_vertices
             )
@@ -145,28 +153,28 @@ class Workspace:
             return self._gather_rhs(self._jump_flux(physics), None)
 
         if load.pointwise_rhs:
-            f = -physics.epsilon(self.points) * load.lap_u_exact(self.points)
-            mom = self.moments4(w * (f + self._exact_sinh(load)))
+            f = -self._epsilon(physics) * load.lap_u_exact(self.points)
+            mom = self.moments4(w * (f + self._exact_sinh(physics, load)))
             return self._gather_rhs(self._jump_flux(physics), mom)
 
         flux = self.cell_sums(
-            (w * physics.epsilon(self.points))[:, None] * load.grad_u_exact(self.points)
+            (w * self._epsilon(physics))[:, None] * load.grad_u_exact(self.points)
         )
-        return self._gather_rhs(flux, self.moments4(w * self._exact_sinh(load)))
+        return self._gather_rhs(flux, self.moments4(w * self._exact_sinh(physics, load)))
 
-    def _exact_sinh(self, load: LoadSpec) -> np.ndarray:
+    def _exact_sinh(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """kappa_bar^2 sinh(u_exact + G) at every node, zero where kappa_bar vanishes."""
         s = np.zeros(len(self.weights))
-        if len(self.act):
-            s[self.act] = self.kappa2[self.act] * np.sinh(
-                load.u_exact(self.points[self.act]) + self.G_act
+        if self.G_solvent is not None:
+            s[self.solvent] = physics.kappa_bar_sq_solvent * np.sinh(
+                load.u_exact(self.points[self.solvent]) + self.G_solvent
             )
         return s
 
     def _jump_flux(self, physics: PhysicsConfig) -> np.ndarray:
         """Per-cell integral of -(eps - eps_m) grad G over the solvent points."""
         vec = np.zeros_like(self.points)
-        solvent = physics.solvent_mask(self.points)
+        solvent = self.solvent
         if solvent.any():
             vec[solvent] = (
                 -(physics.eps_s - physics.eps_m)
@@ -186,27 +194,23 @@ class Workspace:
         """Global screened-sinh residual and (optionally) its Jacobian."""
         self._attach(physics)
         n = self.mesh.n_vertices
-        if not len(self.act):
+        if self.G_solvent is None:
             B = np.zeros(n)
             return B, (sp.csr_matrix((n, n)) if with_jacobian else None)
-        arg = self.projected_values(u)[self.act] + self.G_act
+        arg = self.projected_values(u)[self.solvent] + self.G_solvent
         amax = float(np.abs(arg).max())
         if amax > SINH_ARG_LIMIT:
             raise NonlinearOverflow(
                 f"sinh argument {amax:.3g} exceeds {SINH_ARG_LIMIT:g}"
             )
-        wk = self.weights[self.act] * self.kappa2[self.act]
+        wk = self.weights[self.solvent] * physics.kappa_bar_sq_solvent
         s = np.zeros(len(self.weights))
-        s[self.act] = wk * np.sinh(arg)
-        mom = self.moments4(s)
-        B = np.zeros(n)
-        for grp in self.groups:
-            contrib = np.einsum("gan,ga->gn", grp.pi_nabla, mom[grp.cells])
-            B += np.bincount(grp.vertex_ids.ravel(), weights=contrib.ravel(), minlength=n)
+        s[self.solvent] = wk * np.sinh(arg)
+        B = self._gather_rhs(None, self.moments4(s))
         if not with_jacobian:
             return B, None
 
-        s[self.act] = wk * np.cosh(arg)
+        s[self.solvent] = wk * np.cosh(arg)
         M = np.empty((self.mesh.n_cells, 4, 4))
         for i in range(4):
             for j in range(i, 4):

@@ -5,13 +5,15 @@ polytope moments come from the divergence-theorem recursion (face and edge
 reductions ending in 1D Gauss), the linear finite element stiffness of a
 tetrahedron from barycentric gradients, clipped Voronoi cells from
 half-space clipping of the unit cube, seed by seed, and interface flags from
-a loop over the cells.  ``cell_faces`` and ``cell_face_loops`` give one
-cell's signed faces and outward vertex loops, and ``mesh_quality_per_cell``,
-the reference for the batched ``check_mesh_assumptions``, walks the faces
-and the cells one by one.  The cell-by-cell references of batched library
-code start from library face data: ``cell_projector_reference``, the
-reference for ``build_projectors``, sums one cell's face integral rows from
-``FaceProjectorTable``; the element stiffness, the reference for the batched
+a loop over the cells.  ``face_loop``, ``cell_faces``, ``cell_vertex_ids``
+and ``cell_face_loops`` slice one face's vertex loop, one cell's signed
+faces, sorted vertices and outward vertex loops out of the mesh's CSR
+arrays, and ``mesh_quality_per_cell``, the reference for the batched
+``check_mesh_assumptions``, walks the faces and the cells one by one.  The
+cell-by-cell references of batched library code start from library face
+data: ``cell_projector_reference``, the reference for ``build_projectors``,
+sums one cell's face integral rows from ``face_integral_rows``; the element
+stiffness, the reference for the batched
 ``Workspace.stiffness``, and the reference-error loop, the reference for the
 batched ``compare_to_reference``, work on nodes from ``mesh_quadrature``, the
 node builder that ``compare_to_reference`` and the solver use, with
@@ -27,19 +29,30 @@ from scipy.spatial import cKDTree
 
 from vempb.mesh import KUHN_PERMUTATIONS, MeshError
 from vempb.polybasis import mesh_quadrature
-from vempb.projectors import FaceProjectorTable
+from vempb.projectors import face_integral_rows
+
+
+def face_loop(mesh, fi):
+    """Vertex loop of face ``fi`` in its stored orientation."""
+    return mesh.face_vertex[mesh.face_ptr[fi]:mesh.face_ptr[fi + 1]]
+
+
+def cell_vertex_ids(mesh, ci):
+    """Sorted unique vertex indices of cell ``ci`` (the local DoF order)."""
+    return mesh.cell_vertex[mesh.cell_vertex_ptr[ci]:mesh.cell_vertex_ptr[ci + 1]]
 
 
 def cell_faces(mesh, ci):
     """Face indices of cell ``ci`` with outward-orientation signs (+1/-1)."""
-    return [(abs(int(r)) - 1, 1 if r > 0 else -1) for r in mesh.cells[ci]]
+    refs = mesh.cell_face[mesh.cell_ptr[ci]:mesh.cell_ptr[ci + 1]]
+    return [(abs(int(r)) - 1, 1 if r > 0 else -1) for r in refs]
 
 
 def cell_face_loops(mesh, ci):
     """Vertex loops of cell ``ci`` oriented outward (signs applied)."""
     loops = []
     for fi, sgn in cell_faces(mesh, ci):
-        loop = mesh.faces[fi]
+        loop = face_loop(mesh, fi)
         loops.append(loop.copy() if sgn > 0 else loop[::-1].copy())
     return loops
 
@@ -49,8 +62,8 @@ def mesh_quality_per_cell(mesh):
     V = mesh.vertices
     min_ef = np.inf
     star_fail_faces = 0
-    for fi, loop in enumerate(mesh.faces):
-        P = V[loop]
+    for fi in range(mesh.n_faces):
+        P = V[face_loop(mesh, fi)]
         e = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
         min_ef = min(min_ef, e.min() / mesh.face_diameter[fi])
         r = P - mesh.face_centroid[fi]
@@ -65,7 +78,7 @@ def mesh_quality_per_cell(mesh):
         ok = True
         for fi, sgn in cell_faces(mesh, ci):
             min_fE = min(min_fE, mesh.face_diameter[fi] / mesh.cell_diameter[ci])
-            loop = mesh.faces[fi] if sgn > 0 else mesh.faces[fi][::-1]
+            loop = face_loop(mesh, fi) if sgn > 0 else face_loop(mesh, fi)[::-1]
             P = V[loop]
             tv = np.cross(P - xe, np.roll(P, -1, axis=0) - xe) @ (mesh.face_centroid[fi] - xe)
             if np.any(tv <= 0):
@@ -128,7 +141,7 @@ def cell_monomial_integral(mesh, ci, alpha, cache=None):
     alpha = tuple(int(a) for a in alpha)
     total = 0.0
     for fi, sgn in cell_faces(mesh, ci):
-        P = mesh.vertices[mesh.faces[fi]]
+        P = mesh.vertices[face_loop(mesh, fi)]
         n_hat = sgn * mesh.face_normal[fi]
         loop = P if sgn > 0 else P[::-1]
         d = mesh.face_centroid[fi] @ n_hat
@@ -343,14 +356,15 @@ CellProjectorReference = namedtuple(
 )
 
 
-def cell_projector_reference(mesh, ci, face_table):
+def cell_projector_reference(mesh, ci, integral_rows):
     """Projector matrices of one cell, summed face by face from its integral rows.
 
-    ``face_rows`` holds each face's integral row spread over the cell's local
-    DoFs (its sorted vertex ids); ``dof_matrix`` the values of
-    {1, xi1, xi2, xi3} at the vertices, xi = (x - x_E)/h_E.
+    ``integral_rows`` is ``face_integral_rows(mesh)``.  ``face_rows`` holds
+    each face's integral row spread over the cell's local DoFs (its sorted
+    vertex ids); ``dof_matrix`` the values of {1, xi1, xi2, xi3} at the
+    vertices, xi = (x - x_E)/h_E.
     """
-    vids = mesh.cell_vertex_ids(ci)
+    vids = cell_vertex_ids(mesh, ci)
     xe, h = mesh.cell_centroid[ci], mesh.cell_diameter[ci]
     grad_rows = np.zeros((3, len(vids)))   # |E| * averaged gradient
     bnd_rows = np.zeros(len(vids))         # integral of v over the cell boundary
@@ -359,8 +373,8 @@ def cell_projector_reference(mesh, ci, face_table):
     face_rows = []
     for fi, sgn in cell_faces(mesh, ci):
         row = np.zeros(len(vids))
-        row[np.searchsorted(vids, mesh.faces[fi])] = face_table.integral_row[
-            face_table.start[fi]:face_table.start[fi + 1]
+        row[np.searchsorted(vids, face_loop(mesh, fi))] = integral_rows[
+            mesh.face_ptr[fi]:mesh.face_ptr[fi + 1]
         ]
         face_rows.append(row)
         grad_rows += sgn * np.outer(mesh.face_normal[fi], row)
@@ -378,16 +392,16 @@ def cell_projector_reference(mesh, ci, face_table):
 
 def reference_errors_per_cell(coarse_mesh, u_h, fine_mesh, u_ref):
     """L2 and H1 errors of u_h against the projected fine field, one coarse cell at a time."""
-    fine_table = FaceProjectorTable(fine_mesh)
-    fine = [cell_projector_reference(fine_mesh, ci, fine_table) for ci in range(fine_mesh.n_cells)]
+    fine_rows = face_integral_rows(fine_mesh)
+    fine = [cell_projector_reference(fine_mesh, ci, fine_rows) for ci in range(fine_mesh.n_cells)]
     coeffs = np.array([p.pi_nabla @ u_ref[p.vertex_ids] for p in fine])
     grads = np.array([p.pi0_grad @ u_ref[p.vertex_ids] for p in fine])
-    coarse_table = FaceProjectorTable(coarse_mesh)
+    coarse_rows = face_integral_rows(coarse_mesh)
     points, weights, _, _, cell_ptr = mesh_quadrature(coarse_mesh)
     total_l2 = 0.0
     total_h1 = 0.0
     for ci in range(coarse_mesh.n_cells):
-        proj = cell_projector_reference(coarse_mesh, ci, coarse_table)
+        proj = cell_projector_reference(coarse_mesh, ci, coarse_rows)
         nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
         pts, w = points[nodes], weights[nodes]
         fid = _locate_structured_loop(fine_mesh, pts)
@@ -423,7 +437,7 @@ def interface_flags_per_cell(mesh, levelset):
     flags = np.zeros(mesh.n_cells, dtype=bool)
     for ci in range(mesh.n_cells):
         vals = np.concatenate([
-            phi_v[mesh.cell_vertex_ids(ci)],
+            phi_v[cell_vertex_ids(mesh, ci)],
             phi_f[[fi for fi, _ in cell_faces(mesh, ci)]],
             [phi_c[ci]],
         ])

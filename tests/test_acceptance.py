@@ -14,7 +14,7 @@ import vempb as vp
 from vempb.polybasis import mesh_quadrature
 from vempb.solver import Workspace
 
-from _oracles import p1_tet_stiffness
+from _oracles import cell_vertex_ids, p1_tet_stiffness
 from test_forms import random_tet_mesh
 
 
@@ -164,7 +164,7 @@ def test_criterion_8_monotonicity():
             phi = phys.levelset(m.vertices)
             points, weights, _, _, cell_ptr = mesh_quadrature(m)
             for ci in range(m.n_cells):
-                if phi[m.cell_vertex_ids(ci)].min() > 0:   # strictly in the solvent
+                if phi[cell_vertex_ids(m, ci)].min() > 0:   # strictly in the solvent
                     nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
                     pool.append((points[nodes], weights[nodes]))
         assert len(pool) >= 100

@@ -84,3 +84,13 @@ def test_workload_calls_bind_to_current_signatures():
     ]
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_setup_counts_read_current_fields():
+    """The mesh and Workspace fields ``workloads.setup_counts`` reads for every case."""
+    mesh = vempb.mesh.generate_cube_mesh(2)
+    ws = vempb.solver.Workspace(mesh)
+    counts = (mesh.n_cells, mesh.n_faces, len(ws.groups), len(ws.weights),
+              _load_tracer().quad_bytes(ws))
+    # 8 cubes, 36 faces, one 8-DoF group, 8 cells * 24 cone tetrahedra * 14 nodes
+    assert counts == (8, 36, 1, 2688, 172104)

@@ -110,6 +110,13 @@ def test_empty_solver_section_builds_default_newton_config(tmp_path):
     assert cli.build_newton(cli.load_config(cfg)) == vp.NewtonConfig()
 
 
+def test_empty_physics_section_builds_default_physics_config(tmp_path):
+    cfg = write_config(tmp_path / "c.json", physics={})
+    got, want = cli.build_physics(cli.load_config(cfg)), vp.PhysicsConfig()
+    for name in ("eps_m", "eps_s", "kappa", "charges"):
+        assert getattr(got, name) == getattr(want, name)
+
+
 def test_study_two_levels(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",

@@ -12,6 +12,7 @@ from _oracles import (
     cell_monomial_integral,
     clipped_voronoi_cells,
     cone_volume_centroid,
+    face_loop,
     interface_flags_per_cell,
     merged_vertex_count,
     mesh_quality_per_cell,
@@ -103,7 +104,7 @@ def test_voronoi_two_seed_split():
     # the shared face is the plane x = 0.5
     interior = np.nonzero(~m.boundary_face)[0]
     assert len(interior) == 1
-    assert np.allclose(m.vertices[m.faces[interior[0]]][:, 0], 0.5, atol=1e-14)
+    assert np.allclose(m.vertices[face_loop(m, interior[0])][:, 0], 0.5, atol=1e-14)
 
 
 def test_voronoi_degenerate_cell_reports_seed():
@@ -130,7 +131,7 @@ def assert_matches_oracle(m, seeds):
     assert m.n_vertices == merged_vertex_count(np.concatenate(loops))
     for ci, (faces, seed) in enumerate(zip(ref, seeds)):
         # one cell per seed, in seed order
-        assert len(m.cells[ci]) == len(faces)
+        assert len(cell_faces(m, ci)) == len(faces)
         vol, centroid = cone_volume_centroid(faces, seed)
         assert abs(m.cell_volume[ci] - vol) <= 1e-12
         assert np.abs(m.cell_centroid[ci] - centroid).max() <= 1e-12
@@ -164,11 +165,14 @@ def test_voronoi_special_seeds_match_clipping_oracle(seeds):
          "7ee5b6715e0831f13862a90c5e8e2b2fa3aea39fe5c0dab2df130d46fe3ac56f"),
         (lambda: vp.generate_tet_mesh(2),
          "af8325df7f666295f3cd0336d785d789caa117dd1a08ef5f3b7d8ffd839150b1"),
+        (lambda: vp.generate_voronoi_mesh(200, 5),
+         "3efa03410490636c73771fc86dca3ec4188619ea344fa41d3f63782b65a960e7"),
     ],
 )
 def test_structured_meshes_unchanged(make, digest, tmp_path):
-    # digests of the files written before the generators were vectorised; the
-    # Kuhn cell order also feeds the structured point locator in analysis
+    # digests of the files written before the generators were vectorised (the
+    # Voronoi one before the mesh topology moved to CSR arrays); the Kuhn
+    # cell order also feeds the structured point locator in analysis
     path = tmp_path / "m.vpm"
     vp.save_mesh(make(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -224,10 +228,10 @@ def test_interior_faces_used_twice_with_opposite_signs():
     m = vp.generate_cube_mesh(2)
     use = np.zeros(m.n_faces, dtype=int)
     sign = np.zeros(m.n_faces, dtype=int)
-    for refs in m.cells:
-        for r in refs:
-            use[abs(int(r)) - 1] += 1
-            sign[abs(int(r)) - 1] += np.sign(int(r))
+    for ci in range(m.n_cells):
+        for fi, sgn in cell_faces(m, ci):
+            use[fi] += 1
+            sign[fi] += sgn
     assert set(use) <= {1, 2}
     assert np.all(sign[use == 2] == 0)
     assert np.all(np.abs(sign[use == 1]) == 1)
@@ -237,8 +241,8 @@ def test_interior_faces_used_twice_with_opposite_signs():
 
 def test_face_planarity():
     m = vp.generate_voronoi_mesh(80, 2)
-    for fi, loop in enumerate(m.faces):
-        P = m.vertices[loop]
+    for fi in range(m.n_faces):
+        P = m.vertices[face_loop(m, fi)]
         dev = np.abs((P - m.face_centroid[fi]) @ m.face_normal[fi]).max()
         assert dev <= 1e-10
 
@@ -409,7 +413,7 @@ def test_quality_star_failures_match_per_cell_oracle():
     m = vp.generate_cube_mesh(2)
     fc = m.face_centroid.copy()
     for fi in (0, 5, 17):
-        corner = m.vertices[m.faces[fi][0]]
+        corner = m.vertices[face_loop(m, fi)[0]]
         fc[fi] = corner + 2.0 * (corner - fc[fi])   # in the face plane, outside the face
     cc = m.cell_centroid.copy()
     cc[[1, 6]] += 0.3                                # outside the cell
@@ -439,11 +443,8 @@ def test_roundtrip_exact():
         vp.save_mesh(m, path)
         m2 = vp.load_mesh(path)
     assert np.array_equal(m2.vertices, m.vertices)
-    assert len(m2.faces) == len(m.faces)
-    for a, b in zip(m2.faces, m.faces):
-        assert np.array_equal(a, b)
-    for a, b in zip(m2.cells, m.cells):
-        assert np.array_equal(a, b)
+    for name in ("face_ptr", "face_vertex", "cell_ptr", "cell_face"):
+        assert np.array_equal(getattr(m2, name), getattr(m, name))
 
 
 def test_roundtrip_voronoi_geometry(tmp_path):

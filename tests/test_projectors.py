@@ -1,11 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import vempb as vp
 from vempb.mesh import build_polymesh
-from vempb.projectors import FaceProjectorTable
+from vempb.projectors import face_integral_rows
 
-from _oracles import cell_faces, cell_projector_reference, face_monomial_integral, newell_normal
+from _oracles import (
+    cell_faces,
+    cell_projector_reference,
+    cell_vertex_ids,
+    face_loop,
+    face_monomial_integral,
+    newell_normal,
+)
 
 
 def _random_plane_polygon(rng, n_verts=5):
@@ -44,14 +53,13 @@ def _prism_mesh_from_polygon(pts, normal_shift=0.3):
 
 
 def _face_row(m, fi):
-    """Face ``fi``'s integral row, sliced out of the mesh's face table."""
-    table = FaceProjectorTable(m)
-    return table.integral_row[table.start[fi]:table.start[fi + 1]]
+    """Face ``fi``'s integral row, sliced out of the mesh's flat face rows."""
+    return face_integral_rows(m)[m.face_ptr[fi]:m.face_ptr[fi + 1]]
 
 
 def _linear_face_integral(m, fi, a0, a):
     """Exact integral of a0 + a.x over face ``fi`` (divergence recursion)."""
-    P, n_hat = m.vertices[m.faces[fi]], m.face_normal[fi]
+    P, n_hat = m.vertices[face_loop(m, fi)], m.face_normal[fi]
     alphas = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     moments = np.array([face_monomial_integral(P, n_hat, alpha) for alpha in alphas])
     return a0 * moments[0] + a @ moments[1:]
@@ -65,14 +73,14 @@ def test_face_random_pentagon_least_squares_oracle():
         m = _prism_mesh_from_polygon(pts)
         fi = 0  # the bottom pentagon
         a0, a = rng.normal(), rng.normal(size=3)
-        dofs = a0 + m.vertices[m.faces[fi]] @ a
+        dofs = a0 + m.vertices[face_loop(m, fi)] @ a
         assert np.allclose(_face_row(m, fi) @ dofs, _linear_face_integral(m, fi, a0, a), atol=1e-12)
 
 
 def test_face_integral_constant_and_linear():
     m = vp.generate_tet_mesh(1)
     fi = 0
-    nv = len(m.faces[fi])
+    nv = len(face_loop(m, fi))
     row = _face_row(m, fi)
     assert row @ np.ones(nv) == pytest.approx(m.face_area[fi], rel=1e-13)
     # linear field on a triangle integrates to area * mean of vertex values
@@ -86,7 +94,7 @@ def test_face_integral_matches_quadrature_on_random_quad():
     m = _prism_mesh_from_polygon(pts)
     fi = 0
     a0, a = rng.normal(), rng.normal(size=3)
-    dofs = a0 + m.vertices[m.faces[fi]] @ a
+    dofs = a0 + m.vertices[face_loop(m, fi)] @ a
     expect = _linear_face_integral(m, fi, a0, a)
     assert _face_row(m, fi) @ dofs == pytest.approx(expect, rel=1e-12)
 
@@ -95,7 +103,7 @@ def test_degenerate_face_rejected():
     m = vp.generate_cube_mesh(1)
     m.face_area[0] = 1e-16  # simulate a degenerate face record
     with pytest.raises(Exception, match="degenerate"):
-        FaceProjectorTable(m)
+        face_integral_rows(m)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +111,12 @@ def test_degenerate_face_rejected():
 
 
 def _per_cell(pairs):
-    """(mesh, cell, cell_projector_reference) per (mesh, cell) pair, one face table per mesh."""
-    tables = {}
+    """(mesh, cell, cell_projector_reference) per (mesh, cell) pair, one face-row array per mesh."""
+    rows = {}
     for m, ci in pairs:
-        if id(m) not in tables:
-            tables[id(m)] = FaceProjectorTable(m)
-        yield m, ci, cell_projector_reference(m, ci, tables[id(m)])
+        if id(m) not in rows:
+            rows[id(m)] = face_integral_rows(m)
+        yield m, ci, cell_projector_reference(m, ci, rows[id(m)])
 
 
 def test_cell_constant_reproduction(random_cells):
@@ -197,14 +205,36 @@ def test_stabilization_annihilates_linears(random_cells):
 def test_batched_builder_matches_per_cell_reference(make):
     m = make()
     projs = vp.build_projectors(m)
-    table = FaceProjectorTable(m)
-    n_dofs = {len(m.cell_vertex_ids(ci)) for ci in range(m.n_cells)}
+    rows = face_integral_rows(m)
+    n_dofs = {len(cell_vertex_ids(m, ci)) for ci in range(m.n_cells)}
     assert len(projs.groups) == len(n_dofs)
     cells = np.concatenate([grp.cells for grp in projs.groups])
     assert np.array_equal(np.sort(cells), np.arange(m.n_cells))
     for grp in projs.groups:
         for k, ci in enumerate(grp.cells):
-            ref = cell_projector_reference(m, ci, table)
+            ref = cell_projector_reference(m, ci, rows)
             assert np.array_equal(grp.vertex_ids[k], ref.vertex_ids)
             for name in ("pi_nabla", "pi0_grad", "stab_q"):
                 assert np.abs(getattr(grp, name)[k] - getattr(ref, name)).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: vp.generate_cube_mesh(3),
+         "6da2b9c91ff9aa7ac323bc515a15384fd10b2f33b2b903eeeb811d7af717a0de"),
+        (lambda: vp.generate_tet_mesh(2),
+         "e2ad59b7ec8b2b2512ba98a706082878286fd98a0101838f4294c05adbdfdc4e"),
+        (lambda: vp.generate_voronoi_mesh(64, 0),
+         "d3e55e6c3e7a0b439a03ef4d4df21bcde408e82bd1a35c8d645f83fc1a0035d2"),
+    ],
+    ids=["cube3", "tet2", "voronoi64"],
+)
+def test_projector_groups_unchanged(make, digest):
+    # digests of every group array built before the mesh topology moved to
+    # CSR arrays
+    h = hashlib.sha256()
+    for grp in vp.build_projectors(make()).groups:
+        for a in (grp.cells, grp.vertex_ids, grp.pi_nabla, grp.pi0_grad, grp.stab_q):
+            h.update(a.tobytes())
+    assert h.hexdigest() == digest

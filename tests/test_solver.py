@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import vempb as vp
 from vempb.polybasis import mesh_quadrature
-from vempb.projectors import FaceProjectorTable
+from vempb.projectors import face_integral_rows
 from vempb.solver import SolverError, Workspace, cg_solve, constrain_matrix
 
 from _oracles import cell_projector_reference, kkt_solve, local_stiffness
@@ -54,8 +54,8 @@ def test_assembly_matches_dense_scatter_oracle():
 def test_workspace_stiffness_matches_per_cell_scatter_cube4():
     m = vp.generate_cube_mesh(4)
     phys = vp.PhysicsConfig()
-    table = FaceProjectorTable(m)
-    refs = [cell_projector_reference(m, ci, table) for ci in range(m.n_cells)]
+    rows = face_integral_rows(m)
+    refs = [cell_projector_reference(m, ci, rows) for ci in range(m.n_cells)]
     per_cell = [(r.vertex_ids, r.pi0_grad, r.stab_q) for r in refs]
     A = Workspace(m).stiffness(phys)
     assert np.abs(A.toarray() - _dense_scatter_stiffness(m, phys, per_cell)).max() <= 1e-13
