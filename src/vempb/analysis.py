@@ -230,13 +230,15 @@ def compare_to_reference(
         fine_projectors = build_projectors(fine_mesh)
     coeffs, grads = fine_projectors.value_coeffs(u_ref), fine_projectors.gradients(u_ref)
 
+    ws = Workspace(coarse_mesh, coarse_projectors)
+    # error_norms evaluates both fields at ws.points, so their fine cells are located once
+    fid = _locate_structured(fine_mesh, ws.points)
+
     def ref_value(points):
-        fid = _locate_structured(fine_mesh, points)
         xi = (points - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
         return coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
 
     def ref_gradient(points):
-        return grads[_locate_structured(fine_mesh, points)]
+        return grads[fid]
 
-    ws = Workspace(coarse_mesh, coarse_projectors)
     return ws.error_norms(u_h, ref_value, ref_gradient)

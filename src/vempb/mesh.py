@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import Voronoi
@@ -122,26 +122,6 @@ class PolyMesh:
 
     def total_volume(self) -> float:
         return float(self.cell_volume.sum())
-
-
-def build_polymesh(
-    vertices: np.ndarray,
-    cell_loops: Sequence[Sequence[np.ndarray]],
-    family: str | None = None,
-    n: int | None = None,
-) -> PolyMesh:
-    """Assemble a mesh from per-cell outward-oriented vertex loops.
-
-    Shared faces are deduplicated; the second cell referencing a face must
-    supply it with the opposite cycle direction.  Faces are numbered by first
-    appearance and stored as first given.
-    """
-    loops = [np.asarray(loop, dtype=np.int64) for cell in cell_loops for loop in cell]
-    lens = np.array([len(loop) for loop in loops], dtype=np.int64)
-    rows = np.full((len(loops), lens.max()), -1, dtype=np.int64)
-    rows[np.repeat(np.arange(len(loops)), lens), _concat_index(lens)] = np.concatenate(loops)
-    loop_cell = np.repeat(np.arange(len(cell_loops)), [len(cell) for cell in cell_loops])
-    return _assemble(vertices, rows, lens, loop_cell, len(cell_loops), family, n)
 
 
 def _assemble(
@@ -815,6 +795,8 @@ def load_mesh(path) -> PolyMesh:
         raise VpmParseError("mesh must have at least one vertex, face, and cell", reader.line_no)
 
     def bad_refs(refs):
+        if not refs:
+            return "no face references"
         bad = [r for r in refs if r == 0 or abs(r) > nf]
         return bad and f"face index {bad[0]} out of range"
 

@@ -8,11 +8,9 @@ virtual functions equal those of their face projections, which are exact
 because edge traces are piecewise linear (trapezoid rule).
 
 :func:`face_integral_rows` holds these face integrals flat, aligned with the
-mesh's ``face_vertex``.  :func:`build_projectors` builds all cells with array
-operations into one :class:`ProjectorGroup` per distinct DoF count n: the
-group's cells and their stacked ``vertex_ids`` (G, n; each cell's
-``cell_vertex`` segment), ``pi_nabla`` (G, 4, n), ``pi0_grad`` (G, 3, n) and
-``stab_q`` (G, n, n), which batched assembly uses directly.
+mesh's ``face_vertex``.  :func:`build_projectors` sums them over all cells
+with array operations into sparse operators (:class:`CellProjectorSet`), so
+that every element form is a product of operators.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import MeshError, PolyMesh, _concat_index, _flat_corners, _segments_by_length
 
@@ -62,56 +61,63 @@ def face_integral_rows(mesh: PolyMesh) -> np.ndarray:
 
 
 @dataclass
-class ProjectorGroup:
-    """The cells with one DoF count n, their projector matrices stacked.
+class CellProjectorSet:
+    """Projectors of every cell as CSR operators on the local DoF vector ``gather @ u``.
 
-    ``pi_nabla`` maps the local DoFs to the coefficients on the scaled
-    monomials {1, xi1, xi2, xi3}, xi = (x - x_E)/h_E; ``pi0_grad`` to the
-    constant projected gradient; ``stab_q`` is I - D pi_nabla with D the
-    monomial values at the vertices, the DoF-space remainder the
-    stabilization acts on.  The L2 projector of the enhanced degree-1 space
-    coincides with pi_nabla.
+    The local DoF vector holds each cell's vertex values in its DoF order,
+    cell E at ``cell_vertex_ptr[E]:cell_vertex_ptr[E + 1]``.  ``pi``, ``grad``
+    and ``stab`` are block diagonal: cell E's rows span its local DoFs only.
+
+    - ``pi`` (4C, D): rows 4E..4E+3, the coefficients on the scaled monomials
+      {1, xi1, xi2, xi3}, xi = (x - x_E)/h_E; also the L2 projector of the
+      enhanced degree-1 space;
+    - ``grad`` (3C, D): rows 3E..3E+2, the constant projected gradient (rows
+      1..3 of ``pi`` divided by h_E);
+    - ``stab`` (D, D): rows of cell E's DoFs, I - D_E pi_E with D_E the
+      monomial values at the vertices, the remainder the stabilization acts on;
+    - ``gather`` (D, nv): the 0/1 map from vertex values to local DoFs.
+      ``gather.T @ K @ gather`` assembles block-diagonal element matrices K,
+      summed per cell before cells are summed.
     """
 
-    cells: np.ndarray            # (G,) cell indices, increasing
-    vertex_ids: np.ndarray       # (G, n) local DoF order (sorted vertex ids)
-    pi_nabla: np.ndarray         # (G, 4, n)
-    pi0_grad: np.ndarray         # (G, 3, n)
-    stab_q: np.ndarray           # (G, n, n)
-
-
-class CellProjectorSet:
-    """Projectors of every cell of a mesh, in one group per distinct DoF count."""
-
-    def __init__(self, mesh: PolyMesh, groups: list[ProjectorGroup]):
-        self.mesh = mesh
-        self.groups = groups
+    mesh: PolyMesh
+    pi: sp.csr_matrix
+    grad: sp.csr_matrix
+    stab: sp.csr_matrix
+    gather: sp.csr_matrix
 
     def __len__(self) -> int:
         return self.mesh.n_cells
 
     def value_coeffs(self, u: np.ndarray) -> np.ndarray:
         """Projected polynomial coefficients of the global field u per cell, (C, 4)."""
-        out = np.zeros((len(self), 4))
-        for grp in self.groups:
-            out[grp.cells] = np.einsum("gan,gn->ga", grp.pi_nabla, u[grp.vertex_ids])
-        return out
+        return (self.pi @ (self.gather @ u)).reshape(-1, 4)
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         """Projected gradient of the global field u per cell, (C, 3)."""
-        out = np.zeros((len(self), 3))
-        for grp in self.groups:
-            out[grp.cells] = np.einsum("gkn,gn->gk", grp.pi0_grad, u[grp.vertex_ids])
-        return out
+        return (self.grad @ (self.gather @ u)).reshape(-1, 3)
+
+
+def _cell_rows(first: np.ndarray, rows_per_cell) -> tuple[np.ndarray, np.ndarray]:
+    """CSR columns and row pointer of one block of rows per cell.
+
+    Cell E gets ``rows_per_cell`` (scalar or per cell) consecutive rows, each
+    over its local DoFs ``first[E]:first[E + 1]`` in order.
+    """
+    row_cell = np.repeat(np.arange(len(first) - 1), rows_per_cell)
+    row_len = np.diff(first)[row_cell]
+    ptr = np.concatenate([[0], np.cumsum(row_len)])
+    return np.arange(ptr[-1]) - np.repeat(ptr[:-1] - first[row_cell], row_len), ptr
 
 
 def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
-    """Projectors of every cell, stacked in one group per distinct DoF count.
+    """Projectors of every cell as the operators of :class:`CellProjectorSet`.
 
     Per cell, |E| pi0_grad is the signed sum of face normals times face
     integral rows, and the constant coefficient matches the boundary mean;
     both sums run over flat arrays of all face-vertex corners, accumulated
-    with ``bincount`` in (cell, face) order.
+    with ``bincount`` in (cell, face) order straight into the operators'
+    entry order (cell, row, local DoF).
     """
     rows = face_integral_rows(mesh)
     ref_cell, ref_face, ref_sign, c_ref, va, _ = _flat_corners(mesh)
@@ -120,7 +126,8 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     nv = mesh.n_vertices
     first = mesh.cell_vertex_ptr
     n_dofs = np.diff(first)
-    keys = np.repeat(np.arange(mesh.n_cells), n_dofs) * nv + mesh.cell_vertex
+    dof_cell = np.repeat(np.arange(mesh.n_cells), n_dofs)
+    keys = dof_cell * nv + mesh.cell_vertex
     slot = np.searchsorted(keys, corner_cell * nv + va) - first[corner_cell]
     # each corner's entry of its face's integral row (corner k of a loop is entry k)
     w = rows[mesh.face_ptr[ref_face][c_ref] + _concat_index(np.bincount(c_ref))]
@@ -128,33 +135,43 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     # boundary integral rows, flat (cell, slot)
     dof_bin = first[corner_cell] + slot
     bnd = np.bincount(dof_bin, weights=w, minlength=first[-1])
-    # |E| * gradient rows, flat (cell, component, slot)
-    grad_bin = (2 * first[corner_cell] + dof_bin)[:, None] + np.outer(n_dofs[corner_cell], range(3))
-    flux = (ref_sign[c_ref, None] * mesh.face_normal[ref_face[c_ref]]) * w[:, None]
+    # |E| * gradient rows, flat (cell, component, slot); grad_at[d, k] is DoF d's component k
+    dofs = np.arange(first[-1])
+    grad_at = (2 * first[dof_cell] + dofs)[:, None] + np.outer(n_dofs[dof_cell], range(3))
+    flux = (ref_sign[:, None] * mesh.face_normal[ref_face]).take(c_ref, axis=0) * w[:, None]
+    grad_bin = grad_at.take(dof_bin, axis=0)
     grad = np.bincount(grad_bin.ravel(), weights=flux.ravel(), minlength=3 * first[-1])
     area = mesh.face_area[ref_face]
     total_area = np.bincount(ref_cell, weights=area, minlength=mesh.n_cells)
     moment = area[:, None] * (mesh.face_centroid[ref_face] - mesh.cell_centroid[ref_cell])
-    poly_bnd = np.column_stack([
+    poly_bnd = np.vstack([
         np.bincount(ref_cell, weights=moment[:, k], minlength=mesh.n_cells) for k in range(3)
     ])
 
-    groups = []
-    for cells, at in _segments_by_length(first):
-        n = at.shape[1]
-        vids = mesh.cell_vertex[at]
-        h = mesh.cell_diameter[cells]
-        xe = mesh.cell_centroid[cells]
-        g3 = (3 * first[cells])[:, None] + np.arange(3 * n)
-        pi0_grad = grad[g3].reshape(-1, 3, n) / mesh.cell_volume[cells, None, None]
-        c_lin = h[:, None, None] * pi0_grad
-        c0 = bnd[at] - np.einsum("gk,gkn->gn", poly_bnd[cells] / h[:, None], c_lin)
-        c0 /= total_area[cells, None]
-        pi_nabla = np.concatenate([c0[:, None, :], c_lin], axis=1)
-        dof_matrix = np.concatenate(
-            [np.ones((len(cells), n, 1)), (mesh.vertices[vids] - xe[:, None]) / h[:, None, None]],
-            axis=2,
-        )
-        stab_q = np.eye(n) - np.matmul(dof_matrix, pi_nabla)
-        groups.append(ProjectorGroup(cells, vids, pi_nabla, pi0_grad, stab_q))
-    return CellProjectorSet(mesh, groups)
+    h = mesh.cell_diameter
+    grad_cell = np.repeat(np.arange(mesh.n_cells), 3 * n_dofs)
+    grad /= mesh.cell_volume[grad_cell]
+    # the columns of pi, one per DoF: c0 and c_lin = h * grad (3, DoFs)
+    c_lin = h[dof_cell] * grad[grad_at.T]
+    c0 = bnd - ((poly_bnd / h).take(dof_cell, axis=1) * c_lin).sum(axis=0)
+    c0 /= total_area[dof_cell]
+    # a cell's pi rows are its c0 row followed by its h * grad rows
+    pi = np.insert(h[grad_cell] * grad, 3 * first[dof_cell], c0)
+
+    # stab entry (j, k) of cell E: delta_jk - (1, xi(v_j)) . (c0_k, c_lin_k); the entries of
+    # row j run over k, so xi(v_j) repeats along the row while the columns k are gathered
+    k, stab_ptr = _cell_rows(first, n_dofs)
+    row_len = n_dofs[dof_cell]
+    stab = -c0.take(k)
+    for i in range(3):
+        xi = (mesh.vertices[mesh.cell_vertex, i] - mesh.cell_centroid[dof_cell, i]) / h[dof_cell]
+        stab -= np.repeat(xi, row_len) * c_lin[i].take(k)
+    stab[stab_ptr[:-1] + dofs - first[dof_cell]] += 1.0
+    n = first[-1]
+    return CellProjectorSet(
+        mesh,
+        pi=sp.csr_matrix((pi, *_cell_rows(first, 4)), shape=(4 * mesh.n_cells, n)),
+        grad=sp.csr_matrix((grad, *_cell_rows(first, 3)), shape=(3 * mesh.n_cells, n)),
+        stab=sp.csr_matrix((stab, k, stab_ptr), shape=(n, n)),
+        gather=sp.csr_matrix((np.ones(n), mesh.cell_vertex, np.arange(n + 1)), shape=(n, nv)),
+    )

@@ -2,9 +2,10 @@
 
 Assembly runs through a per-mesh :class:`Workspace`: the flat quadrature
 of :func:`~vempb.polybasis.mesh_quadrature` (contiguous per cell) plus the
-projector matrices stacked in groups of equal DoF count.  Every sweep is
-then plain array arithmetic with `reduceat`/`bincount` reductions, which
-keeps the summation order fixed and the results deterministic.
+projector operators of :func:`~vempb.projectors.build_projectors`.  Node
+sweeps reduce per cell with `reduceat`, which keeps the summation order fixed
+and the results deterministic; every form is then sparse algebra on the
+operators, such as the stiffness gather' (grad' eps grad + stab' sigma stab) gather.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
@@ -62,21 +63,15 @@ class SolveReport:
 
 
 class Workspace:
-    """Flat quadrature and stacked projectors for fast repeated assembly."""
+    """Flat quadrature and projector operators for fast repeated assembly."""
 
     def __init__(self, mesh: PolyMesh, projectors: CellProjectorSet | None = None):
         self.mesh = mesh
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 
         self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(mesh)
-        self.groups = self.projectors.groups
-        # COO coordinates of every group's element matrices, in group order
-        self.rows = np.concatenate(
-            [np.repeat(g.vertex_ids, g.vertex_ids.shape[1], axis=1).ravel() for g in self.groups]
-        )
-        self.cols = np.concatenate(
-            [np.tile(g.vertex_ids, (1, g.vertex_ids.shape[1])).ravel() for g in self.groups]
-        )
+        # the distinct DoF counts; perfbench reports len(groups) as projectors.dof_groups
+        self.groups = np.unique(np.diff(mesh.cell_vertex_ptr))
         self._physics = None
 
     # -- reductions ------------------------------------------------------
@@ -118,49 +113,32 @@ class Workspace:
         self._attach(physics)
         eps_int = self.cell_sums(self.weights * self._epsilon(physics))
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
-        vals = []
-        for grp in self.groups:
-            K = eps_int[grp.cells, None, None] * np.einsum(
-                "gan,gam->gnm", grp.pi0_grad, grp.pi0_grad
-            )
-            K += sigma[grp.cells, None, None] * np.einsum("gkn,gkm->gnm", grp.stab_q, grp.stab_q)
-            vals.append(K.ravel())
-        n = self.mesh.n_vertices
-        vals = np.concatenate(vals)
-        if not np.all(np.isfinite(vals)):
+        P = self.projectors
+        consistency = P.grad.T @ (sp.diags(np.repeat(eps_int, 3)) @ P.grad)
+        n_dofs = np.diff(self.mesh.cell_vertex_ptr)
+        stabilization = P.stab.T @ (sp.diags(np.repeat(sigma, n_dofs)) @ P.stab)
+        A = (P.gather.T @ (consistency + stabilization) @ P.gather).tocsr()
+        if not np.all(np.isfinite(A.data)):
             raise SolverError("non-finite stiffness entry")
-        return sp.coo_matrix((vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
-
-    def _gather_rhs(self, per_cell_grad, moments) -> np.ndarray:
-        """F_i = g_i . vec_E + pi_nabla_i . mom_E scattered to global DoFs (None parts omitted)."""
-        F = np.zeros(self.mesh.n_vertices)
-        for grp in self.groups:
-            if per_cell_grad is None:
-                contrib = np.einsum("gan,ga->gn", grp.pi_nabla, moments[grp.cells])
-            else:
-                contrib = np.einsum("gkn,gk->gn", grp.pi0_grad, per_cell_grad[grp.cells])
-                if moments is not None:
-                    contrib += np.einsum("gan,ga->gn", grp.pi_nabla, moments[grp.cells])
-            F += np.bincount(
-                grp.vertex_ids.ravel(), weights=contrib.ravel(), minlength=self.mesh.n_vertices
-            )
-        return F
+        return A
 
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         self._attach(physics)
         w = self.weights
+        P = self.projectors
         if load.mode == "regularized":
-            return self._gather_rhs(self._jump_flux(physics), None)
+            return P.gather.T @ (P.grad.T @ self._jump_flux(physics).ravel())
 
         if load.pointwise_rhs:
             f = -self._epsilon(physics) * load.lap_u_exact(self.points)
             mom = self.moments4(w * (f + self._exact_sinh(physics, load)))
-            return self._gather_rhs(self._jump_flux(physics), mom)
-
-        flux = self.cell_sums(
-            (w * self._epsilon(physics))[:, None] * load.grad_u_exact(self.points)
-        )
-        return self._gather_rhs(flux, self.moments4(w * self._exact_sinh(physics, load)))
+            flux = self._jump_flux(physics)
+        else:
+            flux = self.cell_sums(
+                (w * self._epsilon(physics))[:, None] * load.grad_u_exact(self.points)
+            )
+            mom = self.moments4(w * self._exact_sinh(physics, load))
+        return P.gather.T @ (P.grad.T @ flux.ravel() + P.pi.T @ mom.ravel())
 
     def _exact_sinh(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """kappa_bar^2 sinh(u_exact + G) at every node, zero where kappa_bar vanishes."""
@@ -206,7 +184,8 @@ class Workspace:
         wk = self.weights[self.solvent] * physics.kappa_bar_sq_solvent
         s = np.zeros(len(self.weights))
         s[self.solvent] = wk * np.sinh(arg)
-        B = self._gather_rhs(None, self.moments4(s))
+        P = self.projectors
+        B = P.gather.T @ (P.pi.T @ self.moments4(s).ravel())
         if not with_jacobian:
             return B, None
 
@@ -217,12 +196,9 @@ class Workspace:
                 xi_i = 1.0 if i == 0 else self.xi[:, i - 1]
                 xi_j = 1.0 if j == 0 else self.xi[:, j - 1]
                 M[:, i, j] = M[:, j, i] = np.add.reduceat(s * xi_i * xi_j, self.cell_ptr[:-1])
-        vals = [
-            np.einsum("gan,gab,gbm->gnm", grp.pi_nabla, M[grp.cells], grp.pi_nabla).ravel()
-            for grp in self.groups
-        ]
-        Bmat = sp.coo_matrix((np.concatenate(vals), (self.rows, self.cols)), shape=(n, n)).tocsr()
-        return B, Bmat
+        cells = np.arange(self.mesh.n_cells + 1)
+        Mb = sp.bsr_matrix((M, cells[:-1], cells), shape=(4 * len(M), 4 * len(M)))
+        return B, (P.gather.T @ (P.pi.T @ (Mb @ P.pi)) @ P.gather).tocsr()
 
     def error_norms(self, u: np.ndarray, u_exact, grad_u_exact) -> tuple[float, float]:
         """L2 and H1-seminorm errors of the projected solution against exact fields."""

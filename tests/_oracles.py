@@ -5,15 +5,18 @@ polytope moments come from the divergence-theorem recursion (face and edge
 reductions ending in 1D Gauss), the linear finite element stiffness of a
 tetrahedron from barycentric gradients, clipped Voronoi cells from
 half-space clipping of the unit cube, seed by seed, and interface flags from
-a loop over the cells.  ``face_loop``, ``cell_faces``, ``cell_vertex_ids``
-and ``cell_face_loops`` slice one face's vertex loop, one cell's signed
-faces, sorted vertices and outward vertex loops out of the mesh's CSR
-arrays, and ``mesh_quality_per_cell``, the reference for the batched
-``check_mesh_assumptions``, walks the faces and the cells one by one.  The
-cell-by-cell references of batched library code start from library face
-data: ``cell_projector_reference``, the reference for ``build_projectors``,
-sums one cell's face integral rows from ``face_integral_rows``; the element
-stiffness, the reference for the batched
+a loop over the cells.  ``build_polymesh`` assembles small hand-built
+meshes from per-cell vertex loops through the generators' assembly path.
+``face_loop``, ``cell_faces``, ``cell_vertex_ids`` and ``cell_face_loops``
+slice one face's vertex loop, one cell's signed faces, sorted vertices and
+outward vertex loops out of the mesh's CSR arrays, and
+``cell_projector_blocks`` one cell's dense projector matrices out of the
+global operators of ``build_projectors``.  ``mesh_quality_per_cell``, the
+reference for the batched ``check_mesh_assumptions``, walks the faces and
+the cells one by one.  The cell-by-cell references of batched library code
+start from library face data: ``cell_projector_reference``, the reference
+for ``build_projectors``, sums one cell's face integral rows from
+``face_integral_rows``; the element stiffness, the reference for the batched
 ``Workspace.stiffness``, and the reference-error loop, the reference for the
 batched ``compare_to_reference``, work on nodes from ``mesh_quadrature``, the
 node builder that ``compare_to_reference`` and the solver use, with
@@ -27,9 +30,24 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from vempb.mesh import KUHN_PERMUTATIONS, MeshError
+from vempb.mesh import KUHN_PERMUTATIONS, MeshError, _assemble, _concat_index
 from vempb.polybasis import mesh_quadrature
 from vempb.projectors import face_integral_rows
+
+
+def build_polymesh(vertices, cell_loops, family=None, n=None):
+    """Assemble a mesh from per-cell outward-oriented vertex loops.
+
+    Shared faces are deduplicated; the second cell referencing a face must
+    supply it with the opposite cycle direction.  Faces are numbered by first
+    appearance and stored as first given.
+    """
+    loops = [np.asarray(loop, dtype=np.int64) for cell in cell_loops for loop in cell]
+    lens = np.array([len(loop) for loop in loops], dtype=np.int64)
+    rows = np.full((len(loops), lens.max()), -1, dtype=np.int64)
+    rows[np.repeat(np.arange(len(loops)), lens), _concat_index(lens)] = np.concatenate(loops)
+    loop_cell = np.repeat(np.arange(len(cell_loops)), [len(cell) for cell in cell_loops])
+    return _assemble(vertices, rows, lens, loop_cell, len(cell_loops), family, n)
 
 
 def face_loop(mesh, fi):
@@ -354,6 +372,33 @@ def _locate_structured_loop(mesh, points):
 CellProjectorReference = namedtuple(
     "CellProjectorReference", "vertex_ids pi_nabla pi0_grad stab_q dof_matrix face_rows"
 )
+
+
+CellProjectorBlocks = namedtuple("CellProjectorBlocks", "vertex_ids pi_nabla pi0_grad stab_q")
+
+
+def cell_projector_blocks(projectors, ci):
+    """Cell ``ci``'s dense projector matrices, read back from the operators of ``build_projectors``.
+
+    The rows of ``pi`` (4), ``grad`` (3) and ``stab`` (one per DoF) that belong
+    to the cell are restricted to its local DoF columns, and ``gather`` must
+    map those columns to the cell's sorted vertex ids; a row entry outside
+    the cell's columns fails the read.
+    """
+    mesh = projectors.mesh
+    dofs = slice(mesh.cell_vertex_ptr[ci], mesh.cell_vertex_ptr[ci + 1])
+    vids = cell_vertex_ids(mesh, ci)
+    gathered = projectors.gather[dofs]
+    assert np.array_equal(gathered.indices, vids) and np.all(gathered.data == 1.0)
+    rows = {
+        "pi_nabla": projectors.pi[4 * ci:4 * ci + 4],
+        "pi0_grad": projectors.grad[3 * ci:3 * ci + 3],
+        "stab_q": projectors.stab[dofs],
+    }
+    cols = np.arange(dofs.start, dofs.stop)
+    for name, block in rows.items():
+        assert np.isin(block.indices, cols).all(), f"cell {ci}: {name} reaches outside the cell"
+    return CellProjectorBlocks(vids, *(block[:, dofs].toarray() for block in rows.values()))
 
 
 def cell_projector_reference(mesh, ci, integral_rows):

@@ -14,7 +14,7 @@ import vempb as vp
 from vempb.polybasis import mesh_quadrature
 from vempb.solver import Workspace
 
-from _oracles import cell_vertex_ids, p1_tet_stiffness
+from _oracles import cell_projector_blocks, cell_vertex_ids, p1_tet_stiffness
 from test_forms import random_tet_mesh
 
 
@@ -37,12 +37,9 @@ def test_criterion_1_projector_reproduction(random_cells):
         by_mesh = {}
         for m, ci in random_cells:
             if id(m) not in by_mesh:
-                # (vertex_ids, pi_nabla) of every cell, read from the groups
-                by_mesh[id(m)] = cells = [None] * m.n_cells
-                for grp in vp.build_projectors(m).groups:
-                    for k, cj in enumerate(grp.cells):
-                        cells[cj] = (grp.vertex_ids[k], grp.pi_nabla[k])
-            vids, pi_nabla = by_mesh[id(m)][ci]
+                by_mesh[id(m)] = vp.build_projectors(m)
+            # (vertex_ids, pi_nabla) of the cell, read back from the operators
+            vids, pi_nabla = cell_projector_blocks(by_mesh[id(m)], ci)[:2]
             for a0, a in [(1.0, np.zeros(3)), (0.0, np.eye(3)[0]), (0.0, np.eye(3)[1]),
                           (0.0, np.eye(3)[2]), (rng.normal(), rng.normal(size=3))]:
                 dofs = a0 + m.vertices[vids] @ a

@@ -238,6 +238,23 @@ def test_reference_matches_per_cell_loop(make):
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+def test_reference_locates_coarse_nodes_once(monkeypatch):
+    """The value and gradient references share one location of the coarse nodes."""
+    calls = []
+    locate = vp.analysis._locate_structured
+
+    def counting(mesh, points):
+        calls.append(len(points))
+        return locate(mesh, points)
+
+    monkeypatch.setattr(vp.analysis, "_locate_structured", counting)
+    coarse, fine = vp.generate_tet_mesh(2), vp.generate_tet_mesh(4)
+    rng = np.random.default_rng(3)
+    vp.compare_to_reference(coarse, rng.normal(size=coarse.n_vertices),
+                            fine, rng.normal(size=fine.n_vertices))
+    assert calls == [len(Workspace(coarse).weights)]
+
+
 @pytest.mark.parametrize("bad", ["u_h", "u_ref", "coarse projectors", "fine projectors"])
 def test_reference_rejects_mismatched_inputs(bad):
     coarse, fine = vp.generate_tet_mesh(2), vp.generate_tet_mesh(4)

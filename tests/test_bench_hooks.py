@@ -94,3 +94,9 @@ def test_setup_counts_read_current_fields():
               _load_tracer().quad_bytes(ws))
     # 8 cubes, 36 faces, one 8-DoF group, 8 cells * 24 cone tetrahedra * 14 nodes
     assert counts == (8, 36, 1, 2688, 172104)
+    # projectors.dof_groups reads len(ws.groups): the number of distinct DoF
+    # counts, as the projectors were once stored in one group per count
+    for mesh, n_groups in ((vempb.mesh.generate_cube_mesh(3), 1),
+                           (vempb.mesh.generate_tet_mesh(2), 1),
+                           (vempb.mesh.generate_voronoi_mesh(64, 0), 14)):
+        assert len(vempb.solver.Workspace(mesh).groups) == n_groups

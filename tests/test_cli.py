@@ -54,6 +54,14 @@ def test_mesh_check_corrupted_file(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_mesh_check_cell_without_faces(tmp_path, capsys):
+    out = tmp_path / "m.vpm"
+    run(["mesh", "gen", "--family", "cubic", "--n", "1", "-o", str(out)])
+    out.write_text(out.read_text().replace("6 1 2 3 4 5 6", "0"))
+    assert run(["mesh", "check", str(out)]) == 2
+    assert "line 19: cell record 0: no face references" in capsys.readouterr().err
+
+
 def test_solve_linear_single_newton_iteration(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "u.csv"

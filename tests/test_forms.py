@@ -3,11 +3,16 @@ import pytest
 
 import vempb as vp
 import vempb.forms as forms
-from vempb.mesh import build_polymesh
 from vempb.polybasis import mesh_quadrature
 from vempb.solver import Workspace
 
-from _oracles import cell_vertex_ids, oriented_tet_faces, p1_tet_stiffness
+from _oracles import (
+    build_polymesh,
+    cell_projector_blocks,
+    cell_vertex_ids,
+    oriented_tet_faces,
+    p1_tet_stiffness,
+)
 
 
 def random_tet_mesh(rng):
@@ -114,7 +119,7 @@ def test_consistency_rank_three_on_cube():
     ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)))
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
     m = vp.generate_cube_mesh(1)
-    pi0_grad = vp.build_projectors(m).groups[0].pi0_grad[0]   # the one cell
+    pi0_grad = cell_projector_blocks(vp.build_projectors(m), 0).pi0_grad   # the one cell
     consistency = m.cell_volume[0] * pi0_grad.T @ pi0_grad
     rank = np.linalg.matrix_rank(consistency, tol=1e-12)
     assert rank == 3
@@ -135,8 +140,9 @@ def test_k_consistency_identities(random_cells):
         expect = eps_int @ (p_grad @ q_grad)
         assert K @ q_dofs @ p_dofs == pytest.approx(expect, rel=1e-12, abs=1e-13)
         # and the remainder annihilates the linear DoF vector
-        for grp in ws.groups:
-            remainder = np.einsum("gkn,gn->gk", grp.stab_q, p_dofs[grp.vertex_ids])
+        for ci in range(m.n_cells):
+            blocks = cell_projector_blocks(ws.projectors, ci)
+            remainder = blocks.stab_q @ p_dofs[blocks.vertex_ids]
             assert np.abs(remainder).max() <= 1e-12
 
 
@@ -174,11 +180,11 @@ def test_zero_state_no_charges_gives_projected_mass_jacobian():
     r, J = ws.nonlinear(phys, np.zeros(m.n_vertices))
     assert np.abs(r).max() == 0.0
     mass = np.zeros((m.n_vertices, m.n_vertices))
-    for grp in ws.groups:
-        for ci, ids, pi_nabla in zip(grp.cells, grp.vertex_ids, grp.pi_nabla):
-            nodes = slice(ws.cell_ptr[ci], ws.cell_ptr[ci + 1])
-            V = np.column_stack([np.ones(nodes.stop - nodes.start), ws.xi[nodes]]) @ pi_nabla
-            mass[np.ix_(ids, ids)] += V.T @ (ws.weights[nodes, None] * V)
+    for ci in range(m.n_cells):
+        ids, pi_nabla = cell_projector_blocks(ws.projectors, ci)[:2]
+        nodes = slice(ws.cell_ptr[ci], ws.cell_ptr[ci + 1])
+        V = np.column_stack([np.ones(nodes.stop - nodes.start), ws.xi[nodes]]) @ pi_nabla
+        mass[np.ix_(ids, ids)] += V.T @ (ws.weights[nodes, None] * V)
     assert np.allclose(J.toarray(), phys.kappa_bar_sq_solvent * mass, rtol=1e-13, atol=1e-16)
 
 
@@ -273,9 +279,9 @@ def test_manufactured_linear_load_consistency_identity():
     ws = Workspace(m)
     out = ws.load_vector(phys, spec)
     expect = np.zeros(m.n_vertices)
-    for grp in ws.groups:
-        for ci, ids, pi0_grad in zip(grp.cells, grp.vertex_ids, grp.pi0_grad):
-            expect[ids] += m.cell_volume[ci] * pi0_grad.T @ np.array([1.0, 0.0, 0.0])
+    for ci in range(m.n_cells):
+        blocks = cell_projector_blocks(ws.projectors, ci)
+        expect[blocks.vertex_ids] += m.cell_volume[ci] * blocks.pi0_grad.T @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(out, expect, atol=1e-13)
     K = ws.stiffness(phys)
     assert np.allclose(out, K @ m.vertices[:, 0], atol=1e-12)

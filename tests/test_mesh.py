@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import vempb as vp
-from vempb.mesh import MeshError, VpmParseError, build_polymesh
+from vempb.mesh import MeshError, VpmParseError
 
 from _oracles import (
+    build_polymesh,
     cell_face_loops,
     cell_faces,
     cell_monomial_integral,
@@ -478,6 +479,17 @@ def test_load_rejects_cell_face_index_out_of_range(tmp_path):
     text = path.read_text().replace("6 1 2 3 4 5 6", "6 1 2 3 4 5 99")
     path.write_text(text)
     with pytest.raises(VpmParseError, match="face index 99 out of range"):
+        vp.load_mesh(path)
+
+
+def test_load_rejects_cell_without_faces(tmp_path):
+    m = vp.generate_cube_mesh(1)
+    path = tmp_path / "m.vpm"
+    vp.save_mesh(m, path)
+    text = path.read_text().replace("6 1 2 3 4 5 6", "0")
+    path.write_text(text)
+    # magic, vertices header, 8 vertices, faces header, 6 faces, cells header
+    with pytest.raises(VpmParseError, match="line 19: cell record 0: no face references"):
         vp.load_mesh(path)
 
 

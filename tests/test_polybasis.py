@@ -4,7 +4,7 @@ import pytest
 import vempb as vp
 from vempb.polybasis import REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, mesh_quadrature
 
-from _oracles import cell_faces, cell_scaled_monomial_integral
+from _oracles import build_polymesh, cell_faces, cell_scaled_monomial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +82,6 @@ def test_cube_linear_integral():
 
 
 def test_unit_tet_linear_integral():
-    from vempb.mesh import build_polymesh
-
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     loops = [np.array(l) for l in ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))]
     m = build_polymesh(verts, [loops])

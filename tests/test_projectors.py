@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import vempb as vp
-from vempb.mesh import build_polymesh
 from vempb.projectors import face_integral_rows
 
 from _oracles import (
+    build_polymesh,
     cell_faces,
+    cell_projector_blocks,
     cell_projector_reference,
     cell_vertex_ids,
     face_loop,
@@ -131,15 +132,15 @@ def test_cell_constant_reproduction(random_cells):
 def test_cell_coordinate_reproduction():
     m = vp.generate_voronoi_mesh(25, 31)
     projs = vp.build_projectors(m)
-    for grp in projs.groups:
-        for vids, pi_nabla, pi0_grad, ci in zip(grp.vertex_ids, grp.pi_nabla, grp.pi0_grad, grp.cells):
-            dofs = m.vertices[vids][:, 0]          # v = x
-            grad = pi0_grad @ dofs
-            assert np.allclose(grad, [1.0, 0.0, 0.0], atol=1e-12)
-            pts = np.random.default_rng(ci).random((4, 3))
-            xi = (pts - m.cell_centroid[ci]) / m.cell_diameter[ci]
-            vals = np.column_stack([np.ones(len(pts)), xi]) @ (pi_nabla @ dofs)
-            assert np.allclose(vals, pts[:, 0], atol=1e-12)
+    for ci in range(m.n_cells):
+        vids, pi_nabla, pi0_grad, _ = cell_projector_blocks(projs, ci)
+        dofs = m.vertices[vids][:, 0]          # v = x
+        grad = pi0_grad @ dofs
+        assert np.allclose(grad, [1.0, 0.0, 0.0], atol=1e-12)
+        pts = np.random.default_rng(ci).random((4, 3))
+        xi = (pts - m.cell_centroid[ci]) / m.cell_diameter[ci]
+        vals = np.column_stack([np.ones(len(pts)), xi]) @ (pi_nabla @ dofs)
+        assert np.allclose(vals, pts[:, 0], atol=1e-12)
 
 
 def test_cell_random_linear_change_of_basis(random_cells):
@@ -206,35 +207,47 @@ def test_batched_builder_matches_per_cell_reference(make):
     m = make()
     projs = vp.build_projectors(m)
     rows = face_integral_rows(m)
-    n_dofs = {len(cell_vertex_ids(m, ci)) for ci in range(m.n_cells)}
-    assert len(projs.groups) == len(n_dofs)
-    cells = np.concatenate([grp.cells for grp in projs.groups])
-    assert np.array_equal(np.sort(cells), np.arange(m.n_cells))
-    for grp in projs.groups:
-        for k, ci in enumerate(grp.cells):
-            ref = cell_projector_reference(m, ci, rows)
-            assert np.array_equal(grp.vertex_ids[k], ref.vertex_ids)
-            for name in ("pi_nabla", "pi0_grad", "stab_q"):
-                assert np.abs(getattr(grp, name)[k] - getattr(ref, name)).max() <= 1e-14
+    n_dofs = [len(cell_vertex_ids(m, ci)) for ci in range(m.n_cells)]
+    assert len(vp.Workspace(m, projs).groups) == len(set(n_dofs))
+    # one row block per cell: 4 coefficient rows, 3 gradient rows, one stab row per DoF
+    D = sum(n_dofs)
+    assert projs.pi.shape == (4 * m.n_cells, D)
+    assert projs.grad.shape == (3 * m.n_cells, D)
+    assert projs.stab.shape == (D, D)
+    assert projs.gather.shape == (D, m.n_vertices)
+    for ci in range(m.n_cells):
+        blocks = cell_projector_blocks(projs, ci)
+        ref = cell_projector_reference(m, ci, rows)
+        assert np.array_equal(blocks.vertex_ids, ref.vertex_ids)
+        for name in ("pi_nabla", "pi0_grad", "stab_q"):
+            assert np.abs(getattr(blocks, name) - getattr(ref, name)).max() <= 1e-14
 
 
 @pytest.mark.parametrize(
     "make, digest",
     [
         (lambda: vp.generate_cube_mesh(3),
-         "6da2b9c91ff9aa7ac323bc515a15384fd10b2f33b2b903eeeb811d7af717a0de"),
+         "c4a647769a0ea125e1297f00fd20e343442d6151f2846c93eae3e0225f51fb96"),
         (lambda: vp.generate_tet_mesh(2),
-         "e2ad59b7ec8b2b2512ba98a706082878286fd98a0101838f4294c05adbdfdc4e"),
+         "8d41b6fc4f2ef1d6317f71bf035bb1574ce7bb86d4f804950ddb27032d892aed"),
         (lambda: vp.generate_voronoi_mesh(64, 0),
-         "d3e55e6c3e7a0b439a03ef4d4df21bcde408e82bd1a35c8d645f83fc1a0035d2"),
+         "7dfb9b0eb85d11c48704cb2cf2fb59e25717acb7dcad0df30e3f951249aa1db7"),
     ],
     ids=["cube3", "tet2", "voronoi64"],
 )
 def test_projector_groups_unchanged(make, digest):
-    # digests of every group array built before the mesh topology moved to
-    # CSR arrays
+    # digests of the cells, vertex ids, pi_nabla and pi0_grad blocks stacked
+    # per DoF count n (increasing), as projectors were stored per group before
+    # they became global operators; stab_q is checked against the per-cell
+    # reference instead
+    m = make()
+    projs = vp.build_projectors(m)
+    n_dofs = np.diff(m.cell_vertex_ptr)
     h = hashlib.sha256()
-    for grp in vp.build_projectors(make()).groups:
-        for a in (grp.cells, grp.vertex_ids, grp.pi_nabla, grp.pi0_grad, grp.stab_q):
-            h.update(a.tobytes())
+    for n in np.unique(n_dofs):
+        cells = np.nonzero(n_dofs == n)[0]
+        blocks = [cell_projector_blocks(projs, ci) for ci in cells]
+        h.update(cells.tobytes())
+        for k in range(3):
+            h.update(np.stack([b[k] for b in blocks]).tobytes())
     assert h.hexdigest() == digest

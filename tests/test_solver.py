@@ -9,7 +9,7 @@ from vempb.polybasis import mesh_quadrature
 from vempb.projectors import face_integral_rows
 from vempb.solver import SolverError, Workspace, cg_solve, constrain_matrix
 
-from _oracles import cell_projector_reference, kkt_solve, local_stiffness
+from _oracles import cell_projector_blocks, cell_projector_reference, kkt_solve, local_stiffness
 from test_mesh import permuted_copy
 
 
@@ -43,10 +43,8 @@ def test_assembly_matches_dense_scatter_oracle():
     phys = vp.PhysicsConfig()
     projs = vp.build_projectors(m)
     A = Workspace(m, projs).stiffness(phys)
-    per_cell = [None] * m.n_cells
-    for grp in projs.groups:
-        for k, ci in enumerate(grp.cells):
-            per_cell[ci] = (grp.vertex_ids[k], grp.pi0_grad[k], grp.stab_q[k])
+    blocks = [cell_projector_blocks(projs, ci) for ci in range(m.n_cells)]
+    per_cell = [(b.vertex_ids, b.pi0_grad, b.stab_q) for b in blocks]
     dense = _dense_scatter_stiffness(m, phys, per_cell)
     assert np.abs(A.toarray() - dense).max() <= 1e-13
 
