@@ -140,7 +140,7 @@ def run_convergence_study(
     for level, factory in enumerate(mesh_factories, start=1):
         t0 = time.perf_counter()
         try:
-            mesh = factory() if callable(factory) else factory
+            mesh = factory()
             ws = Workspace(mesh)
             u, sr = newton_solve(mesh, physics, load, newton, workspace=ws)
         except Exception as exc:
@@ -235,10 +235,12 @@ def compare_to_reference(
     fid = _locate_structured(fine_mesh, ws.points)
 
     def ref_value(points):
-        xi = (points - fine_mesh.cell_centroid[fid]) / fine_mesh.cell_diameter[fid, None]
-        return coeffs[fid, 0] + np.einsum("ij,ij->i", xi, coeffs[fid, 1:])
+        c = coeffs.take(fid, axis=0)
+        xi = points - fine_mesh.cell_centroid.take(fid, axis=0)
+        xi /= fine_mesh.cell_diameter.take(fid)[:, None]
+        return c[:, 0] + np.einsum("ij,ij->i", xi, c[:, 1:])
 
     def ref_gradient(points):
-        return grads[fid]
+        return grads.take(fid, axis=0)
 
     return ws.error_norms(u_h, ref_value, ref_gradient)

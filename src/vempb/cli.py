@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -80,8 +81,6 @@ def load_config(path) -> dict:
 
 def _validate(cfg: dict) -> None:
     ph = cfg["physics"]
-    if ph["eps_m"] <= 0 or ph["eps_s"] <= 0 or ph["kappa"] < 0:
-        raise ConfigError("physics constants out of range")
     for ch in ph["charges"]:
         if set(ch) != {"q", "x"} or len(ch["x"]) != 3:
             raise ConfigError(f"bad charge entry {ch}")
@@ -121,13 +120,7 @@ def build_load(cfg: dict) -> LoadSpec:
         return forms.regularized_load()
     spec = MANUFACTURED_SOLUTIONS[ld["solution"]]()
     if ld["pointwise_rhs"]:
-        spec = LoadSpec(
-            mode="manufactured",
-            u_exact=spec.u_exact,
-            grad_u_exact=spec.grad_u_exact,
-            lap_u_exact=spec.lap_u_exact,
-            pointwise_rhs=True,
-        )
+        spec = dataclasses.replace(spec, pointwise_rhs=True)
     return spec
 
 
@@ -172,29 +165,14 @@ def write_solution_csv(path, mesh: PolyMesh, u: np.ndarray) -> None:
 
 
 def cmd_mesh_gen(args) -> int:
-    spec = {
-        "family": args.family,
-        "n": args.n,
-        "n_seeds": args.n_seeds,
-        "rng_seed": args.rng_seed,
-        "path": None,
-    }
-    try:
-        m = build_mesh(spec)
-    except (ConfigError, ValueError, MeshError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    m = build_mesh(vars(args))
     meshmod.save_mesh(m, args.out)
     print(f"wrote {args.out}: {m.n_vertices} vertices, {m.n_faces} faces, {m.n_cells} cells")
     return EXIT_OK
 
 
 def cmd_mesh_check(args) -> int:
-    try:
-        m = meshmod.load_mesh(args.path)
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    m = meshmod.load_mesh(args.path)
     report = meshmod.check_mesh_assumptions(m, gamma_min=args.gamma_min)
     flags = meshmod.classify_interface(m, box_levelset(args.threshold))
     print(f"vertices: {m.n_vertices}  faces: {m.n_faces}  cells: {m.n_cells}")
@@ -210,26 +188,20 @@ def cmd_mesh_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        physics = build_physics(cfg)
-        load = build_load(cfg)
-        m = build_mesh(cfg["mesh"])
-        newton = build_newton(cfg)
-    except (ConfigError, MeshError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = load_config(args.config)
+    physics = build_physics(cfg)
+    load = build_load(cfg)
+    m = build_mesh(cfg["mesh"])
+    newton = build_newton(cfg)
 
     out = args.out or cfg["output"]["solution"]
     workspace = solver.Workspace(m)
     try:
         u, report = solver.newton_solve(m, physics, load, newton, workspace=workspace)
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        if exc.u is not None:
-            write_solution_csv(str(out) + ".failed", m, exc.u)
-            print(f"partial state saved to {out}.failed", file=sys.stderr)
-        return EXIT_SOLVER
+        write_solution_csv(str(out) + ".failed", m, exc.u)
+        print(f"partial state saved to {out}.failed", file=sys.stderr)
+        raise
 
     write_solution_csv(out, m, u)
     hist = " ".join(f"{r:.3e}" for r in report.residual_history)
@@ -248,36 +220,28 @@ def cmd_solve(args) -> int:
 
 
 def cmd_study(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        physics = build_physics(cfg)
-        load = build_load(cfg)
-        newton = build_newton(cfg)
-        levels = cfg["study"]["levels"]
-        if len(levels) < 2:
-            raise ConfigError("need >= 2 study levels")
-        factories = []
-        for lvl in levels:
-            spec = dict(cfg["mesh"])
-            spec.update(lvl)
-            factories.append(lambda s=spec: build_mesh(s))
-    except (ConfigError, MeshError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = load_config(args.config)
+    physics = build_physics(cfg)
+    load = build_load(cfg)
+    newton = build_newton(cfg)
+    levels = cfg["study"]["levels"]
+    if len(levels) < 2:
+        raise ConfigError("need >= 2 study levels")
+    factories = [functools.partial(build_mesh, {**cfg["mesh"], **lvl}) for lvl in levels]
 
     out = args.out or cfg["output"]["report"]
     try:
         report = analysis.run_convergence_study(
             factories, physics, load, newton, metadata=cfg
         )
-    except SolverError as exc:
-        print(f"solver failure at study level {getattr(exc, 'study_level', '?')}: {exc}",
-              file=sys.stderr)
-        partial = getattr(exc, "study_report", None)
-        if partial is not None and partial.rows:
-            partial.to_csv(str(out) + ".failed")
-            print(f"partial report saved to {out}.failed", file=sys.stderr)
-        return EXIT_SOLVER
+    except Exception as exc:
+        # a failing level carries the rows of the levels before it
+        if hasattr(exc, "study_level"):
+            print(f"study level {exc.study_level} failed", file=sys.stderr)
+            if exc.study_report.rows:
+                exc.study_report.to_csv(str(out) + ".failed")
+                print(f"partial report saved to {out}.failed", file=sys.stderr)
+        raise
 
     plot = cfg["output"]["plot"] or str(Path(out).with_suffix(".plotdat"))
     report.to_csv(out)
@@ -331,8 +295,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that maps failures to exit codes."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MeshError, ValueError) as exc:   # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def entry() -> None:

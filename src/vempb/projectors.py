@@ -20,10 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import MeshError, PolyMesh, _concat_index, _flat_corners, _segments_by_length
-
-DEGENERATE_FACE_AREA = 1e-14
-
+from .mesh import PolyMesh, _concat_index, _flat_corners, _segments_by_length
 
 def face_integral_rows(mesh: PolyMesh) -> np.ndarray:
     """Integral rows of every face, aligned with ``mesh.face_vertex``.
@@ -36,9 +33,6 @@ def face_integral_rows(mesh: PolyMesh) -> np.ndarray:
     rows = np.empty(len(mesh.face_vertex))
     for idx, at in _segments_by_length(mesh.face_ptr):
         area = mesh.face_area[idx]
-        if np.any(area < DEGENERATE_FACE_AREA):
-            fi = idx[int(np.argmax(area < DEGENERATE_FACE_AREA))]
-            raise MeshError(f"degenerate face {fi} (area {mesh.face_area[fi]:.3e})")
         P = mesh.vertices[mesh.face_vertex[at]]                      # (F, m, 3)
         edge_vec = np.roll(P, -1, axis=1) - P
         edge_len = np.linalg.norm(edge_vec, axis=2)

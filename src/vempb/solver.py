@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
 from .mesh import PolyMesh
@@ -117,10 +118,7 @@ class Workspace:
         consistency = P.grad.T @ (sp.diags(np.repeat(eps_int, 3)) @ P.grad)
         n_dofs = np.diff(self.mesh.cell_vertex_ptr)
         stabilization = P.stab.T @ (sp.diags(np.repeat(sigma, n_dofs)) @ P.stab)
-        A = (P.gather.T @ (consistency + stabilization) @ P.gather).tocsr()
-        if not np.all(np.isfinite(A.data)):
-            raise SolverError("non-finite stiffness entry")
-        return A
+        return (P.gather.T @ (consistency + stabilization) @ P.gather).tocsr()
 
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         self._attach(physics)
@@ -163,7 +161,7 @@ class Workspace:
 
     def projected_values(self, u: np.ndarray) -> np.ndarray:
         """Pointwise values of the cellwise projection of u at all quadrature nodes."""
-        c = self.projectors.value_coeffs(u)[self.cop]
+        c = self.projectors.value_coeffs(u).take(self.cop, axis=0)
         return c[:, 0] + np.einsum("pj,pj->p", self.xi, c[:, 1:])
 
     def nonlinear(
@@ -204,7 +202,7 @@ class Workspace:
         """L2 and H1-seminorm errors of the projected solution against exact fields."""
         diff = u_exact(self.points) - self.projected_values(u)
         e2 = float(self.weights @ diff**2)
-        gdiff = grad_u_exact(self.points) - self.projectors.gradients(u)[self.cop]
+        gdiff = grad_u_exact(self.points) - self.projectors.gradients(u).take(self.cop, axis=0)
         e1 = float(self.weights @ (gdiff**2).sum(axis=1))
         return float(np.sqrt(e2)), float(np.sqrt(e1))
 
@@ -257,28 +255,25 @@ def cg_solve(
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise SolverError("matrix diagonal not positive; Jacobi preconditioner invalid")
-    inv_diag = 1.0 / diag
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    for k in range(1, max_iterations + 1):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rnorm = np.linalg.norm(r)
-        if rnorm <= tol * bnorm:
-            return x, k
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(
-        f"CG did not converge in {max_iterations} iterations "
-        f"(relative residual {np.linalg.norm(r) / bnorm:.3e})"
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    # scipy tests the residual before each iteration, so it needs one pass more
+    # to accept an iterate that converges on the last allowed iteration; with
+    # maxiter = 0 it would return x = 0 as converged
+    x, info = spla.cg(
+        A, b, rtol=tol, atol=0.0, maxiter=max(max_iterations, 0) + 1, M=sp.diags(1.0 / diag),
+        callback=count,
     )
+    if info != 0:
+        raise SolverError(
+            f"CG did not converge in {max_iterations} iterations "
+            f"(relative residual {np.linalg.norm(b - A @ x) / bnorm:.3e})"
+        )
+    return x, iterations
 
 
 def newton_solve(
@@ -291,38 +286,48 @@ def newton_solve(
     """Damped Newton iteration from u = 0 (boundary values applied).
 
     Stops when the residual norm falls below rel_tol * ||R(u0)|| + abs_tol.
-    Raises :class:`SolverError` carrying the last state on failure.
+    Every failure raises :class:`SolverError` carrying the last accepted
+    iterate (u0 before the first step) and the report so far.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
-    ws = workspace or Workspace(mesh)
-    A = ws.stiffness(physics)
-    F = ws.load_vector(physics, load)
     mask = mesh.boundary_vertex
-
     u = np.zeros(mesh.n_vertices)
     u[mask] = load.boundary_values(mesh.vertices[mask])
-
     report = SolveReport()
-    r = assemble_residual(mesh, physics, load, u, A=A, F=F, workspace=ws)
+
+    def failure(message: str) -> SolverError:
+        # u is read when the error is built: the last accepted iterate
+        report.wall_time = time.perf_counter() - t0
+        return SolverError(message, u=u, report=report)
+
+    ws = workspace or Workspace(mesh)
+    A = ws.stiffness(physics)
+    if not np.all(np.isfinite(A.data)):
+        raise failure("non-finite stiffness entry")
+    F = ws.load_vector(physics, load)
+    try:
+        r = assemble_residual(mesh, physics, load, u, A=A, F=F, workspace=ws)
+    except NonlinearOverflow as exc:
+        raise failure(f"initial state: {exc}") from exc
     rnorm = float(np.linalg.norm(r))
     report.residual_history.append(rnorm)
     target = config.rel_tol * rnorm + config.abs_tol
 
     while rnorm > target:
         if report.newton_iterations >= config.max_iterations:
-            report.wall_time = time.perf_counter() - t0
-            raise SolverError(
+            raise failure(
                 f"Newton did not converge in {config.max_iterations} iterations "
-                f"(residual {rnorm:.3e}, target {target:.3e})",
-                u=u,
-                report=report,
+                f"(residual {rnorm:.3e}, target {target:.3e})"
             )
         _, Bmat = ws.nonlinear(physics, u, with_jacobian=True)
         J = constrain_matrix((A + Bmat).tocsr(), mask)
         rhs = -r
         rhs[mask] = 0.0
-        delta, cg_iters = cg_solve(J, rhs, config.cg_tol, config.cg_max_iterations)
+        try:
+            delta, cg_iters = cg_solve(J, rhs, config.cg_tol, config.cg_max_iterations)
+        except SolverError as exc:
+            raise failure(f"Newton iteration {report.newton_iterations + 1}: {exc}") from exc
         report.cg_iterations.append(cg_iters)
 
         lam = 1.0
@@ -340,12 +345,9 @@ def newton_solve(
             lam *= 0.5
             report.damping_events += 1
         if not accepted:
-            report.wall_time = time.perf_counter() - t0
-            raise SolverError(
+            raise failure(
                 f"Newton damping exhausted at iteration {report.newton_iterations + 1} "
-                f"(residual {rnorm:.3e})",
-                u=u,
-                report=report,
+                f"(residual {rnorm:.3e})"
             )
         u, r, rnorm = trial, r_trial, t_norm
         report.newton_iterations += 1

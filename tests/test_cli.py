@@ -203,3 +203,54 @@ def test_regularized_solve_runs(tmp_path, capsys):
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.isfinite(rows[:, 4]).all()
     assert np.abs(rows[:, 4]).max() > 0.0
+
+
+def test_strong_charge_overflow_exits_3_and_saves_initial_state(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        physics={"charges": [{"q": 1e4, "x": [0.1, 0.1, 0.1]}]},
+        mesh={"family": "cubic", "n": 4},
+        load={"mode": "regularized"},
+    )
+    out = tmp_path / "u.csv"
+    assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 3
+    assert not out.exists()
+    rows = np.loadtxt(tmp_path / "u.csv.failed", delimiter=",", skiprows=1)
+    assert len(rows) == 125
+    assert np.all(rows[:, 4] == 0.0)  # u0 of the regularized load
+    assert "sinh argument" in capsys.readouterr().err
+
+
+def test_cg_iteration_limit_exits_3_and_saves_state(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        physics={},
+        mesh={"family": "cubic", "n": 4},
+        solver={"cg_max_iterations": 1},
+    )
+    out = tmp_path / "u.csv"
+    assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 3
+    assert not out.exists()
+    assert (tmp_path / "u.csv.failed").read_text().startswith("id,x,y,z,u")
+    assert "CG did not converge" in capsys.readouterr().err
+
+
+def test_study_invalid_later_level_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        mesh={"family": "voronoi", "rng_seed": 1},
+        study={"levels": [{"n_seeds": 20}, {"n_seeds": 0}]},
+    )
+    out = tmp_path / "r.csv"
+    assert run(["study", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "study level 2" in err and "need at least one seed" in err
+    assert not out.exists()
+
+
+def test_study_regularized_load_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json", load={"mode": "regularized"}, study={"levels": [{"n": 2}, {"n": 3}]}
+    )
+    assert run(["study", "-c", str(cfg), "-o", str(tmp_path / "r.csv")]) == 2
+    assert "manufactured load" in capsys.readouterr().err

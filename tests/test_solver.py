@@ -198,6 +198,19 @@ def test_cg_identity_one_iteration():
     assert np.allclose(x, b, atol=1e-15)
 
 
+def test_cg_converging_on_last_allowed_iteration_succeeds():
+    A = sp.identity(10, format="csr")
+    x, iters = cg_solve(A, np.arange(10, dtype=float), max_iterations=1)
+    assert iters == 1
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_cg_without_allowed_iterations_fails(limit):
+    A = sp.identity(10, format="csr")
+    with pytest.raises(SolverError, match="CG did not converge"):
+        cg_solve(A, np.arange(10, dtype=float), max_iterations=limit)
+
+
 def test_cg_zero_rhs():
     A = sp.identity(5, format="csr")
     x, iters = cg_solve(A, np.zeros(5))
@@ -274,6 +287,29 @@ def test_newton_failure_carries_state():
         vp.newton_solve(m, phys, load, vp.NewtonConfig(max_iterations=1, rel_tol=1e-14))
     assert err.value.u is not None
     assert err.value.report.newton_iterations == 1
+
+
+def test_newton_overflow_at_initial_state_carries_u0():
+    m = vp.generate_cube_mesh(4)
+    phys = vp.PhysicsConfig(charges=[(1e4, (0.1, 0.1, 0.1))])
+    with pytest.raises(SolverError, match="initial state: sinh argument") as err:
+        vp.newton_solve(m, phys, vp.regularized_load())
+    assert np.array_equal(err.value.u, np.zeros(m.n_vertices))  # u0 of the regularized load
+    assert err.value.report.newton_iterations == 0
+    assert err.value.report.wall_time > 0.0
+
+
+def test_newton_cg_limit_carries_state():
+    m = vp.generate_cube_mesh(4)
+    load = vp.manufactured_sine()
+    config = vp.NewtonConfig(cg_max_iterations=1)
+    with pytest.raises(SolverError, match="iteration 1: CG did not converge in 1") as err:
+        vp.newton_solve(m, vp.PhysicsConfig(), load, config)
+    u0 = np.zeros(m.n_vertices)
+    u0[m.boundary_vertex] = load.boundary_values(m.vertices[m.boundary_vertex])
+    assert np.array_equal(err.value.u, u0)
+    assert err.value.report.newton_iterations == 0
+    assert len(err.value.report.residual_history) == 1
 
 
 def test_linear_case_matches_dense_direct_solve():
