@@ -231,16 +231,23 @@ def compare_to_reference(
     coeffs, grads = fine_projectors.value_coeffs(u_ref), fine_projectors.gradients(u_ref)
 
     ws = Workspace(coarse_mesh, coarse_projectors)
-    # error_norms evaluates both fields at ws.points, so their fine cells are located once
-    fid = _locate_structured(fine_mesh, ws.points)
+    # error_norms hands both fields the same points array per node block, so each
+    # block's fine cells are located once and shared by the two callables
+    located = [None, None]
+
+    def fine_cells(points):
+        if located[0] is not points:
+            located[:] = points, _locate_structured(fine_mesh, points)
+        return located[1]
 
     def ref_value(points):
+        fid = fine_cells(points)
         c = coeffs.take(fid, axis=0)
         xi = points - fine_mesh.cell_centroid.take(fid, axis=0)
         xi /= fine_mesh.cell_diameter.take(fid)[:, None]
         return c[:, 0] + np.einsum("ij,ij->i", xi, c[:, 1:])
 
     def ref_gradient(points):
-        return grads.take(fid, axis=0)
+        return grads.take(fine_cells(points), axis=0)
 
     return ws.error_norms(u_h, ref_value, ref_gradient)

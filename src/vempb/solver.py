@@ -2,16 +2,24 @@
 
 Assembly runs through a per-mesh :class:`Workspace`: the flat quadrature
 of :func:`~vempb.polybasis.mesh_quadrature` (contiguous per cell) plus the
-projector operators of :func:`~vempb.projectors.build_projectors`.  Node
-sweeps reduce per cell with `reduceat`, which keeps the summation order fixed
-and the results deterministic; every form is then sparse algebra on the
-operators, such as the stiffness gather' (grad' eps grad + stab' sigma stab) gather.
+projector operators of :func:`~vempb.projectors.build_projectors`.  Every
+node sweep (level set, Coulomb field, loads, screened sinh term, error norms)
+runs over blocks of about ``BLOCK_NODES`` nodes made of whole cells, so its
+temporaries scale with the block, not the mesh.  Each block reduces its rows
+per cell with `reduceat` into per-cell arrays; a cell's sum never spans two
+blocks, so the summation order, and with it every result, is independent of
+the block size.  Every form is then sparse algebra on the operators, such as
+the stiffness gather' (grad' eps grad + stab' sigma stab) gather.
+
+The solvent sinh argument of the last residual is kept with its u, so the
+Jacobian at the accepted Newton iterate reuses it instead of sweeping again.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
 step is solved with Jacobi-preconditioned conjugate gradients.  Damping
 halves the step while the residual norm fails to decrease strictly; an
 overflow of the sinh argument during a trial step is treated the same way.
+An overflow in the manufactured load or at u0 ends the solve as a failure.
 """
 
 from __future__ import annotations
@@ -27,6 +35,12 @@ from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
 from .mesh import PolyMesh
 from .polybasis import mesh_quadrature
 from .projectors import CellProjectorSet, build_projectors
+
+# quadrature nodes per sweep block (rounded up to whole cells): every node sweep
+# runs block by block, so its temporaries scale with the block, not the mesh
+BLOCK_NODES = 2**15
+# (i, j), i <= j, of the symmetric per-cell 4x4 moments of (1, xi)
+_UPPER_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
 class SolverError(Exception):
@@ -73,21 +87,46 @@ class Workspace:
         self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(mesh)
         # the distinct DoF counts; perfbench reports len(groups) as projectors.dof_groups
         self.groups = np.unique(np.diff(mesh.cell_vertex_ptr))
+        # first cell of each node block: the cell holding node k * BLOCK_NODES, so every
+        # block holds whole cells; the last entry closes the last block
+        first = np.searchsorted(
+            self.cell_ptr, np.arange(0, len(self.weights), BLOCK_NODES), side="right"
+        ) - 1
+        self.block_cells = np.append(np.unique(first), mesh.n_cells)
         self._physics = None
+        self._sinh_at = None
 
-    # -- reductions ------------------------------------------------------
+    # -- node blocks -----------------------------------------------------
 
-    def cell_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-cell sums of pointwise values (caller includes weights)."""
-        if values.ndim == 1:
-            return np.add.reduceat(values, self.cell_ptr[:-1])
-        return np.add.reduceat(values, self.cell_ptr[:-1], axis=0)
+    def _blocks(self):
+        """(cells, nodes, starts) of each node block, in node order.
 
-    def moments4(self, svals: np.ndarray) -> np.ndarray:
-        """Per-cell integrals of s * (1, xi1, xi2, xi3), shape (C, 4)."""
-        m0 = np.add.reduceat(svals, self.cell_ptr[:-1])
-        m = np.add.reduceat(svals[:, None] * self.xi, self.cell_ptr[:-1], axis=0)
-        return np.column_stack([m0, m])
+        ``cells`` and ``nodes`` slice the per-cell and per-node arrays;
+        ``starts`` are the block's cell offsets counted from its first node,
+        the ``np.add.reduceat`` indices of a block-local array.
+        """
+        ptr = self.cell_ptr
+        for c0, c1 in zip(self.block_cells[:-1], self.block_cells[1:]):
+            yield slice(c0, c1), slice(ptr[c0], ptr[c1]), ptr[c0:c1] - ptr[c0]
+
+    def _solvent_blocks(self):
+        """Each node block with its solvent mask and its slice of the solvent arrays."""
+        for block, solv in zip(self._blocks(), self._solvent_slices):
+            yield block, self.solvent[block[1]], solv
+
+    def _cell_sums(self, block_values) -> np.ndarray:
+        """Per-cell sums of per-node rows given one block at a time, in block order.
+
+        A block's values have shape (..., block nodes); the sums have shape
+        (..., n_cells), each row reduced contiguously.
+        """
+        out = None
+        for (cells, _, starts), values in zip(self._blocks(), block_values):
+            sums = np.add.reduceat(values, starts, axis=-1)
+            if out is None:
+                out = np.empty(sums.shape[:-1] + (self.mesh.n_cells,))
+            out[..., cells] = sums
+        return out
 
     # -- physics cache ---------------------------------------------------
 
@@ -95,13 +134,22 @@ class Workspace:
         """Evaluate the level set once per physics; kappa_bar^2 > 0 only on ``solvent``."""
         if self._physics is physics:
             return
-        self.solvent = physics.solvent_mask(self.points)
-        screened = physics.kappa_bar_sq_solvent > 0 and self.solvent.any()
-        self.G_solvent = physics.coulomb_potential(self.points[self.solvent]) if screened else None
+        self._sinh_at = None
+        self.solvent = np.concatenate(
+            [physics.solvent_mask(self.points[nodes]) for _, nodes, _ in self._blocks()]
+        )
+        counts = [np.count_nonzero(self.solvent[nodes]) for _, nodes, _ in self._blocks()]
+        ptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+        self._solvent_slices = [slice(a, b) for a, b in zip(ptr[:-1], ptr[1:])]
+        screened = physics.kappa_bar_sq_solvent > 0 and ptr[-1] > 0
+        self.G_solvent = np.concatenate([
+            physics.coulomb_potential(self.points[nodes][mask])
+            for (_, nodes, _), mask, solv in self._solvent_blocks() if solv.stop > solv.start
+        ]) if screened else None
         self._physics = physics
 
-    def _epsilon(self, physics: PhysicsConfig) -> np.ndarray:
-        return np.where(self.solvent, physics.eps_s, physics.eps_m)
+    def _epsilon(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
+        return np.where(self.solvent[nodes], physics.eps_s, physics.eps_m)
 
     # -- assembly --------------------------------------------------------
 
@@ -112,7 +160,9 @@ class Workspace:
         which keeps the two parts spectrally comparable for any contrast.
         """
         self._attach(physics)
-        eps_int = self.cell_sums(self.weights * self._epsilon(physics))
+        eps_int = self._cell_sums(
+            self.weights[nodes] * self._epsilon(physics, nodes) for _, nodes, _ in self._blocks()
+        )
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
         P = self.projectors
         consistency = P.grad.T @ (sp.diags(np.repeat(eps_int, 3)) @ P.grad)
@@ -121,48 +171,103 @@ class Workspace:
         return (P.gather.T @ (consistency + stabilization) @ P.gather).tocsr()
 
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
+        """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large."""
         self._attach(physics)
-        w = self.weights
         P = self.projectors
         if load.mode == "regularized":
-            return P.gather.T @ (P.grad.T @ self._jump_flux(physics).ravel())
-
-        if load.pointwise_rhs:
-            f = -self._epsilon(physics) * load.lap_u_exact(self.points)
-            mom = self.moments4(w * (f + self._exact_sinh(physics, load)))
-            flux = self._jump_flux(physics)
-        else:
-            flux = self.cell_sums(
-                (w * self._epsilon(physics))[:, None] * load.grad_u_exact(self.points)
+            flux = self._cell_sums(
+                self._jump_flux(physics, nodes, mask) for (_, nodes, _), mask, _ in
+                self._solvent_blocks()
             )
-            mom = self.moments4(w * self._exact_sinh(physics, load))
-        return P.gather.T @ (P.grad.T @ flux.ravel() + P.pi.T @ mom.ravel())
+            return P.gather.T @ (P.grad.T @ flux.T.ravel())
 
-    def _exact_sinh(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
-        """kappa_bar^2 sinh(u_exact + G) at every node, zero where kappa_bar vanishes."""
-        s = np.zeros(len(self.weights))
-        if self.G_solvent is not None:
-            s[self.solvent] = physics.kappa_bar_sq_solvent * np.sinh(
-                load.u_exact(self.points[self.solvent]) + self.G_solvent
-            )
+        def integrands():
+            """Per block: 3 flux rows, then the 4 moment rows of the source."""
+            for (_, nodes, _), mask, solv in self._solvent_blocks():
+                w = self.weights[nodes]
+                points = self.points[nodes]
+                sinh = self._exact_sinh(physics, load, points, mask, solv)
+                if load.pointwise_rhs:
+                    f = -self._epsilon(physics, nodes) * load.lap_u_exact(points)
+                    source = w * (f + sinh)
+                    flux = self._jump_flux(physics, nodes, mask)
+                else:
+                    flux = (w * self._epsilon(physics, nodes))[:, None] * load.grad_u_exact(points)
+                    flux = flux.T
+                    source = w * sinh
+                yield np.vstack([flux, self._weighted_monomials(source, nodes, 4)])
+
+        sums = self._cell_sums(integrands())
+        return P.gather.T @ (P.grad.T @ sums[:3].T.ravel() + P.pi.T @ sums[3:].T.ravel())
+
+    def _exact_sinh(self, physics, load, points, mask, solv) -> np.ndarray:
+        """kappa_bar^2 sinh(u_exact + G) at a block's nodes, zero where kappa_bar vanishes."""
+        s = np.zeros(len(points))
+        if self.G_solvent is not None and solv.stop > solv.start:
+            arg = load.u_exact(points[mask]) + self.G_solvent[solv]
+            _check_sinh_argument(arg)
+            s[mask] = physics.kappa_bar_sq_solvent * np.sinh(arg)
         return s
 
-    def _jump_flux(self, physics: PhysicsConfig) -> np.ndarray:
-        """Per-cell integral of -(eps - eps_m) grad G over the solvent points."""
-        vec = np.zeros_like(self.points)
-        solvent = self.solvent
-        if solvent.any():
-            vec[solvent] = (
+    def _jump_flux(self, physics: PhysicsConfig, nodes: slice, mask: np.ndarray) -> np.ndarray:
+        """Rows of -(eps - eps_m) grad G times the weights at a block's nodes, 0 off the solvent."""
+        vec = np.zeros((3, nodes.stop - nodes.start))
+        if mask.any():
+            vec[:, mask] = (
                 -(physics.eps_s - physics.eps_m)
-                * self.weights[solvent, None]
-                * physics.coulomb_gradient(self.points[solvent])
+                * self.weights[nodes][mask]
+                * physics.coulomb_gradient(self.points[nodes][mask]).T
             )
-        return self.cell_sums(vec)
+        return vec
 
-    def projected_values(self, u: np.ndarray) -> np.ndarray:
-        """Pointwise values of the cellwise projection of u at all quadrature nodes."""
-        c = self.projectors.value_coeffs(u).take(self.cop, axis=0)
-        return c[:, 0] + np.einsum("pj,pj->p", self.xi, c[:, 1:])
+    def _screened_sinh(self, physics: PhysicsConfig, u: np.ndarray):
+        """Solvent sinh argument Pi0 u + G and the screened-sinh vector B at u.
+
+        Both are kept for the next call at the same u, so the Jacobian at an
+        accepted Newton step reuses its residual's sweep; ``_attach`` drops
+        them with the physics and ``newton_solve`` before it returns.
+        """
+        if self._sinh_at is not None and np.array_equal(self._sinh_at[0], u):
+            return self._sinh_at[1:]
+        self._sinh_at = None
+        coeffs = self.projectors.value_coeffs(u)
+        arg = np.empty(len(self.G_solvent))
+
+        def moments():
+            for (_, nodes, _), mask, solv in self._solvent_blocks():
+                c = coeffs.take(self.cop[nodes], axis=0)
+                values = c[:, 0] + np.einsum("pj,pj->p", self.xi[nodes], c[:, 1:])
+                arg[solv] = values[mask] + self.G_solvent[solv]
+                _check_sinh_argument(arg[solv])
+                s = self._screened(physics, nodes, mask, np.sinh(arg[solv]))
+                yield self._weighted_monomials(s, nodes, 4)
+
+        mom = self._cell_sums(moments())
+        P = self.projectors
+        B = P.gather.T @ (P.pi.T @ mom.T.ravel())
+        self._sinh_at = (u.copy(), arg, B)
+        return arg, B
+
+    def _screened(self, physics, nodes: slice, mask: np.ndarray, values) -> np.ndarray:
+        """weights * kappa_bar^2 * values on a block's solvent nodes, zero elsewhere."""
+        s = np.zeros(nodes.stop - nodes.start)
+        s[mask] = self.weights[nodes][mask] * physics.kappa_bar_sq_solvent * values
+        return s
+
+    def _weighted_monomials(self, s: np.ndarray, nodes: slice, rows: int) -> np.ndarray:
+        """Rows s * e_i * e_j of the monomials e = (1, xi) at a block's nodes.
+
+        The rows follow _UPPER_PAIRS: the first 4 integrate to the moments
+        of s, all 10 to the symmetric 4x4 of s (1, xi) (x) (1, xi).
+        """
+        xi = self.xi[nodes].T
+        out = np.empty((rows, len(s)))
+        out[0] = s
+        np.multiply(s, xi, out=out[1:4])
+        for row in range(4, rows):
+            i, j = _UPPER_PAIRS[row]
+            np.multiply(out[i], xi[j - 1], out=out[row])
+        return out
 
     def nonlinear(
         self, physics: PhysicsConfig, u: np.ndarray, with_jacobian: bool = True
@@ -173,38 +278,44 @@ class Workspace:
         if self.G_solvent is None:
             B = np.zeros(n)
             return B, (sp.csr_matrix((n, n)) if with_jacobian else None)
-        arg = self.projected_values(u)[self.solvent] + self.G_solvent
-        amax = float(np.abs(arg).max())
-        if amax > SINH_ARG_LIMIT:
-            raise NonlinearOverflow(
-                f"sinh argument {amax:.3g} exceeds {SINH_ARG_LIMIT:g}"
-            )
-        wk = self.weights[self.solvent] * physics.kappa_bar_sq_solvent
-        s = np.zeros(len(self.weights))
-        s[self.solvent] = wk * np.sinh(arg)
-        P = self.projectors
-        B = P.gather.T @ (P.pi.T @ self.moments4(s).ravel())
+        arg, B = self._screened_sinh(physics, u)
         if not with_jacobian:
-            return B, None
-
-        s[self.solvent] = wk * np.cosh(arg)
+            return B.copy(), None
+        sums = self._cell_sums(
+            self._weighted_monomials(self._screened(physics, nodes, mask, np.cosh(arg[solv])),
+                                     nodes, len(_UPPER_PAIRS))
+            for (_, nodes, _), mask, solv in self._solvent_blocks()
+        )
         M = np.empty((self.mesh.n_cells, 4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                xi_i = 1.0 if i == 0 else self.xi[:, i - 1]
-                xi_j = 1.0 if j == 0 else self.xi[:, j - 1]
-                M[:, i, j] = M[:, j, i] = np.add.reduceat(s * xi_i * xi_j, self.cell_ptr[:-1])
+        for col, (i, j) in enumerate(_UPPER_PAIRS):
+            M[:, i, j] = M[:, j, i] = sums[col]
         cells = np.arange(self.mesh.n_cells + 1)
         Mb = sp.bsr_matrix((M, cells[:-1], cells), shape=(4 * len(M), 4 * len(M)))
-        return B, (P.gather.T @ (P.pi.T @ (Mb @ P.pi)) @ P.gather).tocsr()
+        P = self.projectors
+        return B.copy(), (P.gather.T @ (P.pi.T @ (Mb @ P.pi)) @ P.gather).tocsr()
 
     def error_norms(self, u: np.ndarray, u_exact, grad_u_exact) -> tuple[float, float]:
-        """L2 and H1-seminorm errors of the projected solution against exact fields."""
-        diff = u_exact(self.points) - self.projected_values(u)
-        e2 = float(self.weights @ diff**2)
-        gdiff = grad_u_exact(self.points) - self.projectors.gradients(u).take(self.cop, axis=0)
-        e1 = float(self.weights @ (gdiff**2).sum(axis=1))
-        return float(np.sqrt(e2)), float(np.sqrt(e1))
+        """L2 and H1-seminorm errors of the projected solution against exact fields.
+
+        The exact callables get one node block at a time, the same points
+        array for both.
+        """
+        coeffs, grads = self.projectors.value_coeffs(u), self.projectors.gradients(u)
+        sq, gsq = np.empty(len(self.weights)), np.empty(len(self.weights))
+        for _, nodes, _ in self._blocks():
+            points, cop = self.points[nodes], self.cop[nodes]
+            c = coeffs.take(cop, axis=0)
+            diff = u_exact(points) - (c[:, 0] + np.einsum("pj,pj->p", self.xi[nodes], c[:, 1:]))
+            sq[nodes] = diff**2
+            gdiff = grad_u_exact(points) - grads.take(cop, axis=0)
+            gsq[nodes] = (gdiff**2).sum(axis=1)
+        return float(np.sqrt(self.weights @ sq)), float(np.sqrt(self.weights @ gsq))
+
+
+def _check_sinh_argument(arg: np.ndarray) -> None:
+    amax = float(np.abs(arg).max()) if len(arg) else 0.0
+    if amax > SINH_ARG_LIMIT:
+        raise NonlinearOverflow(f"sinh argument {amax:.3g} exceeds {SINH_ARG_LIMIT:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +397,9 @@ def newton_solve(
     """Damped Newton iteration from u = 0 (boundary values applied).
 
     Stops when the residual norm falls below rel_tol * ||R(u0)|| + abs_tol.
-    Every failure raises :class:`SolverError` carrying the last accepted
-    iterate (u0 before the first step) and the report so far.
+    Every failure, an overflow in the load or at u0 included, raises
+    :class:`SolverError` carrying the last accepted iterate (u0 before the
+    first step) and the report so far.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
@@ -302,58 +414,64 @@ def newton_solve(
         return SolverError(message, u=u, report=report)
 
     ws = workspace or Workspace(mesh)
-    A = ws.stiffness(physics)
-    if not np.all(np.isfinite(A.data)):
-        raise failure("non-finite stiffness entry")
-    F = ws.load_vector(physics, load)
     try:
-        r = assemble_residual(mesh, physics, load, u, A=A, F=F, workspace=ws)
-    except NonlinearOverflow as exc:
-        raise failure(f"initial state: {exc}") from exc
-    rnorm = float(np.linalg.norm(r))
-    report.residual_history.append(rnorm)
-    target = config.rel_tol * rnorm + config.abs_tol
-
-    while rnorm > target:
-        if report.newton_iterations >= config.max_iterations:
-            raise failure(
-                f"Newton did not converge in {config.max_iterations} iterations "
-                f"(residual {rnorm:.3e}, target {target:.3e})"
-            )
-        _, Bmat = ws.nonlinear(physics, u, with_jacobian=True)
-        J = constrain_matrix((A + Bmat).tocsr(), mask)
-        rhs = -r
-        rhs[mask] = 0.0
+        A = ws.stiffness(physics)
+        if not np.all(np.isfinite(A.data)):
+            raise failure("non-finite stiffness entry")
         try:
-            delta, cg_iters = cg_solve(J, rhs, config.cg_tol, config.cg_max_iterations)
-        except SolverError as exc:
-            raise failure(f"Newton iteration {report.newton_iterations + 1}: {exc}") from exc
-        report.cg_iterations.append(cg_iters)
-
-        lam = 1.0
-        accepted = False
-        for _ in range(config.max_halvings + 1):
-            trial = u + lam * delta
-            try:
-                r_trial = assemble_residual(mesh, physics, load, trial, A=A, F=F, workspace=ws)
-                t_norm = float(np.linalg.norm(r_trial))
-            except NonlinearOverflow:
-                t_norm = np.inf
-            if np.isfinite(t_norm) and t_norm < rnorm:
-                accepted = True
-                break
-            lam *= 0.5
-            report.damping_events += 1
-        if not accepted:
-            raise failure(
-                f"Newton damping exhausted at iteration {report.newton_iterations + 1} "
-                f"(residual {rnorm:.3e})"
-            )
-        u, r, rnorm = trial, r_trial, t_norm
-        report.newton_iterations += 1
+            F = ws.load_vector(physics, load)
+        except NonlinearOverflow as exc:
+            raise failure(f"load: {exc}") from exc
+        try:
+            r = assemble_residual(mesh, physics, load, u, A=A, F=F, workspace=ws)
+        except NonlinearOverflow as exc:
+            raise failure(f"initial state: {exc}") from exc
+        rnorm = float(np.linalg.norm(r))
         report.residual_history.append(rnorm)
+        target = config.rel_tol * rnorm + config.abs_tol
 
-    report.converged = True
-    report.max_abs_u = float(np.abs(u).max()) if len(u) else 0.0
-    report.wall_time = time.perf_counter() - t0
-    return u, report
+        while rnorm > target:
+            if report.newton_iterations >= config.max_iterations:
+                raise failure(
+                    f"Newton did not converge in {config.max_iterations} iterations "
+                    f"(residual {rnorm:.3e}, target {target:.3e})"
+                )
+            _, Bmat = ws.nonlinear(physics, u, with_jacobian=True)
+            J = constrain_matrix((A + Bmat).tocsr(), mask)
+            rhs = -r
+            rhs[mask] = 0.0
+            try:
+                delta, cg_iters = cg_solve(J, rhs, config.cg_tol, config.cg_max_iterations)
+            except SolverError as exc:
+                raise failure(f"Newton iteration {report.newton_iterations + 1}: {exc}") from exc
+            report.cg_iterations.append(cg_iters)
+
+            lam = 1.0
+            accepted = False
+            for _ in range(config.max_halvings + 1):
+                trial = u + lam * delta
+                try:
+                    r_trial = assemble_residual(mesh, physics, load, trial, A=A, F=F, workspace=ws)
+                    t_norm = float(np.linalg.norm(r_trial))
+                except NonlinearOverflow:
+                    t_norm = np.inf
+                if np.isfinite(t_norm) and t_norm < rnorm:
+                    accepted = True
+                    break
+                lam *= 0.5
+                report.damping_events += 1
+            if not accepted:
+                raise failure(
+                    f"Newton damping exhausted at iteration {report.newton_iterations + 1} "
+                    f"(residual {rnorm:.3e})"
+                )
+            u, r, rnorm = trial, r_trial, t_norm
+            report.newton_iterations += 1
+            report.residual_history.append(rnorm)
+
+        report.converged = True
+        report.max_abs_u = float(np.abs(u).max()) if len(u) else 0.0
+        report.wall_time = time.perf_counter() - t0
+        return u, report
+    finally:
+        ws._sinh_at = None    # the kept sinh argument is as large as G_solvent

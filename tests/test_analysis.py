@@ -255,6 +255,28 @@ def test_reference_locates_coarse_nodes_once(monkeypatch):
     assert calls == [len(Workspace(coarse).weights)]
 
 
+def test_reference_locates_each_block_once(monkeypatch):
+    """Over several node blocks, every coarse node is located exactly once."""
+    located = []
+    locate = vp.analysis._locate_structured
+
+    def recording(mesh, points):
+        located.append(points.copy())
+        return locate(mesh, points)
+
+    coarse, fine = vp.generate_tet_mesh(4), vp.generate_tet_mesh(8)
+    rng = np.random.default_rng(4)
+    u_c, u_f = rng.normal(size=coarse.n_vertices), rng.normal(size=fine.n_vertices)
+    whole = vp.compare_to_reference(coarse, u_c, fine, u_f)
+    monkeypatch.setattr(vp.solver, "BLOCK_NODES", 5000)
+    monkeypatch.setattr(vp.analysis, "_locate_structured", recording)
+    blocked = vp.compare_to_reference(coarse, u_c, fine, u_f)
+    ws = Workspace(coarse)
+    assert len(located) == len(ws.block_cells) - 1 > 1
+    assert np.array_equal(np.concatenate(located), ws.points)
+    assert blocked == whole
+
+
 @pytest.mark.parametrize("bad", ["u_h", "u_ref", "coarse projectors", "fine projectors"])
 def test_reference_rejects_mismatched_inputs(bad):
     coarse, fine = vp.generate_tet_mesh(2), vp.generate_tet_mesh(4)

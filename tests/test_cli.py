@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 
@@ -219,6 +220,25 @@ def test_strong_charge_overflow_exits_3_and_saves_initial_state(tmp_path, capsys
     assert len(rows) == 125
     assert np.all(rows[:, 4] == 0.0)  # u0 of the regularized load
     assert "sinh argument" in capsys.readouterr().err
+
+
+def test_manufactured_load_overflow_exits_3_and_saves_initial_state(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        physics={"charges": [{"q": 1e4, "x": [0.1, 0.1, 0.1]}]},
+        mesh={"family": "cubic", "n": 4},
+    )
+    out = tmp_path / "u.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 3
+    assert not out.exists()
+    rows = np.loadtxt(tmp_path / "u.csv.failed", delimiter=",", skiprows=1)
+    m = vp.generate_cube_mesh(4)
+    u0 = np.zeros(m.n_vertices)
+    u0[m.boundary_vertex] = vp.manufactured_sine().boundary_values(m.vertices[m.boundary_vertex])
+    assert np.array_equal(rows[:, 4], u0)
+    assert "load: sinh argument" in capsys.readouterr().err
 
 
 def test_cg_iteration_limit_exits_3_and_saves_state(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import vempb as vp
+from vempb import solver
 from vempb.polybasis import mesh_quadrature
 from vempb.projectors import face_integral_rows
 from vempb.solver import SolverError, Workspace, cg_solve, constrain_matrix
@@ -299,6 +302,21 @@ def test_newton_overflow_at_initial_state_carries_u0():
     assert err.value.report.wall_time > 0.0
 
 
+def test_newton_overflow_in_manufactured_load_carries_u0():
+    m = vp.generate_cube_mesh(4)
+    phys = vp.PhysicsConfig(charges=[(1e4, (0.1, 0.1, 0.1))])
+    load = vp.manufactured_sine()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="load: sinh argument") as err:
+            vp.newton_solve(m, phys, load)
+    u0 = np.zeros(m.n_vertices)
+    u0[m.boundary_vertex] = load.boundary_values(m.vertices[m.boundary_vertex])
+    assert np.array_equal(err.value.u, u0)
+    assert err.value.report.newton_iterations == 0
+    assert err.value.report.residual_history == []
+
+
 def test_newton_cg_limit_carries_state():
     m = vp.generate_cube_mesh(4)
     load = vp.manufactured_sine()
@@ -335,3 +353,97 @@ def test_constrain_matrix_keeps_symmetry():
     assert abs(C - C.T).max() == 0.0
     n_bnd = int(m.boundary_vertex.sum())
     assert np.allclose(C.toarray()[m.boundary_vertex][:, m.boundary_vertex], np.eye(n_bnd))
+
+
+# ---------------------------------------------------------------------------
+# node blocks and the kept sinh argument
+
+
+def _screened_tet_physics():
+    return vp.PhysicsConfig(kappa=4.0, charges=[(5.0, (0.25, 0.25, 0.25))])
+
+
+BLOCK_CASES = {
+    "voronoi200": (lambda: vp.generate_voronoi_mesh(200, 4), vp.PhysicsConfig,
+                   vp.manufactured_sine),
+    "kuhn4": (lambda: vp.generate_tet_mesh(4), _screened_tet_physics, vp.regularized_load),
+    "cube4-weak": (lambda: vp.generate_cube_mesh(4), vp.PhysicsConfig, vp.manufactured_sine),
+    "cube4-pointwise": (
+        lambda: vp.generate_cube_mesh(4), vp.PhysicsConfig,
+        lambda: dataclasses.replace(vp.manufactured_sine(), pointwise_rhs=True),
+    ),
+}
+
+
+def _assembled(mesh, phys, load):
+    """Every output of the node sweeps and of a Newton solve, as arrays."""
+    ws = Workspace(mesh)
+    u = np.random.default_rng(8).normal(size=mesh.n_vertices) * 0.3
+    B, J = ws.nonlinear(phys, u, with_jacobian=True)
+    u_h, report = vp.newton_solve(mesh, phys, load, workspace=ws)
+    out = {
+        "A": ws.stiffness(phys).toarray(), "F": ws.load_vector(phys, load), "B": B,
+        "J": J.toarray(), "u": u_h, "residuals": np.array(report.residual_history),
+        "cg": np.array(report.cg_iterations),
+    }
+    if load.mode == "manufactured":
+        out["errors"] = np.array(ws.error_norms(u_h, load.u_exact, load.grad_u_exact))
+    return out
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_results_independent_of_block_size(case, monkeypatch):
+    make, physics, load = BLOCK_CASES[case]
+    mesh = make()
+    results = {}
+    for block_nodes in (1, 1000, 10**9):
+        monkeypatch.setattr(solver, "BLOCK_NODES", block_nodes)
+        n_blocks = len(Workspace(mesh).block_cells) - 1
+        assert {1: n_blocks == mesh.n_cells, 1000: 1 < n_blocks < mesh.n_cells,
+                10**9: n_blocks == 1}[block_nodes]
+        results[block_nodes] = _assembled(mesh, physics(), load())
+    for block_nodes in (1, 1000):
+        for key, want in results[10**9].items():
+            assert np.array_equal(results[block_nodes][key], want), (block_nodes, key)
+
+
+def test_newton_sweeps_projected_values_once_per_residual(monkeypatch):
+    m = vp.generate_tet_mesh(4)
+    phys = _screened_tet_physics()
+    ws = Workspace(m)
+    sweeps, calls = [], []
+    value_coeffs, nonlinear = ws.projectors.value_coeffs, ws.nonlinear
+
+    def counting_coeffs(u):
+        sweeps.append(1)
+        return value_coeffs(u)
+
+    def counting_nonlinear(physics, u, with_jacobian=True):
+        calls.append(with_jacobian)
+        return nonlinear(physics, u, with_jacobian)
+
+    monkeypatch.setattr(ws.projectors, "value_coeffs", counting_coeffs)
+    monkeypatch.setattr(ws, "nonlinear", counting_nonlinear)
+    _, report = vp.newton_solve(m, phys, vp.regularized_load(), workspace=ws)
+    residuals = calls.count(False)
+    assert calls.count(True) == report.newton_iterations > 0
+    assert residuals == len(report.residual_history) + report.damping_events
+    assert len(sweeps) == residuals
+    assert ws._sinh_at is None
+
+
+def test_kept_sinh_argument_follows_the_content_of_u():
+    m = vp.generate_tet_mesh(3)
+    phys = _screened_tet_physics()
+    ws = Workspace(m)
+    u = np.random.default_rng(9).normal(size=m.n_vertices)
+    ws.nonlinear(phys, u, with_jacobian=False)
+    u[m.n_vertices // 2] += 0.5          # the same array, changed in place
+    B, J = ws.nonlinear(phys, u, with_jacobian=True)
+    B_fresh, J_fresh = Workspace(m).nonlinear(phys, u, with_jacobian=True)
+    assert np.array_equal(B, B_fresh)
+    assert np.array_equal(J.toarray(), J_fresh.toarray())
+    # another physics at the same u drops the kept argument
+    other = vp.PhysicsConfig(kappa=2.0, charges=[(5.0, (0.25, 0.25, 0.25))])
+    B_other, _ = ws.nonlinear(other, u, with_jacobian=False)
+    assert np.array_equal(B_other, Workspace(m).nonlinear(other, u, with_jacobian=False)[0])
