@@ -21,6 +21,7 @@ from .forms import LoadSpec, PhysicsConfig
 from .mesh import KUHN_PERMUTATIONS, PolyMesh
 # cell_quadrature stays importable here: perfbench/tracer.py wraps analysis.cell_quadrature
 from .polybasis import cell_quadrature  # noqa: F401
+from .polybasis import linear_values
 from .projectors import CellProjectorSet, build_projectors
 from .solver import NewtonConfig, SolveReport, Workspace, newton_solve
 
@@ -228,7 +229,9 @@ def compare_to_reference(
             raise ValueError(f"{what} projectors cover {len(projs)} cells, mesh has {mesh.n_cells}")
     if fine_projectors is None:
         fine_projectors = build_projectors(fine_mesh)
-    coeffs, grads = fine_projectors.value_coeffs(u_ref), fine_projectors.gradients(u_ref)
+    coeff_rows = np.ascontiguousarray(fine_projectors.value_coeffs(u_ref).T)
+    grads = fine_projectors.gradients(u_ref)
+    centroid_rows = np.ascontiguousarray(fine_mesh.cell_centroid.T)
 
     ws = Workspace(coarse_mesh, coarse_projectors)
     # error_norms hands both fields the same points array per node block, so each
@@ -242,10 +245,9 @@ def compare_to_reference(
 
     def ref_value(points):
         fid = fine_cells(points)
-        c = coeffs.take(fid, axis=0)
-        xi = points - fine_mesh.cell_centroid.take(fid, axis=0)
-        xi /= fine_mesh.cell_diameter.take(fid)[:, None]
-        return c[:, 0] + np.einsum("ij,ij->i", xi, c[:, 1:])
+        xi = points.T - centroid_rows.take(fid, axis=1)
+        xi /= fine_mesh.cell_diameter.take(fid)
+        return linear_values(coeff_rows.take(fid, axis=1), xi)
 
     def ref_gradient(points):
         return grads.take(fine_cells(points), axis=0)

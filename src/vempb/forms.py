@@ -80,22 +80,28 @@ class PhysicsConfig:
         pts = np.atleast_2d(points)
         out = np.zeros(len(pts))
         for q, x in zip(self._q, self._x):
-            r = np.linalg.norm(pts - x, axis=1)
-            if r.min() < CHARGE_SINGULARITY_TOL:
-                raise SingularityError(f"evaluation at charge location {x}")
+            _, r = _charge_offsets(pts, x)
             out += (q / self.eps_m) / r
         return out
 
     def coulomb_gradient(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        out = np.zeros_like(pts)
+        out = np.zeros((3, len(pts)))
         for q, x in zip(self._q, self._x):
-            rel = pts - x
-            r = np.linalg.norm(rel, axis=1)
-            if r.min() < CHARGE_SINGULARITY_TOL:
-                raise SingularityError(f"evaluation at charge location {x}")
-            out -= (q / self.eps_m) * rel / r[:, None] ** 3
-        return out
+            rel, r = _charge_offsets(pts, x)
+            r3 = r**3
+            for j in range(3):
+                out[j] -= (q / self.eps_m) * rel[j] / r3
+        return out.T
+
+
+def _charge_offsets(pts: np.ndarray, x: np.ndarray):
+    """Coordinate columns of pts - x and the distances |pts - x|, summed column by column."""
+    rel = [pts[:, j] - x[j] for j in range(3)]
+    r = np.sqrt(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2])
+    if r.min() < CHARGE_SINGULARITY_TOL:
+        raise SingularityError(f"evaluation at charge location {x}")
+    return rel, r
 
 
 @dataclass

@@ -73,7 +73,7 @@ def box_levelset(threshold: float = 0.5) -> LevelSet:
     """
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return np.max(pts, axis=1) - threshold
+        return np.maximum(np.maximum(pts[:, 0], pts[:, 1]), pts[:, 2]) - threshold
 
     return LevelSet(fn=fn)
 

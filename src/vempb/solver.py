@@ -11,8 +11,14 @@ blocks, so the summation order, and with it every result, is independent of
 the block size.  Every form is then sparse algebra on the operators, such as
 the stiffness gather' (grad' eps grad + stab' sigma stab) gather.
 
-The solvent sinh argument of the last residual is kept with its u, so the
-Jacobian at the accepted Newton iterate reuses it instead of sweeping again.
+Per-node fields are elementwise arithmetic on coordinate columns: node
+coordinates and xi are contiguous columns, and per-cell coefficient rows are
+spread over a block's nodes with `np.repeat`, so Pi0 u is c0 + c . xi row by
+row.  The Coulomb field G is held at node length, 0 off the solvent, and the
+sinh argument Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask
+and cosh is weighted by w kappa_bar^2 [solvent], with no gather or scatter.
+The sinh argument of the last residual is kept with its u, so the Jacobian
+at the accepted Newton iterate reuses it instead of sweeping again.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
@@ -33,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
 from .mesh import PolyMesh
-from .polybasis import mesh_quadrature
+from .polybasis import linear_values, mesh_quadrature
 from .projectors import CellProjectorSet, build_projectors
 
 # quadrature nodes per sweep block (rounded up to whole cells): every node sweep
@@ -85,6 +91,7 @@ class Workspace:
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 
         self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(mesh)
+        self._cell_nodes = np.diff(self.cell_ptr)
         # the distinct DoF counts; perfbench reports len(groups) as projectors.dof_groups
         self.groups = np.unique(np.diff(mesh.cell_vertex_ptr))
         # first cell of each node block: the cell holding node k * BLOCK_NODES, so every
@@ -93,7 +100,8 @@ class Workspace:
             self.cell_ptr, np.arange(0, len(self.weights), BLOCK_NODES), side="right"
         ) - 1
         self.block_cells = np.append(np.unique(first), mesh.n_cells)
-        self._physics = None
+        self._physics_key = None
+        self._G = None
         self._sinh_at = None
 
     # -- node blocks -----------------------------------------------------
@@ -109,11 +117,6 @@ class Workspace:
         for c0, c1 in zip(self.block_cells[:-1], self.block_cells[1:]):
             yield slice(c0, c1), slice(ptr[c0], ptr[c1]), ptr[c0:c1] - ptr[c0]
 
-    def _solvent_blocks(self):
-        """Each node block with its solvent mask and its slice of the solvent arrays."""
-        for block, solv in zip(self._blocks(), self._solvent_slices):
-            yield block, self.solvent[block[1]], solv
-
     def _cell_sums(self, block_values) -> np.ndarray:
         """Per-cell sums of per-node rows given one block at a time, in block order.
 
@@ -128,25 +131,49 @@ class Workspace:
             out[..., cells] = sums
         return out
 
+    def _spread(self, rows: np.ndarray, cells: slice) -> np.ndarray:
+        """Per-cell rows (k, n_cells) repeated over a block's nodes: (k, block nodes)."""
+        return np.repeat(rows[:, cells], self._cell_nodes[cells], axis=1)
+
+    def _projected_values(self, coeff_rows: np.ndarray, cells: slice, nodes: slice) -> np.ndarray:
+        """Pi0 u at a block's nodes from the value coefficient rows (4, n_cells)."""
+        return linear_values(self._spread(coeff_rows, cells), self.xi[nodes].T)
+
     # -- physics cache ---------------------------------------------------
 
     def _attach(self, physics: PhysicsConfig) -> None:
-        """Evaluate the level set once per physics; kappa_bar^2 > 0 only on ``solvent``."""
-        if self._physics is physics:
+        """Evaluate the level set once per physics state; kappa_bar^2 > 0 only on ``solvent``.
+
+        The state is the physics and its level set (by identity) and the
+        eps_m and kappa_bar^2 that G and the screened term read, so changing
+        any of them on the same instance drops G and the kept sinh argument.
+        """
+        key = (physics, physics.levelset, physics.eps_m, physics.kappa_bar_sq_solvent)
+        old = self._physics_key
+        if old is not None and old[0] is key[0] and old[1] is key[1] and old[2:] == key[2:]:
             return
         self._sinh_at = None
+        self._G = None
         self.solvent = np.concatenate(
             [physics.solvent_mask(self.points[nodes]) for _, nodes, _ in self._blocks()]
         )
-        counts = [np.count_nonzero(self.solvent[nodes]) for _, nodes, _ in self._blocks()]
-        ptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-        self._solvent_slices = [slice(a, b) for a, b in zip(ptr[:-1], ptr[1:])]
-        screened = physics.kappa_bar_sq_solvent > 0 and ptr[-1] > 0
-        self.G_solvent = np.concatenate([
-            physics.coulomb_potential(self.points[nodes][mask])
-            for (_, nodes, _), mask, solv in self._solvent_blocks() if solv.stop > solv.start
-        ]) if screened else None
-        self._physics = physics
+        self._has_screening = physics.kappa_bar_sq_solvent > 0 and bool(self.solvent.any())
+        self._physics_key = key
+
+    def _solvent_points(self, nodes: slice) -> tuple[np.ndarray, np.ndarray]:
+        """A block's solvent mask and its solvent points, (m, 3) with contiguous columns."""
+        mask = self.solvent[nodes]
+        return mask, self.points[nodes].T.compress(mask, axis=1).T
+
+    def _coulomb(self, physics: PhysicsConfig) -> np.ndarray:
+        """G at every node, 0 off the solvent; evaluated on the first screened use."""
+        if self._G is None:
+            self._G = np.zeros(len(self.weights))
+            for _, nodes, _ in self._blocks():
+                mask, points = self._solvent_points(nodes)
+                if len(points):
+                    self._G[nodes][mask] = physics.coulomb_potential(points)
+        return self._G
 
     def _epsilon(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
         return np.where(self.solvent[nodes], physics.eps_s, physics.eps_m)
@@ -175,53 +202,53 @@ class Workspace:
         self._attach(physics)
         P = self.projectors
         if load.mode == "regularized":
-            flux = self._cell_sums(
-                self._jump_flux(physics, nodes, mask) for (_, nodes, _), mask, _ in
-                self._solvent_blocks()
-            )
+            flux = self._cell_sums(self._jump_flux(physics, nodes) for _, nodes, _ in self._blocks())
             return P.gather.T @ (P.grad.T @ flux.T.ravel())
 
         def integrands():
             """Per block: 3 flux rows, then the 4 moment rows of the source."""
-            for (_, nodes, _), mask, solv in self._solvent_blocks():
+            for _, nodes, _ in self._blocks():
                 w = self.weights[nodes]
                 points = self.points[nodes]
-                sinh = self._exact_sinh(physics, load, points, mask, solv)
+                sinh = self._exact_sinh(physics, load, points, nodes)
+                out = np.empty((7, len(w)))
                 if load.pointwise_rhs:
                     f = -self._epsilon(physics, nodes) * load.lap_u_exact(points)
-                    source = w * (f + sinh)
-                    flux = self._jump_flux(physics, nodes, mask)
+                    np.multiply(w, f + sinh, out=out[3])
+                    out[:3] = self._jump_flux(physics, nodes)
                 else:
-                    flux = (w * self._epsilon(physics, nodes))[:, None] * load.grad_u_exact(points)
-                    flux = flux.T
-                    source = w * sinh
-                yield np.vstack([flux, self._weighted_monomials(source, nodes, 4)])
+                    np.multiply(w, sinh, out=out[3])
+                    np.multiply(w * self._epsilon(physics, nodes), load.grad_u_exact(points).T,
+                                out=out[:3])
+                self._weighted_monomials(out[3:], nodes)
+                yield out
 
         sums = self._cell_sums(integrands())
         return P.gather.T @ (P.grad.T @ sums[:3].T.ravel() + P.pi.T @ sums[3:].T.ravel())
 
-    def _exact_sinh(self, physics, load, points, mask, solv) -> np.ndarray:
+    def _exact_sinh(self, physics, load, points, nodes: slice) -> np.ndarray:
         """kappa_bar^2 sinh(u_exact + G) at a block's nodes, zero where kappa_bar vanishes."""
-        s = np.zeros(len(points))
-        if self.G_solvent is not None and solv.stop > solv.start:
-            arg = load.u_exact(points[mask]) + self.G_solvent[solv]
-            _check_sinh_argument(arg)
-            s[mask] = physics.kappa_bar_sq_solvent * np.sinh(arg)
-        return s
+        if not self._has_screening:
+            return np.zeros(len(points))
+        # u_exact * 0 + 0 is +0 off the solvent, where G is 0
+        arg = load.u_exact(points) * self.solvent[nodes] + self._coulomb(physics)[nodes]
+        _check_sinh_argument(arg)
+        return physics.kappa_bar_sq_solvent * np.sinh(arg)
 
-    def _jump_flux(self, physics: PhysicsConfig, nodes: slice, mask: np.ndarray) -> np.ndarray:
+    def _jump_flux(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
         """Rows of -(eps - eps_m) grad G times the weights at a block's nodes, 0 off the solvent."""
         vec = np.zeros((3, nodes.stop - nodes.start))
-        if mask.any():
+        mask, points = self._solvent_points(nodes)
+        if len(points):
             vec[:, mask] = (
                 -(physics.eps_s - physics.eps_m)
                 * self.weights[nodes][mask]
-                * physics.coulomb_gradient(self.points[nodes][mask]).T
+                * physics.coulomb_gradient(points).T
             )
         return vec
 
     def _screened_sinh(self, physics: PhysicsConfig, u: np.ndarray):
-        """Solvent sinh argument Pi0 u + G and the screened-sinh vector B at u.
+        """Sinh argument Pi0 u + G, 0 off the solvent, and the screened-sinh vector B at u.
 
         Both are kept for the next call at the same u, so the Jacobian at an
         accepted Newton step reuses its residual's sweep; ``_attach`` drops
@@ -230,17 +257,21 @@ class Workspace:
         if self._sinh_at is not None and np.array_equal(self._sinh_at[0], u):
             return self._sinh_at[1:]
         self._sinh_at = None
-        coeffs = self.projectors.value_coeffs(u)
-        arg = np.empty(len(self.G_solvent))
+        coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
+        G = self._coulomb(physics)
+        arg = np.empty(len(self.weights))
 
         def moments():
-            for (_, nodes, _), mask, solv in self._solvent_blocks():
-                c = coeffs.take(self.cop[nodes], axis=0)
-                values = c[:, 0] + np.einsum("pj,pj->p", self.xi[nodes], c[:, 1:])
-                arg[solv] = values[mask] + self.G_solvent[solv]
-                _check_sinh_argument(arg[solv])
-                s = self._screened(physics, nodes, mask, np.sinh(arg[solv]))
-                yield self._weighted_monomials(s, nodes, 4)
+            for cells, nodes, _ in self._blocks():
+                # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
+                a = np.multiply(self._projected_values(coeff_rows, cells, nodes),
+                                self.solvent[nodes], out=arg[nodes])
+                a += G[nodes]
+                _check_sinh_argument(a)
+                out = np.empty((4, len(a)))
+                np.sinh(a, out=out[0])
+                out[0] *= self.weights[nodes] * physics.kappa_bar_sq_solvent
+                yield self._weighted_monomials(out, nodes)
 
         mom = self._cell_sums(moments())
         P = self.projectors
@@ -248,23 +279,15 @@ class Workspace:
         self._sinh_at = (u.copy(), arg, B)
         return arg, B
 
-    def _screened(self, physics, nodes: slice, mask: np.ndarray, values) -> np.ndarray:
-        """weights * kappa_bar^2 * values on a block's solvent nodes, zero elsewhere."""
-        s = np.zeros(nodes.stop - nodes.start)
-        s[mask] = self.weights[nodes][mask] * physics.kappa_bar_sq_solvent * values
-        return s
+    def _weighted_monomials(self, out: np.ndarray, nodes: slice) -> np.ndarray:
+        """Fill rows 1.. of ``out`` with s * e_i * e_j, s = out[0], e = (1, xi) at a block's nodes.
 
-    def _weighted_monomials(self, s: np.ndarray, nodes: slice, rows: int) -> np.ndarray:
-        """Rows s * e_i * e_j of the monomials e = (1, xi) at a block's nodes.
-
-        The rows follow _UPPER_PAIRS: the first 4 integrate to the moments
-        of s, all 10 to the symmetric 4x4 of s (1, xi) (x) (1, xi).
+        The rows follow _UPPER_PAIRS: 4 rows integrate to the moments of s,
+        10 to the symmetric 4x4 of s (1, xi) (x) (1, xi).
         """
         xi = self.xi[nodes].T
-        out = np.empty((rows, len(s)))
-        out[0] = s
-        np.multiply(s, xi, out=out[1:4])
-        for row in range(4, rows):
+        np.multiply(out[0], xi, out=out[1:4])
+        for row in range(4, len(out)):
             i, j = _UPPER_PAIRS[row]
             np.multiply(out[i], xi[j - 1], out=out[row])
         return out
@@ -275,17 +298,23 @@ class Workspace:
         """Global screened-sinh residual and (optionally) its Jacobian."""
         self._attach(physics)
         n = self.mesh.n_vertices
-        if self.G_solvent is None:
+        if not self._has_screening:
             B = np.zeros(n)
             return B, (sp.csr_matrix((n, n)) if with_jacobian else None)
         arg, B = self._screened_sinh(physics, u)
         if not with_jacobian:
             return B.copy(), None
-        sums = self._cell_sums(
-            self._weighted_monomials(self._screened(physics, nodes, mask, np.cosh(arg[solv])),
-                                     nodes, len(_UPPER_PAIRS))
-            for (_, nodes, _), mask, solv in self._solvent_blocks()
-        )
+
+        def cosh_rows():
+            for _, nodes, _ in self._blocks():
+                out = np.empty((len(_UPPER_PAIRS), nodes.stop - nodes.start))
+                np.cosh(arg[nodes], out=out[0])
+                scale = self.weights[nodes] * physics.kappa_bar_sq_solvent
+                scale *= self.solvent[nodes]
+                out[0] *= scale
+                yield self._weighted_monomials(out, nodes)
+
+        sums = self._cell_sums(cosh_rows())
         M = np.empty((self.mesh.n_cells, 4, 4))
         for col, (i, j) in enumerate(_UPPER_PAIRS):
             M[:, i, j] = M[:, j, i] = sums[col]
@@ -300,15 +329,15 @@ class Workspace:
         The exact callables get one node block at a time, the same points
         array for both.
         """
-        coeffs, grads = self.projectors.value_coeffs(u), self.projectors.gradients(u)
+        coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
+        grad_rows = np.ascontiguousarray(self.projectors.gradients(u).T)
         sq, gsq = np.empty(len(self.weights)), np.empty(len(self.weights))
-        for _, nodes, _ in self._blocks():
-            points, cop = self.points[nodes], self.cop[nodes]
-            c = coeffs.take(cop, axis=0)
-            diff = u_exact(points) - (c[:, 0] + np.einsum("pj,pj->p", self.xi[nodes], c[:, 1:]))
+        for cells, nodes, _ in self._blocks():
+            points = self.points[nodes]
+            diff = u_exact(points) - self._projected_values(coeff_rows, cells, nodes)
             sq[nodes] = diff**2
-            gdiff = grad_u_exact(points) - grads.take(cop, axis=0)
-            gsq[nodes] = (gdiff**2).sum(axis=1)
+            gdiff = grad_u_exact(points).T - self._spread(grad_rows, cells)
+            gsq[nodes] = gdiff[0] ** 2 + gdiff[1] ** 2 + gdiff[2] ** 2
         return float(np.sqrt(self.weights @ sq)), float(np.sqrt(self.weights @ gsq))
 
 
@@ -474,4 +503,4 @@ def newton_solve(
         report.wall_time = time.perf_counter() - t0
         return u, report
     finally:
-        ws._sinh_at = None    # the kept sinh argument is as large as G_solvent
+        ws._sinh_at = None    # the kept sinh argument is as long as the quadrature

@@ -20,7 +20,10 @@ for ``build_projectors``, sums one cell's face integral rows from
 ``Workspace.stiffness``, and the reference-error loop, the reference for the
 batched ``compare_to_reference``, work on nodes from ``mesh_quadrature``, the
 node builder that ``compare_to_reference`` and the solver use, with
-projectors from ``cell_projector_reference``.
+projectors from ``cell_projector_reference``.  ``box_levelset_rowwise``,
+``coulomb_potential_rowwise`` and ``coulomb_gradient_rowwise`` are the
+row-wise forms (a max and a norm along each point's row) of the level set
+and Coulomb fields that the library evaluates on coordinate columns.
 """
 
 from collections import namedtuple
@@ -488,3 +491,25 @@ def interface_flags_per_cell(mesh, levelset):
         ])
         flags[ci] = (vals < 0).any() and (vals > 0).any()
     return flags
+
+
+def box_levelset_rowwise(points, threshold=0.5):
+    """max(x1, x2, x3) - threshold, reduced along each point's row."""
+    return np.max(points, axis=1) - threshold
+
+
+def coulomb_potential_rowwise(physics, points):
+    """Sum of (q_i/eps_m)/|x - x_i| with row-wise distance norms."""
+    out = np.zeros(len(points))
+    for q, x in physics.charges:
+        out += (q / physics.eps_m) / np.linalg.norm(points - np.asarray(x), axis=1)
+    return out
+
+
+def coulomb_gradient_rowwise(physics, points):
+    """Gradient of :func:`coulomb_potential_rowwise`, as (n, 3) rows."""
+    out = np.zeros_like(points)
+    for q, x in physics.charges:
+        rel = points - np.asarray(x)
+        out -= (q / physics.eps_m) * rel / np.linalg.norm(rel, axis=1)[:, None] ** 3
+    return out

@@ -7,9 +7,12 @@ from vempb.polybasis import mesh_quadrature
 from vempb.solver import Workspace
 
 from _oracles import (
+    box_levelset_rowwise,
     build_polymesh,
     cell_projector_blocks,
     cell_vertex_ids,
+    coulomb_gradient_rowwise,
+    coulomb_potential_rowwise,
     oriented_tet_faces,
     p1_tet_stiffness,
 )
@@ -57,10 +60,31 @@ def test_coulomb_superposition():
     )
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fields_on_columns_equal_rowwise_oracles(order):
+    """Column-wise level set and Coulomb fields are bit-equal to the row-wise forms."""
+    rng = np.random.default_rng(12)
+    pts = np.asarray(rng.random((2000, 3)) * 0.9 + 0.05, order=order)
+    pts[:50] = 0.5 - 0.5 * pts[:50]       # a few points in the molecular box
+    phys = vp.PhysicsConfig(
+        eps_m=3.0, charges=[(5.0, (0.25, 0.25, 0.25)), (-1.5, (0.1, 0.4, 0.2))]
+    )
+    assert np.array_equal(vp.box_levelset(0.4).fn(pts), box_levelset_rowwise(pts, 0.4))
+    assert np.array_equal(phys.coulomb_potential(pts), coulomb_potential_rowwise(phys, pts))
+    assert np.array_equal(phys.coulomb_gradient(pts), coulomb_gradient_rowwise(phys, pts))
+
+
 def test_coulomb_singularity_guard():
     phys = vp.PhysicsConfig()
     with pytest.raises(forms.SingularityError):
         phys.coulomb_potential(np.array([[0.0, 0.0, 0.0]]))
+    # both fields, on either layout, with the charge among other points
+    phys = vp.PhysicsConfig(charges=[(1.0, (0.2, 0.3, 0.1))])
+    for order in "CF":
+        pts = np.array([[0.6, 0.6, 0.6], [0.2, 0.3, 0.1]], order=order)
+        for field in (phys.coulomb_potential, phys.coulomb_gradient):
+            with pytest.raises(forms.SingularityError):
+                field(pts)
 
 
 def test_dielectric_branches():

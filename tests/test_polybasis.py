@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 import vempb as vp
-from vempb.polybasis import REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, mesh_quadrature
+from vempb.polybasis import (
+    REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, linear_values, mesh_quadrature,
+)
+from vempb import solver
+from vempb.solver import Workspace
 
 from _oracles import build_polymesh, cell_faces, cell_scaled_monomial_integral
 
@@ -153,3 +157,38 @@ def test_integrate_piecewise_dielectric():
 def test_integrate_sinh_zero():
     m = vp.generate_cube_mesh(1)
     assert _integral(m, lambda p: np.sinh(np.zeros(len(p)))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# coordinate columns
+
+
+QUADRATURE_MESHES = {
+    "cube2": lambda: vp.generate_cube_mesh(2),
+    "tet2": lambda: vp.generate_tet_mesh(2),
+    "voronoi30": lambda: vp.generate_voronoi_mesh(30, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(QUADRATURE_MESHES))
+def test_quadrature_coordinates_are_contiguous_columns(name, monkeypatch):
+    mesh = QUADRATURE_MESHES[name]()
+    points, _, xi, _, _ = mesh_quadrature(mesh)
+    assert points.flags.f_contiguous and xi.flags.f_contiguous
+    assert points.shape == xi.shape == (len(points), 3)
+    monkeypatch.setattr(solver, "BLOCK_NODES", 500)
+    ws = Workspace(mesh)
+    assert len(ws.block_cells) > 2
+    for _, nodes, _ in ws._blocks():
+        for a in (ws.points[nodes], ws.xi[nodes]):
+            assert all(a[:, j].flags.c_contiguous for j in range(3))
+
+
+def test_linear_values_in_place():
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(4, 500))
+    xi = rng.normal(size=(3, 500))
+    want = c[0] + np.einsum("jp,jp->p", xi, c[1:])
+    got = linear_values(c, xi)
+    assert np.shares_memory(got, c)
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-15)

@@ -447,3 +447,36 @@ def test_kept_sinh_argument_follows_the_content_of_u():
     other = vp.PhysicsConfig(kappa=2.0, charges=[(5.0, (0.25, 0.25, 0.25))])
     B_other, _ = ws.nonlinear(other, u, with_jacobian=False)
     assert np.array_equal(B_other, Workspace(m).nonlinear(other, u, with_jacobian=False)[0])
+
+
+def _fresh(mesh, phys, u):
+    B, J = Workspace(mesh).nonlinear(phys, u, with_jacobian=True)
+    return B, J.toarray()
+
+
+@pytest.mark.parametrize("change", ["kappa", "levelset", "eps_m"])
+def test_physics_changed_in_place_matches_a_fresh_workspace(change):
+    """A Workspace follows changes made to the same physics instance."""
+    m = vp.generate_tet_mesh(3)
+    phys = vp.PhysicsConfig(kappa=0.0 if change == "kappa" else 4.0,
+                            charges=[(5.0, (0.25, 0.25, 0.25))])
+    ws = Workspace(m)
+    u = np.random.default_rng(10).normal(size=m.n_vertices) * 0.1
+    before, _ = ws.nonlinear(phys, u, with_jacobian=True)
+    A_before = ws.stiffness(phys).toarray()
+    if change == "kappa":
+        assert not before.any()
+        phys.kappa = 4.0
+    elif change == "levelset":
+        phys.levelset = vp.box_levelset(0.4)
+    else:
+        phys.eps_m = 4.0
+    B, J = ws.nonlinear(phys, u, with_jacobian=True)
+    B_fresh, J_fresh = _fresh(m, phys, u)
+    assert np.abs(B_fresh).max() > 100
+    assert not np.array_equal(B_fresh, before)
+    assert np.array_equal(B, B_fresh)
+    assert np.array_equal(J.toarray(), J_fresh)
+    A = ws.stiffness(phys).toarray()
+    assert np.array_equal(A, Workspace(m).stiffness(phys).toarray())
+    assert np.array_equal(A, A_before) == (change == "kappa")
