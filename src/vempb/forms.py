@@ -56,11 +56,19 @@ class PhysicsConfig:
             raise ValueError("permittivities must be positive")
         if self.kappa < 0:
             raise ValueError("kappa must be non-negative")
-        self._q = np.array([q for q, _ in self.charges], dtype=float)
-        self._x = np.array([x for _, x in self.charges], dtype=float).reshape(-1, 3)
-        for q, x in self.charges:
+        self.charge_arrays()
+
+    def charge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Charges q (n,) and locations x (n, 3), read from ``charges`` as it is now.
+
+        Raises ValueError if a location lies outside the closed molecular
+        region of the current level set.
+        """
+        for _, x in self.charges:
             if self.levelset(np.asarray(x, dtype=float)) > 0:
                 raise ValueError(f"charge at {x} lies outside the molecular region")
+        q = np.array([q for q, _ in self.charges], dtype=float)
+        return q, np.array([x for _, x in self.charges], dtype=float).reshape(-1, 3)
 
     @property
     def kappa_bar_sq_solvent(self) -> float:
@@ -79,7 +87,7 @@ class PhysicsConfig:
         """Sum of (q_i/eps_m)/|x - x_i| over the point charges."""
         pts = np.atleast_2d(points)
         out = np.zeros(len(pts))
-        for q, x in zip(self._q, self._x):
+        for q, x in zip(*self.charge_arrays()):
             _, r = _charge_offsets(pts, x)
             out += (q / self.eps_m) / r
         return out
@@ -87,7 +95,7 @@ class PhysicsConfig:
     def coulomb_gradient(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         out = np.zeros((3, len(pts)))
-        for q, x in zip(self._q, self._x):
+        for q, x in zip(*self.charge_arrays()):
             rel, r = _charge_offsets(pts, x)
             r3 = r**3
             for j in range(3):

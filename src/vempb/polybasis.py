@@ -10,8 +10,11 @@ inequalities (e.g. monotone nonlinearities) survive discretization.
 contiguous per cell; it is the only cell rule, and the solver's
 ``Workspace`` assembles on it.  Node coordinates are stored as contiguous
 columns (Fortran order), so per-node fields run elementwise on x, y and z
-instead of reducing along the short axis of each row.
-:func:`linear_values` evaluates c0 + c . xi on such columns.
+instead of reducing along the short axis of each row.  It also returns the
+linear map C_t and the determinant det_t of every cone tet, so that a
+node's xi is r_q C_t and its weight det_t w_q: the solver integrates
+through the fixed tables of the reference rule and maps per tet.
+:func:`linear_values` evaluates c0 + c . xi on coordinate columns.
 """
 
 from __future__ import annotations
@@ -68,6 +71,13 @@ def mesh_quadrature(mesh: PolyMesh):
     (nodes, 3) and are Fortran-ordered, so each coordinate is one
     contiguous column.  A non-positive tetrahedron means the cell is not
     star-shaped with respect to its centroid.
+
+    Node k of cone tet t = k // nq is the image of reference point r_q,
+    q = k % nq, so the last two returns carry the map of every tet: its
+    edge rows from the apex x_E over h_E, ``maps`` (3, 3, tets) with
+    xi_j = sum_i r_i maps[i, j, t], and ``dets`` (tets,), the Jacobian
+    determinants, with ``weights`` = dets_t * REFERENCE_TET_WEIGHTS[q].
+    A cell's tets are ``cell_ptr[ci] // nq:cell_ptr[ci + 1] // nq``.
     """
     ref, wref = REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS
     nq = len(wref)
@@ -93,13 +103,16 @@ def mesh_quadrature(mesh: PolyMesh):
     tets_per_cell = np.bincount(corner_cell, minlength=mesh.n_cells)
     cell_ptr = np.concatenate([[0], np.cumsum(tets_per_cell * nq)])
     cop = np.repeat(np.arange(mesh.n_cells, dtype=np.int64), tets_per_cell * nq)
-    offset /= mesh.cell_diameter[corner_cell][None, :, None]
-    return points.reshape(3, -1).T, weights, offset.reshape(3, -1).T, cop, cell_ptr
+    h = mesh.cell_diameter[corner_cell]
+    offset /= h[None, :, None]
+    maps = basis.transpose(1, 2, 0) / h
+    return (points.reshape(3, -1).T, weights, offset.reshape(3, -1).T, cop, cell_ptr,
+            maps, dets)
 
 
 def cell_quadrature(mesh: PolyMesh, ci: int):
     """Points and weights of cell ``ci``: its slice of :func:`mesh_quadrature`."""
-    points, weights, _, _, cell_ptr = mesh_quadrature(mesh)
+    points, weights, _, _, cell_ptr, *_ = mesh_quadrature(mesh)
     nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
     return points[nodes], weights[nodes]
 

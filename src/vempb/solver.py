@@ -11,14 +11,25 @@ blocks, so the summation order, and with it every result, is independent of
 the block size.  Every form is then sparse algebra on the operators, such as
 the stiffness gather' (grad' eps grad + stab' sigma stab) gather.
 
-Per-node fields are elementwise arithmetic on coordinate columns: node
-coordinates and xi are contiguous columns, and per-cell coefficient rows are
-spread over a block's nodes with `np.repeat`, so Pi0 u is c0 + c . xi row by
-row.  The Coulomb field G is held at node length, 0 off the solvent, and the
+Every node is the image of one of the NQ reference points r_q under its
+cone tet t, and all tets of a cell share the apex x_E, so xi = r C_t is
+linear with the tet's map C_t, and w = det_t w_q.  A block's node values
+are therefore a (tets, NQ) array, and the sweeps run through fixed tables
+of the reference rule: Pi0 u at the nodes is the per-tet coefficients
+(c0, C_t c) times the table of (1, r); the moments of s (1, xi) and
+s (1, xi) (x) (1, xi) are s times the tables w (1, r) and w (1, r) (x) (1, r),
+then the congruence with blockdiag(1, C_t), scaled by det_t, summed over
+each cell's tets.  The load fluxes and the squared errors are integrated
+with the weight row of the same table, times det_t; the dielectric
+integral of the stiffness is summed node by node.  The per-tet maps are row
+formulas on (k, tets) rows.
+
+The Coulomb field G is held at node length, 0 off the solvent, and the
 sinh argument Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask
-and cosh is weighted by w kappa_bar^2 [solvent], with no gather or scatter.
-The sinh argument of the last residual is kept with its u, so the Jacobian
-at the accepted Newton iterate reuses it instead of sweeping again.
+and cosh is masked by [solvent], with no gather or scatter.  The sinh
+argument of the last residual is kept with its u, so the Jacobian at the
+accepted Newton iterate reuses it instead of sweeping again.  pi @ gather
+is formed once per Workspace, for B, the Jacobian and the load.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
@@ -39,15 +50,25 @@ import scipy.sparse.linalg as spla
 
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
 from .mesh import PolyMesh
-from .polybasis import linear_values, mesh_quadrature
+from .polybasis import REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, mesh_quadrature
 from .projectors import CellProjectorSet, build_projectors
 
 # quadrature nodes per sweep block (rounded up to whole cells): every node sweep
 # runs block by block, so its temporaries scale with the block, not the mesh
 BLOCK_NODES = 2**15
-# (i, j), i <= j, of the symmetric per-cell 4x4 moments of (1, xi)
+# (i, j), i <= j, of the symmetric per-cell 4x4 moments of (1, xi), and the rows of
+# the (r_i, r_k) moments, k = 0..2, for each i
 _UPPER_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
-
+_Q_ROWS = [[_UPPER_PAIRS.index((1 + min(i, k), 1 + max(i, k))) for k in range(3)]
+           for i in range(3)]
+# nodes per cone tet, and the fixed tables of the reference rule: the values of
+# e = (1, r) at its points, and the weighted products w e_i e_j over _UPPER_PAIRS
+# (the first four rows are w (1, r)), whose products with a tet's node values are
+# its moments on the reference tet
+NQ = len(REFERENCE_TET_WEIGHTS)
+_REF_VALUES = np.vstack([np.ones(NQ), REFERENCE_TET_POINTS.T])
+_REF_MOMENTS = np.array([REFERENCE_TET_WEIGHTS * _REF_VALUES[i] * _REF_VALUES[j]
+                         for i, j in _UPPER_PAIRS])
 
 class SolverError(Exception):
     """Solver failed to converge; carries whatever state was reached."""
@@ -90,8 +111,10 @@ class Workspace:
         self.mesh = mesh
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 
-        self.points, self.weights, self.xi, self.cop, self.cell_ptr = mesh_quadrature(mesh)
-        self._cell_nodes = np.diff(self.cell_ptr)
+        (self.points, self.weights, self.xi, self.cop, self.cell_ptr,
+         self.maps, self.dets) = mesh_quadrature(mesh)
+        self._tet_ptr = self.cell_ptr // NQ
+        self._cell_tets = np.diff(self._tet_ptr)
         # the distinct DoF counts; perfbench reports len(groups) as projectors.dof_groups
         self.groups = np.unique(np.diff(mesh.cell_vertex_ptr))
         # first cell of each node block: the cell holding node k * BLOCK_NODES, so every
@@ -103,41 +126,89 @@ class Workspace:
         self._physics_key = None
         self._G = None
         self._sinh_at = None
+        self._pi_gather = None
 
     # -- node blocks -----------------------------------------------------
 
     def _blocks(self):
-        """(cells, nodes, starts) of each node block, in node order.
+        """(cells, nodes, tets) of each node block, in node order.
 
-        ``cells`` and ``nodes`` slice the per-cell and per-node arrays;
-        ``starts`` are the block's cell offsets counted from its first node,
-        the ``np.add.reduceat`` indices of a block-local array.
+        Each slices the per-cell, per-node and per-tet arrays; the block's
+        node values reshape to (tets, NQ).
         """
-        ptr = self.cell_ptr
+        ptr = self._tet_ptr
         for c0, c1 in zip(self.block_cells[:-1], self.block_cells[1:]):
-            yield slice(c0, c1), slice(ptr[c0], ptr[c1]), ptr[c0:c1] - ptr[c0]
+            yield slice(c0, c1), slice(NQ * ptr[c0], NQ * ptr[c1]), slice(ptr[c0], ptr[c1])
 
     def _cell_sums(self, block_values) -> np.ndarray:
-        """Per-cell sums of per-node rows given one block at a time, in block order.
+        """Per-cell sums of per-tet rows given one block at a time, in block order.
 
-        A block's values have shape (..., block nodes); the sums have shape
-        (..., n_cells), each row reduced contiguously.
+        A block's values have shape (..., block tets); the sums have shape
+        (..., n_cells), each row reduced contiguously over the cell's tets.
         """
-        out = None
-        for (cells, _, starts), values in zip(self._blocks(), block_values):
-            sums = np.add.reduceat(values, starts, axis=-1)
-            if out is None:
-                out = np.empty(sums.shape[:-1] + (self.mesh.n_cells,))
-            out[..., cells] = sums
+        return np.concatenate([
+            np.add.reduceat(values, self._tet_ptr[cells] - tets.start, axis=-1)
+            for (cells, _, tets), values in zip(self._blocks(), block_values)
+        ], axis=-1)
+
+    def _tet_rows(self, rows: np.ndarray, cells: slice) -> np.ndarray:
+        """Per-cell rows (k, n_cells) repeated over a block's tets: (k, block tets)."""
+        return np.repeat(rows[:, cells], self._cell_tets[cells], axis=1)
+
+    def _projected_values(self, coeff_rows: np.ndarray, cells: slice, tets: slice) -> np.ndarray:
+        """Pi0 u at a block's nodes, (tets, NQ), from the value coefficient rows (4, n_cells).
+
+        With xi = r C_t, c0 + xi . c = c0 + r . (C_t c): the per-tet
+        coefficients (c0, C_t c) times the table of (1, r).
+        """
+        c = self._tet_rows(coeff_rows, cells)
+        C = self.maps[:, :, tets]
+        a = np.empty_like(c)
+        a[0] = c[0]
+        for i in range(3):
+            _dot3(C[i], c[1:], out=a[1 + i])
+        return a.T @ _REF_VALUES
+
+    def _integrals(self, values: np.ndarray, tets: slice) -> np.ndarray:
+        """Integrals over a block's tets of node values (k, tets, NQ): rows (k, tets)."""
+        # row 0 of a two-row table: a one-row product goes through BLAS gemv, whose
+        # rounding of a row depends on the row count
+        ref = (_REF_MOMENTS[:2] @ values.reshape(-1, NQ).T)[0]
+        return ref.reshape(len(values), -1) * self.dets[tets]
+
+    def _moments(self, s: np.ndarray, tets: slice, scale: float, rows: int) -> np.ndarray:
+        """scale times the integrals of s e_i e_j, e = (1, xi), over a block's tets: (rows, tets).
+
+        (i, j) runs over the first ``rows`` of _UPPER_PAIRS: 4 rows for the
+        moments of s (1, xi), 10 for the symmetric 4x4 of s (1, xi) (x) (1, xi).
+        The moments of s on the reference tet, the product of s (tets, NQ)
+        with the table, map to xi by the congruence with blockdiag(1, C_t),
+        times det_t.
+        """
+        m = _REF_MOMENTS[:rows] @ s.T
+        C = self.maps[:, :, tets]
+        out = np.empty_like(m)
+        out[0] = m[0]
+        for j in range(3):
+            _dot3(m[1:4], C[:, j], out=out[1 + j])
+        if rows > 4:
+            # (Q C)_il = sum_k Q_ik C_kl, Q_ik the moments of s r_i r_k; then C' Q C
+            QC = np.empty(C.shape)
+            for i in range(3):
+                Q = m[_Q_ROWS[i]]
+                for l in range(3):
+                    _dot3(Q, C[:, l], out=QC[i, l])
+            for row, (i, j) in enumerate(_UPPER_PAIRS[4:], start=4):
+                _dot3(C[:, i - 1], QC[:, j - 1], out=out[row])
+        out *= self.dets[tets] * scale
         return out
 
-    def _spread(self, rows: np.ndarray, cells: slice) -> np.ndarray:
-        """Per-cell rows (k, n_cells) repeated over a block's nodes: (k, block nodes)."""
-        return np.repeat(rows[:, cells], self._cell_nodes[cells], axis=1)
-
-    def _projected_values(self, coeff_rows: np.ndarray, cells: slice, nodes: slice) -> np.ndarray:
-        """Pi0 u at a block's nodes from the value coefficient rows (4, n_cells)."""
-        return linear_values(self._spread(coeff_rows, cells), self.xi[nodes].T)
+    def _pi_gather_operators(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """pi @ gather, the cell value coefficients of a global field, and its transpose."""
+        if self._pi_gather is None:
+            PG = (self.projectors.pi @ self.projectors.gather).tocsr()
+            self._pi_gather = PG, PG.T.tocsr()
+        return self._pi_gather
 
     # -- physics cache ---------------------------------------------------
 
@@ -145,10 +216,13 @@ class Workspace:
         """Evaluate the level set once per physics state; kappa_bar^2 > 0 only on ``solvent``.
 
         The state is the physics and its level set (by identity) and the
-        eps_m and kappa_bar^2 that G and the screened term read, so changing
-        any of them on the same instance drops G and the kept sinh argument.
+        eps_m, kappa_bar^2 and charges that G and the screened term read, so
+        changing any of them on the same instance drops G and the kept sinh
+        argument.
         """
-        key = (physics, physics.levelset, physics.eps_m, physics.kappa_bar_sq_solvent)
+        q, x = physics.charge_arrays()
+        key = (physics, physics.levelset, physics.eps_m, physics.kappa_bar_sq_solvent,
+               q.tobytes(), x.tobytes())
         old = self._physics_key
         if old is not None and old[0] is key[0] and old[1] is key[1] and old[2:] == key[2:]:
             return
@@ -187,9 +261,13 @@ class Workspace:
         which keeps the two parts spectrally comparable for any contrast.
         """
         self._attach(physics)
-        eps_int = self._cell_sums(
-            self.weights[nodes] * self._epsilon(physics, nodes) for _, nodes, _ in self._blocks()
-        )
+        # summed node by node: the per-tet tables round the cell integrals of eps
+        # a few ulps further from the exact value
+        eps_int = np.concatenate([
+            np.add.reduceat(self.weights[nodes] * self._epsilon(physics, nodes),
+                            self.cell_ptr[cells] - nodes.start)
+            for cells, nodes, _ in self._blocks()
+        ])
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
         P = self.projectors
         consistency = P.grad.T @ (sp.diags(np.repeat(eps_int, 3)) @ P.grad)
@@ -202,29 +280,31 @@ class Workspace:
         self._attach(physics)
         P = self.projectors
         if load.mode == "regularized":
-            flux = self._cell_sums(self._jump_flux(physics, nodes) for _, nodes, _ in self._blocks())
+            flux = self._cell_sums(
+                self._integrals(self._jump_flux(physics, nodes), tets)
+                for _, nodes, tets in self._blocks()
+            )
             return P.gather.T @ (P.grad.T @ flux.T.ravel())
 
-        def integrands():
+        def integrals():
             """Per block: 3 flux rows, then the 4 moment rows of the source."""
-            for _, nodes, _ in self._blocks():
-                w = self.weights[nodes]
+            for _, nodes, tets in self._blocks():
                 points = self.points[nodes]
-                sinh = self._exact_sinh(physics, load, points, nodes)
-                out = np.empty((7, len(w)))
+                source = self._exact_sinh(physics, load, points, nodes)
                 if load.pointwise_rhs:
-                    f = -self._epsilon(physics, nodes) * load.lap_u_exact(points)
-                    np.multiply(w, f + sinh, out=out[3])
-                    out[:3] = self._jump_flux(physics, nodes)
+                    source -= self._epsilon(physics, nodes) * load.lap_u_exact(points)
+                    flux = self._jump_flux(physics, nodes)
                 else:
-                    np.multiply(w, sinh, out=out[3])
-                    np.multiply(w * self._epsilon(physics, nodes), load.grad_u_exact(points).T,
-                                out=out[:3])
-                self._weighted_monomials(out[3:], nodes)
+                    flux = np.multiply(load.grad_u_exact(points).T, self._epsilon(physics, nodes),
+                                       out=np.empty((3, len(points))))
+                out = np.empty((7, tets.stop - tets.start))
+                out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
+                out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
                 yield out
 
-        sums = self._cell_sums(integrands())
-        return P.gather.T @ (P.grad.T @ sums[:3].T.ravel() + P.pi.T @ sums[3:].T.ravel())
+        sums = self._cell_sums(integrals())
+        return (P.gather.T @ (P.grad.T @ sums[:3].T.ravel())
+                + self._pi_gather_operators()[1] @ sums[3:].T.ravel())
 
     def _exact_sinh(self, physics, load, points, nodes: slice) -> np.ndarray:
         """kappa_bar^2 sinh(u_exact + G) at a block's nodes, zero where kappa_bar vanishes."""
@@ -236,16 +316,12 @@ class Workspace:
         return physics.kappa_bar_sq_solvent * np.sinh(arg)
 
     def _jump_flux(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
-        """Rows of -(eps - eps_m) grad G times the weights at a block's nodes, 0 off the solvent."""
+        """Rows of -(eps - eps_m) grad G at a block's nodes, (3, tets, NQ), 0 off the solvent."""
         vec = np.zeros((3, nodes.stop - nodes.start))
         mask, points = self._solvent_points(nodes)
         if len(points):
-            vec[:, mask] = (
-                -(physics.eps_s - physics.eps_m)
-                * self.weights[nodes][mask]
-                * physics.coulomb_gradient(points).T
-            )
-        return vec
+            vec[:, mask] = -(physics.eps_s - physics.eps_m) * physics.coulomb_gradient(points).T
+        return vec.reshape(3, -1, NQ)
 
     def _screened_sinh(self, physics: PhysicsConfig, u: np.ndarray):
         """Sinh argument Pi0 u + G, 0 off the solvent, and the screened-sinh vector B at u.
@@ -262,35 +338,19 @@ class Workspace:
         arg = np.empty(len(self.weights))
 
         def moments():
-            for cells, nodes, _ in self._blocks():
+            for cells, nodes, tets in self._blocks():
                 # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
-                a = np.multiply(self._projected_values(coeff_rows, cells, nodes),
-                                self.solvent[nodes], out=arg[nodes])
-                a += G[nodes]
+                a = np.multiply(self._projected_values(coeff_rows, cells, tets),
+                                self.solvent[nodes].reshape(-1, NQ),
+                                out=arg[nodes].reshape(-1, NQ))
+                a += G[nodes].reshape(-1, NQ)
                 _check_sinh_argument(a)
-                out = np.empty((4, len(a)))
-                np.sinh(a, out=out[0])
-                out[0] *= self.weights[nodes] * physics.kappa_bar_sq_solvent
-                yield self._weighted_monomials(out, nodes)
+                yield self._moments(np.sinh(a), tets, physics.kappa_bar_sq_solvent, 4)
 
         mom = self._cell_sums(moments())
-        P = self.projectors
-        B = P.gather.T @ (P.pi.T @ mom.T.ravel())
+        B = self._pi_gather_operators()[1] @ mom.T.ravel()
         self._sinh_at = (u.copy(), arg, B)
         return arg, B
-
-    def _weighted_monomials(self, out: np.ndarray, nodes: slice) -> np.ndarray:
-        """Fill rows 1.. of ``out`` with s * e_i * e_j, s = out[0], e = (1, xi) at a block's nodes.
-
-        The rows follow _UPPER_PAIRS: 4 rows integrate to the moments of s,
-        10 to the symmetric 4x4 of s (1, xi) (x) (1, xi).
-        """
-        xi = self.xi[nodes].T
-        np.multiply(out[0], xi, out=out[1:4])
-        for row in range(4, len(out)):
-            i, j = _UPPER_PAIRS[row]
-            np.multiply(out[i], xi[j - 1], out=out[row])
-        return out
 
     def nonlinear(
         self, physics: PhysicsConfig, u: np.ndarray, with_jacobian: bool = True
@@ -305,40 +365,57 @@ class Workspace:
         if not with_jacobian:
             return B.copy(), None
 
-        def cosh_rows():
-            for _, nodes, _ in self._blocks():
-                out = np.empty((len(_UPPER_PAIRS), nodes.stop - nodes.start))
-                np.cosh(arg[nodes], out=out[0])
-                scale = self.weights[nodes] * physics.kappa_bar_sq_solvent
-                scale *= self.solvent[nodes]
-                out[0] *= scale
-                yield self._weighted_monomials(out, nodes)
+        def cosh_moments():
+            for _, nodes, tets in self._blocks():
+                c = np.cosh(arg[nodes]).reshape(-1, NQ)
+                c *= self.solvent[nodes].reshape(-1, NQ)
+                yield self._moments(c, tets, physics.kappa_bar_sq_solvent, 10)
 
-        sums = self._cell_sums(cosh_rows())
+        sums = self._cell_sums(cosh_moments())
         M = np.empty((self.mesh.n_cells, 4, 4))
         for col, (i, j) in enumerate(_UPPER_PAIRS):
             M[:, i, j] = M[:, j, i] = sums[col]
         cells = np.arange(self.mesh.n_cells + 1)
         Mb = sp.bsr_matrix((M, cells[:-1], cells), shape=(4 * len(M), 4 * len(M)))
-        P = self.projectors
-        return B.copy(), (P.gather.T @ (P.pi.T @ (Mb @ P.pi)) @ P.gather).tocsr()
+        PG, PGT = self._pi_gather_operators()
+        J = PGT @ (Mb.tocsr() @ PG)
+        J.sort_indices()
+        return B.copy(), J
 
     def error_norms(self, u: np.ndarray, u_exact, grad_u_exact) -> tuple[float, float]:
         """L2 and H1-seminorm errors of the projected solution against exact fields.
 
         The exact callables get one node block at a time, the same points
-        array for both.
+        array for both.  The squared errors are integrated per cell and then
+        summed over the cells.
         """
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
         grad_rows = np.ascontiguousarray(self.projectors.gradients(u).T)
-        sq, gsq = np.empty(len(self.weights)), np.empty(len(self.weights))
-        for cells, nodes, _ in self._blocks():
-            points = self.points[nodes]
-            diff = u_exact(points) - self._projected_values(coeff_rows, cells, nodes)
-            sq[nodes] = diff**2
-            gdiff = grad_u_exact(points).T - self._spread(grad_rows, cells)
-            gsq[nodes] = gdiff[0] ** 2 + gdiff[1] ** 2 + gdiff[2] ** 2
-        return float(np.sqrt(self.weights @ sq)), float(np.sqrt(self.weights @ gsq))
+
+        def squares():
+            for cells, nodes, tets in self._blocks():
+                points = self.points[nodes]
+                sq = np.empty((2, tets.stop - tets.start, NQ))
+                np.subtract(u_exact(points).reshape(-1, NQ),
+                            self._projected_values(coeff_rows, cells, tets), out=sq[0])
+                sq[0] **= 2
+                gdiff = grad_u_exact(points).T.reshape(3, -1, NQ)
+                gdiff = gdiff - self._tet_rows(grad_rows, cells)[:, :, None]
+                gdiff **= 2
+                np.add(gdiff[0], gdiff[1], out=sq[1])
+                sq[1] += gdiff[2]
+                yield self._integrals(sq, tets)
+
+        l2, h1 = self._cell_sums(squares()).sum(axis=1)
+        return float(np.sqrt(l2)), float(np.sqrt(h1))
+
+
+def _dot3(a, b, out: np.ndarray) -> np.ndarray:
+    """Rows a[0] b[0] + a[1] b[1] + a[2] b[2], summed left to right, into ``out``."""
+    np.multiply(a[0], b[0], out=out)
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
 
 
 def _check_sinh_argument(arg: np.ndarray) -> None:

@@ -24,18 +24,24 @@ projectors from ``cell_projector_reference``.  ``box_levelset_rowwise``,
 ``coulomb_potential_rowwise`` and ``coulomb_gradient_rowwise`` are the
 row-wise forms (a max and a norm along each point's row) of the level set
 and Coulomb fields that the library evaluates on coordinate columns.
+``NodeRowForms``, the reference for the factored node sweeps of
+``Workspace``, forms every integrand at every node of ``mesh_quadrature``:
+Pi0 u as c0 + xi . c with the cell's coefficients repeated over its nodes,
+then the weighted products with (1, xi) and (1, xi) (x) (1, xi), summed node
+by node per cell, on the library's projector operators.
 """
 
 from collections import namedtuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from vempb.mesh import KUHN_PERMUTATIONS, MeshError, _assemble, _concat_index
 from vempb.polybasis import mesh_quadrature
-from vempb.projectors import face_integral_rows
+from vempb.projectors import build_projectors, face_integral_rows
 
 
 def build_polymesh(vertices, cell_loops, family=None, n=None):
@@ -445,7 +451,7 @@ def reference_errors_per_cell(coarse_mesh, u_h, fine_mesh, u_ref):
     coeffs = np.array([p.pi_nabla @ u_ref[p.vertex_ids] for p in fine])
     grads = np.array([p.pi0_grad @ u_ref[p.vertex_ids] for p in fine])
     coarse_rows = face_integral_rows(coarse_mesh)
-    points, weights, _, _, cell_ptr = mesh_quadrature(coarse_mesh)
+    points, weights, _, _, cell_ptr, *_ = mesh_quadrature(coarse_mesh)
     total_l2 = 0.0
     total_h1 = 0.0
     for ci in range(coarse_mesh.n_cells):
@@ -513,3 +519,92 @@ def coulomb_gradient_rowwise(physics, points):
         rel = points - np.asarray(x)
         out -= (q / physics.eps_m) * rel / np.linalg.norm(rel, axis=1)[:, None] ** 3
     return out
+
+
+# (i, j), i <= j, of the symmetric 4x4 moments of (1, xi)
+UPPER_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
+
+
+class NodeRowForms:
+    """Stiffness, loads, screened term, Jacobian and errors from node rows, whole mesh at once.
+
+    Every integrand is evaluated at every quadrature node, multiplied by the
+    node weight and by the monomials (1, xi) of its node, and summed per cell
+    with one ``reduceat`` over the nodes; the forms are then the sparse
+    products on ``build_projectors``'s operators.
+    """
+
+    def __init__(self, mesh, physics):
+        self.mesh, self.physics = mesh, physics
+        self.points, self.weights, self.xi, _, self.cell_ptr, *_ = mesh_quadrature(mesh)
+        self.P = build_projectors(mesh)
+        self.solvent = physics.solvent_mask(self.points)
+        self.eps = np.where(self.solvent, physics.eps_s, physics.eps_m)
+        self.kbar = physics.kappa_bar_sq_solvent
+        sp_points = self.points[self.solvent]
+        self.G = np.zeros(len(self.weights))
+        self.grad_G = np.zeros((len(self.weights), 3))
+        if len(sp_points) and len(physics.charges):
+            self.G[self.solvent] = physics.coulomb_potential(sp_points)
+            self.grad_G[self.solvent] = physics.coulomb_gradient(sp_points)
+
+    def _cells(self, rows):
+        return np.add.reduceat(rows, self.cell_ptr[:-1], axis=-1)
+
+    def _moments(self, s, pairs):
+        """Per-cell sums of s e_i e_j, e = (1, xi), node by node: (len(pairs), n_cells)."""
+        e = np.vstack([np.ones(len(s)), self.xi.T])
+        return self._cells(np.array([s * e[i] * e[j] for i, j in pairs]))
+
+    def _spread(self, per_cell):
+        return np.repeat(per_cell, np.diff(self.cell_ptr), axis=0)
+
+    def projected_values(self, u):
+        c = self._spread(self.P.value_coeffs(u))
+        return c[:, 0] + np.einsum("pj,pj->p", self.xi, c[:, 1:])
+
+    def stiffness(self):
+        P = self.P
+        eps_int = self._cells(self.weights * self.eps)
+        sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
+        n_dofs = np.diff(self.mesh.cell_vertex_ptr)
+        K = (P.grad.T @ sp.diags(np.repeat(eps_int, 3)) @ P.grad
+             + P.stab.T @ sp.diags(np.repeat(sigma, n_dofs)) @ P.stab)
+        return (P.gather.T @ K @ P.gather).toarray()
+
+    def _assemble(self, flux_rows, source):
+        """gather' (grad' flux + pi' moments): per-node flux rows (n, 3) and source values."""
+        P = self.P
+        flux = self._cells(self.weights * flux_rows.T)
+        mom = self._moments(self.weights * source, UPPER_PAIRS[:4])
+        return P.gather.T @ (P.grad.T @ flux.T.ravel() + P.pi.T @ mom.T.ravel())
+
+    def load(self, load):
+        phys = self.physics
+        jump = -(phys.eps_s - phys.eps_m) * self.grad_G
+        if load.mode == "regularized":
+            return self._assemble(jump, np.zeros(len(self.weights)))
+        sinh = self.kbar * self.solvent * np.sinh(load.u_exact(self.points) * self.solvent + self.G)
+        if load.pointwise_rhs:
+            return self._assemble(jump, sinh - self.eps * load.lap_u_exact(self.points))
+        return self._assemble(self.eps[:, None] * load.grad_u_exact(self.points), sinh)
+
+    def nonlinear(self, u):
+        """B and the Jacobian of the screened sinh term at u (dense)."""
+        P = self.P
+        arg = self.projected_values(u) * self.solvent + self.G
+        s = self.weights * self.kbar * self.solvent
+        B = P.gather.T @ (P.pi.T @ self._moments(s * np.sinh(arg), UPPER_PAIRS[:4]).T.ravel())
+        sums = self._moments(s * np.cosh(arg), UPPER_PAIRS)
+        M = np.empty((self.mesh.n_cells, 4, 4))
+        for col, (i, j) in enumerate(UPPER_PAIRS):
+            M[:, i, j] = M[:, j, i] = sums[col]
+        PG = (P.pi @ P.gather).toarray()
+        J = sum(PG[4 * c:4 * c + 4].T @ M[c] @ PG[4 * c:4 * c + 4] for c in range(len(M)))
+        return B, J
+
+    def error_norms(self, u, u_exact, grad_u_exact):
+        diff = u_exact(self.points) - self.projected_values(u)
+        gdiff = grad_u_exact(self.points) - self._spread(self.P.gradients(u))
+        return (float(np.sqrt(self.weights @ diff**2)),
+                float(np.sqrt(self.weights @ (gdiff**2).sum(axis=1))))

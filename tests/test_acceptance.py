@@ -159,7 +159,7 @@ def test_criterion_8_monotonicity():
         pool = []
         for m in (vp.generate_cube_mesh(4), vp.generate_voronoi_mesh(100, 3)):
             phi = phys.levelset(m.vertices)
-            points, weights, _, _, cell_ptr = mesh_quadrature(m)
+            points, weights, _, _, cell_ptr, *_ = mesh_quadrature(m)
             for ci in range(m.n_cells):
                 if phi[cell_vertex_ids(m, ci)].min() > 0:   # strictly in the solvent
                     nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])

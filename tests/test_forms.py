@@ -255,7 +255,7 @@ def test_monotonicity_sample():
     m = vp.generate_voronoi_mesh(20, 5)
     rng = np.random.default_rng(7)
     k2 = phys.kappa_bar_sq_solvent
-    points, weights, _, _, cell_ptr = mesh_quadrature(m)
+    points, weights, _, _, cell_ptr, *_ = mesh_quadrature(m)
     for _ in range(20):
         ci = int(rng.integers(m.n_cells))
         au, bu = rng.normal(size=4), rng.normal(size=4)

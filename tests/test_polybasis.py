@@ -17,7 +17,7 @@ from _oracles import build_polymesh, cell_faces, cell_scaled_monomial_integral
 
 def _tet_volumes(m):
     """Cone-tetrahedron volumes: the weights of each tet's nodes sum to its volume."""
-    _, weights, _, _, cell_ptr = mesh_quadrature(m)
+    _, weights, _, _, cell_ptr, *_ = mesh_quadrature(m)
     nq = len(REFERENCE_TET_WEIGHTS)
     return weights.reshape(-1, nq).sum(axis=1), cell_ptr // nq
 
@@ -75,7 +75,7 @@ def test_reference_tet_rule_exactness_and_positivity(degree):
 
 def _integral(m, fn):
     """Quadrature of a pointwise field over the whole mesh."""
-    points, weights, _, _, _ = mesh_quadrature(m)
+    points, weights, *_ = mesh_quadrature(m)
     return float(weights @ fn(points))
 
 
@@ -98,7 +98,7 @@ def test_quadrature_weights_sum_and_positivity(random_cells):
     for m, ci in random_cells[::7]:
         if id(m) not in quads:
             quads[id(m)] = mesh_quadrature(m)
-        _, weights, _, _, cell_ptr = quads[id(m)]
+        _, weights, _, _, cell_ptr, *_ = quads[id(m)]
         w = weights[cell_ptr[ci]:cell_ptr[ci + 1]]
         assert np.all(w > 0)
         assert w.sum() == pytest.approx(m.cell_volume[ci], abs=1e-12)
@@ -106,7 +106,7 @@ def test_quadrature_weights_sum_and_positivity(random_cells):
 
 def test_quadrature_points_inside_convex_cells():
     m = vp.generate_voronoi_mesh(20, 13)
-    points, _, _, _, cell_ptr = mesh_quadrature(m)
+    points, _, _, _, cell_ptr, *_ = mesh_quadrature(m)
     for ci in range(m.n_cells):
         pts = points[cell_ptr[ci]:cell_ptr[ci + 1]]
         for fi, sgn in cell_faces(m, ci):
@@ -128,7 +128,7 @@ def test_exactness_against_moment_oracle():
     quads = {id(m): mesh_quadrature(m) for m in meshes}
     for m, ci in cases:
         # the scaled offsets xi = (x - x_E)/h_E the solver integrates with
-        _, weights, xi_all, _, cell_ptr = quads[id(m)]
+        _, weights, xi_all, _, cell_ptr, *_ = quads[id(m)]
         nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
         w, xi = weights[nodes], xi_all[nodes]
         cache = {}
@@ -173,7 +173,7 @@ QUADRATURE_MESHES = {
 @pytest.mark.parametrize("name", list(QUADRATURE_MESHES))
 def test_quadrature_coordinates_are_contiguous_columns(name, monkeypatch):
     mesh = QUADRATURE_MESHES[name]()
-    points, _, xi, _, _ = mesh_quadrature(mesh)
+    points, _, xi, *_ = mesh_quadrature(mesh)
     assert points.flags.f_contiguous and xi.flags.f_contiguous
     assert points.shape == xi.shape == (len(points), 3)
     monkeypatch.setattr(solver, "BLOCK_NODES", 500)
@@ -192,3 +192,16 @@ def test_linear_values_in_place():
     got = linear_values(c, xi)
     assert np.shares_memory(got, c)
     assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", list(QUADRATURE_MESHES))
+def test_tet_maps_reproduce_xi_and_weights(name):
+    _, weights, xi, _, cell_ptr, maps, dets = mesh_quadrature(QUADRATURE_MESHES[name]())
+    nq = len(REFERENCE_TET_WEIGHTS)
+    assert maps.shape == (3, 3, len(dets)) and len(weights) == nq * len(dets)
+    assert np.all(cell_ptr % nq == 0)
+    # node t * nq + q is r_q mapped by tet t: xi_j = sum_i r_i C_t[i, j], w = det_t w_q
+    xi_tets = np.einsum("qi,ijt->tqj", REFERENCE_TET_POINTS, maps).reshape(-1, 3)
+    assert np.abs(xi_tets - xi).max() <= 1e-15
+    w_tets = (dets[:, None] * REFERENCE_TET_WEIGHTS).ravel()
+    assert np.abs(w_tets - weights).max() <= 1e-15 * weights.max()

@@ -12,7 +12,9 @@ from vempb.polybasis import mesh_quadrature
 from vempb.projectors import face_integral_rows
 from vempb.solver import SolverError, Workspace, cg_solve, constrain_matrix
 
-from _oracles import cell_projector_blocks, cell_projector_reference, kkt_solve, local_stiffness
+from _oracles import (
+    NodeRowForms, cell_projector_blocks, cell_projector_reference, kkt_solve, local_stiffness,
+)
 from test_mesh import permuted_copy
 
 
@@ -32,7 +34,7 @@ def test_constants_in_kernel():
 
 def _dense_scatter_stiffness(m, phys, per_cell):
     """Dense stiffness scattered from (vertex_ids, pi0_grad, stab_q) of every cell, in cell order."""
-    points, weights, _, _, cell_ptr = mesh_quadrature(m)
+    points, weights, _, _, cell_ptr, *_ = mesh_quadrature(m)
     dense = np.zeros((m.n_vertices, m.n_vertices))
     for ci, (ids, pi0_grad, stab_q) in enumerate(per_cell):
         nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
@@ -480,3 +482,77 @@ def test_physics_changed_in_place_matches_a_fresh_workspace(change):
     A = ws.stiffness(phys).toarray()
     assert np.array_equal(A, Workspace(m).stiffness(phys).toarray())
     assert np.array_equal(A, A_before) == (change == "kappa")
+
+
+# ---------------------------------------------------------------------------
+# factored sweeps against the node-row oracle, and the charges at use
+
+
+ORACLE_CASES = {
+    "cube4": (lambda: vp.generate_cube_mesh(4), vp.PhysicsConfig),
+    "kuhn3": (lambda: vp.generate_tet_mesh(3), _screened_tet_physics),
+    "voronoi60": (lambda: vp.generate_voronoi_mesh(60, 5), vp.PhysicsConfig),
+}
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_factored_sweeps_match_node_row_oracle(case):
+    make, physics = ORACLE_CASES[case]
+    mesh, phys = make(), physics()
+    ws, ref = Workspace(mesh), NodeRowForms(mesh, phys)
+    u = np.random.default_rng(11).normal(size=mesh.n_vertices) * 0.3
+    assert _rel(ws.stiffness(phys).toarray(), ref.stiffness()) <= 1e-13
+    sine = vp.manufactured_sine()
+    for load in (vp.regularized_load(), sine, dataclasses.replace(sine, pointwise_rhs=True)):
+        assert _rel(ws.load_vector(phys, load), ref.load(load)) <= 1e-13, load
+    B, J = ws.nonlinear(phys, u)
+    B_ref, J_ref = ref.nonlinear(u)
+    assert _rel(B, B_ref) <= 1e-13
+    assert _rel(J.toarray(), J_ref) <= 1e-13
+    got = ws.error_norms(u, sine.u_exact, sine.grad_u_exact)
+    want = ref.error_norms(u, sine.u_exact, sine.grad_u_exact)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("how", ["reassigned", "edited"])
+def test_charges_changed_on_the_instance_match_a_fresh_physics(how):
+    m = vp.generate_tet_mesh(3)
+    phys = _screened_tet_physics()
+    load = vp.regularized_load()
+    ws = Workspace(m)
+    u = np.random.default_rng(12).normal(size=m.n_vertices) * 0.1
+    F_before = ws.load_vector(phys, load)
+    B_before, _ = ws.nonlinear(phys, u)
+    new = (2.0, (0.1, 0.2, 0.3))
+    if how == "reassigned":
+        phys.charges = [new]
+    else:
+        phys.charges[0] = new
+    fresh_phys = vp.PhysicsConfig(kappa=4.0, charges=[new])
+    fresh = Workspace(m)
+    B, J = ws.nonlinear(phys, u)
+    B_fresh, J_fresh = fresh.nonlinear(fresh_phys, u)
+    assert np.array_equal(ws._coulomb(phys), fresh._coulomb(fresh_phys))
+    F = ws.load_vector(phys, load)
+    assert np.array_equal(F, fresh.load_vector(fresh_phys, load))
+    assert np.array_equal(B, B_fresh)
+    assert np.array_equal(J.toarray(), J_fresh.toarray())
+    assert not np.array_equal(B, B_before) and not np.array_equal(F, F_before)
+
+
+def test_charge_moved_outside_the_molecular_region_is_rejected():
+    m = vp.generate_tet_mesh(2)
+    phys = _screened_tet_physics()
+    ws = Workspace(m)
+    ws.nonlinear(phys, np.zeros(m.n_vertices))
+    phys.charges = [(1.0, (0.9, 0.9, 0.9))]
+    with pytest.raises(ValueError, match="outside the molecular region"):
+        phys.coulomb_potential(np.array([[0.1, 0.1, 0.1]]))
+    with pytest.raises(ValueError, match="outside the molecular region"):
+        ws.nonlinear(phys, np.zeros(m.n_vertices))
+    with pytest.raises(ValueError, match="outside the molecular region"):
+        vp.newton_solve(m, phys, vp.regularized_load())
