@@ -14,7 +14,6 @@ instead of reducing along the short axis of each row.  It also returns the
 linear map C_t and the determinant det_t of every cone tet, so that a
 node's xi is r_q C_t and its weight det_t w_q: the solver integrates
 through the fixed tables of the reference rule and maps per tet.
-:func:`linear_values` evaluates c0 + c . xi on coordinate columns.
 """
 
 from __future__ import annotations
@@ -116,18 +115,3 @@ def cell_quadrature(mesh: PolyMesh, ci: int):
     nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
     return points[nodes], weights[nodes]
 
-
-def linear_values(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """c0 + xi0 c1 + xi1 c2 + xi2 c3 from coefficient rows (4, n) and coordinate rows (3, n).
-
-    Works in place: ``c`` is overwritten and its row 0 returned.  The
-    products are summed as (xi0 c1 + xi2 c3) + xi1 c2, the order in which
-    NumPy's SIMD einsum reduces ``"pj,pj->p"`` over rows of three on x86-64
-    (measured with NumPy 2.4), so the values equal that row-wise form bit
-    for bit there.
-    """
-    c[1:] *= xi
-    c[1] += c[3]
-    c[1] += c[2]
-    c[0] += c[1]
-    return c[0]

@@ -1,4 +1,4 @@
-"""Global assembly, Dirichlet constraints, CG, and the damped Newton driver.
+"""Global assembly, CG, and the damped Newton driver on the free DoFs.
 
 Assembly runs through a per-mesh :class:`Workspace`: the flat quadrature
 of :func:`~vempb.polybasis.mesh_quadrature` (contiguous per cell) plus the
@@ -33,7 +33,8 @@ is formed once per Workspace, for B, the Jacobian and the load.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
-step is solved with Jacobi-preconditioned conjugate gradients.  Damping
+step is solved with Jacobi-preconditioned conjugate gradients.  u0 holds
+the Dirichlet values, and Newton and CG work on the free DoFs only.  Damping
 halves the step while the residual norm fails to decrease strictly; an
 overflow of the sinh argument during a trial step is treated the same way.
 An overflow in the manufactured load or at u0 ends the solve as a failure.
@@ -86,11 +87,13 @@ class NewtonConfig:
     max_iterations: int = 50
     max_halvings: int = 20
     cg_tol: float = 1e-12
-    cg_max_iterations: int | None = None     # defaults to 10 * n_dofs
+    cg_max_iterations: int | None = None     # defaults to 10 * the number of free DoFs
 
     def __post_init__(self):
         if min(self.rel_tol, self.abs_tol, self.cg_tol) <= 0:
             raise ValueError("tolerances must be positive")
+        if min(self.max_iterations, self.max_halvings, self.cg_max_iterations or 0) < 0:
+            raise ValueError("iteration and halving limits must not be negative")
 
 
 @dataclass
@@ -327,8 +330,8 @@ class Workspace:
         """Sinh argument Pi0 u + G, 0 off the solvent, and the screened-sinh vector B at u.
 
         Both are kept for the next call at the same u, so the Jacobian at an
-        accepted Newton step reuses its residual's sweep; ``_attach`` drops
-        them with the physics and ``newton_solve`` before it returns.
+        accepted Newton step reuses its residual's sweep; ``_attach`` (with the
+        physics), ``assemble_residual`` and ``newton_solve`` drop them.
         """
         if self._sinh_at is not None and np.array_equal(self._sinh_at[0], u):
             return self._sinh_at[1:]
@@ -444,16 +447,10 @@ def assemble_residual(
     if F is None:
         F = ws.load_vector(physics, load)
     B, _ = ws.nonlinear(physics, u, with_jacobian=False)
+    ws._sinh_at = None    # no Jacobian follows: drop the node-length sinh argument
     r = A @ u + B - F
     r[mesh.boundary_vertex] = 0.0
     return r
-
-
-def constrain_matrix(A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
-    """Zero constrained rows/columns and put ones on their diagonal (symmetric)."""
-    free = sp.diags((~mask).astype(float))
-    fixed = sp.diags(mask.astype(float))
-    return (free @ A @ free + fixed).tocsr()
 
 
 def cg_solve(
@@ -462,13 +459,9 @@ def cg_solve(
     tol: float = 1e-12,
     max_iterations: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned conjugate gradients to a relative residual."""
-    n = len(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), 0
+    """Jacobi-preconditioned CG to a relative residual; for b = 0 SciPy returns x = 0 at once."""
     if max_iterations is None:
-        max_iterations = 10 * n
+        max_iterations = 10 * len(b)
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise SolverError("matrix diagonal not positive; Jacobi preconditioner invalid")
@@ -488,7 +481,7 @@ def cg_solve(
     if info != 0:
         raise SolverError(
             f"CG did not converge in {max_iterations} iterations "
-            f"(relative residual {np.linalg.norm(b - A @ x) / bnorm:.3e})"
+            f"(relative residual {np.linalg.norm(b - A @ x) / np.linalg.norm(b):.3e})"
         )
     return x, iterations
 
@@ -509,9 +502,9 @@ def newton_solve(
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
-    mask = mesh.boundary_vertex
+    free = ~mesh.boundary_vertex
     u = np.zeros(mesh.n_vertices)
-    u[mask] = load.boundary_values(mesh.vertices[mask])
+    u[~free] = load.boundary_values(mesh.vertices[~free])
     report = SolveReport()
 
     def failure(message: str) -> SolverError:
@@ -520,6 +513,12 @@ def newton_solve(
         return SolverError(message, u=u, report=report)
 
     ws = workspace or Workspace(mesh)
+
+    def residual(v: np.ndarray) -> np.ndarray:
+        """R(v) on the free DoFs; the Workspace keeps v's sinh argument for the Jacobian."""
+        B, _ = ws.nonlinear(physics, v, with_jacobian=False)
+        return (A @ v + B - F)[free]
+
     try:
         A = ws.stiffness(physics)
         if not np.all(np.isfinite(A.data)):
@@ -529,7 +528,7 @@ def newton_solve(
         except NonlinearOverflow as exc:
             raise failure(f"load: {exc}") from exc
         try:
-            r = assemble_residual(mesh, physics, load, u, A=A, F=F, workspace=ws)
+            r = residual(u)
         except NonlinearOverflow as exc:
             raise failure(f"initial state: {exc}") from exc
         rnorm = float(np.linalg.norm(r))
@@ -543,11 +542,10 @@ def newton_solve(
                     f"(residual {rnorm:.3e}, target {target:.3e})"
                 )
             _, Bmat = ws.nonlinear(physics, u, with_jacobian=True)
-            J = constrain_matrix((A + Bmat).tocsr(), mask)
-            rhs = -r
-            rhs[mask] = 0.0
+            J = (A + Bmat).tocsr()[free][:, free]
+            delta = np.zeros(mesh.n_vertices)
             try:
-                delta, cg_iters = cg_solve(J, rhs, config.cg_tol, config.cg_max_iterations)
+                delta[free], cg_iters = cg_solve(J, -r, config.cg_tol, config.cg_max_iterations)
             except SolverError as exc:
                 raise failure(f"Newton iteration {report.newton_iterations + 1}: {exc}") from exc
             report.cg_iterations.append(cg_iters)
@@ -557,7 +555,7 @@ def newton_solve(
             for _ in range(config.max_halvings + 1):
                 trial = u + lam * delta
                 try:
-                    r_trial = assemble_residual(mesh, physics, load, trial, A=A, F=F, workspace=ws)
+                    r_trial = residual(trial)
                     t_norm = float(np.linalg.norm(r_trial))
                 except NonlinearOverflow:
                     t_norm = np.inf

@@ -2,6 +2,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 
 import vempb as vp
 from vempb import cli
@@ -253,6 +254,16 @@ def test_cg_iteration_limit_exits_3_and_saves_state(tmp_path, capsys):
     assert not out.exists()
     assert (tmp_path / "u.csv.failed").read_text().startswith("id,x,y,z,u")
     assert "CG did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["max_iterations", "max_halvings", "cg_max_iterations"])
+def test_negative_solver_limit_exits_2(tmp_path, capsys, limit):
+    cfg = write_config(tmp_path / "c.json", solver={limit: -1})
+    out = tmp_path / "u.csv"
+    assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "u.csv.failed").exists()
+    assert "must not be negative" in capsys.readouterr().err
 
 
 def test_study_invalid_later_level_exits_2(tmp_path, capsys):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import vempb as vp
-from vempb.polybasis import (
-    REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, linear_values, mesh_quadrature,
-)
+from vempb.polybasis import REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, mesh_quadrature
 from vempb import solver
 from vempb.solver import Workspace
 
@@ -182,16 +180,6 @@ def test_quadrature_coordinates_are_contiguous_columns(name, monkeypatch):
     for _, nodes, _ in ws._blocks():
         for a in (ws.points[nodes], ws.xi[nodes]):
             assert all(a[:, j].flags.c_contiguous for j in range(3))
-
-
-def test_linear_values_in_place():
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=(4, 500))
-    xi = rng.normal(size=(3, 500))
-    want = c[0] + np.einsum("jp,jp->p", xi, c[1:])
-    got = linear_values(c, xi)
-    assert np.shares_memory(got, c)
-    assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", list(QUADRATURE_MESHES))

@@ -10,7 +10,7 @@ import vempb as vp
 from vempb import solver
 from vempb.polybasis import mesh_quadrature
 from vempb.projectors import face_integral_rows
-from vempb.solver import SolverError, Workspace, cg_solve, constrain_matrix
+from vempb.solver import SolverError, Workspace, cg_solve
 
 from _oracles import (
     NodeRowForms, cell_projector_blocks, cell_projector_reference, kkt_solve, local_stiffness,
@@ -151,19 +151,52 @@ def test_global_jacobian_matches_finite_difference_residual():
 
 
 def _lifted(A, F, mask, g):
-    """Symmetric elimination of u[mask] = g[mask]: constrained matrix and lifted rhs."""
+    """Symmetric elimination of u[mask] = g[mask]: identity rows and columns on mask, lifted rhs."""
+    keep = sp.diags((~mask).astype(float))
     b = F - A @ np.where(mask, g, 0.0)
     b[mask] = g[mask]
-    return constrain_matrix(A, mask), b
+    return (keep @ A @ keep + sp.diags(mask.astype(float))).tocsr(), b
 
 
-def test_all_boundary_mesh_gives_identity_system():
+def _recording_cg(monkeypatch):
+    """Replace solver.cg_solve by a wrapper; returns the list of its (matrix shape, rhs length)."""
+    calls = []
+
+    def recording(A, b, *args):
+        calls.append((A.shape, len(b)))
+        return cg_solve(A, b, *args)
+
+    monkeypatch.setattr(solver, "cg_solve", recording)
+    return calls
+
+
+def test_newton_steps_on_the_free_block(monkeypatch):
+    m = vp.generate_tet_mesh(4)
+    calls = _recording_cg(monkeypatch)
+    _, report = vp.newton_solve(m, _screened_tet_physics(), vp.regularized_load())
+    n_free = int((~m.boundary_vertex).sum())
+    assert len(calls) == report.newton_iterations > 0
+    assert calls == [((n_free, n_free), n_free)] * len(calls)
+
+
+def test_all_boundary_mesh_needs_no_newton_step(monkeypatch):
     m = vp.generate_cube_mesh(1)
-    phys = vp.PhysicsConfig()
-    A = Workspace(m).stiffness(phys)
-    matrix, rhs = _lifted(A, np.zeros(8), m.boundary_vertex, np.zeros(8))
-    assert np.abs(matrix.toarray() - np.eye(8)).max() <= 1e-15
-    assert np.all(rhs == 0.0)
+    assert m.boundary_vertex.all()
+    load = vp.manufactured_sine()
+    calls = _recording_cg(monkeypatch)
+    u, report = vp.newton_solve(m, vp.PhysicsConfig(), load)
+    assert report.converged and report.newton_iterations == 0
+    assert calls == []
+    assert np.array_equal(u, load.boundary_values(m.vertices))
+
+
+def test_assemble_residual_drops_the_kept_sinh_argument():
+    m = vp.generate_tet_mesh(3)
+    phys = _screened_tet_physics()
+    ws = Workspace(m)
+    u = np.random.default_rng(6).normal(size=m.n_vertices) * 0.1
+    vp.assemble_residual(m, phys, vp.regularized_load(), u, workspace=ws)
+    assert ws._sinh_at is None
 
 
 def test_constrained_solution_has_exact_boundary_values():
@@ -319,6 +352,13 @@ def test_newton_overflow_in_manufactured_load_carries_u0():
     assert err.value.report.residual_history == []
 
 
+@pytest.mark.parametrize("limit", ["max_iterations", "max_halvings", "cg_max_iterations"])
+def test_negative_solver_limit_rejected(limit):
+    with pytest.raises(ValueError, match="must not be negative"):
+        vp.NewtonConfig(**{limit: -1})
+    vp.NewtonConfig(**{limit: 0})
+
+
 def test_newton_cg_limit_carries_state():
     m = vp.generate_cube_mesh(4)
     load = vp.manufactured_sine()
@@ -346,15 +386,6 @@ def test_linear_case_matches_dense_direct_solve():
     matrix, rhs = _lifted(A, F, m.boundary_vertex, g)
     u_dense = np.linalg.solve(matrix.toarray(), rhs)
     assert np.abs(u - u_dense).max() <= 1e-10
-
-
-def test_constrain_matrix_keeps_symmetry():
-    m = vp.generate_cube_mesh(2)
-    A = Workspace(m).stiffness(vp.PhysicsConfig())
-    C = constrain_matrix(A, m.boundary_vertex)
-    assert abs(C - C.T).max() == 0.0
-    n_bnd = int(m.boundary_vertex.sum())
-    assert np.allclose(C.toarray()[m.boundary_vertex][:, m.boundary_vertex], np.eye(n_bnd))
 
 
 # ---------------------------------------------------------------------------
