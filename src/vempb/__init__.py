@@ -15,6 +15,7 @@ from .mesh import (
     generate_tet_mesh,
     generate_voronoi_mesh,
     load_mesh,
+    mesh_size,
     save_mesh,
     voronoi_mesh_from_seeds,
 )
@@ -42,7 +43,6 @@ from .analysis import (
     compare_to_reference,
     convergence_order,
     fitted_order,
-    mesh_size,
     run_convergence_study,
 )
 

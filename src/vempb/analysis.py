@@ -3,10 +3,10 @@
 Errors compare the exact field against the cellwise projected polynomial of
 the discrete solution: the L2 norm of (u_ex - projection) and the H1
 seminorm of its gradient defect, both by :meth:`Workspace.error_norms` on
-the solver's own quadrature.  The mesh size is
-the averaged (|Omega|/N_E)^(1/3), and orders are reported pairwise per
-refinement plus as a least-squares slope over the last levels (the robust
-number quoted by the acceptance checks).
+the solver's own quadrature.  The mesh size is the averaged
+(|Omega|/N_E)^(1/3) of :func:`~vempb.mesh.mesh_size`, and orders are
+reported pairwise per refinement plus as a least-squares slope over the last
+levels (the robust number quoted by the acceptance checks).
 """
 
 from __future__ import annotations
@@ -18,16 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forms import LoadSpec, PhysicsConfig
-from .mesh import KUHN_PERMUTATIONS, PolyMesh
-# cell_quadrature stays importable here: perfbench/tracer.py wraps analysis.cell_quadrature
-from .polybasis import cell_quadrature  # noqa: F401
+from .mesh import PolyMesh, _locate_structured, mesh_size
 from .projectors import CellProjectorSet, build_projectors
 from .solver import NewtonConfig, SolveReport, Workspace, newton_solve
-
-
-def mesh_size(mesh: PolyMesh) -> float:
-    """Averaged size (|Omega| / N_E)^(1/3)."""
-    return float((mesh.total_volume() / mesh.n_cells) ** (1.0 / 3.0))
+# cell_quadrature stays importable here: perfbench/tracer.py wraps analysis.cell_quadrature
+from .solver import cell_quadrature  # noqa: F401
 
 
 def convergence_order(errors: Sequence[float], sizes: Sequence[float]) -> float:
@@ -173,27 +168,6 @@ def run_convergence_study(
 
 # ---------------------------------------------------------------------------
 # reference-solution comparison on nested structured meshes
-
-
-# rank of each Kuhn permutation, looked up by o0*9 + o1*3 + o2
-_KUHN_RANK = np.zeros(27, dtype=np.int64)
-_KUHN_RANK[[p[0] * 9 + p[1] * 3 + p[2] for p in KUHN_PERMUTATIONS]] = np.arange(
-    len(KUHN_PERMUTATIONS)
-)
-
-
-def _locate_structured(mesh: PolyMesh, points: np.ndarray) -> np.ndarray:
-    """Cell indices of points in a generator-ordered cubic or tet mesh."""
-    n = mesh.n
-    scaled = points * n
-    idx = np.clip(np.floor(scaled).astype(int), 0, n - 1)
-    cube_id = idx[:, 0] + n * (idx[:, 1] + n * idx[:, 2])
-    if mesh.family == "cubic":
-        return cube_id
-    frac = scaled - idx
-    # Kuhn cell: permutation sorting the fractional coordinates descending
-    order = np.argsort(-frac, axis=1, kind="stable")
-    return cube_id * 6 + _KUHN_RANK[order @ np.array([9, 3, 1])]
 
 
 def compare_to_reference(

@@ -3,7 +3,9 @@
 One JSON config document drives solve/study runs; every section has defaults
 matching the standard electrostatics setup (eps_m=2, eps_s=80,
 kappa=1/(20*sqrt(2)), unit charge at the origin, box molecular region).
-Unknown keys are rejected before any computation.  Given the same config
+Unknown keys, and values whose JSON type is not their default's (null only
+where the default is null), are rejected before any computation; the other
+values are checked where they are used.  Given the same config
 (including rng_seed) all produced artifacts are byte-identical; timings go
 to stdout only.
 
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, forms, mesh as meshmod, solver
+from . import analysis, mesh as meshmod, solver
 from .forms import MANUFACTURED_SOLUTIONS, LoadSpec, PhysicsConfig
 from .mesh import MeshError, PolyMesh, box_levelset
 from .solver import NewtonConfig, SolverError
@@ -52,10 +54,46 @@ _DEFAULTS = {
 }
 
 
-def _merge_section(name: str, defaults: dict, given: dict) -> dict:
+# the JSON type of each value whose default is null; null stays allowed there
+_NULL_DEFAULT_TYPES = {
+    "n_seeds": "integer", "path": "string", "cg_max_iterations": "integer", "plot": "string",
+}
+
+
+# JSON type names of parsed values, bool before int: a boolean is not an integer
+_JSON_TYPES = (("null", type(None)), ("boolean", bool), ("integer", int), ("number", float),
+               ("string", str), ("array", list), ("object", dict))
+
+
+def _json_type(value) -> str:
+    return next(name for name, types in _JSON_TYPES if isinstance(value, types))
+
+
+def _expect(where: str, value, kind: str, nullable: bool = False) -> None:
+    """Raise ConfigError unless ``value`` has JSON type ``kind`` (an integer is a number)."""
+    got = _json_type(value)
+    if got == kind or (kind, got) == ("number", "integer") or (nullable and got == "null"):
+        return
+    kind += " or null" if nullable else ""
+    raise ConfigError(f"{where} must be a JSON {kind}, got {json.dumps(value)}")
+
+
+def _expect_like(where: str, value, section: str, key: str) -> None:
+    """``value`` has the JSON type of the default of ``section.key``."""
+    default = _DEFAULTS[section][key]
+    if default is None:
+        _expect(where, value, _NULL_DEFAULT_TYPES[key], nullable=True)
+    else:
+        _expect(where, value, _json_type(default))
+
+
+def _merge_section(name: str, defaults: dict, given) -> dict:
+    _expect(name, given, "object")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{name}': {sorted(unknown)}")
+    for key, value in given.items():
+        _expect_like(f"{name}.{key}", value, name, key)
     out = dict(defaults)
     out.update(given)
     return out
@@ -80,27 +118,31 @@ def load_config(path) -> dict:
 
 
 def _validate(cfg: dict) -> None:
+    """The shapes inside the physics charges and level set and the study levels."""
     ph = cfg["physics"]
-    for ch in ph["charges"]:
-        if set(ch) != {"q", "x"} or len(ch["x"]) != 3:
-            raise ConfigError(f"bad charge entry {ch}")
+    for i, ch in enumerate(ph["charges"]):
+        where = f"physics.charges[{i}]"
+        _expect(where, ch, "object")
+        if set(ch) != {"q", "x"}:
+            raise ConfigError(f"{where} must have the keys q and x, got {sorted(ch)}")
+        _expect(f"{where}.q", ch["q"], "number")
+        _expect(f"{where}.x", ch["x"], "array")
+        if len(ch["x"]) != 3:
+            raise ConfigError(f"{where}.x must have 3 coordinates, got {len(ch['x'])}")
+        for v in ch["x"]:
+            _expect(f"{where}.x", v, "number")
     ls = ph["levelset"]
-    if not isinstance(ls, dict) or ls.get("type") != "box":
-        raise ConfigError("levelset must be {'type': 'box', 'threshold': t}")
-    m = cfg["mesh"]
-    if m["family"] not in ("cubic", "tet", "voronoi", "file"):
-        raise ConfigError(f"unknown mesh family {m['family']!r}")
-    ld = cfg["load"]
-    if ld["mode"] not in ("regularized", "manufactured"):
-        raise ConfigError(f"unknown load mode {ld['mode']!r}")
-    if ld["mode"] == "manufactured" and ld["solution"] not in MANUFACTURED_SOLUTIONS:
-        raise ConfigError(f"unknown manufactured solution {ld['solution']!r}")
-    for lvl in cfg["study"]["levels"]:
-        if not isinstance(lvl, dict):
-            raise ConfigError("study levels must be objects")
+    if ls.get("type") != "box":
+        raise ConfigError("physics.levelset must be {'type': 'box', 'threshold': t}")
+    _expect("physics.levelset.threshold", ls.get("threshold", 0.5), "number")
+    for i, lvl in enumerate(cfg["study"]["levels"]):
+        where = f"study.levels[{i}]"
+        _expect(where, lvl, "object")
         unknown = set(lvl) - {"n", "n_seeds", "rng_seed", "path"}
         if unknown:
             raise ConfigError(f"unknown key(s) in study level: {sorted(unknown)}")
+        for key, value in lvl.items():
+            _expect_like(f"{where}.{key}", value, "mesh", key)
 
 
 def build_physics(cfg: dict) -> PhysicsConfig:
@@ -116,12 +158,13 @@ def build_physics(cfg: dict) -> PhysicsConfig:
 
 def build_load(cfg: dict) -> LoadSpec:
     ld = cfg["load"]
-    if ld["mode"] == "regularized":
-        return forms.regularized_load()
-    spec = MANUFACTURED_SOLUTIONS[ld["solution"]]()
-    if ld["pointwise_rhs"]:
-        spec = dataclasses.replace(spec, pointwise_rhs=True)
-    return spec
+    if ld["mode"] != "manufactured":
+        return LoadSpec(mode=ld["mode"], pointwise_rhs=ld["pointwise_rhs"])
+    try:
+        spec = MANUFACTURED_SOLUTIONS[ld["solution"]]()
+    except KeyError:
+        raise ConfigError(f"unknown manufactured solution {ld['solution']!r}") from None
+    return dataclasses.replace(spec, pointwise_rhs=ld["pointwise_rhs"])
 
 
 def build_mesh(mesh_cfg: dict) -> PolyMesh:

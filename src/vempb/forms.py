@@ -52,23 +52,27 @@ class PhysicsConfig:
     levelset: LevelSet = field(default_factory=box_levelset)
 
     def __post_init__(self):
-        if self.eps_m <= 0 or self.eps_s <= 0:
-            raise ValueError("permittivities must be positive")
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
+        # written so that NaN fails every test
+        if not (0 < self.eps_m < np.inf and 0 < self.eps_s < np.inf):
+            raise ValueError("permittivities must be positive and finite")
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be non-negative and finite")
         self.charge_arrays()
 
     def charge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Charges q (n,) and locations x (n, 3), read from ``charges`` as it is now.
 
-        Raises ValueError if a location lies outside the closed molecular
-        region of the current level set.
+        Raises ValueError if a value is not finite or a location lies
+        outside the closed molecular region of the current level set.
         """
-        for _, x in self.charges:
-            if self.levelset(np.asarray(x, dtype=float)) > 0:
-                raise ValueError(f"charge at {x} lies outside the molecular region")
         q = np.array([q for q, _ in self.charges], dtype=float)
-        return q, np.array([x for _, x in self.charges], dtype=float).reshape(-1, 3)
+        x = np.array([x for _, x in self.charges], dtype=float).reshape(-1, 3)
+        if not (np.isfinite(q).all() and np.isfinite(x).all()):
+            raise ValueError(f"charges must be finite, got {self.charges}")
+        for _, at in self.charges:
+            if self.levelset(np.asarray(at, dtype=float)) > 0:
+                raise ValueError(f"charge at {at} lies outside the molecular region")
+        return q, x
 
     @property
     def kappa_bar_sq_solvent(self) -> float:

@@ -71,6 +71,8 @@ def box_levelset(threshold: float = 0.5) -> LevelSet:
 
     Strictly negative exactly on the open box, zero on its boundary.
     """
+    if not np.isfinite(threshold):
+        raise ValueError(f"box threshold must be finite, got {threshold}")
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return np.maximum(np.maximum(pts[:, 0], pts[:, 1]), pts[:, 2]) - threshold
@@ -235,6 +237,26 @@ def _flat_corners(mesh: PolyMesh):
     va = mesh.face_vertex[start + pos]
     vb = mesh.face_vertex[start + (pos + 1) % c_lens[c_ref]]
     return ref_cell, ref_face, ref_sign, c_ref, va, vb
+
+
+def _cone_tets(mesh: PolyMesh):
+    """The cone tetrahedra (x_E, x_f, a, b) of every cell over its face-fan edges (a, b).
+
+    (a, b) runs along the outward-oriented face loop.  Returns each tet's
+    cell, its apex x_E (tets, 3), its edge rows (x_f - x_E, a - x_E,
+    b - x_E) as (tets, 3, 3), and its determinant (six times its signed
+    volume).  Every determinant of a cell is positive iff the cell is
+    star-shaped with respect to its centroid, for convex cells exactly.
+    """
+    ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
+    cell = ref_cell[c_ref]
+    swapped = ref_sign[c_ref] < 0
+    apex = mesh.cell_centroid[cell]
+    e1 = mesh.face_centroid[ref_face[c_ref]] - apex
+    e2 = mesh.vertices[np.where(swapped, vb, va)] - apex
+    e3 = mesh.vertices[np.where(swapped, va, vb)] - apex
+    dets = np.einsum("tj,tj->t", np.cross(e2, e3), e1)
+    return cell, apex, np.stack([e1, e2, e3], axis=1), dets
 
 
 def validate_topology(mesh: PolyMesh) -> None:
@@ -431,9 +453,8 @@ def generate_cube_mesh(n: int) -> PolyMesh:
     return _structured_mesh(n, _CUBE_FACES, "cubic")
 
 
-# Kuhn subdivision: walk the cube axes in each of the 6 permutation orders.
-# Lexicographic permutation order fixes the cell numbering used by the
-# structured point locator in the analysis module.
+# Kuhn subdivision: walk the cube axes in each of the 6 permutation orders;
+# a cube's tets are numbered in lexicographic permutation order.
 KUHN_PERMUTATIONS = tuple(itertools.permutations(range(3)))
 
 
@@ -457,6 +478,31 @@ _KUHN_TET_FACES = _kuhn_tet_faces()
 def generate_tet_mesh(n: int) -> PolyMesh:
     """Kuhn subdivision of the structured cube mesh: 6*n^3 tetrahedra."""
     return _structured_mesh(n, _KUHN_TET_FACES, "tet")
+
+
+# rank of each Kuhn permutation, looked up by o0*9 + o1*3 + o2
+_KUHN_RANK = np.zeros(27, dtype=np.int64)
+_KUHN_RANK[[p[0] * 9 + p[1] * 3 + p[2] for p in KUHN_PERMUTATIONS]] = np.arange(
+    len(KUHN_PERMUTATIONS)
+)
+
+
+def _locate_structured(mesh: PolyMesh, points: np.ndarray) -> np.ndarray:
+    """Cell indices of points in a cubic or tet mesh from the generators here.
+
+    The inverse of their numbering: cubes with x fastest, then y, then z,
+    and a cube's Kuhn tets in ``KUHN_PERMUTATIONS`` order.
+    """
+    n = mesh.n
+    scaled = points * n
+    idx = np.clip(np.floor(scaled).astype(int), 0, n - 1)
+    cube_id = idx[:, 0] + n * (idx[:, 1] + n * idx[:, 2])
+    if mesh.family == "cubic":
+        return cube_id
+    frac = scaled - idx
+    # Kuhn cell: permutation sorting the fractional coordinates descending
+    order = np.argsort(-frac, axis=1, kind="stable")
+    return cube_id * 6 + _KUHN_RANK[order @ np.array([9, 3, 1])]
 
 
 def voronoi_mesh_from_seeds(seeds: np.ndarray) -> PolyMesh:
@@ -623,6 +669,11 @@ def classify_interface(mesh: PolyMesh, levelset: LevelSet) -> np.ndarray:
 # quality report
 
 
+def mesh_size(mesh: PolyMesh) -> float:
+    """Averaged size (|Omega| / N_E)^(1/3)."""
+    return float((mesh.total_volume() / mesh.n_cells) ** (1.0 / 3.0))
+
+
 @dataclass
 class MeshQualityReport:
     """Shape-regularity estimates and star-shapedness heuristics."""
@@ -648,9 +699,8 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
     measures; exact for convex geometry.
     """
     V = mesh.vertices
-    ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
+    ref_cell, ref_face, _, c_ref, va, vb = _flat_corners(mesh)
     corner_face = ref_face[c_ref]
-    corner_cell = ref_cell[c_ref]
     xf = mesh.face_centroid[corner_face]
     # every face appears once per referencing cell, in its stored order
     edge = np.linalg.norm(V[vb] - V[va], axis=1)
@@ -661,13 +711,8 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
     star_fail_faces = int(np.count_nonzero(fail))
 
     min_fE = (mesh.face_diameter[ref_face] / mesh.cell_diameter[ref_cell]).min()
-    swapped = ref_sign[c_ref] < 0
-    xe = mesh.cell_centroid[corner_cell]
-    a = V[np.where(swapped, vb, va)] - xe
-    b = V[np.where(swapped, va, vb)] - xe
-    tv = np.einsum("tj,tj->t", np.cross(a, b), xf - xe)
-    fail = np.bincount(corner_cell[tv <= 0], minlength=mesh.n_cells)
-    star_fail_cells = int(np.count_nonzero(fail))
+    cell, _, _, dets = _cone_tets(mesh)
+    star_fail_cells = len(np.unique(cell[dets <= 0]))
 
     passed = (
         min_ef >= gamma_min
@@ -681,7 +726,7 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
         star_fail_cells=star_fail_cells,
         star_fail_faces=star_fail_faces,
         n_cells=mesh.n_cells,
-        mean_size=float((mesh.total_volume() / mesh.n_cells) ** (1.0 / 3.0)),
+        mean_size=mesh_size(mesh),
         gamma_min=gamma_min,
         passed=passed,
     )

@@ -1,7 +1,7 @@
 """Global assembly, CG, and the damped Newton driver on the free DoFs.
 
 Assembly runs through a per-mesh :class:`Workspace`: the flat quadrature
-of :func:`~vempb.polybasis.mesh_quadrature` (contiguous per cell) plus the
+of :func:`mesh_quadrature` (contiguous per cell) plus the
 projector operators of :func:`~vempb.projectors.build_projectors`.  Every
 node sweep (level set, Coulomb field, loads, screened sinh term, error norms)
 runs over blocks of about ``BLOCK_NODES`` nodes made of whole cells, so its
@@ -10,6 +10,12 @@ per cell with `reduceat` into per-cell arrays; a cell's sum never spans two
 blocks, so the summation order, and with it every result, is independent of
 the block size.  Every form is then sparse algebra on the operators, such as
 the stiffness gather' (grad' eps grad + stab' sigma stab) gather.
+
+Each cell is split into the cone tetrahedra (x_E, x_f, v_i, v_i+1) of
+:func:`~vempb.mesh._cone_tets`, and one rule is mapped onto each from the
+reference tetrahedron: the classical positive 14-point rule, exact to total
+degree 5.  Its weights are strictly positive, so pointwise inequalities
+(e.g. monotone nonlinearities) survive discretization.
 
 Every node is the image of one of the NQ reference points r_q under its
 cone tet t, and all tets of a cell share the apex x_E, so xi = r C_t is
@@ -44,15 +50,40 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
-from .mesh import PolyMesh
-from .polybasis import REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, mesh_quadrature
+from .mesh import MeshError, PolyMesh, _cone_tets
 from .projectors import CellProjectorSet, build_projectors
+
+
+def _tet_orbit_s31(a: float) -> np.ndarray:
+    pts = np.full((4, 4), a)
+    np.fill_diagonal(pts, 1.0 - 3.0 * a)
+    return pts
+
+
+def _tet_orbit_s22(a: float) -> np.ndarray:
+    b = 0.5 - a
+    return np.array(sorted(set(permutations((a, a, b, b)))))
+
+
+# Points and weights on the unit tetrahedron, exact for total degree <= 5;
+# the points are the last three barycentric coordinates of the orbits.
+REFERENCE_TET_POINTS = np.vstack([
+    _tet_orbit_s31(0.09273525031089123),
+    _tet_orbit_s31(0.31088591926330050),
+    _tet_orbit_s22(0.04550370412564962),
+])[:, 1:]
+REFERENCE_TET_WEIGHTS = np.concatenate([
+    np.full(4, 0.012248840519393658),
+    np.full(4, 0.018781320953002642),
+    np.full(6, 0.007091003462846911),
+])
 
 # quadrature nodes per sweep block (rounded up to whole cells): every node sweep
 # runs block by block, so its temporaries scale with the block, not the mesh
@@ -70,6 +101,51 @@ NQ = len(REFERENCE_TET_WEIGHTS)
 _REF_VALUES = np.vstack([np.ones(NQ), REFERENCE_TET_POINTS.T])
 _REF_MOMENTS = np.array([REFERENCE_TET_WEIGHTS * _REF_VALUES[i] * _REF_VALUES[j]
                          for i, j in _UPPER_PAIRS])
+
+
+def mesh_quadrature(mesh: PolyMesh):
+    """Positive-weight rule over every cell, exact for total degree <= 5.
+
+    The reference rule is mapped onto every cone tet of :func:`_cone_tets`.
+    Returns flat ``points``, ``weights`` (carrying the volume measure),
+    ``xi`` = (points - x_E)/h_E, the cell of every node ``cop`` and
+    ``cell_ptr``: the nodes of cell ci are ``cell_ptr[ci]:cell_ptr[ci + 1]``.
+    ``points`` and ``xi`` have shape (nodes, 3) and are Fortran-ordered, so
+    each coordinate is one contiguous column.  A non-positive tetrahedron
+    means the cell is not star-shaped with respect to its centroid.
+
+    Node k of cone tet t = k // NQ is the image of reference point r_q,
+    q = k % NQ, so the last two returns carry the map of every tet: its
+    edge rows from the apex x_E over h_E, ``maps`` (3, 3, tets) with
+    xi_j = sum_i r_i maps[i, j, t], and ``dets`` (tets,), the Jacobian
+    determinants, with ``weights`` = dets_t * REFERENCE_TET_WEIGHTS[q].
+    A cell's tets are ``cell_ptr[ci] // NQ:cell_ptr[ci + 1] // NQ``.
+    """
+    corner_cell, origin, basis, dets = _cone_tets(mesh)
+    if np.any(dets <= 0):
+        ci = int(corner_cell[int(np.argmax(dets <= 0))])
+        raise MeshError(f"cell {ci} not star-shaped w.r.t. centroid", cell=ci)
+    # coordinate rows (3, T, NQ): offsets from x_E, written through a (T, NQ, 3) view
+    offset = np.empty((3, len(basis), NQ))
+    np.matmul(REFERENCE_TET_POINTS, basis, out=offset.transpose(1, 2, 0))
+    points = offset + origin.T[:, :, None]
+    weights = (dets[:, None] * REFERENCE_TET_WEIGHTS).ravel()   # reference weights sum to 1/6
+    tets_per_cell = np.bincount(corner_cell, minlength=mesh.n_cells)
+    cell_ptr = np.concatenate([[0], np.cumsum(tets_per_cell * NQ)])
+    cop = np.repeat(np.arange(mesh.n_cells, dtype=np.int64), tets_per_cell * NQ)
+    h = mesh.cell_diameter[corner_cell]
+    offset /= h[None, :, None]
+    maps = basis.transpose(1, 2, 0) / h
+    return (points.reshape(3, -1).T, weights, offset.reshape(3, -1).T, cop, cell_ptr,
+            maps, dets)
+
+
+def cell_quadrature(mesh: PolyMesh, ci: int):
+    """Points and weights of cell ``ci``: its slice of :func:`mesh_quadrature`."""
+    points, weights, _, _, cell_ptr, *_ = mesh_quadrature(mesh)
+    nodes = slice(cell_ptr[ci], cell_ptr[ci + 1])
+    return points[nodes], weights[nodes]
+
 
 class SolverError(Exception):
     """Solver failed to converge; carries whatever state was reached."""
@@ -90,8 +166,8 @@ class NewtonConfig:
     cg_max_iterations: int | None = None     # defaults to 10 * the number of free DoFs
 
     def __post_init__(self):
-        if min(self.rel_tol, self.abs_tol, self.cg_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < np.inf for tol in (self.rel_tol, self.abs_tol, self.cg_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if min(self.max_iterations, self.max_halvings, self.cg_max_iterations or 0) < 0:
             raise ValueError("iteration and halving limits must not be negative")
 
@@ -441,7 +517,7 @@ def assemble_residual(
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """R(u) = A u + B(u) - F with Dirichlet rows zeroed."""
-    ws = workspace or Workspace(mesh)
+    ws = _workspace_of(mesh, workspace)
     if A is None:
         A = ws.stiffness(physics)
     if F is None:
@@ -451,6 +527,15 @@ def assemble_residual(
     r = A @ u + B - F
     r[mesh.boundary_vertex] = 0.0
     return r
+
+
+def _workspace_of(mesh: PolyMesh, workspace: Workspace | None) -> Workspace:
+    """The given Workspace, which must be built on ``mesh``, or a new one."""
+    if workspace is None:
+        return Workspace(mesh)
+    if workspace.mesh is not mesh:
+        raise ValueError("workspace was built on another mesh")
+    return workspace
 
 
 def cg_solve(
@@ -496,9 +581,10 @@ def newton_solve(
     """Damped Newton iteration from u = 0 (boundary values applied).
 
     Stops when the residual norm falls below rel_tol * ||R(u0)|| + abs_tol.
-    Every failure, an overflow in the load or at u0 included, raises
-    :class:`SolverError` carrying the last accepted iterate (u0 before the
-    first step) and the report so far.
+    Every failure, an overflow in the load or at u0 and a non-finite
+    ||R(u0)|| included, raises :class:`SolverError` carrying the last
+    accepted iterate (u0 before the first step) and the report so far.  A
+    ``workspace`` built on another mesh raises ValueError.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
@@ -512,7 +598,7 @@ def newton_solve(
         report.wall_time = time.perf_counter() - t0
         return SolverError(message, u=u, report=report)
 
-    ws = workspace or Workspace(mesh)
+    ws = _workspace_of(mesh, workspace)
 
     def residual(v: np.ndarray) -> np.ndarray:
         """R(v) on the free DoFs; the Workspace keeps v's sinh argument for the Jacobian."""
@@ -533,9 +619,11 @@ def newton_solve(
             raise failure(f"initial state: {exc}") from exc
         rnorm = float(np.linalg.norm(r))
         report.residual_history.append(rnorm)
+        if not np.isfinite(rnorm):
+            raise failure(f"initial state: residual norm {rnorm}")
         target = config.rel_tol * rnorm + config.abs_tol
 
-        while rnorm > target:
+        while not rnorm <= target:    # a NaN norm never reads as converged
             if report.newton_iterations >= config.max_iterations:
                 raise failure(
                     f"Newton did not converge in {config.max_iterations} iterations "

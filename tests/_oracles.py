@@ -40,7 +40,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from vempb.mesh import KUHN_PERMUTATIONS, MeshError, _assemble, _concat_index
-from vempb.polybasis import mesh_quadrature
+from vempb.solver import mesh_quadrature
 from vempb.projectors import build_projectors, face_integral_rows
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import vempb as vp
-from vempb.polybasis import mesh_quadrature
+from vempb.solver import mesh_quadrature
 from vempb.solver import Workspace
 
 from _oracles import cell_projector_blocks, cell_vertex_ids, p1_tet_stiffness

@@ -285,3 +285,64 @@ def test_study_regularized_load_exits_2(tmp_path, capsys):
     )
     assert run(["study", "-c", str(cfg), "-o", str(tmp_path / "r.csv")]) == 2
     assert "manufactured load" in capsys.readouterr().err
+
+
+BASE = '"physics": {"eps_m": 1.0, "eps_s": 1.0, "kappa": 0.0, "charges": []}, ' \
+       '"mesh": {"family": "cubic", "n": 2}'
+
+
+@pytest.mark.parametrize("command, body, named", [
+    ("solve", BASE + ', "solver": {"max_iterations": null}', "solver.max_iterations"),
+    ("solve", BASE + ', "solver": {"max_iterations": 1e400}', "solver.max_iterations"),
+    ("solve", '"physics": {"eps_m": null}', "physics.eps_m"),
+    ("solve", '"physics": {"charges": 5}', "physics.charges"),
+    ("solve", '"physics": {"charges": [5]}', "physics.charges[0]"),
+    ("solve", '"physics": {"charges": [{"q": null, "x": [0, 0, 0]}]}', "physics.charges[0].q"),
+    ("solve", '"mesh": 5', "mesh"),
+    ("study", BASE + ', "study": {"levels": 5}', "study.levels"),
+    ("study", BASE + ', "study": {"levels": [{"n": 2}, {"n": null}]}', "study.levels[1].n"),
+    ("solve", '"mesh": {"family": "voronoi", "n_seeds": 8, "rng_seed": null}', "mesh.rng_seed"),
+    ("solve", BASE + ', "output": {"solution": 7}', "output.solution"),
+    ("study", BASE + ', "study": {"levels": [{"n": 2}, {"n": 3}]}, "output": {"report": 1}',
+     "output.report"),
+], ids=["max_iterations-null", "max_iterations-1e400", "eps_m-null", "charges-5",
+        "charges-[5]", "q-null", "mesh-5", "levels-5", "level-n-null", "rng_seed-null",
+        "solution-7", "report-1"])
+def test_mistyped_config_value_exits_2(tmp_path, monkeypatch, capsys, command, body, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text("{" + body + "}")
+    assert run([command, "-c", "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named} must be a JSON " in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]   # nothing written
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("physics", "kappa", "Infinity", "kappa must be non-negative and finite"),
+    ("physics", "kappa", "NaN", "kappa must be non-negative and finite"),
+    ("physics", "eps_s", "Infinity", "permittivities must be positive and finite"),
+    ("solver", "rel_tol", "NaN", "tolerances must be positive and finite"),
+], ids=["kappa-inf", "kappa-nan", "eps_s-inf", "rel_tol-nan"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, section, key, value, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{"mesh": {{"family": "cubic", "n": 2}}, "{section}": {{"{key}": {value}}}}}')
+    out = tmp_path / "u.csv"
+    assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "u.csv.failed").exists()
+
+
+def test_pointwise_rhs_with_regularized_load_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", load={"mode": "regularized", "pointwise_rhs": True})
+    assert run(["solve", "-c", str(cfg), "-o", str(tmp_path / "u.csv")]) == 2
+    assert "pointwise_rhs only applies to manufactured mode" in capsys.readouterr().err
+
+
+def test_null_accepted_where_the_default_is_null(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        mesh={"family": "cubic", "n": 2, "n_seeds": None, "path": None},
+        solver={"cg_max_iterations": None},
+        output={"plot": None},
+    )
+    assert run(["solve", "-c", str(cfg), "-o", str(tmp_path / "u.csv")]) == 0

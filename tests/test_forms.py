@@ -3,7 +3,7 @@ import pytest
 
 import vempb as vp
 import vempb.forms as forms
-from vempb.polybasis import mesh_quadrature
+from vempb.solver import mesh_quadrature
 from vempb.solver import Workspace
 
 from _oracles import (

@@ -425,6 +425,29 @@ def test_quality_star_failures_match_per_cell_oracle():
     assert rep.star_fail_faces > 0 and rep.star_fail_cells > 0
 
 
+def test_mesh_quadrature_error_names_the_lowest_star_failing_cell():
+    """mesh_quadrature and check_mesh_assumptions read the same cone tets."""
+    import dataclasses
+
+    from vempb.mesh import _cone_tets
+    from vempb.solver import mesh_quadrature
+
+    m = vp.generate_cube_mesh(2)
+    fc = m.face_centroid.copy()
+    for fi in (0, 5, 17):
+        corner = m.vertices[face_loop(m, fi)[0]]
+        fc[fi] = corner + 2.0 * (corner - fc[fi])
+    cc = m.cell_centroid.copy()
+    cc[[1, 6]] += 0.3
+    m = dataclasses.replace(m, face_centroid=fc, cell_centroid=cc)
+    cell, _, _, dets = _cone_tets(m)
+    failing = np.unique(cell[dets <= 0])
+    assert len(failing) == vp.check_mesh_assumptions(m).star_fail_cells > 0
+    with pytest.raises(MeshError, match="not star-shaped") as err:
+        mesh_quadrature(m)
+    assert err.value.cell == failing[0]
+
+
 def test_mean_size():
     m = vp.generate_cube_mesh(2)
     rep = vp.check_mesh_assumptions(m)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vempb as vp
-from vempb.polybasis import REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, mesh_quadrature
+from vempb.solver import REFERENCE_TET_POINTS, REFERENCE_TET_WEIGHTS, mesh_quadrature
 from vempb import solver
 from vempb.solver import Workspace
 

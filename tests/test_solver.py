@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 import vempb as vp
 from vempb import solver
-from vempb.polybasis import mesh_quadrature
+from vempb.solver import mesh_quadrature
 from vempb.projectors import face_integral_rows
 from vempb.solver import SolverError, Workspace, cg_solve
 
@@ -587,3 +587,58 @@ def test_charge_moved_outside_the_molecular_region_is_rejected():
         ws.nonlinear(phys, np.zeros(m.n_vertices))
     with pytest.raises(ValueError, match="outside the molecular region"):
         vp.newton_solve(m, phys, vp.regularized_load())
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and mismatched workspaces
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps_m", np.inf), ("eps_m", np.nan), ("eps_s", np.inf), ("eps_s", np.nan),
+    ("kappa", np.inf), ("kappa", np.nan),
+    ("charges", [(np.nan, (0.1, 0.1, 0.1))]), ("charges", [(1.0, (0.1, np.nan, 0.1))]),
+])
+def test_physics_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        vp.PhysicsConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "cg_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_newton_config_rejects_non_finite_tolerances(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        vp.NewtonConfig(**{field: value})
+
+
+def test_charge_reassigned_to_nan_is_rejected_by_the_solve():
+    m = vp.generate_cube_mesh(4)
+    phys = vp.PhysicsConfig(kappa=1.0, charges=[(1.0, (0.1, 0.1, 0.1))])
+    phys.charges = [(np.nan, (0.1, 0.1, 0.1))]
+    with pytest.raises(ValueError, match="finite"):
+        vp.newton_solve(m, phys, vp.regularized_load())
+
+
+def test_non_finite_initial_residual_is_a_solver_failure():
+    class NanBoundary(vp.LoadSpec):
+        def boundary_values(self, points):
+            return np.full(len(points), np.nan)
+
+    m = vp.generate_cube_mesh(3)
+    with pytest.raises(SolverError, match="initial state: residual norm nan") as err:
+        vp.newton_solve(m, vp.PhysicsConfig(kappa=1.0), NanBoundary(mode="regularized"))
+    assert not err.value.report.converged
+    assert np.isnan(err.value.u[m.boundary_vertex]).all()
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: vp.generate_tet_mesh(3), lambda: vp.generate_cube_mesh(2)],
+    ids=["same-size", "smaller"],
+)
+def test_workspace_built_on_another_mesh_is_rejected(make):
+    ws = Workspace(vp.generate_cube_mesh(3))
+    other = make()
+    phys, load = vp.PhysicsConfig(), vp.regularized_load()
+    with pytest.raises(ValueError, match="another mesh"):
+        vp.newton_solve(other, phys, load, workspace=ws)
+    with pytest.raises(ValueError, match="another mesh"):
+        vp.assemble_residual(other, phys, load, np.zeros(other.n_vertices), workspace=ws)
