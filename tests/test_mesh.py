@@ -546,3 +546,63 @@ def test_load_rejects_empty_mesh(tmp_path):
     path.write_text("vpm 1\nvertices 0\nfaces 0\ncells 0\n")
     with pytest.raises(VpmParseError, match="at least one"):
         vp.load_mesh(path)
+
+
+# the neighbour of the cube-1 cell across x = 1, every face reference negated:
+# vertices 8..11 at x = 2, faces 7..11 its own, face 1 shared
+_INVERTED_NEIGHBOUR = {
+    2: "vertices 12",
+    10: "1 1 1\n2 0 0\n2 1 0\n2 0 1\n2 1 1",
+    11: "faces 11",
+    17: "4 0 2 3 1\n4 8 9 11 10\n4 3 7 11 9\n4 1 8 10 5\n4 5 10 11 7\n4 1 3 9 8",
+    18: "cells 2",
+    19: "6 1 2 3 4 5 6\n6 -7 1 -8 -9 -10 -11",
+}
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({1: "  \nvpm  1.0"}, "line 2: bad magic 'vpm  1.0', expected 'vpm 1'"),
+    ({2: "vertices"}, "line 2: expected 'vertices <count>', got 'vertices'"),
+    ({2: "vertices  8 9"}, "line 2: expected 'vertices <count>', got 'vertices  8 9'"),
+    ({11: "faces six"}, "line 11: bad faces count 'six'"),
+    ({18: "cells -1"}, "line 18: negative cells count"),
+    ({18: "cells 0", 19: None}, "line 18: mesh must have at least one vertex, face, and cell"),
+    ({5: "0 1"}, "line 5: vertex 2: expected 3 coordinates"),
+    ({6: "1 1 zero"}, "line 6: vertex 3: bad coordinate"),
+    ({13: "4 0 4 6 two"}, "line 13: face record 1: bad integer"),
+    ({14: "5 2 6 7 3"}, "line 14: face record 2: count mismatch"),
+    ({15: "2 0 1"}, "line 15: face record 3: fewer than 3 vertices"),
+    ({16: "4 4 5 7 8"}, "line 16: face record 4: vertex index 8 out of range"),
+    ({19: "6 1 2 3 4 5 6.0"}, "line 19: cell record 0: bad integer"),
+    ({19: "7 1 2 3 4 5 6"}, "line 19: cell record 0: count mismatch"),
+    ({19: "6 1 2 3 4 5 -7"}, "line 19: cell record 0: face index -7 out of range"),
+    # blank and whitespace-only lines count in the line numbers
+    ({13: "\n   \n4 0 4 6 -1"}, "line 15: face record 1: vertex index -1 out of range"),
+    # of two bad records the first in file order is named
+    ({14: "4 2 6 7 3 0", 16: "2 4 5"}, "line 14: face record 2: count mismatch"),
+    ({7: "0 0", 15: "2 0 1"}, "line 7: vertex 4: expected 3 coordinates"),
+    ({16: None, 17: None, 18: None, 19: None},
+     "line 15: unexpected end of file while reading face 4"),
+    ({16: "", 17: None, 18: None, 19: None},
+     "line 16: unexpected end of file while reading face 4"),
+    # topology errors name the cell's line, or the last record read
+    ({18: "cells 2", 19: "5 1 2 3 4 5\n6 1 2 3 4 5 6"},
+     "line 19: non-watertight cell 0: edge (0,1) is not paired with its reverse"),
+    ({11: "faces 7", 17: "4 0 2 3 1\n3 0 1 2"},
+     "line 20: face 6 referenced 0 times (expected 1 or 2)"),
+    ({18: "cells 3", 19: "\n".join(["6 1 2 3 4 5 6"] * 3)},
+     "line 21: face 0 referenced 3 times (expected 1 or 2)"),
+    (_INVERTED_NEIGHBOUR, "line 29: interior face 0 used twice with the same orientation"),
+])
+def test_load_parse_error_messages(tmp_path, edits, message):
+    """Each edit of a saved cube-1 file raises its full message, line number first."""
+    path = tmp_path / "m.vpm"
+    vp.save_mesh(vp.generate_cube_mesh(1), path)
+    lines = path.read_text().splitlines()
+    for no, text in edits.items():
+        lines[no - 1] = text
+    path.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    with pytest.raises(VpmParseError) as err:
+        vp.load_mesh(path)
+    assert str(err.value) == message
+    assert err.value.line == int(message.split(":")[0].split()[1])
