@@ -2,7 +2,6 @@
 equation on general 3D polyhedral meshes."""
 
 from .mesh import (
-    LevelSet,
     MeshError,
     MeshQualityReport,
     PolyMesh,

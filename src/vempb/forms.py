@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import LevelSet, box_levelset
+from .mesh import box_levelset
 
 SINH_ARG_LIMIT = 700.0
 CHARGE_SINGULARITY_TOL = 1e-14
@@ -39,8 +39,9 @@ class PhysicsConfig:
 
     ``kappa`` is the Debye-Hueckel parameter; the effective screening
     coefficient is eps_s * kappa^2 in the solvent region and zero in the
-    molecular region.  Charge locations must lie in the closed molecular
-    region.
+    molecular region.  The level set is any callable mapping points (n, 3)
+    to values (n,), negative inside the molecular region.  Charge locations
+    must lie in the closed molecular region.
     """
 
     eps_m: float = 2.0
@@ -49,7 +50,7 @@ class PhysicsConfig:
     charges: list[tuple[float, tuple[float, float, float]]] = field(
         default_factory=lambda: [(1.0, (0.0, 0.0, 0.0))]
     )
-    levelset: LevelSet = field(default_factory=box_levelset)
+    levelset: Callable[[np.ndarray], np.ndarray] = field(default_factory=box_levelset)
 
     def __post_init__(self):
         # written so that NaN fails every test
@@ -69,9 +70,11 @@ class PhysicsConfig:
         x = np.array([x for _, x in self.charges], dtype=float).reshape(-1, 3)
         if not (np.isfinite(q).all() and np.isfinite(x).all()):
             raise ValueError(f"charges must be finite, got {self.charges}")
-        for _, at in self.charges:
-            if self.levelset(np.asarray(at, dtype=float)) > 0:
-                raise ValueError(f"charge at {at} lies outside the molecular region")
+        outside = np.nonzero(self.levelset(x) > 0)[0] if len(x) else []
+        if len(outside):
+            raise ValueError(
+                f"charge at {self.charges[outside[0]][1]} lies outside the molecular region"
+            )
         return q, x
 
     @property

@@ -53,31 +53,19 @@ class VpmParseError(MeshError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    """Signed implicit surface; negative inside the molecular region."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, points) -> np.ndarray | float:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return float(self.fn(pts[None, :])[0])
-        return np.asarray(self.fn(pts), dtype=float)
-
-
-def box_levelset(threshold: float = 0.5) -> LevelSet:
+def box_levelset(threshold: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     """Level set max(x1,x2,x3) - threshold of the box [0,threshold]^3.
 
-    Strictly negative exactly on the open box, zero on its boundary.
+    Maps points (n, 3) to values (n,), strictly negative exactly on the open
+    box and zero on its boundary.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"box threshold must be finite, got {threshold}")
 
-    def fn(pts: np.ndarray) -> np.ndarray:
+    def levelset(pts: np.ndarray) -> np.ndarray:
         return np.maximum(np.maximum(pts[:, 0], pts[:, 1]), pts[:, 2]) - threshold
 
-    return LevelSet(fn=fn)
+    return levelset
 
 
 @dataclass
@@ -644,7 +632,7 @@ def generate_voronoi_mesh(n_seeds: int, rng_seed: int) -> PolyMesh:
 # interface classification
 
 
-def classify_interface(mesh: PolyMesh, levelset: LevelSet) -> np.ndarray:
+def classify_interface(mesh: PolyMesh, levelset: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Flag cells whose sampled level-set values change sign strictly.
 
     Samples are the cell's vertices, its face centroids, and its centroid.
@@ -754,104 +742,85 @@ def _records(ptr: np.ndarray, values: np.ndarray) -> str:
     return "".join(tokens + sep)
 
 
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    @property
-    def line_no(self) -> int:
-        return self.pos  # 1-based number of the line just read
-
-    def next(self, what: str) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        raise VpmParseError(f"unexpected end of file while reading {what}", self.pos)
-
-
-def _parse_count(reader: _LineReader, keyword: str) -> int:
-    line = reader.next(f"'{keyword}' header")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise VpmParseError(f"expected '{keyword} <count>', got {line!r}", reader.line_no)
-    try:
-        count = int(parts[1])
-    except ValueError:
-        raise VpmParseError(f"bad {keyword} count {parts[1]!r}", reader.line_no) from None
-    if count < 0:
-        raise VpmParseError(f"negative {keyword} count", reader.line_no)
-    return count
-
-
-def _parse_records(reader: _LineReader, kind: str, count: int, check):
-    """CSR arrays and line numbers of ``count`` records ``m e1 ... em``, vetted by ``check``."""
-    lens, entries, lines = [], [], []
-    for i in range(count):
-        parts = reader.next(f"{kind} {i}").split()
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise VpmParseError(f"{kind} record {i}: bad integer", reader.line_no) from None
-        if len(vals) < 1 or len(vals) != vals[0] + 1:
-            raise VpmParseError(f"{kind} record {i}: count mismatch", reader.line_no)
-        if message := check(vals[1:]):
-            raise VpmParseError(f"{kind} record {i}: {message}", reader.line_no)
-        lens.append(vals[0])
-        entries += vals[1:]
-        lines.append(reader.line_no)
-    return np.cumsum([0] + lens), np.array(entries, dtype=np.int64), lines
-
-
 def load_mesh(path) -> PolyMesh:
     """Parse a VPM file; malformed records raise :class:`VpmParseError` with line numbers."""
     with open(path) as fh:
-        reader = _LineReader(fh.read())
+        lines = fh.read().splitlines()
+    # (line number, tokens) of the nonblank lines, split as they are read: a list
+    # of all of them would stay alive through the geometry pass, which is slower
+    rows = ((no, parts) for no, parts in enumerate(map(str.split, lines), 1) if parts)
 
-    magic = reader.next("header")
-    if magic.split() != ["vpm", "1"]:
-        raise VpmParseError(f"bad magic {magic!r}, expected 'vpm 1'", reader.line_no)
+    def row(what: str):
+        no_parts = next(rows, None)
+        if no_parts is None:
+            raise VpmParseError(f"unexpected end of file while reading {what}", len(lines))
+        return no_parts
 
-    nv = _parse_count(reader, "vertices")
+    def count(keyword: str) -> tuple[int, int]:
+        """Line number and count of the header line ``keyword <count>``."""
+        no, parts = row(f"'{keyword}' header")
+        if len(parts) != 2 or parts[0] != keyword:
+            raise VpmParseError(f"expected '{keyword} <count>', got {lines[no - 1].strip()!r}", no)
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise VpmParseError(f"bad {keyword} count {parts[1]!r}", no) from None
+        if n < 0:
+            raise VpmParseError(f"negative {keyword} count", no)
+        return no, n
+
+    def records(kind: str, n: int):
+        """CSR arrays and line numbers of ``n`` records ``m e1 ... em``."""
+        lens, entries, nos = [], [], []
+        for i in range(n):
+            no, parts = row(f"{kind} {i}")
+            try:
+                m, *ids = map(int, parts)
+            except ValueError:
+                raise VpmParseError(f"{kind} record {i}: bad integer", no) from None
+            if m != len(ids):
+                raise VpmParseError(f"{kind} record {i}: count mismatch", no)
+            if kind == "face":
+                if m < 3:
+                    raise VpmParseError(f"face record {i}: fewer than 3 vertices", no)
+                if min(ids) < 0 or max(ids) >= nv:
+                    bad = next(v for v in ids if v < 0 or v >= nv)
+                    raise VpmParseError(f"face record {i}: vertex index {bad} out of range", no)
+            elif m == 0:
+                raise VpmParseError(f"cell record {i}: no face references", no)
+            elif min(ids) < -nf or max(ids) > nf or 0 in ids:
+                bad = next(r for r in ids if r == 0 or abs(r) > nf)
+                raise VpmParseError(f"cell record {i}: face index {bad} out of range", no)
+            lens.append(m)
+            entries += ids
+            nos.append(no)
+        return np.cumsum([0] + lens), np.array(entries, dtype=np.int64), nos
+
+    no, parts = row("header")
+    if parts != ["vpm", "1"]:
+        raise VpmParseError(f"bad magic {lines[no - 1].strip()!r}, expected 'vpm 1'", no)
+    _, nv = count("vertices")
     verts = np.zeros((nv, 3))
     for i in range(nv):
-        parts = reader.next(f"vertex {i}").split()
+        no, parts = row(f"vertex {i}")
         if len(parts) != 3:
-            raise VpmParseError(f"vertex {i}: expected 3 coordinates", reader.line_no)
+            raise VpmParseError(f"vertex {i}: expected 3 coordinates", no)
         try:
             verts[i] = [float(p) for p in parts]
         except ValueError:
-            raise VpmParseError(f"vertex {i}: bad coordinate", reader.line_no) from None
-
-    nf = _parse_count(reader, "faces")
-
-    def bad_loop(loop):
-        if len(loop) < 3:
-            return "fewer than 3 vertices"
-        bad = [v for v in loop if v < 0 or v >= nv]
-        return bad and f"vertex index {bad[0]} out of range"
-
-    face_ptr, face_vertex, _ = _parse_records(reader, "face", nf, bad_loop)
-
-    nc = _parse_count(reader, "cells")
+            raise VpmParseError(f"vertex {i}: bad coordinate", no) from None
+    _, nf = count("faces")
+    face_ptr, face_vertex, _ = records("face", nf)
+    no, nc = count("cells")
     if nv == 0 or nf == 0 or nc == 0:
-        raise VpmParseError("mesh must have at least one vertex, face, and cell", reader.line_no)
-
-    def bad_refs(refs):
-        if not refs:
-            return "no face references"
-        bad = [r for r in refs if r == 0 or abs(r) > nf]
-        return bad and f"face index {bad[0]} out of range"
-
-    cell_ptr, cell_face, cell_lines = _parse_records(reader, "cell", nc, bad_refs)
+        raise VpmParseError("mesh must have at least one vertex, face, and cell", no)
+    cell_ptr, cell_face, cell_lines = records("cell", nc)
     mesh = PolyMesh(verts, face_ptr, face_vertex, cell_ptr, cell_face)
     _index_cells(mesh)
     try:
         validate_topology(mesh)
     except MeshError as exc:
-        line = cell_lines[exc.cell] if exc.cell is not None else reader.line_no
-        raise VpmParseError(str(exc), line) from exc
+        # the cell's own record, else the last record read
+        raise VpmParseError(str(exc), cell_lines[-1 if exc.cell is None else exc.cell]) from exc
     compute_geometry(mesh)
     return mesh

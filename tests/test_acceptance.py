@@ -54,7 +54,7 @@ def test_criterion_1_projector_reproduction(random_cells):
 def test_criterion_2_patch_test():
     with criterion(2, "patch test exact to 1e-10 on cube/tet/Voronoi (<30s)"):
         t0 = time.perf_counter()
-        ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)))
+        ls = lambda p: -np.ones(len(p))
         phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
         load = vp.manufactured_linear((0.4, 1.0, -2.0, 0.5))
         meshes = [
@@ -74,7 +74,7 @@ def test_criterion_2_patch_test():
 def test_criterion_3_single_tet_fem_oracle():
     with criterion(3, "local stiffness on 20 random tets = linear FEM to 1e-12"):
         rng = np.random.default_rng(42)
-        ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)))
+        ls = lambda p: -np.ones(len(p))
         phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
         for _ in range(20):
             m = random_tet_mesh(rng)

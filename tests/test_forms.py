@@ -30,7 +30,7 @@ def random_tet_mesh(rng):
 
 def solvent_physics():
     """Uniform solvent: the screening coefficient is active everywhere."""
-    ls = vp.LevelSet(fn=lambda p: np.ones(len(p)))
+    ls = lambda p: np.ones(len(p))
     return vp.PhysicsConfig(eps_m=2.0, eps_s=80.0, kappa=1 / (20 * np.sqrt(2)), charges=[], levelset=ls)
 
 
@@ -69,7 +69,7 @@ def test_fields_on_columns_equal_rowwise_oracles(order):
     phys = vp.PhysicsConfig(
         eps_m=3.0, charges=[(5.0, (0.25, 0.25, 0.25)), (-1.5, (0.1, 0.4, 0.2))]
     )
-    assert np.array_equal(vp.box_levelset(0.4).fn(pts), box_levelset_rowwise(pts, 0.4))
+    assert np.array_equal(vp.box_levelset(0.4)(pts), box_levelset_rowwise(pts, 0.4))
     assert np.array_equal(phys.coulomb_potential(pts), coulomb_potential_rowwise(phys, pts))
     assert np.array_equal(phys.coulomb_gradient(pts), coulomb_gradient_rowwise(phys, pts))
 
@@ -117,7 +117,7 @@ def test_positive_constants_required():
 
 def test_single_tet_matches_linear_fem():
     rng = np.random.default_rng(42)
-    ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)))
+    ls = lambda p: -np.ones(len(p))
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
     for _ in range(20):
         m = random_tet_mesh(rng)
@@ -140,7 +140,7 @@ def test_stiffness_row_sums_vanish(random_cells):
 
 
 def test_consistency_rank_three_on_cube():
-    ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)))
+    ls = lambda p: -np.ones(len(p))
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
     m = vp.generate_cube_mesh(1)
     pi0_grad = cell_projector_blocks(vp.build_projectors(m), 0).pi0_grad   # the one cell
@@ -296,7 +296,7 @@ def test_manufactured_zero_solution_no_charges():
 
 def test_manufactured_linear_load_consistency_identity():
     """With eps = 1 and no screening, the load of u=x equals K applied to x DoFs."""
-    ls = vp.LevelSet(fn=lambda p: -np.ones(len(p)))
+    ls = lambda p: -np.ones(len(p))
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
     spec = vp.manufactured_linear((0.0, 1.0, 0.0, 0.0))
     m = vp.generate_voronoi_mesh(10, 14)
@@ -322,7 +322,7 @@ def test_load_spec_validation():
 
 def test_pointwise_mode_converges_on_smooth_problem():
     """Constant dielectric: the strong-form load also drives convergence to u_ex."""
-    ls = vp.LevelSet(fn=lambda p: np.ones(len(p)))  # all solvent
+    ls = lambda p: np.ones(len(p))  # all solvent
     phys = vp.PhysicsConfig(eps_m=3.0, eps_s=3.0, kappa=0.1, charges=[], levelset=ls)
     weak = vp.manufactured_sine()
     pw = vp.LoadSpec(

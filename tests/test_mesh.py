@@ -358,7 +358,7 @@ def test_interface_invariant_under_relabeling():
 )
 def test_interface_matches_per_cell_loop(make):
     m = make()
-    ball = vp.LevelSet(fn=lambda p: np.linalg.norm(p - 0.5, axis=1) - 0.3)
+    ball = lambda p: np.linalg.norm(p - 0.5, axis=1) - 0.3
     for ls in (vp.box_levelset(), ball):
         flags = vp.classify_interface(m, ls)
         assert flags.any() and not flags.all()
