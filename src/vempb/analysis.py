@@ -65,7 +65,6 @@ class ConvergenceReport:
     metadata: dict = field(default_factory=dict)
     solve_reports: list[SolveReport] = field(default_factory=list)
     solutions: list = field(default_factory=list)   # (mesh, projectors, u) when kept
-    complete: bool = True
 
     def sizes(self) -> list[float]:
         return [r.h for r in self.rows]
@@ -125,8 +124,8 @@ def run_convergence_study(
     """Solve the same problem on a refinement sequence and tabulate errors.
 
     Requires a manufactured load (the exact solution defines the errors).  A
-    failing level aborts the study; the partial report is attached to the
-    raised error and flagged incomplete.
+    failing level aborts the study; the raised error carries the partial
+    report as ``study_report`` and the failing level as ``study_level``.
     """
     if load.mode != "manufactured":
         raise ValueError("convergence studies need a manufactured load")
@@ -139,8 +138,6 @@ def run_convergence_study(
             ws = Workspace(mesh)
             u, sr = newton_solve(mesh, physics, load, newton, workspace=ws)
         except Exception as exc:
-            # abort with the partial report attached and flagged incomplete
-            report.complete = False
             exc.study_report = report
             exc.study_level = level
             raise
@@ -198,8 +195,8 @@ def compare_to_reference(
     for what, projs, mesh in (
         ("coarse", coarse_projectors, coarse_mesh), ("fine", fine_projectors, fine_mesh)
     ):
-        if projs is not None and len(projs) != mesh.n_cells:
-            raise ValueError(f"{what} projectors cover {len(projs)} cells, mesh has {mesh.n_cells}")
+        if projs is not None and projs.mesh is not mesh:
+            raise ValueError(f"{what} projectors were built on another mesh")
     if fine_projectors is None:
         fine_projectors = build_projectors(fine_mesh)
     coeff_rows = np.ascontiguousarray(fine_projectors.value_coeffs(u_ref).T)

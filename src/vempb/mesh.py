@@ -252,9 +252,6 @@ def validate_topology(mesh: PolyMesh) -> None:
     nf = mesh.n_faces
     refs = mesh.cell_face
     fi = np.abs(refs) - 1
-    out = (fi < 0) | (fi >= nf)
-    if out.any():
-        raise MeshError(f"cell references face index {refs[np.argmax(out)]} out of range")
     _check_watertight(mesh)
 
     use = np.bincount(fi, minlength=nf)
@@ -281,7 +278,6 @@ def _check_watertight(mesh: PolyMesh) -> None:
     order = np.lexsort((ea, lo, hi, cell))
     cell_s, lo_s, hi_s, ea_s = cell[order], lo[order], hi[order], ea[order]
     n = len(cell_s)
-    paired = np.zeros(n, dtype=bool)
     same = (
         (cell_s[:-1] == cell_s[1:])
         & (lo_s[:-1] == lo_s[1:])

@@ -80,9 +80,6 @@ class CellProjectorSet:
     stab: sp.csr_matrix
     gather: sp.csr_matrix
 
-    def __len__(self) -> int:
-        return self.mesh.n_cells
-
     def value_coeffs(self, u: np.ndarray) -> np.ndarray:
         """Projected polynomial coefficients of the global field u per cell, (C, 4)."""
         return (self.pi @ (self.gather @ u)).reshape(-1, 4)

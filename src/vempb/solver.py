@@ -187,6 +187,8 @@ class Workspace:
     """Flat quadrature and projector operators for fast repeated assembly."""
 
     def __init__(self, mesh: PolyMesh, projectors: CellProjectorSet | None = None):
+        if projectors is not None and projectors.mesh is not mesh:
+            raise ValueError("projectors were built on another mesh")
         self.mesh = mesh
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 

@@ -346,3 +346,28 @@ def test_null_accepted_where_the_default_is_null(tmp_path):
         output={"plot": None},
     )
     assert run(["solve", "-c", str(cfg), "-o", str(tmp_path / "u.csv")]) == 0
+
+
+def test_solve_on_a_mesh_file_matches_the_generated_mesh(tmp_path):
+    vpm = tmp_path / "m.vpm"
+    assert run(["mesh", "gen", "--family", "cubic", "--n", "3", "-o", str(vpm)]) == 0
+    outputs = []
+    for name, mesh in [("file", {"family": "file", "path": str(vpm)}),
+                       ("cubic", {"family": "cubic", "n": 3})]:
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cfg.write_text(json.dumps({"mesh": mesh}))
+        assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mesh, message", [
+    ({"family": "file"}, "file mesh needs a path"),
+    ({"family": "hexagonal", "n": 2}, "unknown mesh family 'hexagonal'"),
+    ({"family": "voronoi"}, "voronoi mesh needs n_seeds"),
+])
+def test_incomplete_mesh_section_exits_2(tmp_path, capsys, mesh, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mesh": mesh}))
+    assert run(["solve", "-c", str(cfg), "-o", str(tmp_path / "u.csv")]) == 2
+    assert message in capsys.readouterr().err

@@ -465,6 +465,40 @@ def test_newton_sweeps_projected_values_once_per_residual(monkeypatch):
     assert ws._sinh_at is None
 
 
+@pytest.mark.parametrize("max_halvings", [20, 0])
+def test_newton_halves_a_step_whose_residual_overflows(monkeypatch, max_halvings):
+    """An overflow in the first trial residual counts as no decrease."""
+    m = vp.generate_tet_mesh(4)
+    phys, load = _screened_tet_physics(), vp.regularized_load()
+    u_plain, plain = vp.newton_solve(m, phys, load)
+    ws = Workspace(m)
+    residuals, nonlinear = [], ws.nonlinear
+
+    def second_residual_overflows(physics, u, with_jacobian=True):
+        if not with_jacobian:
+            residuals.append(u.copy())
+            if len(residuals) == 2:
+                raise vp.NonlinearOverflow("sinh argument over the guard")
+        return nonlinear(physics, u, with_jacobian)
+
+    monkeypatch.setattr(ws, "nonlinear", second_residual_overflows)
+    config = vp.NewtonConfig(max_halvings=max_halvings)
+    if max_halvings == 0:
+        with pytest.raises(SolverError, match="Newton damping exhausted at iteration 1 ") as err:
+            vp.newton_solve(m, phys, load, config, workspace=ws)
+        assert np.array_equal(err.value.u, residuals[0])      # u0
+        assert err.value.report.damping_events == 1
+        assert not err.value.report.converged
+        return
+    u, report = vp.newton_solve(m, phys, load, config, workspace=ws)
+    assert plain.damping_events == 0
+    assert report.converged and report.damping_events == 1
+    assert report.newton_iterations == plain.newton_iterations + 1
+    # the halved step is taken from the same iterate as the full one
+    assert np.allclose(residuals[2] - residuals[0], 0.5 * (residuals[1] - residuals[0]))
+    assert np.abs(u - u_plain).max() < 1e-8
+
+
 def test_kept_sinh_argument_follows_the_content_of_u():
     m = vp.generate_tet_mesh(3)
     phys = _screened_tet_physics()
@@ -642,3 +676,18 @@ def test_workspace_built_on_another_mesh_is_rejected(make):
         vp.newton_solve(other, phys, load, workspace=ws)
     with pytest.raises(ValueError, match="another mesh"):
         vp.assemble_residual(other, phys, load, np.zeros(other.n_vertices), workspace=ws)
+
+
+def test_projectors_built_on_another_mesh_are_rejected():
+    """Projectors of a copy with moved interior vertices fit the mesh in size only."""
+    m, fine = vp.generate_tet_mesh(3), vp.generate_tet_mesh(6)
+    moved = m.vertices.copy()
+    inner = ~m.boundary_vertex
+    moved[inner] += 0.03 * np.random.default_rng(0).normal(size=(inner.sum(), 3))
+    projs = vp.build_projectors(vp.compute_geometry(dataclasses.replace(m, vertices=moved)))
+    with pytest.raises(ValueError, match="projectors were built on another mesh"):
+        Workspace(m, projs)
+    with pytest.raises(ValueError, match="coarse projectors were built on another mesh"):
+        vp.compare_to_reference(
+            m, np.zeros(m.n_vertices), fine, np.zeros(fine.n_vertices), coarse_projectors=projs
+        )
