@@ -132,7 +132,7 @@ def _validate(cfg: dict) -> None:
         for v in ch["x"]:
             _expect(f"{where}.x", v, "number")
     ls = ph["levelset"]
-    if ls.get("type") != "box":
+    if ls.get("type") != "box" or not set(ls) <= {"type", "threshold"}:
         raise ConfigError("physics.levelset must be {'type': 'box', 'threshold': t}")
     _expect("physics.levelset.threshold", ls.get("threshold", 0.5), "number")
     for i, lvl in enumerate(cfg["study"]["levels"]):

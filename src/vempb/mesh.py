@@ -38,11 +38,12 @@ MIN_CELL_VOLUME = 1e-12
 
 
 class MeshError(Exception):
-    """Invalid mesh topology or geometry."""
+    """Invalid mesh topology or geometry; names the offending cell or face if known."""
 
-    def __init__(self, message: str, cell: int | None = None):
+    def __init__(self, message: str, cell: int | None = None, face: int | None = None):
         super().__init__(message)
         self.cell = cell
+        self.face = face
 
 
 class VpmParseError(MeshError):
@@ -319,15 +320,16 @@ def compute_geometry(mesh: PolyMesh) -> PolyMesh:
         nrm = 0.5 * cr.sum(axis=1)
         area = np.linalg.norm(nrm, axis=1)
         if np.any(area <= MIN_FACE_AREA):
-            raise MeshError(f"degenerate face {idx[int(np.argmax(area <= MIN_FACE_AREA))]}")
+            fi = int(idx[int(np.argmax(area <= MIN_FACE_AREA))])
+            raise MeshError(f"degenerate face {fi}", face=fi)
         n_hat = nrm / area[:, None]
         tri_a = 0.5 * np.einsum("fmj,fj->fm", cr, n_hat)       # signed fan areas
         tri_c = (P.mean(axis=1, keepdims=True) + P + np.roll(P, -1, axis=1)) / 3.0
         centroid = np.einsum("fm,fmj->fj", tri_a, tri_c) / tri_a.sum(axis=1)[:, None]
         dev = np.abs(np.einsum("fmj,fj->fm", P - centroid[:, None, :], n_hat)).max(axis=1)
         if np.any(dev > PLANARITY_TOL):
-            fi = idx[int(np.argmax(dev > PLANARITY_TOL))]
-            raise MeshError(f"face {fi} not planar (max deviation {dev.max():.3e})")
+            fi = int(idx[int(np.argmax(dev > PLANARITY_TOL))])
+            raise MeshError(f"face {fi} not planar (max deviation {dev.max():.3e})", face=fi)
         d2 = ((P[:, :, None, :] - P[:, None, :, :]) ** 2).sum(axis=3)
         f_normal[idx] = n_hat
         f_centroid[idx] = centroid
@@ -806,7 +808,7 @@ def load_mesh(path) -> PolyMesh:
         except ValueError:
             raise VpmParseError(f"vertex {i}: bad coordinate", no) from None
     _, nf = count("faces")
-    face_ptr, face_vertex, _ = records("face", nf)
+    face_ptr, face_vertex, face_lines = records("face", nf)
     no, nc = count("cells")
     if nv == 0 or nf == 0 or nc == 0:
         raise VpmParseError("mesh must have at least one vertex, face, and cell", no)
@@ -815,8 +817,9 @@ def load_mesh(path) -> PolyMesh:
     _index_cells(mesh)
     try:
         validate_topology(mesh)
+        compute_geometry(mesh)
     except MeshError as exc:
-        # the cell's own record, else the last record read
-        raise VpmParseError(str(exc), cell_lines[-1 if exc.cell is None else exc.cell]) from exc
-    compute_geometry(mesh)
+        # the face's own record, else the cell's, else the last record read
+        no = cell_lines[-1] if exc.cell is None else cell_lines[exc.cell]
+        raise VpmParseError(str(exc), no if exc.face is None else face_lines[exc.face]) from exc
     return mesh

@@ -9,8 +9,9 @@ because edge traces are piecewise linear (trapezoid rule).
 
 :func:`face_integral_rows` holds these face integrals flat, aligned with the
 mesh's ``face_vertex``.  :func:`build_projectors` sums them over all cells
-with array operations into sparse operators (:class:`CellProjectorSet`), so
-that every element form is a product of operators.
+with array operations into sparse operators on the vertex values
+(:class:`CellProjectorSet`), so that every global form is a product of
+operators.
 """
 
 from __future__ import annotations
@@ -56,44 +57,39 @@ def face_integral_rows(mesh: PolyMesh) -> np.ndarray:
 
 @dataclass
 class CellProjectorSet:
-    """Projectors of every cell as CSR operators on the local DoF vector ``gather @ u``.
+    """Projectors of every cell as CSR operators on the vertex values u.
 
-    The local DoF vector holds each cell's vertex values in its DoF order,
-    cell E at ``cell_vertex_ptr[E]:cell_vertex_ptr[E + 1]``.  ``pi``, ``grad``
-    and ``stab`` are block diagonal: cell E's rows span its local DoFs only.
+    Cell E's rows reach only its DoFs, its sorted vertex ids
+    ``cell_vertex[cell_vertex_ptr[E]:cell_vertex_ptr[E + 1]]``; D = len(cell_vertex).
 
-    - ``pi`` (4C, D): rows 4E..4E+3, the coefficients on the scaled monomials
+    - ``pi`` (4C, nv): rows 4E..4E+3, the coefficients on the scaled monomials
       {1, xi1, xi2, xi3}, xi = (x - x_E)/h_E; also the L2 projector of the
       enhanced degree-1 space;
-    - ``grad`` (3C, D): rows 3E..3E+2, the constant projected gradient (rows
+    - ``grad`` (3C, nv): rows 3E..3E+2, the constant projected gradient (rows
       1..3 of ``pi`` divided by h_E);
-    - ``stab`` (D, D): rows of cell E's DoFs, I - D_E pi_E with D_E the
-      monomial values at the vertices, the remainder the stabilization acts on;
-    - ``gather`` (D, nv): the 0/1 map from vertex values to local DoFs.
-      ``gather.T @ K @ gather`` assembles block-diagonal element matrices K,
-      summed per cell before cells are summed.
+    - ``stab`` (D, nv): one row per DoF of cell E, I - D_E pi_E with D_E the
+      monomial values at the vertices, the remainder the stabilization acts on.
     """
 
     mesh: PolyMesh
     pi: sp.csr_matrix
     grad: sp.csr_matrix
     stab: sp.csr_matrix
-    gather: sp.csr_matrix
 
     def value_coeffs(self, u: np.ndarray) -> np.ndarray:
         """Projected polynomial coefficients of the global field u per cell, (C, 4)."""
-        return (self.pi @ (self.gather @ u)).reshape(-1, 4)
+        return (self.pi @ u).reshape(-1, 4)
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         """Projected gradient of the global field u per cell, (C, 3)."""
-        return (self.grad @ (self.gather @ u)).reshape(-1, 3)
+        return (self.grad @ u).reshape(-1, 3)
 
 
 def _cell_rows(first: np.ndarray, rows_per_cell) -> tuple[np.ndarray, np.ndarray]:
-    """CSR columns and row pointer of one block of rows per cell.
+    """DoF positions and CSR row pointer of one block of rows per cell.
 
     Cell E gets ``rows_per_cell`` (scalar or per cell) consecutive rows, each
-    over its local DoFs ``first[E]:first[E + 1]`` in order.
+    over its DoF positions ``first[E]:first[E + 1]`` in order.
     """
     row_cell = np.repeat(np.arange(len(first) - 1), rows_per_cell)
     row_len = np.diff(first)[row_cell]
@@ -108,7 +104,7 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     integral rows, and the constant coefficient matches the boundary mean;
     both sums run over flat arrays of all face-vertex corners, accumulated
     with ``bincount`` in (cell, face) order straight into the operators'
-    entry order (cell, row, local DoF).
+    entry order (cell, row, vertex).
     """
     rows = face_integral_rows(mesh)
     ref_cell, ref_face, ref_sign, c_ref, va, _ = _flat_corners(mesh)
@@ -150,7 +146,7 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     pi = np.insert(h[grad_cell] * grad, 3 * first[dof_cell], c0)
 
     # stab entry (j, k) of cell E: delta_jk - (1, xi(v_j)) . (c0_k, c_lin_k); the entries of
-    # row j run over k, so xi(v_j) repeats along the row while the columns k are gathered
+    # row j run over k, so xi(v_j) repeats along the row while c0 and c_lin are taken at k
     k, stab_ptr = _cell_rows(first, n_dofs)
     row_len = n_dofs[dof_cell]
     stab = -c0.take(k)
@@ -158,11 +154,12 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
         xi = (mesh.vertices[mesh.cell_vertex, i] - mesh.cell_centroid[dof_cell, i]) / h[dof_cell]
         stab -= np.repeat(xi, row_len) * c_lin[i].take(k)
     stab[stab_ptr[:-1] + dofs - first[dof_cell]] += 1.0
-    n = first[-1]
+    # the columns are the vertex ids at the DoF positions
+    (pi_pos, pi_ptr), (grad_pos, grad_ptr) = _cell_rows(first, 4), _cell_rows(first, 3)
+    cv, C = mesh.cell_vertex, mesh.n_cells
     return CellProjectorSet(
         mesh,
-        pi=sp.csr_matrix((pi, *_cell_rows(first, 4)), shape=(4 * mesh.n_cells, n)),
-        grad=sp.csr_matrix((grad, *_cell_rows(first, 3)), shape=(3 * mesh.n_cells, n)),
-        stab=sp.csr_matrix((stab, k, stab_ptr), shape=(n, n)),
-        gather=sp.csr_matrix((np.ones(n), mesh.cell_vertex, np.arange(n + 1)), shape=(n, nv)),
+        pi=sp.csr_matrix((pi, cv[pi_pos], pi_ptr), shape=(4 * C, nv)),
+        grad=sp.csr_matrix((grad, cv[grad_pos], grad_ptr), shape=(3 * C, nv)),
+        stab=sp.csr_matrix((stab, cv[k], stab_ptr), shape=(first[-1], nv)),
     )

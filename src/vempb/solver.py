@@ -8,8 +8,8 @@ runs over blocks of about ``BLOCK_NODES`` nodes made of whole cells, so its
 temporaries scale with the block, not the mesh.  Each block reduces its rows
 per cell with `reduceat` into per-cell arrays; a cell's sum never spans two
 blocks, so the summation order, and with it every result, is independent of
-the block size.  Every form is then sparse algebra on the operators, such as
-the stiffness gather' (grad' eps grad + stab' sigma stab) gather.
+the block size.  Every form is then sparse algebra on the operators, which
+act on the vertex values, such as the stiffness grad' eps grad + stab' sigma stab.
 
 Each cell is split into the cone tetrahedra (x_E, x_f, v_i, v_i+1) of
 :func:`~vempb.mesh._cone_tets`, and one rule is mapped onto each from the
@@ -32,10 +32,10 @@ formulas on (k, tets) rows.
 
 The Coulomb field G is held at node length, 0 off the solvent, and the
 sinh argument Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask
-and cosh is masked by [solvent], with no gather or scatter.  The sinh
-argument of the last residual is kept with its u, so the Jacobian at the
-accepted Newton iterate reuses it instead of sweeping again.  pi @ gather
-is formed once per Workspace, for B, the Jacobian and the load.
+and cosh is masked by [solvent], with no index arrays over the solvent
+nodes.  The sinh argument of the last residual is kept with its u, so the
+Jacobian at the accepted Newton iterate reuses it instead of sweeping again.
+B is pi' times the cell moments of sinh, and the Jacobian pi' blockdiag(M_E) pi.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
@@ -207,7 +207,6 @@ class Workspace:
         self._physics_key = None
         self._G = None
         self._sinh_at = None
-        self._pi_gather = None
 
     # -- node blocks -----------------------------------------------------
 
@@ -284,13 +283,6 @@ class Workspace:
         out *= self.dets[tets] * scale
         return out
 
-    def _pi_gather_operators(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """pi @ gather, the cell value coefficients of a global field, and its transpose."""
-        if self._pi_gather is None:
-            PG = (self.projectors.pi @ self.projectors.gather).tocsr()
-            self._pi_gather = PG, PG.T.tocsr()
-        return self._pi_gather
-
     # -- physics cache ---------------------------------------------------
 
     def _attach(self, physics: PhysicsConfig) -> None:
@@ -350,11 +342,11 @@ class Workspace:
             for cells, nodes, _ in self._blocks()
         ])
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
-        P = self.projectors
-        consistency = P.grad.T @ (sp.diags(np.repeat(eps_int, 3)) @ P.grad)
+        # K' diag(w) K, K the grad rows stacked on the stab rows
+        K = sp.vstack([self.projectors.grad, self.projectors.stab], format="csr")
         n_dofs = np.diff(self.mesh.cell_vertex_ptr)
-        stabilization = P.stab.T @ (sp.diags(np.repeat(sigma, n_dofs)) @ P.stab)
-        return (P.gather.T @ (consistency + stabilization) @ P.gather).tocsr()
+        w = np.concatenate([np.repeat(eps_int, 3), np.repeat(sigma, n_dofs)])
+        return (K.T @ (sp.diags(w) @ K)).tocsr()
 
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large."""
@@ -365,7 +357,7 @@ class Workspace:
                 self._integrals(self._jump_flux(physics, nodes), tets)
                 for _, nodes, tets in self._blocks()
             )
-            return P.gather.T @ (P.grad.T @ flux.T.ravel())
+            return P.grad.T @ flux.T.ravel()
 
         def integrals():
             """Per block: 3 flux rows, then the 4 moment rows of the source."""
@@ -384,8 +376,7 @@ class Workspace:
                 yield out
 
         sums = self._cell_sums(integrals())
-        return (P.gather.T @ (P.grad.T @ sums[:3].T.ravel())
-                + self._pi_gather_operators()[1] @ sums[3:].T.ravel())
+        return P.grad.T @ sums[:3].T.ravel() + P.pi.T @ sums[3:].T.ravel()
 
     def _exact_sinh(self, physics, load, points, nodes: slice) -> np.ndarray:
         """kappa_bar^2 sinh(u_exact + G) at a block's nodes, zero where kappa_bar vanishes."""
@@ -429,7 +420,7 @@ class Workspace:
                 yield self._moments(np.sinh(a), tets, physics.kappa_bar_sq_solvent, 4)
 
         mom = self._cell_sums(moments())
-        B = self._pi_gather_operators()[1] @ mom.T.ravel()
+        B = self.projectors.pi.T @ mom.T.ravel()
         self._sinh_at = (u.copy(), arg, B)
         return arg, B
 
@@ -458,8 +449,8 @@ class Workspace:
             M[:, i, j] = M[:, j, i] = sums[col]
         cells = np.arange(self.mesh.n_cells + 1)
         Mb = sp.bsr_matrix((M, cells[:-1], cells), shape=(4 * len(M), 4 * len(M)))
-        PG, PGT = self._pi_gather_operators()
-        J = PGT @ (Mb.tocsr() @ PG)
+        pi = self.projectors.pi
+        J = pi.T.tocsr() @ (Mb.tocsr() @ pi)
         J.sort_indices()
         return B.copy(), J
 

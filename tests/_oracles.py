@@ -390,24 +390,23 @@ def cell_projector_blocks(projectors, ci):
     """Cell ``ci``'s dense projector matrices, read back from the operators of ``build_projectors``.
 
     The rows of ``pi`` (4), ``grad`` (3) and ``stab`` (one per DoF) that belong
-    to the cell are restricted to its local DoF columns, and ``gather`` must
-    map those columns to the cell's sorted vertex ids; a row entry outside
-    the cell's columns fails the read.
+    to the cell must each reach exactly the cell's sorted vertex ids, and are
+    restricted to those columns.
     """
     mesh = projectors.mesh
     dofs = slice(mesh.cell_vertex_ptr[ci], mesh.cell_vertex_ptr[ci + 1])
     vids = cell_vertex_ids(mesh, ci)
-    gathered = projectors.gather[dofs]
-    assert np.array_equal(gathered.indices, vids) and np.all(gathered.data == 1.0)
     rows = {
         "pi_nabla": projectors.pi[4 * ci:4 * ci + 4],
         "pi0_grad": projectors.grad[3 * ci:3 * ci + 3],
         "stab_q": projectors.stab[dofs],
     }
-    cols = np.arange(dofs.start, dofs.stop)
     for name, block in rows.items():
-        assert np.isin(block.indices, cols).all(), f"cell {ci}: {name} reaches outside the cell"
-    return CellProjectorBlocks(vids, *(block[:, dofs].toarray() for block in rows.values()))
+        n = block.shape[0]
+        assert (np.array_equal(block.indptr, len(vids) * np.arange(n + 1))
+                and np.array_equal(block.indices, np.tile(vids, n))), \
+            f"cell {ci}: a {name} row does not reach exactly the cell's vertices"
+    return CellProjectorBlocks(vids, *(block[:, vids].toarray() for block in rows.values()))
 
 
 def cell_projector_reference(mesh, ci, integral_rows):
@@ -568,16 +567,15 @@ class NodeRowForms:
         eps_int = self._cells(self.weights * self.eps)
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
         n_dofs = np.diff(self.mesh.cell_vertex_ptr)
-        K = (P.grad.T @ sp.diags(np.repeat(eps_int, 3)) @ P.grad
-             + P.stab.T @ sp.diags(np.repeat(sigma, n_dofs)) @ P.stab)
-        return (P.gather.T @ K @ P.gather).toarray()
+        return (P.grad.T @ sp.diags(np.repeat(eps_int, 3)) @ P.grad
+                + P.stab.T @ sp.diags(np.repeat(sigma, n_dofs)) @ P.stab).toarray()
 
     def _assemble(self, flux_rows, source):
-        """gather' (grad' flux + pi' moments): per-node flux rows (n, 3) and source values."""
+        """grad' flux + pi' moments: per-node flux rows (n, 3) and source values."""
         P = self.P
         flux = self._cells(self.weights * flux_rows.T)
         mom = self._moments(self.weights * source, UPPER_PAIRS[:4])
-        return P.gather.T @ (P.grad.T @ flux.T.ravel() + P.pi.T @ mom.T.ravel())
+        return P.grad.T @ flux.T.ravel() + P.pi.T @ mom.T.ravel()
 
     def load(self, load):
         phys = self.physics
@@ -594,13 +592,13 @@ class NodeRowForms:
         P = self.P
         arg = self.projected_values(u) * self.solvent + self.G
         s = self.weights * self.kbar * self.solvent
-        B = P.gather.T @ (P.pi.T @ self._moments(s * np.sinh(arg), UPPER_PAIRS[:4]).T.ravel())
+        B = P.pi.T @ self._moments(s * np.sinh(arg), UPPER_PAIRS[:4]).T.ravel()
         sums = self._moments(s * np.cosh(arg), UPPER_PAIRS)
         M = np.empty((self.mesh.n_cells, 4, 4))
         for col, (i, j) in enumerate(UPPER_PAIRS):
             M[:, i, j] = M[:, j, i] = sums[col]
-        PG = (P.pi @ P.gather).toarray()
-        J = sum(PG[4 * c:4 * c + 4].T @ M[c] @ PG[4 * c:4 * c + 4] for c in range(len(M)))
+        pi = P.pi.toarray()
+        J = sum(pi[4 * c:4 * c + 4].T @ M[c] @ pi[4 * c:4 * c + 4] for c in range(len(M)))
         return B, J
 
     def error_norms(self, u, u_exact, grad_u_exact):

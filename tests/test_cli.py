@@ -108,11 +108,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_unknown_nested_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("raw, where", [
+    ({"solver": {"tol": 1.0}}, "solver"),
+    ({"physics": {"levelset": {"type": "box", "treshold": 0.3}}}, "physics.levelset"),
+], ids=["solver", "levelset"])
+def test_unknown_nested_key_rejected(tmp_path, capsys, raw, where):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"solver": {"tol": 1.0}}))
+    cfg.write_text(json.dumps(raw))
     assert run(["solve", "-c", str(cfg)]) == 2
-    assert "solver" in capsys.readouterr().err
+    assert where in capsys.readouterr().err
 
 
 def test_empty_solver_section_builds_default_newton_config(tmp_path):

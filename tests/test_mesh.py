@@ -593,6 +593,10 @@ _INVERTED_NEIGHBOUR = {
     ({18: "cells 3", 19: "\n".join(["6 1 2 3 4 5 6"] * 3)},
      "line 21: face 0 referenced 3 times (expected 1 or 2)"),
     (_INVERTED_NEIGHBOUR, "line 29: interior face 0 used twice with the same orientation"),
+    # geometry errors name the face's line, or the cell's
+    ({18: "cells 2", 19: "6 1 2 3 4 5 6\n6 -1 -2 -3 -4 -5 -6"},
+     "line 20: cell 1: non-positive volume -1.000e+00 (orientation error)"),
+    ({10: "1 1 1.1"}, "line 16: face 4 not planar (max deviation 2.494e-02)"),
 ])
 def test_load_parse_error_messages(tmp_path, edits, message):
     """Each edit of a saved cube-1 file raises its full message, line number first."""

@@ -212,11 +212,9 @@ def test_batched_builder_matches_per_cell_reference(make):
     n_dofs = [len(cell_vertex_ids(m, ci)) for ci in range(m.n_cells)]
     assert len(vp.Workspace(m, projs).groups) == len(set(n_dofs))
     # one row block per cell: 4 coefficient rows, 3 gradient rows, one stab row per DoF
-    D = sum(n_dofs)
-    assert projs.pi.shape == (4 * m.n_cells, D)
-    assert projs.grad.shape == (3 * m.n_cells, D)
-    assert projs.stab.shape == (D, D)
-    assert projs.gather.shape == (D, m.n_vertices)
+    assert projs.pi.shape == (4 * m.n_cells, m.n_vertices)
+    assert projs.grad.shape == (3 * m.n_cells, m.n_vertices)
+    assert projs.stab.shape == (sum(n_dofs), m.n_vertices)
     for ci in range(m.n_cells):
         blocks = cell_projector_blocks(projs, ci)
         ref = cell_projector_reference(m, ci, rows)

@@ -78,7 +78,7 @@ def test_workspace_stiffness_matches_per_cell_scatter_cube4():
 )
 def test_workspace_quadrature_unchanged(make, digest):
     # digests of the arrays built inside Workspace.__init__ before the node
-    # construction moved to polybasis.mesh_quadrature
+    # construction moved out to mesh_quadrature
     ws = Workspace(make())
     h = hashlib.sha256()
     for a in (ws.points, ws.weights, ws.xi, ws.cop, ws.cell_ptr):
