@@ -10,11 +10,14 @@ exactly once.
 
 All shipped generators tile [0,1]^3 exactly: structured cubes, a Kuhn
 (6-tetrahedra) subdivision of the cubes, and clipped Voronoi diagrams of
-random seeds.  The Voronoi cells come from one Qhull call on the seeds and
-their mirror images across the six cube walls; the regions of the original
-seeds are exactly the clipped cells, because a point beyond a wall is
-nearer to the seed's own mirror, and a point inside the cube is never nearer
-to the mirror of seed j than to j.  Every generator hands integer vertex
+random seeds.  The Voronoi cells come from two Qhull calls.  The first, on
+the seeds plus eight far sentinel points that bound every region, shows
+which walls each seed's region reaches past; the second runs on the seeds
+and their mirror images across just those walls.  Its regions of the
+original seeds are exactly the clipped cells: a point beyond wall q in
+seed i's region lies in i's first-pass region too, so i's mirror across q
+is present and nearer, and a point inside the cube is never nearer to the
+mirror of seed j than to j.  Every generator hands integer vertex
 loops to one assembly path that finds shared faces with a single
 ``np.unique`` over canonicalised loops.  Geometry (centroids, diameters,
 measures) is computed from exact polygonal face integrals via the
@@ -35,6 +38,9 @@ CLOSURE_TOL = 1e-12
 CUBE_TOL = 1e-12
 MIN_FACE_AREA = 1e-14
 MIN_CELL_VOLUME = 1e-12
+# corners of [-2, 3]^3: each is at least 2*sqrt(3) from every point of the unit
+# cube, twice the cube's diameter, so no seed is farther than a sentinel
+_SENTINELS = np.array(list(itertools.product((-2.0, 3.0), repeat=3)))
 
 
 class MeshError(Exception):
@@ -494,23 +500,29 @@ def _locate_structured(mesh: PolyMesh, points: np.ndarray) -> np.ndarray:
 def voronoi_mesh_from_seeds(seeds: np.ndarray) -> PolyMesh:
     """Clipped Voronoi diagram of explicit seed points inside [0,1]^3.
 
-    One Qhull call (``scipy.spatial.Voronoi``) on the seeds and their
-    mirror images across the six cube walls.  The regions of the original
-    seeds are exactly the clipped cells: a point beyond a wall is nearer to
-    the seed's own mirror than to the seed, and inside the cube no point is
-    nearer to the mirror of seed j than to j itself.  Qhull numbers the
-    Voronoi vertices globally, so each ridge between seed a and point b is
-    one vertex loop shared by both cells, ordered counter-clockwise about
-    the outward normal ``b - a``.  The vertices of a ridge between a seed
-    and its own mirror are put exactly on that wall.  Cells come in seed
-    order.
+    Two Qhull calls (``scipy.spatial.Voronoi``).  The first runs on the seeds
+    plus eight far sentinels at the corners of [-2, 3]^3, which keep every
+    seed's region bounded and the point set full-dimensional (one seed,
+    coplanar or collinear seeds); no point of the cube is nearer to a
+    sentinel (at least 2*sqrt(3) away) than to a seed (at most sqrt(3)).  Seed
+    i is mirrored across wall q only if its region there has a vertex beyond
+    q, or within ``CUBE_TOL`` of it.  The second runs on the seeds and those
+    mirrors, and its regions of the original seeds are exactly the clipped
+    cells: a point x beyond wall q in i's region would lie in i's first-pass
+    region too, so i's mirror across q is present and nearer to x than i;
+    and inside the cube no point is nearer to the mirror of seed j than to j
+    itself.  Qhull numbers the Voronoi vertices globally, so each ridge
+    between seed a and point b is one vertex loop shared by both cells,
+    ordered counter-clockwise about the outward normal ``b - a``.  The
+    vertices of a ridge between a seed and its own mirror are put exactly
+    on that wall.  Cells come in seed order.
 
     Seeds outside the cube and duplicate seeds raise ``ValueError``.  Seeds
     on a wall (their mirrors coincide with them), and cells Qhull cannot
     resolve (too small, seeds too close together so that a Voronoi vertex is
     farther than ``PLANARITY_TOL`` from its bisector, or nearly cospherical
     seeds that leave a face of area ``MIN_FACE_AREA`` or less) raise
-    :class:`MeshError` naming the seed.
+    :class:`MeshError` naming the seed and its neighbour.
     """
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[1] != 3:
@@ -532,11 +544,37 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray) -> PolyMesh:
         i = int(np.argmax(on_wall))
         raise MeshError(f"seed {i}: lies on the cube boundary", cell=i)
 
-    # point (q + 1) * ns + i is seed i reflected across wall q of
-    # x=0, x=1, y=0, y=1, z=0, z=1
-    pts = np.tile(seeds, (7, 1))
-    for q in range(6):
-        pts[(q + 1) * ns:(q + 2) * ns, q // 2] = 2.0 * (q % 2) - seeds[:, q // 2]
+    # first pass: which walls each seed's region reaches (or touches) without mirrors
+    bounded = Voronoi(np.concatenate([seeds, _SENTINELS]))
+    regions = [bounded.regions[r] for r in bounded.point_region[:ns]]
+    lens = np.fromiter(map(len, regions), dtype=np.int64, count=ns)
+    X = bounded.vertices[np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64)]
+    # column q of beyond: the vertex is past wall q of x=0, x=1, y=0, y=1, z=0, z=1
+    beyond = np.stack([X < CUBE_TOL, X > 1.0 - CUBE_TOL], axis=2).reshape(-1, 6)
+    # mirrors wall by wall, in seed order within a wall
+    mirror_wall, mirror_seed = np.nonzero(np.logical_or.reduceat(beyond, np.cumsum(lens) - lens).T)
+    owner = np.concatenate([np.arange(ns), mirror_seed])
+    return _mirrored_voronoi(seeds, owner, np.concatenate([np.full(ns, -1), mirror_wall]))
+
+
+def _mirrored_voronoi(seeds: np.ndarray, owner: np.ndarray, wall_of: np.ndarray) -> PolyMesh:
+    """Cells of the seeds in the Voronoi diagram of the seeds and some of their mirrors.
+
+    Qhull input point p is seed ``owner[p]`` reflected across wall
+    ``wall_of[p]`` of x=0, x=1, y=0, y=1, z=0, z=1; the first ``len(seeds)``
+    points are the seeds themselves (``wall_of`` -1).  The caller picks the
+    mirrors so that every seed's region lies in the cube.
+    """
+    ns = len(seeds)
+    pts = seeds[owner]
+    m = np.nonzero(wall_of >= 0)[0]
+    pts[m, wall_of[m] // 2] = 2.0 * (wall_of[m] % 2) - pts[m, wall_of[m] // 2]
+
+    def name(p):
+        if p < ns:
+            return f"seed {p}"
+        return f"the mirror of seed {owner[p]} across {'xyz'[wall_of[p] // 2]}={wall_of[p] % 2}"
+
     vor = Voronoi(pts)
     ridge = np.sort(vor.ridge_points, axis=1)
     keep = np.nonzero(ridge[:, 0] < ns)[0]
@@ -551,7 +589,7 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray) -> PolyMesh:
     used, vid = np.unique(flat, return_inverse=True)
     V = vor.vertices[used]
     # a ridge between a seed and its own mirror lies on that mirror's wall
-    wall = np.where(b % ns == a, b // ns - 1, -1)[ridge_of]
+    wall = np.where(owner[b] == a, wall_of[b], -1)[ridge_of]
     on = wall >= 0
     V[vid[on], wall[on] // 2] = wall[on] % 2
     stray = np.nonzero(((V < -CUBE_TOL) | (V > 1.0 + CUBE_TOL)).any(axis=1)[vid])[0]
@@ -597,12 +635,12 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray) -> PolyMesh:
         f = int(np.argmax(off > PLANARITY_TOL))
         i = int(a[f])
         raise MeshError(
-            f"seed {i}: Voronoi vertex {off[f]:.1e} off its bisector with point {b[f]}", cell=i
+            f"seed {i}: Voronoi vertex {off[f]:.1e} off its bisector with {name(b[f])}", cell=i
         )
     if np.any(area <= MIN_FACE_AREA):
         f = int(np.argmax(area <= MIN_FACE_AREA))
         i = int(a[f])
-        raise MeshError(f"seed {i}: degenerate face with point {b[f]} (area {area[f]:.1e})", cell=i)
+        raise MeshError(f"seed {i}: degenerate face with {name(b[f])} (area {area[f]:.1e})", cell=i)
 
     loop_cell = np.concatenate([a, b[shared]])
     order = np.argsort(loop_cell, kind="stable")

@@ -5,7 +5,9 @@ polytope moments come from the divergence-theorem recursion (face and edge
 reductions ending in 1D Gauss), the linear finite element stiffness of a
 tetrahedron from barycentric gradients, clipped Voronoi cells from
 half-space clipping of the unit cube, seed by seed, and interface flags from
-a loop over the cells.  ``build_polymesh`` assembles small hand-built
+a loop over the cells.  ``all_mirror_voronoi_mesh`` is the Voronoi build on
+the seeds and every wall mirror, the reference for the library's choice of
+mirrors.  ``build_polymesh`` assembles small hand-built
 meshes from per-cell vertex loops through the generators' assembly path.
 ``face_loop``, ``cell_faces``, ``cell_vertex_ids`` and ``cell_face_loops``
 slice one face's vertex loop, one cell's signed faces, sorted vertices and
@@ -39,7 +41,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from vempb.mesh import KUHN_PERMUTATIONS, MeshError, _assemble, _concat_index
+from vempb.mesh import KUHN_PERMUTATIONS, MeshError, _assemble, _concat_index, _mirrored_voronoi
 from vempb.solver import mesh_quadrature
 from vempb.projectors import build_projectors, face_integral_rows
 
@@ -344,6 +346,19 @@ def clipped_voronoi_cells(seeds):
                 radius2 = max(np.max(((f - s) ** 2).sum(axis=1)) for f in faces)
         cells.append(faces)
     return cells
+
+
+def all_mirror_voronoi_mesh(seeds):
+    """Clipped Voronoi mesh from one Qhull call on the seeds and all six mirrors of each.
+
+    Point (q + 1) * ns + i is seed i reflected across wall q of x=0, x=1,
+    y=0, y=1, z=0, z=1: the input of the library's build before it chose
+    mirrors from a first, seeds-only pass.  Everything after the Qhull call
+    is the library's.
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    ns = len(seeds)
+    return _mirrored_voronoi(seeds, np.tile(np.arange(ns), 7), np.repeat(np.arange(-1, 6), ns))
 
 
 def cone_volume_centroid(faces, apex):

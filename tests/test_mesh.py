@@ -7,6 +7,7 @@ import vempb as vp
 from vempb.mesh import MeshError, VpmParseError
 
 from _oracles import (
+    all_mirror_voronoi_mesh,
     build_polymesh,
     cell_face_loops,
     cell_faces,
@@ -159,6 +160,62 @@ def test_voronoi_special_seeds_match_clipping_oracle(seeds):
     assert_matches_oracle(vp.voronoi_mesh_from_seeds(seeds), seeds)
 
 
+def _rng_seeds(rng_seed, n, low=0.0, high=1.0):
+    return low + (high - low) * np.random.default_rng(rng_seed).random((n, 3))
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        # a corner cluster: only a few regions reach the three far walls
+        _rng_seeds(0, 50, 0.001, 0.051),
+        # every region reaches z = 0, the seeds' mirrors there are within 2e-3
+        _rng_seeds(1, 60) * [1.0, 1.0, 1e-3],
+        # coplanar and collinear seeds: Qhull on the seeds alone is flat
+        np.column_stack([_rng_seeds(2, 9)[:, :2], np.full(9, 0.5)]),
+        np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 0.5], [0.8, 0.7, 0.6]]),
+        _rng_seeds(3, 4),
+    ],
+    ids=["corner50", "near_wall60", "coplanar9", "collinear3", "random4"],
+)
+def test_voronoi_mirror_choice_matches_clipping_oracle(seeds):
+    # seed sets where the first, sentinel-bounded Qhull pass decides unusual
+    # mirror sets: few, all across one wall, or from a flat set of seeds
+    assert_matches_oracle(vp.voronoi_mesh_from_seeds(seeds), seeds)
+
+
+def ridge_pairs(m):
+    """(cell, neighbour) of every face, sorted; a wall face pairs a cell with itself."""
+    face = np.abs(m.cell_face) - 1
+    cell = np.repeat(np.arange(m.n_cells), np.diff(m.cell_ptr))
+    order = np.lexsort((cell, face))
+    face, cell = face[order], cell[order]
+    ends = np.cumsum(np.bincount(face, minlength=m.n_faces))
+    pairs = np.column_stack([cell[ends - np.bincount(face)], cell[ends - 1]])
+    return pairs[np.lexsort(pairs.T[::-1])]
+
+
+@pytest.mark.parametrize("n_seeds, rng_seed", [(1024, 0), (1024, 1), (1024, 2), (64, 0)])
+def test_voronoi_matches_all_mirror_build(n_seeds, rng_seed):
+    # the mirrors chosen from the first pass give the cells that mirroring
+    # every seed across every wall gives; tolerances fixed before the change
+    seeds = np.random.default_rng(rng_seed).random((n_seeds, 3))
+    m = vp.voronoi_mesh_from_seeds(seeds)
+    ref = all_mirror_voronoi_mesh(seeds)
+    assert (m.n_vertices, m.n_faces, m.n_cells) == (ref.n_vertices, ref.n_faces, ref.n_cells)
+    assert np.array_equal(ridge_pairs(m), ridge_pairs(ref))
+    assert np.abs(m.cell_volume - ref.cell_volume).max() <= 1e-12
+    assert np.abs(m.cell_centroid - ref.cell_centroid).max() <= 1e-12
+
+
+def test_voronoi_degenerate_face_names_both_seeds():
+    # a genuine face of area 1.3e-15 between seeds 709 and 1002; once tiny
+    # faces are merged rather than rejected (ROADMAP item 9) this seed set is
+    # expected to build, and this test to become a check of that build
+    with pytest.raises(MeshError, match=r"^seed 709: degenerate face with seed 1002 \(area"):
+        vp.generate_voronoi_mesh(1024, 54)
+
+
 @pytest.mark.parametrize(
     "make, digest",
     [
@@ -167,13 +224,15 @@ def test_voronoi_special_seeds_match_clipping_oracle(seeds):
         (lambda: vp.generate_tet_mesh(2),
          "af8325df7f666295f3cd0336d785d789caa117dd1a08ef5f3b7d8ffd839150b1"),
         (lambda: vp.generate_voronoi_mesh(200, 5),
-         "3efa03410490636c73771fc86dca3ec4188619ea344fa41d3f63782b65a960e7"),
+         "adde44dc3155ad7c50f24351487843fcbadd7129a0ee2fd3bb163fe539892451"),
     ],
 )
 def test_structured_meshes_unchanged(make, digest, tmp_path):
-    # digests of the files written before the generators were vectorised (the
-    # Voronoi one before the mesh topology moved to CSR arrays); the Kuhn
-    # cell order also feeds the structured point locator in analysis
+    # digests of the files written before the generators were vectorised; the
+    # Voronoi one was re-pinned when the build began choosing its mirrors
+    # (Qhull numbers and rounds the vertices of another input point set
+    # differently), after test_voronoi_matches_all_mirror_build held; the
+    # Kuhn cell order also feeds the structured point locator in analysis
     path = tmp_path / "m.vpm"
     vp.save_mesh(make(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -72,13 +72,14 @@ def test_workspace_stiffness_matches_per_cell_scatter_cube4():
         (lambda: vp.generate_tet_mesh(2),
          "7c98a700558afab7da237adc01a9ae6847656254a99765ec89542ebdc33f3d00"),
         (lambda: vp.generate_voronoi_mesh(64, 0),
-         "b01aea58397f5e37e98138fbf3a318bdc7b2543a98c95960972ab02bcd31d8b1"),
+         "49cfcc938a8b503170ef5889400a042c55db8e32e2bab38c2258ca408ede84b5"),
     ],
     ids=["cube3", "tet2", "voronoi64"],
 )
 def test_workspace_quadrature_unchanged(make, digest):
     # digests of the arrays built inside Workspace.__init__ before the node
-    # construction moved out to mesh_quadrature
+    # construction moved out to mesh_quadrature (the Voronoi one re-pinned
+    # when the mesh build began choosing its mirrors)
     ws = Workspace(make())
     h = hashlib.sha256()
     for a in (ws.points, ws.weights, ws.xi, ws.cop, ws.cell_ptr):
