@@ -11,6 +11,7 @@ levels (the robust number quoted by the acceptance checks).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -205,13 +206,14 @@ def compare_to_reference(
 
     ws = Workspace(coarse_mesh, coarse_projectors)
     # error_norms hands both fields the same points array per node block, so each
-    # block's fine cells are located once and shared by the two callables
-    located = [None, None]
+    # block's fine cells are located once and shared by the two callables; blocks
+    # run on several threads at once, so each thread keeps its own last block
+    located = threading.local()
 
     def fine_cells(points):
-        if located[0] is not points:
-            located[:] = points, _locate_structured(fine_mesh, points)
-        return located[1]
+        if getattr(located, "points", None) is not points:
+            located.points, located.cells = points, _locate_structured(fine_mesh, points)
+        return located.cells
 
     def ref_value(points):
         fid = fine_cells(points)

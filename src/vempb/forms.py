@@ -129,6 +129,11 @@ class LoadSpec:
     projected grad v) + (screened sinh(u_ex + G), projected v).  The optional
     pointwise mode instead integrates the strong-form residual of u_ex
     against the projected test function (needs the Laplacian).
+
+    ``u_exact``, ``grad_u_exact`` and ``lap_u_exact`` may be called from
+    several threads at once, one node block per call (the field sweeps of
+    :class:`vempb.solver.Workspace` run on a thread pool); PhysicsConfig
+    methods run only on the calling thread.
     """
 
     mode: str

@@ -11,6 +11,21 @@ blocks, so the summation order, and with it every result, is independent of
 the block size.  Every form is then sparse algebra on the operators, which
 act on the vertex values, such as the stiffness grad' eps grad + stab' sigma stab.
 
+The field sweeps of the manufactured load and of the error norms, where
+the exact field and its gradient are evaluated at every node, run their
+blocks on a module thread pool with one worker per CPU of the process
+(plain ``map`` on one CPU).  Each block is reduced on its own and the
+results are taken in block order, so every output is bit-identical to the
+serial sweep.  The exact-field callables (``u_exact``, ``grad_u_exact``,
+``lap_u_exact`` and those passed to :meth:`Workspace.error_norms`) may
+therefore be called from several threads at once, one block per call.
+:class:`~vempb.forms.PhysicsConfig` methods run only on the calling thread:
+G is evaluated before the pooled load sweep, and every sweep that calls
+one (level set, Coulomb field and gradient, the regularized and pointwise
+fluxes) stays serial, as do the sinh and cosh sweeps, whose many short
+array calls run no faster on the pool.  A block function never submits
+to the pool, so the pool cannot deadlock.
+
 Each cell is split into the cone tetrahedra (x_E, x_f, v_i, v_i+1) of
 :func:`~vempb.mesh._cone_tets`, and one rule is mapped onto each from the
 reference tetrahedron: the classical positive 14-point rule, exact to total
@@ -48,7 +63,10 @@ An overflow in the manufactured load or at u0 ends the solve as a failure.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -101,6 +119,36 @@ NQ = len(REFERENCE_TET_WEIGHTS)
 _REF_VALUES = np.vstack([np.ones(NQ), REFERENCE_TET_POINTS.T])
 _REF_MOMENTS = np.array([REFERENCE_TET_WEIGHTS * _REF_VALUES[i] * _REF_VALUES[j]
                          for i, j in _UPPER_PAIRS])
+
+
+# the sweep pool: made on first use with one worker per CPU of the process, None
+# with one CPU, where the pooled sweeps run through plain map
+_UNSET = object()
+_pool = _UNSET
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child the parent's workers are gone: build a new pool on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = _UNSET, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_map(fn, items):
+    """``map(fn, items)`` on the sweep pool, results in the order of ``items``."""
+    global _pool
+    if _pool is _UNSET:
+        with _pool_lock:
+            if _pool is _UNSET:
+                # the CPUs this process may run on: its affinity mask where the OS has one
+                n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+                _pool = ThreadPoolExecutor(n, thread_name_prefix="vempb-sweep") if n > 1 else None
+    return map(fn, items) if _pool is None else _pool.map(fn, items)
 
 
 def mesh_quadrature(mesh: PolyMesh):
@@ -220,16 +268,23 @@ class Workspace:
         for c0, c1 in zip(self.block_cells[:-1], self.block_cells[1:]):
             yield slice(c0, c1), slice(NQ * ptr[c0], NQ * ptr[c1]), slice(ptr[c0], ptr[c1])
 
-    def _cell_sums(self, block_values) -> np.ndarray:
-        """Per-cell sums of per-tet rows given one block at a time, in block order.
+    def _cell_sums(self, block, pooled: bool = False) -> np.ndarray:
+        """Per-cell sums of the per-tet rows ``block(cells, nodes, tets)`` returns.
 
-        A block's values have shape (..., block tets); the sums have shape
+        A block's rows have shape (..., block tets); the sums have shape
         (..., n_cells), each row reduced contiguously over the cell's tets.
+        Each block is reduced on its own and the blocks are joined in order,
+        so ``pooled``, which runs them on the sweep pool, changes no bit.  A
+        pooled ``block`` must call no PhysicsConfig method and never submit
+        to the pool itself.
         """
-        return np.concatenate([
-            np.add.reduceat(values, self._tet_ptr[cells] - tets.start, axis=-1)
-            for (cells, _, tets), values in zip(self._blocks(), block_values)
-        ], axis=-1)
+        def reduced(b):
+            cells, nodes, tets = b
+            return np.add.reduceat(block(cells, nodes, tets), self._tet_ptr[cells] - tets.start,
+                                   axis=-1)
+
+        return np.concatenate(list((_pool_map if pooled else map)(reduced, self._blocks())),
+                              axis=-1)
 
     def _tet_rows(self, rows: np.ndarray, cells: slice) -> np.ndarray:
         """Per-cell rows (k, n_cells) repeated over a block's tets: (k, block tets)."""
@@ -349,43 +404,45 @@ class Workspace:
         return (K.T @ (sp.diags(w) @ K)).tocsr()
 
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
-        """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large."""
+        """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large.
+
+        The manufactured sweep runs on the sweep pool unless ``pointwise_rhs``
+        is set, whose flux calls PhysicsConfig.coulomb_gradient.
+        """
         self._attach(physics)
         P = self.projectors
         if load.mode == "regularized":
             flux = self._cell_sums(
-                self._integrals(self._jump_flux(physics, nodes), tets)
-                for _, nodes, tets in self._blocks()
+                lambda cells, nodes, tets: self._integrals(self._jump_flux(physics, nodes), tets)
             )
             return P.grad.T @ flux.T.ravel()
+        # G is evaluated here, on the calling thread, before the pooled sweep
+        G = self._coulomb(physics) if self._has_screening else None
+        kbar_sq = physics.kappa_bar_sq_solvent
 
-        def integrals():
-            """Per block: 3 flux rows, then the 4 moment rows of the source."""
-            for _, nodes, tets in self._blocks():
-                points = self.points[nodes]
-                source = self._exact_sinh(physics, load, points, nodes)
-                if load.pointwise_rhs:
-                    source -= self._epsilon(physics, nodes) * load.lap_u_exact(points)
-                    flux = self._jump_flux(physics, nodes)
-                else:
-                    flux = np.multiply(load.grad_u_exact(points).T, self._epsilon(physics, nodes),
-                                       out=np.empty((3, len(points))))
-                out = np.empty((7, tets.stop - tets.start))
-                out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
-                out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
-                yield out
+        def integrals(cells, nodes, tets):
+            """3 flux rows, then the 4 moment rows of the source."""
+            points = self.points[nodes]
+            if G is None:
+                source = np.zeros(len(points))
+            else:
+                # u_exact * 0 + 0 is +0 off the solvent, where G is 0
+                arg = load.u_exact(points) * self.solvent[nodes] + G[nodes]
+                _check_sinh_argument(arg)
+                source = kbar_sq * np.sinh(arg)
+            if load.pointwise_rhs:
+                source -= self._epsilon(physics, nodes) * load.lap_u_exact(points)
+                flux = self._jump_flux(physics, nodes)
+            else:
+                flux = np.multiply(load.grad_u_exact(points).T, self._epsilon(physics, nodes),
+                                   out=np.empty((3, len(points))))
+            out = np.empty((7, tets.stop - tets.start))
+            out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
+            out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
+            return out
 
-        sums = self._cell_sums(integrals())
+        sums = self._cell_sums(integrals, pooled=not load.pointwise_rhs)
         return P.grad.T @ sums[:3].T.ravel() + P.pi.T @ sums[3:].T.ravel()
-
-    def _exact_sinh(self, physics, load, points, nodes: slice) -> np.ndarray:
-        """kappa_bar^2 sinh(u_exact + G) at a block's nodes, zero where kappa_bar vanishes."""
-        if not self._has_screening:
-            return np.zeros(len(points))
-        # u_exact * 0 + 0 is +0 off the solvent, where G is 0
-        arg = load.u_exact(points) * self.solvent[nodes] + self._coulomb(physics)[nodes]
-        _check_sinh_argument(arg)
-        return physics.kappa_bar_sq_solvent * np.sinh(arg)
 
     def _jump_flux(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
         """Rows of -(eps - eps_m) grad G at a block's nodes, (3, tets, NQ), 0 off the solvent."""
@@ -409,17 +466,16 @@ class Workspace:
         G = self._coulomb(physics)
         arg = np.empty(len(self.weights))
 
-        def moments():
-            for cells, nodes, tets in self._blocks():
-                # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
-                a = np.multiply(self._projected_values(coeff_rows, cells, tets),
-                                self.solvent[nodes].reshape(-1, NQ),
-                                out=arg[nodes].reshape(-1, NQ))
-                a += G[nodes].reshape(-1, NQ)
-                _check_sinh_argument(a)
-                yield self._moments(np.sinh(a), tets, physics.kappa_bar_sq_solvent, 4)
+        def moments(cells, nodes, tets):
+            # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
+            a = np.multiply(self._projected_values(coeff_rows, cells, tets),
+                            self.solvent[nodes].reshape(-1, NQ),
+                            out=arg[nodes].reshape(-1, NQ))
+            a += G[nodes].reshape(-1, NQ)
+            _check_sinh_argument(a)
+            return self._moments(np.sinh(a), tets, physics.kappa_bar_sq_solvent, 4)
 
-        mom = self._cell_sums(moments())
+        mom = self._cell_sums(moments)
         B = self.projectors.pi.T @ mom.T.ravel()
         self._sinh_at = (u.copy(), arg, B)
         return arg, B
@@ -437,13 +493,12 @@ class Workspace:
         if not with_jacobian:
             return B.copy(), None
 
-        def cosh_moments():
-            for _, nodes, tets in self._blocks():
-                c = np.cosh(arg[nodes]).reshape(-1, NQ)
-                c *= self.solvent[nodes].reshape(-1, NQ)
-                yield self._moments(c, tets, physics.kappa_bar_sq_solvent, 10)
+        def cosh_moments(cells, nodes, tets):
+            c = np.cosh(arg[nodes]).reshape(-1, NQ)
+            c *= self.solvent[nodes].reshape(-1, NQ)
+            return self._moments(c, tets, physics.kappa_bar_sq_solvent, 10)
 
-        sums = self._cell_sums(cosh_moments())
+        sums = self._cell_sums(cosh_moments)
         M = np.empty((self.mesh.n_cells, 4, 4))
         for col, (i, j) in enumerate(_UPPER_PAIRS):
             M[:, i, j] = M[:, j, i] = sums[col]
@@ -458,27 +513,27 @@ class Workspace:
         """L2 and H1-seminorm errors of the projected solution against exact fields.
 
         The exact callables get one node block at a time, the same points
-        array for both.  The squared errors are integrated per cell and then
-        summed over the cells.
+        array for both, and run on the sweep pool: they may be called from
+        several threads at once, one block per call.  The squared errors are
+        integrated per cell and then summed over the cells.
         """
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
         grad_rows = np.ascontiguousarray(self.projectors.gradients(u).T)
 
-        def squares():
-            for cells, nodes, tets in self._blocks():
-                points = self.points[nodes]
-                sq = np.empty((2, tets.stop - tets.start, NQ))
-                np.subtract(u_exact(points).reshape(-1, NQ),
-                            self._projected_values(coeff_rows, cells, tets), out=sq[0])
-                sq[0] **= 2
-                gdiff = grad_u_exact(points).T.reshape(3, -1, NQ)
-                gdiff = gdiff - self._tet_rows(grad_rows, cells)[:, :, None]
-                gdiff **= 2
-                np.add(gdiff[0], gdiff[1], out=sq[1])
-                sq[1] += gdiff[2]
-                yield self._integrals(sq, tets)
+        def squares(cells, nodes, tets):
+            points = self.points[nodes]
+            sq = np.empty((2, tets.stop - tets.start, NQ))
+            np.subtract(u_exact(points).reshape(-1, NQ),
+                        self._projected_values(coeff_rows, cells, tets), out=sq[0])
+            sq[0] **= 2
+            gdiff = grad_u_exact(points).T.reshape(3, -1, NQ)
+            gdiff = gdiff - self._tet_rows(grad_rows, cells)[:, :, None]
+            gdiff **= 2
+            np.add(gdiff[0], gdiff[1], out=sq[1])
+            sq[1] += gdiff[2]
+            return self._integrals(sq, tets)
 
-        l2, h1 = self._cell_sums(squares()).sum(axis=1)
+        l2, h1 = self._cell_sums(squares, pooled=True).sum(axis=1)
         return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 

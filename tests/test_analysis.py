@@ -272,7 +272,11 @@ def test_reference_locates_each_block_once(monkeypatch):
     blocked = vp.compare_to_reference(coarse, u_c, fine, u_f)
     ws = Workspace(coarse)
     assert len(located) == len(ws.block_cells) - 1 > 1
-    assert np.array_equal(np.concatenate(located), ws.points)
+    # blocks may run on several threads and finish in any order: match them as a set
+    blocks = [ws.points[nodes] for _, nodes, _ in ws._blocks()]
+    key = lambda a: a.tobytes()
+    assert all(np.array_equal(a, b)
+               for a, b in zip(sorted(located, key=key), sorted(blocks, key=key)))
     assert blocked == whole
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -338,19 +339,28 @@ def test_newton_overflow_at_initial_state_carries_u0():
     assert err.value.report.wall_time > 0.0
 
 
-def test_newton_overflow_in_manufactured_load_carries_u0():
+def test_newton_overflow_in_manufactured_load_carries_u0(monkeypatch):
+    """The overflow is raised in a pool worker, and surfaces as it does from the serial sweep."""
     m = vp.generate_cube_mesh(4)
     phys = vp.PhysicsConfig(charges=[(1e4, (0.1, 0.1, 0.1))])
     load = vp.manufactured_sine()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SolverError, match="load: sinh argument") as err:
-            vp.newton_solve(m, phys, load)
+    monkeypatch.setattr(solver, "BLOCK_NODES", 2000)
+    assert len(Workspace(m).block_cells) - 1 > 1
     u0 = np.zeros(m.n_vertices)
     u0[m.boundary_vertex] = load.boundary_values(m.vertices[m.boundary_vertex])
-    assert np.array_equal(err.value.u, u0)
-    assert err.value.report.newton_iterations == 0
-    assert err.value.report.residual_history == []
+    messages = []
+    with ThreadPoolExecutor(4) as pool:
+        for module_pool in (None, pool):
+            monkeypatch.setattr(solver, "_pool", module_pool)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(SolverError, match="load: sinh argument") as err:
+                    vp.newton_solve(m, phys, load)
+            messages.append(str(err.value))
+            assert np.array_equal(err.value.u, u0)
+            assert err.value.report.newton_iterations == 0
+            assert err.value.report.residual_history == []
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("limit", ["max_iterations", "max_halvings", "cg_max_iterations"])
