@@ -26,21 +26,31 @@ from .solver import NewtonConfig, SolveReport, Workspace, newton_solve
 from .solver import cell_quadrature  # noqa: F401
 
 
+def _checked_levels(errors: Sequence[float], sizes: Sequence[float]):
+    """errors and sizes as float arrays, one per level; raises ValueError unless every
+    value is finite and positive and the sizes strictly decrease."""
+    e = np.asarray(errors, dtype=float)
+    h = np.asarray(sizes, dtype=float)
+    if e.ndim != 1 or e.shape != h.shape:
+        raise ValueError(f"need one error per size, got shapes {e.shape} and {h.shape}")
+    # written so that NaN fails
+    if not np.all((0 < e) & (e < np.inf) & (0 < h) & (h < np.inf)):
+        raise ValueError("errors and sizes must be positive and finite")
+    if not np.all(np.diff(h) < 0):
+        raise ValueError("sizes must decrease")
+    return e, h
+
+
 def convergence_order(errors: Sequence[float], sizes: Sequence[float]) -> float:
     """log(e2/e1) / log(h2/h1) for one refinement step."""
-    e1, e2 = errors
-    h1, h2 = sizes
-    if min(e1, e2, h1, h2) <= 0:
-        raise ValueError("errors and sizes must be positive")
-    if h2 >= h1:
-        raise ValueError("sizes must decrease")
+    (e1, e2), (h1, h2) = _checked_levels(errors, sizes)
     return float(np.log(e2 / e1) / np.log(h2 / h1))
 
 
 def fitted_order(sizes: Sequence[float], errors: Sequence[float], last: int = 3) -> float:
     """Least-squares slope of log(e) vs log(h) over the last ``last`` levels."""
-    h = np.asarray(sizes, dtype=float)[-last:]
-    e = np.asarray(errors, dtype=float)[-last:]
+    e, h = _checked_levels(errors, sizes)
+    h, e = h[-last:], e[-last:]
     if len(h) < 2:
         raise ValueError("need at least two levels")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])

@@ -47,7 +47,7 @@ _DEFAULTS = {
         "levelset": {"type": "box", "threshold": 0.5},
     },
     "mesh": {"family": "cubic", "n": 8, "n_seeds": None, "rng_seed": 0, "path": None},
-    "load": {"mode": "manufactured", "solution": "sine3", "pointwise_rhs": False},
+    "load": {"mode": "manufactured", "solution": "sine3"},
     "solver": dataclasses.asdict(NewtonConfig()),
     "study": {"levels": []},
     "output": {"solution": "solution.csv", "report": "report.csv", "plot": None},
@@ -159,12 +159,11 @@ def build_physics(cfg: dict) -> PhysicsConfig:
 def build_load(cfg: dict) -> LoadSpec:
     ld = cfg["load"]
     if ld["mode"] != "manufactured":
-        return LoadSpec(mode=ld["mode"], pointwise_rhs=ld["pointwise_rhs"])
+        return LoadSpec(mode=ld["mode"])
     try:
-        spec = MANUFACTURED_SOLUTIONS[ld["solution"]]()
+        return MANUFACTURED_SOLUTIONS[ld["solution"]]()
     except KeyError:
         raise ConfigError(f"unknown manufactured solution {ld['solution']!r}") from None
-    return dataclasses.replace(spec, pointwise_rhs=ld["pointwise_rhs"])
 
 
 def build_mesh(mesh_cfg: dict) -> PolyMesh:

@@ -126,32 +126,23 @@ class LoadSpec:
     In regularized mode the load is the weak form of the dielectric-jump
     source: -((eps - eps_m) grad G, projected grad v).  In manufactured mode
     the load makes ``u_exact`` the exact weak solution: (eps grad u_ex,
-    projected grad v) + (screened sinh(u_ex + G), projected v).  The optional
-    pointwise mode instead integrates the strong-form residual of u_ex
-    against the projected test function (needs the Laplacian).
+    projected grad v) + (screened sinh(u_ex + G), projected v).
 
-    ``u_exact``, ``grad_u_exact`` and ``lap_u_exact`` may be called from
-    several threads at once, one node block per call (the field sweeps of
-    :class:`vempb.solver.Workspace` run on a thread pool); PhysicsConfig
-    methods run only on the calling thread.
+    ``u_exact`` and ``grad_u_exact`` may be called from several threads at
+    once, one node block per call: each field sweep of
+    :class:`vempb.solver.Workspace` that calls them starts and joins its own
+    threads.  PhysicsConfig methods run only on the calling thread.
     """
 
     mode: str
     u_exact: Callable[[np.ndarray], np.ndarray] | None = None
     grad_u_exact: Callable[[np.ndarray], np.ndarray] | None = None
-    lap_u_exact: Callable[[np.ndarray], np.ndarray] | None = None
-    pointwise_rhs: bool = False
 
     def __post_init__(self):
         if self.mode not in ("regularized", "manufactured"):
             raise ValueError(f"unknown load mode {self.mode!r}")
-        if self.mode == "manufactured":
-            if self.u_exact is None or self.grad_u_exact is None:
-                raise ValueError("manufactured mode needs u_exact and grad_u_exact")
-            if self.pointwise_rhs and self.lap_u_exact is None:
-                raise ValueError("pointwise mode needs lap_u_exact")
-        elif self.pointwise_rhs:
-            raise ValueError("pointwise_rhs only applies to manufactured mode")
+        if self.mode == "manufactured" and (self.u_exact is None or self.grad_u_exact is None):
+            raise ValueError("manufactured mode needs u_exact and grad_u_exact")
 
     def boundary_values(self, points: np.ndarray) -> np.ndarray:
         if self.mode == "manufactured":
@@ -178,10 +169,7 @@ def manufactured_sine() -> LoadSpec:
             [c[:, 0] * s[:, 1] * s[:, 2], s[:, 0] * c[:, 1] * s[:, 2], s[:, 0] * s[:, 1] * c[:, 2]]
         )
 
-    def lap(p):
-        return -3.0 * np.pi**2 * u(p)
-
-    return LoadSpec(mode="manufactured", u_exact=u, grad_u_exact=grad, lap_u_exact=lap)
+    return LoadSpec(mode="manufactured", u_exact=u, grad_u_exact=grad)
 
 
 def manufactured_linear(coeffs=(0.0, 1.0, 0.0, 0.0)) -> LoadSpec:
@@ -195,10 +183,7 @@ def manufactured_linear(coeffs=(0.0, 1.0, 0.0, 0.0)) -> LoadSpec:
     def grad(p):
         return np.broadcast_to(a, (len(np.atleast_2d(p)), 3)).copy()
 
-    def lap(p):
-        return np.zeros(len(np.atleast_2d(p)))
-
-    return LoadSpec(mode="manufactured", u_exact=u, grad_u_exact=grad, lap_u_exact=lap)
+    return LoadSpec(mode="manufactured", u_exact=u, grad_u_exact=grad)
 
 
 MANUFACTURED_SOLUTIONS: dict[str, Callable[[], LoadSpec]] = {

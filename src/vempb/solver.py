@@ -13,18 +13,19 @@ act on the vertex values, such as the stiffness grad' eps grad + stab' sigma sta
 
 The field sweeps of the manufactured load and of the error norms, where
 the exact field and its gradient are evaluated at every node, run their
-blocks on a module thread pool with one worker per CPU of the process
-(plain ``map`` on one CPU).  Each block is reduced on its own and the
-results are taken in block order, so every output is bit-identical to the
-serial sweep.  The exact-field callables (``u_exact``, ``grad_u_exact``,
-``lap_u_exact`` and those passed to :meth:`Workspace.error_norms`) may
-therefore be called from several threads at once, one block per call.
-:class:`~vempb.forms.PhysicsConfig` methods run only on the calling thread:
-G is evaluated before the pooled load sweep, and every sweep that calls
-one (level set, Coulomb field and gradient, the regularized and pointwise
-fluxes) stays serial, as do the sinh and cosh sweeps, whose many short
-array calls run no faster on the pool.  A block function never submits
-to the pool, so the pool cannot deadlock.
+blocks on a thread pool with one worker per CPU of the process (plain
+``map`` on one CPU).  Each such sweep starts its own pool and joins its
+threads before it returns, so no thread outlives a sweep and nothing needs
+handling at fork.  Each block is reduced on its own and the results are
+taken in block order, so every output is bit-identical to the serial
+sweep.  The exact-field callables (``u_exact``, ``grad_u_exact`` and those
+passed to :meth:`Workspace.error_norms`) are the only caller code that
+runs on the pool's threads, and they may be called from several threads
+at once, one block per call.  :class:`~vempb.forms.PhysicsConfig` methods
+run only on the calling thread: G is evaluated before the pooled load
+sweep, and every sweep that calls one (level set, Coulomb field and
+gradient, the regularized flux) stays serial, as do the sinh and cosh
+sweeps, whose many short array calls run no faster on threads.
 
 Each cell is split into the cone tetrahedra (x_E, x_f, v_i, v_i+1) of
 :func:`~vempb.mesh._cone_tets`, and one rule is mapped onto each from the
@@ -64,7 +65,6 @@ An overflow in the manufactured load or at u0 ends the solve as a failure.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -121,34 +121,20 @@ _REF_MOMENTS = np.array([REFERENCE_TET_WEIGHTS * _REF_VALUES[i] * _REF_VALUES[j]
                          for i, j in _UPPER_PAIRS])
 
 
-# the sweep pool: made on first use with one worker per CPU of the process, None
-# with one CPU, where the pooled sweeps run through plain map
-_UNSET = object()
-_pool = _UNSET
-_pool_lock = threading.Lock()
+def _sweep_threads() -> int:
+    """Threads of a pooled sweep: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):    # the affinity mask, where the OS has one
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    """In a forked child the parent's workers are gone: build a new pool on first use."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = _UNSET, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool_map(fn, items):
-    """``map(fn, items)`` on the sweep pool, results in the order of ``items``."""
-    global _pool
-    if _pool is _UNSET:
-        with _pool_lock:
-            if _pool is _UNSET:
-                # the CPUs this process may run on: its affinity mask where the OS has one
-                n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-                _pool = ThreadPoolExecutor(n, thread_name_prefix="vempb-sweep") if n > 1 else None
-    return map(fn, items) if _pool is None else _pool.map(fn, items)
+def _pool_map(fn, items) -> list:
+    """``list(map(fn, items))`` on ``_sweep_threads()`` threads, joined before it returns."""
+    n = _sweep_threads()
+    if n == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(n, thread_name_prefix="vempb-sweep") as pool:
+        return list(pool.map(fn, items))
 
 
 def mesh_quadrature(mesh: PolyMesh):
@@ -274,9 +260,8 @@ class Workspace:
         A block's rows have shape (..., block tets); the sums have shape
         (..., n_cells), each row reduced contiguously over the cell's tets.
         Each block is reduced on its own and the blocks are joined in order,
-        so ``pooled``, which runs them on the sweep pool, changes no bit.  A
-        pooled ``block`` must call no PhysicsConfig method and never submit
-        to the pool itself.
+        so ``pooled``, which runs them on the threads of :func:`_pool_map`,
+        changes no bit.  A pooled ``block`` must call no PhysicsConfig method.
         """
         def reduced(b):
             cells, nodes, tets = b
@@ -406,8 +391,9 @@ class Workspace:
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large.
 
-        The manufactured sweep runs on the sweep pool unless ``pointwise_rhs``
-        is set, whose flux calls PhysicsConfig.coulomb_gradient.
+        The manufactured sweep is pooled: it starts and joins its own threads,
+        and of the caller's code only ``u_exact`` and ``grad_u_exact`` run on
+        them.
         """
         self._attach(physics)
         P = self.projectors
@@ -430,18 +416,14 @@ class Workspace:
                 arg = load.u_exact(points) * self.solvent[nodes] + G[nodes]
                 _check_sinh_argument(arg)
                 source = kbar_sq * np.sinh(arg)
-            if load.pointwise_rhs:
-                source -= self._epsilon(physics, nodes) * load.lap_u_exact(points)
-                flux = self._jump_flux(physics, nodes)
-            else:
-                flux = np.multiply(load.grad_u_exact(points).T, self._epsilon(physics, nodes),
-                                   out=np.empty((3, len(points))))
+            flux = np.multiply(load.grad_u_exact(points).T, self._epsilon(physics, nodes),
+                               out=np.empty((3, len(points))))
             out = np.empty((7, tets.stop - tets.start))
             out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
             out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
             return out
 
-        sums = self._cell_sums(integrals, pooled=not load.pointwise_rhs)
+        sums = self._cell_sums(integrals, pooled=True)
         return P.grad.T @ sums[:3].T.ravel() + P.pi.T @ sums[3:].T.ravel()
 
     def _jump_flux(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
@@ -513,9 +495,10 @@ class Workspace:
         """L2 and H1-seminorm errors of the projected solution against exact fields.
 
         The exact callables get one node block at a time, the same points
-        array for both, and run on the sweep pool: they may be called from
-        several threads at once, one block per call.  The squared errors are
-        integrated per cell and then summed over the cells.
+        array for both, and run on the threads this sweep starts and joins:
+        they may be called from several threads at once, one block per call.
+        The squared errors are integrated per cell and then summed over the
+        cells.
         """
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
         grad_rows = np.ascontiguousarray(self.projectors.gradients(u).T)

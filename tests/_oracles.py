@@ -593,13 +593,11 @@ class NodeRowForms:
         return P.grad.T @ flux.T.ravel() + P.pi.T @ mom.T.ravel()
 
     def load(self, load):
-        phys = self.physics
-        jump = -(phys.eps_s - phys.eps_m) * self.grad_G
         if load.mode == "regularized":
+            phys = self.physics
+            jump = -(phys.eps_s - phys.eps_m) * self.grad_G
             return self._assemble(jump, np.zeros(len(self.weights)))
         sinh = self.kbar * self.solvent * np.sinh(load.u_exact(self.points) * self.solvent + self.G)
-        if load.pointwise_rhs:
-            return self._assemble(jump, sinh - self.eps * load.lap_u_exact(self.points))
         return self._assemble(self.eps[:, None] * load.grad_u_exact(self.points), sinh)
 
     def nonlinear(self, u):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,25 @@ def test_fitted_order_recovers_slope():
     h = np.array([0.4, 0.2, 0.1, 0.05])
     e = 3.0 * h**1.7
     assert vp.fitted_order(h, e, last=3) == pytest.approx(1.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("sizes, errors, message", [
+    ((0.2, 0.2), (0.3, 0.1), "sizes must decrease"),
+    ((0.1, 0.2), (0.1, 0.3), "sizes must decrease"),
+    ((0.2, 0.1), (np.nan, 0.1), "must be positive and finite"),
+    ((0.2, 0.1), (0.3, 0.0), "must be positive and finite"),
+    ((np.inf, 0.1), (0.3, 0.1), "must be positive and finite"),
+    ((0.2, 0.1, 0.05), (0.3, 0.2), "one error per size"),
+], ids=["equal-sizes", "increasing-sizes", "nan-error", "zero-error", "inf-size", "lengths"])
+@pytest.mark.parametrize("order", ["pairwise", "fitted"])
+def test_orders_reject_invalid_levels(order, sizes, errors, message):
+    """Both order functions reject the same levels, before any warning."""
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+        warnings.simplefilter("error")
+        if order == "fitted":
+            vp.fitted_order(sizes, errors)
+        else:
+            vp.convergence_order(errors, sizes)
 
 
 # ---------------------------------------------------------------------------

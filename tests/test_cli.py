@@ -339,7 +339,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, section, key, value, 
 def test_pointwise_rhs_with_regularized_load_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", load={"mode": "regularized", "pointwise_rhs": True})
     assert run(["solve", "-c", str(cfg), "-o", str(tmp_path / "u.csv")]) == 2
-    assert "pointwise_rhs only applies to manufactured mode" in capsys.readouterr().err
+    assert "unknown key(s) in 'load': ['pointwise_rhs']" in capsys.readouterr().err
 
 
 def test_null_accepted_where_the_default_is_null(tmp_path):

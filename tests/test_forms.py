@@ -316,26 +316,3 @@ def test_load_spec_validation():
         vp.LoadSpec(mode="bogus")
     with pytest.raises(ValueError):
         vp.LoadSpec(mode="manufactured")
-    with pytest.raises(ValueError):
-        vp.LoadSpec(mode="regularized", pointwise_rhs=True)
-
-
-def test_pointwise_mode_converges_on_smooth_problem():
-    """Constant dielectric: the strong-form load also drives convergence to u_ex."""
-    ls = lambda p: np.ones(len(p))  # all solvent
-    phys = vp.PhysicsConfig(eps_m=3.0, eps_s=3.0, kappa=0.1, charges=[], levelset=ls)
-    weak = vp.manufactured_sine()
-    pw = vp.LoadSpec(
-        mode="manufactured",
-        u_exact=weak.u_exact,
-        grad_u_exact=weak.grad_u_exact,
-        lap_u_exact=weak.lap_u_exact,
-        pointwise_rhs=True,
-    )
-    errors = []
-    for n in (4, 8):
-        ws = Workspace(vp.generate_cube_mesh(n))
-        u, _ = vp.newton_solve(ws.mesh, phys, pw, workspace=ws)
-        errors.append(ws.error_norms(u, weak.u_exact, weak.grad_u_exact)[0])
-    # near-second-order decay between the two levels
-    assert errors[1] <= 0.35 * errors[0]

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -340,7 +339,7 @@ def test_newton_overflow_at_initial_state_carries_u0():
 
 
 def test_newton_overflow_in_manufactured_load_carries_u0(monkeypatch):
-    """The overflow is raised in a pool worker, and surfaces as it does from the serial sweep."""
+    """The overflow is raised on a sweep thread, and surfaces as it does from the serial sweep."""
     m = vp.generate_cube_mesh(4)
     phys = vp.PhysicsConfig(charges=[(1e4, (0.1, 0.1, 0.1))])
     load = vp.manufactured_sine()
@@ -349,17 +348,16 @@ def test_newton_overflow_in_manufactured_load_carries_u0(monkeypatch):
     u0 = np.zeros(m.n_vertices)
     u0[m.boundary_vertex] = load.boundary_values(m.vertices[m.boundary_vertex])
     messages = []
-    with ThreadPoolExecutor(4) as pool:
-        for module_pool in (None, pool):
-            monkeypatch.setattr(solver, "_pool", module_pool)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                with pytest.raises(SolverError, match="load: sinh argument") as err:
-                    vp.newton_solve(m, phys, load)
-            messages.append(str(err.value))
-            assert np.array_equal(err.value.u, u0)
-            assert err.value.report.newton_iterations == 0
-            assert err.value.report.residual_history == []
+    for threads in (1, 4):
+        monkeypatch.setattr(solver, "_sweep_threads", lambda: threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match="load: sinh argument") as err:
+                vp.newton_solve(m, phys, load)
+        messages.append(str(err.value))
+        assert np.array_equal(err.value.u, u0)
+        assert err.value.report.newton_iterations == 0
+        assert err.value.report.residual_history == []
     assert messages[0] == messages[1]
 
 
@@ -412,10 +410,6 @@ BLOCK_CASES = {
                    vp.manufactured_sine),
     "kuhn4": (lambda: vp.generate_tet_mesh(4), _screened_tet_physics, vp.regularized_load),
     "cube4-weak": (lambda: vp.generate_cube_mesh(4), vp.PhysicsConfig, vp.manufactured_sine),
-    "cube4-pointwise": (
-        lambda: vp.generate_cube_mesh(4), vp.PhysicsConfig,
-        lambda: dataclasses.replace(vp.manufactured_sine(), pointwise_rhs=True),
-    ),
 }
 
 
@@ -583,7 +577,7 @@ def test_factored_sweeps_match_node_row_oracle(case):
     u = np.random.default_rng(11).normal(size=mesh.n_vertices) * 0.3
     assert _rel(ws.stiffness(phys).toarray(), ref.stiffness()) <= 1e-13
     sine = vp.manufactured_sine()
-    for load in (vp.regularized_load(), sine, dataclasses.replace(sine, pointwise_rhs=True)):
+    for load in (vp.regularized_load(), sine):
         assert _rel(ws.load_vector(phys, load), ref.load(load)) <= 1e-13, load
     B, J = ws.nonlinear(phys, u)
     B_ref, J_ref = ref.nonlinear(u)

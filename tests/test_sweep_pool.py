@@ -1,9 +1,10 @@
-"""The sweep pool: pooled field sweeps give the serial sweep's bits.
+"""The pooled sweeps: each starts and joins its own threads and gives the serial sweep's bits.
 
-Each test sets the module pool itself, to a fresh pool or to None (the
-one-CPU path, plain ``map``), so both paths run on any number of CPUs.
-``test_default_pool_follows_the_cpu_affinity`` builds the pool the package
-would build, so run under ``taskset -c 0`` it takes the one-CPU path.
+Each test sets the thread count of a pooled sweep through
+``solver._sweep_threads``: to 8 (a pool) or 1 (plain ``map``), so both
+paths run on any number of CPUs.  ``test_sweep_threads_follow_the_cpu_affinity``
+keeps the count the package would use, so run under ``taskset -c 0`` it
+takes the one-CPU path.
 """
 
 import dataclasses
@@ -25,20 +26,14 @@ from test_solver import _screened_tet_physics
 
 @pytest.fixture
 def use_pool(monkeypatch):
-    """use_pool(True) runs the pooled sweeps on a fresh pool, use_pool(False) serially.
+    """use_pool(True) runs the pooled sweeps on 8 threads, use_pool(False) serially.
 
-    The pool has more workers than a test host has CPUs, so blocks interleave.
+    8 threads are more than a test host has CPUs, so blocks interleave.
     """
-    pools = []
-
     def use(pooled):
-        if pooled:
-            pools.append(ThreadPoolExecutor(8))
-        monkeypatch.setattr(solver, "_pool", pools[-1] if pooled else None)
+        monkeypatch.setattr(solver, "_sweep_threads", lambda: 8 if pooled else 1)
 
-    yield use
-    for pool in pools:
-        pool.shutdown()
+    return use
 
 
 def _no_screening():
@@ -131,34 +126,58 @@ def test_pool_never_runs_physics_methods(use_pool, monkeypatch):
     monkeypatch.setattr(solver, "BLOCK_NODES", 1000)
     use_pool(True)
     ws = Workspace(mesh)
-    sine = vp.manufactured_sine()
-    for load in (sine, dataclasses.replace(sine, pointwise_rhs=True), vp.regularized_load()):
+    for load in (vp.manufactured_sine(), vp.regularized_load()):
         ws.load_vector(physics, load)
     ws.stiffness(physics)
     ws.nonlinear(physics, np.zeros(mesh.n_vertices))
     assert threads == {threading.get_ident()}
 
 
-def test_default_pool_follows_the_cpu_affinity(monkeypatch):
-    """The pool the package builds has one worker per CPU of the process, none on one CPU."""
-    monkeypatch.setattr(solver, "_pool", solver._UNSET)
+def test_sweep_threads_follow_the_cpu_affinity(monkeypatch):
+    """Each pooled sweep builds one pool with a thread per CPU of the process, none on one CPU."""
     monkeypatch.setattr(solver, "BLOCK_NODES", 1000)
+    made = []
+
+    def recorded_pool(*args, **kwargs):
+        made.append(ThreadPoolExecutor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", recorded_pool)
     mesh = vp.generate_tet_mesh(4)
     load = vp.manufactured_sine()
     u = np.random.default_rng(7).normal(size=mesh.n_vertices)
-    errors = Workspace(mesh).error_norms(u, load.u_exact, load.grad_u_exact)
-    pool = solver._pool
-    try:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        if cpus == 1:
-            assert pool is None
-        else:
-            assert pool._max_workers == cpus
-        monkeypatch.setattr(solver, "_pool", None)
-        assert Workspace(mesh).error_norms(u, load.u_exact, load.grad_u_exact) == errors
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    ws = Workspace(mesh)
+    threads = set()
+    errors = ws.error_norms(u, _on_threads(load.u_exact, threads),
+                            _on_threads(load.grad_u_exact, threads))
+    ws.load_vector(vp.PhysicsConfig(), load)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert solver._sweep_threads() == cpus
+    if cpus == 1:
+        assert made == []
+        assert threads == {threading.get_ident()}
+    else:
+        assert [pool._max_workers for pool in made] == [cpus, cpus]
+        assert threading.get_ident() not in threads
+    monkeypatch.setattr(solver, "_sweep_threads", lambda: 1)
+    assert Workspace(mesh).error_norms(u, load.u_exact, load.grad_u_exact) == errors
+
+
+def test_no_sweep_thread_outlives_its_sweep(use_pool, monkeypatch):
+    """The threads a pooled error_norms ran its blocks on are joined when it returns."""
+    monkeypatch.setattr(solver, "BLOCK_NODES", 1000)
+    use_pool(True)
+    mesh = vp.generate_tet_mesh(4)
+    load = vp.manufactured_sine()
+    names = set()
+
+    def u_exact(points):
+        names.add(threading.current_thread().name)
+        return load.u_exact(points)
+
+    Workspace(mesh).error_norms(np.zeros(mesh.n_vertices), u_exact, load.grad_u_exact)
+    assert names and all(name.startswith("vempb-sweep") for name in names)
+    assert not any(t.name.startswith("vempb-sweep") for t in threading.enumerate())
 
 
 def _error_norms_on_cube3(_):
@@ -169,12 +188,9 @@ def _error_norms_on_cube3(_):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
 def test_pool_in_a_forked_child(use_pool, monkeypatch):
-    """A child forked after the pool ran builds its own pool instead of waiting on the parent's."""
+    """A child forked after pooled sweeps ran finishes its own pooled sweep."""
     monkeypatch.setattr(solver, "BLOCK_NODES", 1000)
     use_pool(True)
-    # start every worker and leave it idle: the child inherits the idle count, not the threads
-    barrier = threading.Barrier(solver._pool._max_workers)
-    list(solver._pool.map(lambda _: barrier.wait(timeout=30), range(barrier.parties)))
     want = _error_norms_on_cube3(0)
     with multiprocessing.get_context("fork").Pool(1) as children:
         assert children.apply_async(_error_norms_on_cube3, (0,)).get(timeout=60) == want
