@@ -24,7 +24,6 @@ from .forms import (
     NonlinearOverflow,
     PhysicsConfig,
     SingularityError,
-    manufactured_linear,
     manufactured_sine,
     regularized_load,
 )

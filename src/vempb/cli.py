@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, mesh as meshmod, solver
-from .forms import MANUFACTURED_SOLUTIONS, LoadSpec, PhysicsConfig
+from .forms import LoadSpec, PhysicsConfig, manufactured_sine
 from .mesh import MeshError, PolyMesh, box_levelset
 from .solver import NewtonConfig, SolverError
 
@@ -47,7 +47,7 @@ _DEFAULTS = {
         "levelset": {"type": "box", "threshold": 0.5},
     },
     "mesh": {"family": "cubic", "n": 8, "n_seeds": None, "rng_seed": 0, "path": None},
-    "load": {"mode": "manufactured", "solution": "sine3"},
+    "load": {"mode": "manufactured"},
     "solver": dataclasses.asdict(NewtonConfig()),
     "study": {"levels": []},
     "output": {"solution": "solution.csv", "report": "report.csv", "plot": None},
@@ -160,10 +160,7 @@ def build_load(cfg: dict) -> LoadSpec:
     ld = cfg["load"]
     if ld["mode"] != "manufactured":
         return LoadSpec(mode=ld["mode"])
-    try:
-        return MANUFACTURED_SOLUTIONS[ld["solution"]]()
-    except KeyError:
-        raise ConfigError(f"unknown manufactured solution {ld['solution']!r}") from None
+    return manufactured_sine()
 
 
 def build_mesh(mesh_cfg: dict) -> PolyMesh:
@@ -196,6 +193,8 @@ def build_newton(cfg: dict) -> NewtonConfig:
 
 
 def write_solution_csv(path, mesh: PolyMesh, u: np.ndarray) -> None:
+    if len(u) != mesh.n_vertices:
+        raise ValueError(f"solution has {len(u)} values for {mesh.n_vertices} vertices")
     lines = ["id,x,y,z,u"]
     for i, (v, val) in enumerate(zip(mesh.vertices, u)):
         lines.append(f"{i},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g},{val:.17g}")

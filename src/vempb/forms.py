@@ -170,23 +170,3 @@ def manufactured_sine() -> LoadSpec:
         )
 
     return LoadSpec(mode="manufactured", u_exact=u, grad_u_exact=grad)
-
-
-def manufactured_linear(coeffs=(0.0, 1.0, 0.0, 0.0)) -> LoadSpec:
-    """u = a0 + a.x, the patch-test field (non-zero Dirichlet data)."""
-    a0 = float(coeffs[0])
-    a = np.asarray(coeffs[1:], dtype=float)
-
-    def u(p):
-        return a0 + np.atleast_2d(p) @ a
-
-    def grad(p):
-        return np.broadcast_to(a, (len(np.atleast_2d(p)), 3)).copy()
-
-    return LoadSpec(mode="manufactured", u_exact=u, grad_u_exact=grad)
-
-
-MANUFACTURED_SOLUTIONS: dict[str, Callable[[], LoadSpec]] = {
-    "sine3": manufactured_sine,
-}
-

@@ -31,6 +31,9 @@ and Coulomb fields that the library evaluates on coordinate columns.
 Pi0 u as c0 + xi . c with the cell's coefficients repeated over its nodes,
 then the weighted products with (1, xi) and (1, xi) (x) (1, xi), summed node
 by node per cell, on the library's projector operators.
+``manufactured_linear`` is the patch-test load u = a0 + a.x, and
+``residual_with`` the residual A u + B(u) - F on a given stiffness and load
+vector, with B from ``Workspace.nonlinear``.
 """
 
 from collections import namedtuple
@@ -41,6 +44,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from vempb.forms import LoadSpec
 from vempb.mesh import KUHN_PERMUTATIONS, MeshError, _assemble, _concat_index, _mirrored_voronoi
 from vempb.solver import mesh_quadrature
 from vempb.projectors import build_projectors, face_integral_rows
@@ -619,3 +623,25 @@ class NodeRowForms:
         gdiff = grad_u_exact(self.points) - self._spread(self.P.gradients(u))
         return (float(np.sqrt(self.weights @ diff**2)),
                 float(np.sqrt(self.weights @ (gdiff**2).sum(axis=1))))
+
+
+def manufactured_linear(coeffs=(0.0, 1.0, 0.0, 0.0)) -> LoadSpec:
+    """u = a0 + a.x, the patch-test field (non-zero Dirichlet data)."""
+    a0 = float(coeffs[0])
+    a = np.asarray(coeffs[1:], dtype=float)
+
+    def u(p):
+        return a0 + np.atleast_2d(p) @ a
+
+    def grad(p):
+        return np.broadcast_to(a, (len(np.atleast_2d(p)), 3)).copy()
+
+    return LoadSpec(mode="manufactured", u_exact=u, grad_u_exact=grad)
+
+
+def residual_with(ws, physics, A, F, u):
+    """A u + B(u) - F with the Dirichlet rows zeroed, for a stiffness A and load F built once."""
+    B, _ = ws.nonlinear(physics, u, with_jacobian=False)
+    r = A @ u + B - F
+    r[ws.mesh.boundary_vertex] = 0.0
+    return r

@@ -14,7 +14,9 @@ import vempb as vp
 from vempb.solver import mesh_quadrature
 from vempb.solver import Workspace
 
-from _oracles import cell_projector_blocks, cell_vertex_ids, p1_tet_stiffness
+from _oracles import (
+    cell_projector_blocks, cell_vertex_ids, manufactured_linear, p1_tet_stiffness, residual_with,
+)
 from test_forms import random_tet_mesh
 
 
@@ -56,7 +58,7 @@ def test_criterion_2_patch_test():
         t0 = time.perf_counter()
         ls = lambda p: -np.ones(len(p))
         phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
-        load = vp.manufactured_linear((0.4, 1.0, -2.0, 0.5))
+        load = manufactured_linear((0.4, 1.0, -2.0, 0.5))
         meshes = [
             vp.generate_cube_mesh(8),        # 512 cells
             vp.generate_tet_mesh(5),         # 750 cells
@@ -145,8 +147,8 @@ def test_criterion_7_newton_behavior(cube_study, tet_study):
         for k in range(m.n_vertices):
             up = u.copy(); up[k] += step
             dn = u.copy(); dn[k] -= step
-            rp = vp.assemble_residual(m, phys, load, up, A=A, F=F, workspace=ws)
-            rm = vp.assemble_residual(m, phys, load, dn, A=A, F=F, workspace=ws)
+            rp = residual_with(ws, phys, A, F, up)
+            rm = residual_with(ws, phys, A, F, dn)
             J_fd[:, k] = (rp - rm) / (2 * step)
         rel = np.abs(J[free] - J_fd[free]).max() / np.abs(J[free]).max()
         assert rel <= 1e-6, f"FD relative error {rel:.3e}"

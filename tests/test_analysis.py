@@ -6,7 +6,7 @@ import pytest
 import vempb as vp
 from vempb.solver import Workspace
 
-from _oracles import reference_errors_per_cell
+from _oracles import manufactured_linear, reference_errors_per_cell
 from test_mesh import permuted_copy
 
 # printed errors and orders of the reference cubic-mesh table; mesh size
@@ -83,7 +83,7 @@ def test_orders_reject_invalid_levels(order, sizes, errors, message):
 
 
 def test_errors_vanish_for_linear_interpolant():
-    load = vp.manufactured_linear((0.2, 1.0, -0.7, 0.3))
+    load = manufactured_linear((0.2, 1.0, -0.7, 0.3))
     for m in (vp.generate_cube_mesh(2), vp.generate_voronoi_mesh(25, 3)):
         u = load.u_exact(m.vertices)
         e2, e1 = Workspace(m).error_norms(u, load.u_exact, load.grad_u_exact)
@@ -222,7 +222,7 @@ def test_reference_same_mesh_identical_solution_gives_zero():
 
 
 def test_reference_linear_fields_match_to_roundoff():
-    load = vp.manufactured_linear((0.1, 0.8, -0.4, 0.2))
+    load = manufactured_linear((0.1, 0.8, -0.4, 0.2))
     coarse = vp.generate_tet_mesh(2)
     fine = vp.generate_tet_mesh(4)
     e2, e1 = vp.compare_to_reference(

@@ -17,7 +17,7 @@ def write_config(path, **overrides):
     cfg = {
         "physics": {"eps_m": 1.0, "eps_s": 1.0, "kappa": 0.0, "charges": []},
         "mesh": {"family": "cubic", "n": 2},
-        "load": {"mode": "manufactured", "solution": "sine3"},
+        "load": {"mode": "manufactured"},
     }
     for key, val in overrides.items():
         cfg[key] = val
@@ -86,7 +86,7 @@ def test_solve_reported_error_matches_recomputation(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "mesh": {"family": "cubic", "n": 8},
-        "load": {"mode": "manufactured", "solution": "sine3"},
+        "load": {"mode": "manufactured"},
     }))
     out = tmp_path / "u.csv"
     assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 0
@@ -186,7 +186,7 @@ def test_solver_failure_exits_3_and_saves_partial_state(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "mesh": {"family": "cubic", "n": 2},
-        "load": {"mode": "manufactured", "solution": "sine3"},
+        "load": {"mode": "manufactured"},
         "solver": {"max_iterations": 1, "rel_tol": 1e-14},
     }))
     out = tmp_path / "u.csv"
@@ -340,6 +340,24 @@ def test_pointwise_rhs_with_regularized_load_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", load={"mode": "regularized", "pointwise_rhs": True})
     assert run(["solve", "-c", str(cfg), "-o", str(tmp_path / "u.csv")]) == 2
     assert "unknown key(s) in 'load': ['pointwise_rhs']" in capsys.readouterr().err
+
+
+def test_load_solution_key_exits_2(tmp_path, capsys):
+    """sin(pi x) sin(pi y) sin(pi z) is the only manufactured load, so it has no key."""
+    cfg = write_config(tmp_path / "c.json", load={"mode": "manufactured", "solution": "sine3"})
+    out = tmp_path / "u.csv"
+    assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 2
+    assert "unknown key(s) in 'load': ['solution']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_write_solution_csv_rejects_u_of_another_length(tmp_path, extra):
+    m = vp.generate_cube_mesh(2)
+    out = tmp_path / "u.csv"
+    with pytest.raises(ValueError, match=f"{m.n_vertices + extra} values for {m.n_vertices} "):
+        cli.write_solution_csv(out, m, np.zeros(m.n_vertices + extra))
+    assert not out.exists()
 
 
 def test_null_accepted_where_the_default_is_null(tmp_path):

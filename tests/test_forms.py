@@ -13,6 +13,7 @@ from _oracles import (
     cell_vertex_ids,
     coulomb_gradient_rowwise,
     coulomb_potential_rowwise,
+    manufactured_linear,
     oriented_tet_faces,
     p1_tet_stiffness,
 )
@@ -288,7 +289,7 @@ def test_regularized_load_zero_in_molecular_region():
 def test_manufactured_zero_solution_no_charges():
     ls = vp.box_levelset()
     phys = vp.PhysicsConfig(charges=[], levelset=ls)
-    spec = vp.manufactured_linear((0.0, 0.0, 0.0, 0.0))
+    spec = manufactured_linear((0.0, 0.0, 0.0, 0.0))
     m = vp.generate_voronoi_mesh(6, 9)
     out = Workspace(m).load_vector(phys, spec)
     assert np.abs(out).max() <= 1e-15
@@ -298,7 +299,7 @@ def test_manufactured_linear_load_consistency_identity():
     """With eps = 1 and no screening, the load of u=x equals K applied to x DoFs."""
     ls = lambda p: -np.ones(len(p))
     phys = vp.PhysicsConfig(eps_m=1.0, eps_s=1.0, kappa=0.0, charges=[], levelset=ls)
-    spec = vp.manufactured_linear((0.0, 1.0, 0.0, 0.0))
+    spec = manufactured_linear((0.0, 1.0, 0.0, 0.0))
     m = vp.generate_voronoi_mesh(10, 14)
     ws = Workspace(m)
     out = ws.load_vector(phys, spec)

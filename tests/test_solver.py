@@ -14,6 +14,7 @@ from vempb.solver import SolverError, Workspace, cg_solve
 
 from _oracles import (
     NodeRowForms, cell_projector_blocks, cell_projector_reference, kkt_solve, local_stiffness,
+    manufactured_linear, residual_with,
 )
 from test_mesh import permuted_copy
 
@@ -112,12 +113,12 @@ def test_assembly_permutation_invariant():
 def test_residual_linear_case_reduces_to_stiffness_action():
     m = vp.generate_cube_mesh(3)
     phys = laplace_physics()
-    load = vp.manufactured_linear((0.1, 0.4, -0.2, 0.9))
+    load = manufactured_linear((0.1, 0.4, -0.2, 0.9))
     ws = Workspace(m)
     A = ws.stiffness(phys)
     F = ws.load_vector(phys, load)
     u = np.random.default_rng(2).normal(size=m.n_vertices)
-    r = vp.assemble_residual(m, phys, load, u, A=A, F=F, workspace=ws)
+    r = vp.assemble_residual(m, phys, load, u, workspace=ws)
     expect = A @ u - F
     expect[m.boundary_vertex] = 0.0
     assert np.allclose(r, expect, atol=1e-14)
@@ -139,8 +140,8 @@ def test_global_jacobian_matches_finite_difference_residual():
     for k in range(m.n_vertices):
         up = u.copy(); up[k] += step
         dn = u.copy(); dn[k] -= step
-        rp = vp.assemble_residual(m, phys, load, up, A=A, F=F, workspace=ws)
-        rm = vp.assemble_residual(m, phys, load, dn, A=A, F=F, workspace=ws)
+        rp = residual_with(ws, phys, A, F, up)
+        rm = residual_with(ws, phys, A, F, dn)
         J_fd[:, k] = (rp - rm) / (2 * step)
     # compare on rows of free DoFs (constrained rows of the residual are zeroed)
     diff = np.abs(J[free] - J_fd[free]).max()
@@ -203,7 +204,7 @@ def test_assemble_residual_drops_the_kept_sinh_argument():
 def test_constrained_solution_has_exact_boundary_values():
     m = vp.generate_cube_mesh(3)
     phys = laplace_physics()
-    load = vp.manufactured_linear((0.0, 1.0, 0.0, 0.0))
+    load = manufactured_linear((0.0, 1.0, 0.0, 0.0))
     u, _ = vp.newton_solve(m, phys, load)
     g = load.u_exact(m.vertices[m.boundary_vertex])
     assert np.array_equal(u[m.boundary_vertex], g)
@@ -212,7 +213,7 @@ def test_constrained_solution_has_exact_boundary_values():
 def test_constrained_energy_matches_kkt_oracle():
     m = vp.generate_cube_mesh(3)
     phys = laplace_physics()
-    load = vp.manufactured_linear((0.3, 0.5, -1.0, 0.25))
+    load = manufactured_linear((0.3, 0.5, -1.0, 0.25))
     ws = Workspace(m)
     A = ws.stiffness(phys)
     F = ws.load_vector(phys, load)
@@ -281,7 +282,7 @@ def test_cg_iteration_limit_error():
 def test_linear_problem_single_iteration():
     m = vp.generate_cube_mesh(3)
     phys = laplace_physics()
-    load = vp.manufactured_linear((0.0, 0.2, 0.7, -0.5))
+    load = manufactured_linear((0.0, 0.2, 0.7, -0.5))
     u, report = vp.newton_solve(m, phys, load)
     assert report.newton_iterations == 1
     assert report.converged
@@ -339,7 +340,7 @@ def test_newton_overflow_at_initial_state_carries_u0():
 
 
 def test_newton_overflow_in_manufactured_load_carries_u0(monkeypatch):
-    """The overflow is raised on a sweep thread, and surfaces as it does from the serial sweep."""
+    """The overflow is raised on a sweep thread, and surfaces the same from one worker as from four."""
     m = vp.generate_cube_mesh(4)
     phys = vp.PhysicsConfig(charges=[(1e4, (0.1, 0.1, 0.1))])
     load = vp.manufactured_sine()
@@ -384,7 +385,7 @@ def test_newton_cg_limit_carries_state():
 def test_linear_case_matches_dense_direct_solve():
     m = vp.generate_cube_mesh(4)   # 5^3 DoFs
     phys = laplace_physics()
-    load = vp.manufactured_linear((0.2, -0.3, 1.1, 0.6))
+    load = manufactured_linear((0.2, -0.3, 1.1, 0.6))
     ws = Workspace(m)
     u, _ = vp.newton_solve(m, phys, load, workspace=ws)
 

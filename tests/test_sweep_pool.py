@@ -1,10 +1,10 @@
 """The pooled sweeps: each starts and joins its own threads and gives the serial sweep's bits.
 
 Each test sets the thread count of a pooled sweep through
-``solver._sweep_threads``: to 8 (a pool) or 1 (plain ``map``), so both
-paths run on any number of CPUs.  ``test_sweep_threads_follow_the_cpu_affinity``
-keeps the count the package would use, so run under ``taskset -c 0`` it
-takes the one-CPU path.
+``solver._sweep_threads``: to 8 or to 1, the one worker of a one-CPU
+process, so both run on any number of CPUs.
+``test_sweep_threads_follow_the_cpu_affinity`` sets the affinity mask
+instead, so the count the package derives from it is checked on any host.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from test_solver import _screened_tet_physics
 
 @pytest.fixture
 def use_pool(monkeypatch):
-    """use_pool(True) runs the pooled sweeps on 8 threads, use_pool(False) serially.
+    """use_pool(True) runs the pooled sweeps on 8 threads, use_pool(False) on one.
 
     8 threads are more than a test host has CPUs, so blocks interleave.
     """
@@ -80,8 +80,8 @@ def test_pool_load_and_error_norms_match_serial(case, use_pool, monkeypatch):
         use_pool(pooled)
         threads[pooled] = set()
         results[pooled] = _load_and_errors(mesh, physics(), threads[pooled])
-    assert threads[False] == {threading.get_ident()}
-    assert threading.get_ident() not in threads[True]
+    # each sweep starts its own worker, so one worker still means more than one thread id
+    assert threading.get_ident() not in threads[False] | threads[True]
     F, errors = results[True]
     assert np.array_equal(F, results[False][0])
     assert errors == results[False][1]
@@ -134,7 +134,7 @@ def test_pool_never_runs_physics_methods(use_pool, monkeypatch):
 
 
 def test_sweep_threads_follow_the_cpu_affinity(monkeypatch):
-    """Each pooled sweep builds one pool with a thread per CPU of the process, none on one CPU."""
+    """Each pooled sweep builds one pool with a worker per CPU of the affinity mask."""
     monkeypatch.setattr(solver, "BLOCK_NODES", 1000)
     made = []
 
@@ -147,20 +147,17 @@ def test_sweep_threads_follow_the_cpu_affinity(monkeypatch):
     load = vp.manufactured_sine()
     u = np.random.default_rng(7).normal(size=mesh.n_vertices)
     ws = Workspace(mesh)
-    threads = set()
-    errors = ws.error_norms(u, _on_threads(load.u_exact, threads),
-                            _on_threads(load.grad_u_exact, threads))
-    ws.load_vector(vp.PhysicsConfig(), load)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert solver._sweep_threads() == cpus
-    if cpus == 1:
-        assert made == []
-        assert threads == {threading.get_ident()}
-    else:
+    errors = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        made.clear()
+        threads = set()
+        errors[cpus] = ws.error_norms(u, _on_threads(load.u_exact, threads),
+                                      _on_threads(load.grad_u_exact, threads))
+        ws.load_vector(vp.PhysicsConfig(), load)
         assert [pool._max_workers for pool in made] == [cpus, cpus]
         assert threading.get_ident() not in threads
-    monkeypatch.setattr(solver, "_sweep_threads", lambda: 1)
-    assert Workspace(mesh).error_norms(u, load.u_exact, load.grad_u_exact) == errors
+    assert errors[1] == errors[3]
 
 
 def test_no_sweep_thread_outlives_its_sweep(use_pool, monkeypatch):
