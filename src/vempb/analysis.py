@@ -43,16 +43,18 @@ def _checked_levels(errors: Sequence[float], sizes: Sequence[float]):
 
 def convergence_order(errors: Sequence[float], sizes: Sequence[float]) -> float:
     """log(e2/e1) / log(h2/h1) for one refinement step."""
-    (e1, e2), (h1, h2) = _checked_levels(errors, sizes)
-    return float(np.log(e2 / e1) / np.log(h2 / h1))
+    e, h = _checked_levels(errors, sizes)
+    if len(e) != 2:
+        raise ValueError(f"need exactly two levels, got {len(e)}")
+    return float(np.log(e[1] / e[0]) / np.log(h[1] / h[0]))
 
 
 def fitted_order(sizes: Sequence[float], errors: Sequence[float], last: int = 3) -> float:
     """Least-squares slope of log(e) vs log(h) over the last ``last`` levels."""
     e, h = _checked_levels(errors, sizes)
+    if min(last, len(h)) < 2:
+        raise ValueError(f"need at least two levels, got the last {last} of {len(h)}")
     h, e = h[-last:], e[-last:]
-    if len(h) < 2:
-        raise ValueError("need at least two levels")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 

@@ -59,21 +59,27 @@ def test_fitted_order_recovers_slope():
     assert vp.fitted_order(h, e, last=3) == pytest.approx(1.7, abs=1e-12)
 
 
-@pytest.mark.parametrize("sizes, errors, message", [
-    ((0.2, 0.2), (0.3, 0.1), "sizes must decrease"),
-    ((0.1, 0.2), (0.1, 0.3), "sizes must decrease"),
-    ((0.2, 0.1), (np.nan, 0.1), "must be positive and finite"),
-    ((0.2, 0.1), (0.3, 0.0), "must be positive and finite"),
-    ((np.inf, 0.1), (0.3, 0.1), "must be positive and finite"),
-    ((0.2, 0.1, 0.05), (0.3, 0.2), "one error per size"),
-], ids=["equal-sizes", "increasing-sizes", "nan-error", "zero-error", "inf-size", "lengths"])
+@pytest.mark.parametrize("sizes, errors, last, message", [
+    ((0.2, 0.2), (0.3, 0.1), 3, "sizes must decrease"),
+    ((0.1, 0.2), (0.1, 0.3), 3, "sizes must decrease"),
+    ((0.2, 0.1), (np.nan, 0.1), 3, "must be positive and finite"),
+    ((0.2, 0.1), (0.3, 0.0), 3, "must be positive and finite"),
+    ((np.inf, 0.1), (0.3, 0.1), 3, "must be positive and finite"),
+    ((0.2, 0.1, 0.05), (0.3, 0.2), 3, "one error per size"),
+    # a pairwise order needs exactly two levels, a fitted one at least two
+    ((0.2,), (0.3,), 3, "two levels"),
+    ((0.2, 0.1, 0.05), (0.3, 0.1, 0.03), 1, "two levels"),
+    ((0.2, 0.1, 0.05), (0.3, 0.1, 0.03), 0, "two levels"),
+    ((0.2, 0.1, 0.05), (0.3, 0.1, 0.03), -1, "two levels"),
+], ids=["equal-sizes", "increasing-sizes", "nan-error", "zero-error", "inf-size", "lengths",
+        "one-level", "last-1", "last-0", "last-minus-1"])
 @pytest.mark.parametrize("order", ["pairwise", "fitted"])
-def test_orders_reject_invalid_levels(order, sizes, errors, message):
+def test_orders_reject_invalid_levels(order, sizes, errors, last, message):
     """Both order functions reject the same levels, before any warning."""
     with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
         warnings.simplefilter("error")
         if order == "fitted":
-            vp.fitted_order(sizes, errors)
+            vp.fitted_order(sizes, errors, last)
         else:
             vp.convergence_order(errors, sizes)
 

@@ -104,7 +104,7 @@ def test_voronoi_two_seed_split():
     assert m.n_cells == 2
     assert np.allclose(m.cell_volume, 0.5, atol=1e-14)
     # the shared face is the plane x = 0.5
-    interior = np.nonzero(~m.boundary_face)[0]
+    interior = np.nonzero(np.bincount(np.abs(m.cell_face) - 1) == 2)[0]
     assert len(interior) == 1
     assert np.allclose(m.vertices[face_loop(m, interior[0])][:, 0], 0.5, atol=1e-14)
 
@@ -656,6 +656,9 @@ _INVERTED_NEIGHBOUR = {
     ({18: "cells 2", 19: "6 1 2 3 4 5 6\n6 -1 -2 -3 -4 -5 -6"},
      "line 20: cell 1: non-positive volume -1.000e+00 (orientation error)"),
     ({10: "1 1 1.1"}, "line 16: face 4 not planar (max deviation 2.494e-02)"),
+    # content after the last cell record is named before any topology check
+    ({19: "6 1 2 3 4 5 6\n\n6 -1 -2 -3 -4 -5 -6\n6 1 2 3 4 5 6"},
+     "line 21: unexpected content after cell record 0"),
 ])
 def test_load_parse_error_messages(tmp_path, edits, message):
     """Each edit of a saved cube-1 file raises its full message, line number first."""
