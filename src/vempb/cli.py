@@ -2,14 +2,16 @@
 
 One JSON config document drives solve/study runs; every section has defaults
 matching the standard electrostatics setup (eps_m=2, eps_s=80,
-kappa=1/(20*sqrt(2)), unit charge at the origin, box molecular region).
+kappa=1/(20*sqrt(2)), unit charge at the origin, molecular region the box
+[0, t]^3 with t = physics.box_threshold = 0.5).
 Unknown keys, and values whose JSON type is not their default's (null only
 where the default is null), are rejected before any computation; the other
 values are checked where they are used.  Given the same config
 (including rng_seed) all produced artifacts are byte-identical; timings go
 to stdout only.
 
-Exit codes: 0 success, 2 validation/parse failure, 3 solver failure.
+Exit codes: 0 success, 2 validation/parse failure (a missing or unwritable
+file included), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ _DEFAULTS = {
         "eps_s": _DEFAULT_PHYSICS.eps_s,
         "kappa": _DEFAULT_PHYSICS.kappa,
         "charges": [{"q": q, "x": list(x)} for q, x in _DEFAULT_PHYSICS.charges],
-        "levelset": {"type": "box", "threshold": 0.5},
+        "box_threshold": 0.5,
     },
     "mesh": {"family": "cubic", "n": 8, "n_seeds": None, "rng_seed": 0, "path": None},
     "load": {"mode": "manufactured"},
@@ -118,7 +120,7 @@ def load_config(path) -> dict:
 
 
 def _validate(cfg: dict) -> None:
-    """The shapes inside the physics charges and level set and the study levels."""
+    """The shapes inside the physics charges and the study levels."""
     ph = cfg["physics"]
     for i, ch in enumerate(ph["charges"]):
         where = f"physics.charges[{i}]"
@@ -131,10 +133,6 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"{where}.x must have 3 coordinates, got {len(ch['x'])}")
         for v in ch["x"]:
             _expect(f"{where}.x", v, "number")
-    ls = ph["levelset"]
-    if ls.get("type") != "box" or not set(ls) <= {"type", "threshold"}:
-        raise ConfigError("physics.levelset must be {'type': 'box', 'threshold': t}")
-    _expect("physics.levelset.threshold", ls.get("threshold", 0.5), "number")
     for i, lvl in enumerate(cfg["study"]["levels"]):
         where = f"study.levels[{i}]"
         _expect(where, lvl, "object")
@@ -152,7 +150,7 @@ def build_physics(cfg: dict) -> PhysicsConfig:
         eps_s=float(ph["eps_s"]),
         kappa=float(ph["kappa"]),
         charges=[(float(c["q"]), tuple(float(v) for v in c["x"])) for c in ph["charges"]],
-        levelset=box_levelset(float(ph["levelset"].get("threshold", 0.5))),
+        levelset=box_levelset(float(ph["box_threshold"])),
     )
 
 
@@ -181,15 +179,7 @@ def build_mesh(mesh_cfg: dict) -> PolyMesh:
 
 
 def build_newton(cfg: dict) -> NewtonConfig:
-    s = cfg["solver"]
-    return NewtonConfig(
-        rel_tol=float(s["rel_tol"]),
-        abs_tol=float(s["abs_tol"]),
-        max_iterations=int(s["max_iterations"]),
-        max_halvings=int(s["max_halvings"]),
-        cg_tol=float(s["cg_tol"]),
-        cg_max_iterations=None if s["cg_max_iterations"] is None else int(s["cg_max_iterations"]),
-    )
+    return NewtonConfig(**cfg["solver"])
 
 
 def write_solution_csv(path, mesh: PolyMesh, u: np.ndarray) -> None:
@@ -296,10 +286,9 @@ def cmd_study(args) -> int:
         print(f"{r.level:>5} {r.n_cells:>8} {r.dof:>8} {r.h:>12.5g} "
               f"{r.e_l2:>12.5g} {o2} {r.e_h1:>12.5g} {o1} "
               f"{r.newton_iterations:>6} {r.wall_time:>8.2f}")
-    if len(report.rows) >= 2:
-        last = min(3, len(report.rows))
-        f2, f1 = report.fitted_orders(last)
-        print(f"fitted orders over last {last} levels: L2 {f2:.3f}, H1 {f1:.3f}")
+    last = min(3, len(report.rows))
+    f2, f1 = report.fitted_orders(last)
+    print(f"fitted orders over last {last} levels: L2 {f2:.3f}, H1 {f1:.3f}")
     return EXIT_OK
 
 
@@ -319,7 +308,7 @@ def make_parser() -> argparse.ArgumentParser:
     pc = msub.add_parser("check", help="validate a mesh file and print quality metrics")
     pc.add_argument("path")
     pc.add_argument("--gamma-min", type=float, default=0.05)
-    pc.add_argument("--threshold", type=float, default=0.5,
+    pc.add_argument("--threshold", type=float, default=_DEFAULTS["physics"]["box_threshold"],
                     help="box level-set threshold for the interface count")
     pc.set_defaults(func=cmd_mesh_check)
 
@@ -340,7 +329,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MeshError, ValueError) as exc:   # ConfigError is a ValueError
+    except (MeshError, ValueError, OSError) as exc:   # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

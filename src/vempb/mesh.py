@@ -837,6 +837,8 @@ def load_mesh(path) -> PolyMesh:
             verts[i] = [float(p) for p in parts]
         except ValueError:
             raise VpmParseError(f"vertex {i}: bad coordinate", no) from None
+        if not np.isfinite(verts[i]).all():
+            raise VpmParseError(f"vertex {i}: non-finite coordinate", no)
     _, nf = count("faces")
     face_ptr, face_vertex, face_lines = records("face", nf)
     no, nc = count("cells")

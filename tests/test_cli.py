@@ -108,15 +108,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw, where", [
-    ({"solver": {"tol": 1.0}}, "solver"),
-    ({"physics": {"levelset": {"type": "box", "treshold": 0.3}}}, "physics.levelset"),
+@pytest.mark.parametrize("raw, message", [
+    ({"solver": {"tol": 1.0}}, "unknown key(s) in 'solver': ['tol']"),
+    # the molecular region is always a box, so its one number is physics.box_threshold
+    ({"physics": {"levelset": {"type": "box", "threshold": 0.3}}},
+     "unknown key(s) in 'physics': ['levelset']"),
 ], ids=["solver", "levelset"])
-def test_unknown_nested_key_rejected(tmp_path, capsys, raw, where):
+def test_unknown_nested_key_rejected(tmp_path, capsys, raw, message):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(raw))
     assert run(["solve", "-c", str(cfg)]) == 2
-    assert where in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_empty_solver_section_builds_default_newton_config(tmp_path):
@@ -124,11 +126,27 @@ def test_empty_solver_section_builds_default_newton_config(tmp_path):
     assert cli.build_newton(cli.load_config(cfg)) == vp.NewtonConfig()
 
 
+def test_full_solver_section_builds_its_newton_config(tmp_path):
+    solver = {"rel_tol": 1e-8, "abs_tol": 1e-12, "max_iterations": 7, "max_halvings": 3,
+              "cg_tol": 1e-9, "cg_max_iterations": 400}
+    cfg = write_config(tmp_path / "c.json", solver=solver)
+    assert cli.build_newton(cli.load_config(cfg)) == vp.NewtonConfig(**solver)
+
+
 def test_empty_physics_section_builds_default_physics_config(tmp_path):
     cfg = write_config(tmp_path / "c.json", physics={})
     got, want = cli.build_physics(cli.load_config(cfg)), vp.PhysicsConfig()
     for name in ("eps_m", "eps_s", "kappa", "charges"):
         assert getattr(got, name) == getattr(want, name)
+    pts = np.random.default_rng(0).random((50, 3))
+    assert np.array_equal(got.levelset(pts), want.levelset(pts))
+
+
+def test_box_threshold_sets_the_molecular_box(tmp_path):
+    cfg = write_config(tmp_path / "c.json", physics={"box_threshold": 0.4})
+    pts = np.random.default_rng(0).random((50, 3))
+    got = cli.build_physics(cli.load_config(cfg)).levelset(pts)
+    assert np.array_equal(got, vp.box_levelset(0.4)(pts))
 
 
 def test_study_two_levels(tmp_path, capsys):
@@ -326,7 +344,10 @@ def test_mistyped_config_value_exits_2(tmp_path, monkeypatch, capsys, command, b
     ("physics", "kappa", "NaN", "kappa must be non-negative and finite"),
     ("physics", "eps_s", "Infinity", "permittivities must be positive and finite"),
     ("solver", "rel_tol", "NaN", "tolerances must be positive and finite"),
-], ids=["kappa-inf", "kappa-nan", "eps_s-inf", "rel_tol-nan"])
+    ("physics", "box_threshold", "NaN", "box threshold must be finite"),
+    ("physics", "box_threshold", "Infinity", "box threshold must be finite"),
+], ids=["kappa-inf", "kappa-nan", "eps_s-inf", "rel_tol-nan", "box_threshold-nan",
+        "box_threshold-inf"])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, section, key, value, message):
     cfg = tmp_path / "c.json"
     cfg.write_text(f'{{"mesh": {{"family": "cubic", "n": 2}}, "{section}": {{"{key}": {value}}}}}')
@@ -393,3 +414,19 @@ def test_incomplete_mesh_section_exits_2(tmp_path, capsys, mesh, message):
     cfg.write_text(json.dumps({"mesh": mesh}))
     assert run(["solve", "-c", str(cfg), "-o", str(tmp_path / "u.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["mesh", "check", "missing.vpm"], "missing.vpm"),
+    (["solve", "-c", "missing.json"], "missing.vpm"),
+    (["mesh", "gen", "--family", "cubic", "--n", "1", "-o", "no/m.vpm"], "no/m.vpm"),
+    (["solve", "-c", "c.json", "-o", "no/u.csv"], "no/u.csv"),
+], ids=["check-missing", "solve-missing-mesh", "gen-into-missing-dir", "solve-into-missing-dir"])
+def test_file_system_error_exits_2_naming_the_path(tmp_path, monkeypatch, capsys, argv, path):
+    monkeypatch.chdir(tmp_path)
+    vp.save_mesh(vp.generate_cube_mesh(1), "m.vpm")
+    write_config(tmp_path / "missing.json", mesh={"family": "file", "path": "missing.vpm"})
+    write_config(tmp_path / "c.json", mesh={"family": "file", "path": "m.vpm"})
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err

@@ -122,6 +122,26 @@ def test_voronoi_degenerate_cell_reports_seed():
         vp.voronoi_mesh_from_seeds(np.array(seeds))
 
 
+def test_voronoi_near_duplicate_seeds_report_off_bisector_vertex():
+    seeds = np.array([[0.3, 0.4, 0.5], [0.3, 0.4, 0.5 + 1e-9]])
+    message = r"^seed 0: Voronoi vertex \d\.\de-\d+ off its bisector with seed 1$"
+    with pytest.raises(MeshError, match=message) as exc:
+        vp.voronoi_mesh_from_seeds(seeds)
+    assert exc.value.cell == 0
+
+
+def test_voronoi_crowded_seed_reports_its_volume():
+    # six seeds 1e-5 from the centre: its cell is a cube of side 1e-5
+    center = np.full(3, 0.5)
+    seeds = [center, [0.1, 0.1, 0.1], [0.9, 0.9, 0.9]]
+    for k in range(3):
+        for s in (-1.0, 1.0):
+            seeds.append(center + s * 1e-5 * np.eye(3)[k])
+    with pytest.raises(MeshError, match=r"^seed 0: degenerate cell \(volume \d\.\d{3}e-1[56]\)$") as exc:
+        vp.voronoi_mesh_from_seeds(np.array(seeds))
+    assert exc.value.cell == 0
+
+
 def assert_matches_oracle(m, seeds):
     ref = clipped_voronoi_cells(seeds)
     assert m.n_cells == len(seeds)
@@ -659,6 +679,10 @@ _INVERTED_NEIGHBOUR = {
     # content after the last cell record is named before any topology check
     ({19: "6 1 2 3 4 5 6\n\n6 -1 -2 -3 -4 -5 -6\n6 1 2 3 4 5 6"},
      "line 21: unexpected content after cell record 0"),
+    # a coordinate that parses but is not finite
+    ({6: "1 1 nan"}, "line 6: vertex 3: non-finite coordinate"),
+    ({6: "1 inf 1"}, "line 6: vertex 3: non-finite coordinate"),
+    ({6: "1e400 1 1"}, "line 6: vertex 3: non-finite coordinate"),
 ])
 def test_load_parse_error_messages(tmp_path, edits, message):
     """Each edit of a saved cube-1 file raises its full message, line number first."""
