@@ -11,7 +11,9 @@ values are checked where they are used.  Given the same config
 to stdout only.
 
 Exit codes: 0 success, 2 validation/parse failure (a missing or unwritable
-file included), 3 solver failure.
+file included; solve and study check that their output directories exist
+before they compute), 3 solver failure (also when its partial state cannot
+be saved).
 """
 
 from __future__ import annotations
@@ -185,10 +187,26 @@ def build_newton(cfg: dict) -> NewtonConfig:
 def write_solution_csv(path, mesh: PolyMesh, u: np.ndarray) -> None:
     if len(u) != mesh.n_vertices:
         raise ValueError(f"solution has {len(u)} values for {mesh.n_vertices} vertices")
-    lines = ["id,x,y,z,u"]
-    for i, (v, val) in enumerate(zip(mesh.vertices, u)):
-        lines.append(f"{i},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g},{val:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([np.arange(len(u)), mesh.vertices, u])
+    np.savetxt(path, table, fmt=["%d"] + ["%.17g"] * 4, delimiter=",", header="id,x,y,z,u",
+               comments="")
+
+
+def _check_output_dirs(*paths) -> None:
+    """Raise ``FileNotFoundError`` naming the first output path whose directory is missing."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
+def _save_partial(write, path: str, what: str) -> None:
+    """Write a failed run's partial results; a file-system error must not hide the failure."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"partial {what} not saved: {exc}", file=sys.stderr)
+    else:
+        print(f"partial {what} saved to {path}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +238,18 @@ def cmd_mesh_check(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
+    out = args.out or cfg["output"]["solution"]
+    _check_output_dirs(out)
     physics = build_physics(cfg)
     load = build_load(cfg)
     m = build_mesh(cfg["mesh"])
     newton = build_newton(cfg)
 
-    out = args.out or cfg["output"]["solution"]
     workspace = solver.Workspace(m)
     try:
         u, report = solver.newton_solve(m, physics, load, newton, workspace=workspace)
     except SolverError as exc:
-        write_solution_csv(str(out) + ".failed", m, exc.u)
-        print(f"partial state saved to {out}.failed", file=sys.stderr)
+        _save_partial(lambda path: write_solution_csv(path, m, exc.u), f"{out}.failed", "state")
         raise
 
     write_solution_csv(out, m, u)
@@ -261,6 +279,8 @@ def cmd_study(args) -> int:
     factories = [functools.partial(build_mesh, {**cfg["mesh"], **lvl}) for lvl in levels]
 
     out = args.out or cfg["output"]["report"]
+    plot = cfg["output"]["plot"] or str(Path(out).with_suffix(".plotdat"))
+    _check_output_dirs(out, plot)
     try:
         report = analysis.run_convergence_study(
             factories, physics, load, newton, metadata=cfg
@@ -270,11 +290,9 @@ def cmd_study(args) -> int:
         if hasattr(exc, "study_level"):
             print(f"study level {exc.study_level} failed", file=sys.stderr)
             if exc.study_report.rows:
-                exc.study_report.to_csv(str(out) + ".failed")
-                print(f"partial report saved to {out}.failed", file=sys.stderr)
+                _save_partial(exc.study_report.to_csv, f"{out}.failed", "report")
         raise
 
-    plot = cfg["output"]["plot"] or str(Path(out).with_suffix(".plotdat"))
     report.to_csv(out)
     report.to_plotdat(plot)
     print(f"wrote {out} and {plot}")

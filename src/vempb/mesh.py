@@ -17,8 +17,9 @@ and their mirror images across just those walls.  Its regions of the
 original seeds are exactly the clipped cells: a point beyond wall q in
 seed i's region lies in i's first-pass region too, so i's mirror across q
 is present and nearer, and a point inside the cube is never nearer to the
-mirror of seed j than to j.  Every generator hands integer vertex
-loops to one assembly path that finds shared faces with a single
+mirror of seed j than to j.  Each of its ridges is one face, shared by the
+two seeds it separates.  The structured generators hand per-cell integer
+vertex loops to an assembly path that finds shared faces with a single
 ``np.unique`` over canonicalised loops.  Geometry (centroids, measures, cell
 diameters) comes from exact polygonal face integrals via the divergence
 theorem; face diameters are left to the regularity audit, their one reader.
@@ -501,11 +502,12 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray) -> PolyMesh:
     cells: a point x beyond wall q in i's region would lie in i's first-pass
     region too, so i's mirror across q is present and nearer to x than i;
     and inside the cube no point is nearer to the mirror of seed j than to j
-    itself.  Qhull numbers the Voronoi vertices globally, so each ridge
-    between seed a and point b is one vertex loop shared by both cells,
-    ordered counter-clockwise about the outward normal ``b - a``.  The
-    vertices of a ridge between a seed and its own mirror are put exactly
-    on that wall.  Cells come in seed order.
+    itself.  Qhull numbers the Voronoi vertices globally and lists each
+    ridge's vertices in cyclic order, so ridge f between seed a and point b
+    is face f of both cells: Qhull's loop, reversed if its fan vector points
+    against the outward normal ``b - a`` (a loop out of cyclic order leaves
+    a cell non-watertight).  The vertices of a ridge between a seed and its
+    own mirror are put exactly on that wall.  Cells come in seed order.
 
     Seeds outside the cube and duplicate seeds raise ``ValueError``.  Seeds
     on a wall (their mirrors coincide with them), and cells Qhull cannot
@@ -587,31 +589,20 @@ def _mirrored_voronoi(seeds: np.ndarray, owner: np.ndarray, wall_of: np.ndarray)
         i = int(a[ridge_of[stray[0]]])
         raise MeshError(f"seed {i}: Voronoi vertex outside the cube", cell=i)
 
-    # sort every loop by angle about its normal (atan2 order is invariant
-    # under the positive scaling of an unnormalised basis); measure how far
-    # its vertices are off the bisector, and its area
-    rows = np.full((len(keep), lens.max()), -1, dtype=np.int64)
-    rows[ridge_of, _concat_index(lens)] = vid
-    reverse = rows.copy()
+    # Qhull lists a ridge's vertices in cyclic order: its fan vector gives the
+    # area, and its sign against b - a whether to reverse the loop to point
+    # out of seed a's cell; measure how far its vertices are off the bisector
+    face_ptr = np.concatenate([[0], np.cumsum(lens)])
+    first, pos, length = face_ptr[ridge_of], _concat_index(lens), lens[ridge_of]
+    P = V[vid] - V[vid[first]]
+    fan = np.add.reduceat(np.cross(P, P[first + (pos + 1) % length]), face_ptr[:-1])
+    area = 0.5 * np.linalg.norm(fan, axis=1)
     normal = pts[b] - pts[a]
     dist = np.linalg.norm(normal, axis=1)
-    mid = 0.5 * (pts[a] + pts[b])
-    off = np.zeros(len(keep))
-    area = np.zeros(len(keep))
-    for m in np.unique(lens):
-        idx = np.nonzero(lens == m)[0]
-        R = rows[idx, :m]
-        r = V[R] - V[R].mean(axis=1, keepdims=True)
-        e2 = np.cross(normal[idx], r[:, 0])
-        ang = np.arctan2(np.einsum("fmj,fj->fm", r, e2), np.einsum("fmj,fj->fm", r, r[:, 0]))
-        R = np.take_along_axis(R, np.argsort(ang, axis=1), axis=1)
-        rows[idx, :m] = R
-        reverse[idx, :m] = R[:, ::-1]
-        P = V[R]
-        off[idx] = np.abs(np.einsum("fmj,fj->fm", P - mid[idx, None], normal[idx])).max(axis=1)
-        fan = np.cross(P - P[:, :1], np.roll(P, -1, axis=1) - P[:, :1]).sum(axis=1)
-        area[idx] = 0.5 * np.linalg.norm(fan, axis=1)
-    off /= dist
+    height = np.einsum("vj,vj->v", V[vid] - 0.5 * (pts[a] + pts[b])[ridge_of], normal[ridge_of])
+    off = np.maximum.reduceat(np.abs(height), face_ptr[:-1]) / dist
+    flip = (np.einsum("fj,fj->f", fan, normal) < 0)[ridge_of]
+    face_vertex = vid[first + np.where(flip, -pos % length, pos)]
 
     # each face is the base of a cone of height dist/2 in both of its cells
     cone = area * dist / 6.0
@@ -632,17 +623,16 @@ def _mirrored_voronoi(seeds: np.ndarray, owner: np.ndarray, wall_of: np.ndarray)
         i = int(a[f])
         raise MeshError(f"seed {i}: degenerate face with {name(b[f])} (area {area[f]:.1e})", cell=i)
 
-    loop_cell = np.concatenate([a, b[shared]])
-    order = np.argsort(loop_cell, kind="stable")
-    return _assemble(
-        V,
-        np.concatenate([rows, reverse[shared]])[order],
-        np.concatenate([lens, lens[shared]])[order],
-        loop_cell[order],
-        ns,
-        "voronoi",
-        None,
-    )
+    # ridge f is face f: +(f + 1) in seed a's cell, -(f + 1) in seed b's
+    ref_cell = np.concatenate([a, b[shared]])
+    order = np.argsort(ref_cell, kind="stable")
+    ref = np.arange(1, len(keep) + 1)
+    cell_ptr = np.searchsorted(ref_cell[order], np.arange(ns + 1))
+    cell_face = np.concatenate([ref, -ref[shared]])[order]
+    mesh = PolyMesh(V, face_ptr, face_vertex, cell_ptr, cell_face, family="voronoi")
+    _index_cells(mesh)
+    validate_topology(mesh)
+    return compute_geometry(mesh)
 
 
 def generate_voronoi_mesh(n_seeds: int, rng_seed: int) -> PolyMesh:

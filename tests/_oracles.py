@@ -7,8 +7,10 @@ tetrahedron from barycentric gradients, clipped Voronoi cells from
 half-space clipping of the unit cube, seed by seed, and interface flags from
 a loop over the cells.  ``all_mirror_voronoi_mesh`` is the Voronoi build on
 the seeds and every wall mirror, the reference for the library's choice of
-mirrors.  ``build_polymesh`` assembles small hand-built
-meshes from per-cell vertex loops through the generators' assembly path.
+mirrors; ``angle_sorted_voronoi_loops`` sorts a Voronoi mesh's face loops by
+angle about their ridge normals, the reference for the build's use of
+Qhull's vertex order.  ``build_polymesh`` assembles small hand-built meshes
+from per-cell vertex loops through the structured generators' assembly path.
 ``face_loop``, ``cell_faces``, ``cell_vertex_ids`` and ``cell_face_loops``
 slice one face's vertex loop, one cell's signed faces, sorted vertices and
 outward vertex loops out of the mesh's CSR arrays, and
@@ -371,6 +373,40 @@ def all_mirror_voronoi_mesh(seeds):
     seeds = np.asarray(seeds, dtype=float)
     ns = len(seeds)
     return _mirrored_voronoi(seeds, np.tile(np.arange(ns), 7), np.repeat(np.arange(-1, 6), ns))
+
+
+def angle_sorted_voronoi_loops(mesh, seeds):
+    """The face loops of a Voronoi mesh of ``seeds``, each sorted by angle about its ridge normal.
+
+    The normal of a face is b - a for the seed a whose cell references it
+    positively and its neighbour b: the seed whose cell references it
+    negatively, or else a's mirror across the wall the face lies on.  The
+    sort is the one the build used before it kept Qhull's ridge order:
+    arctan2 about the normal, from the first vertex, invariant under the
+    positive scaling of that unnormalised basis.
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    ref_cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+    face = np.abs(mesh.cell_face) - 1
+    own = mesh.cell_face > 0
+    a = np.empty(mesh.n_faces, dtype=np.int64)
+    a[face[own]] = ref_cell[own]
+    b = np.full(mesh.n_faces, -1)
+    b[face[~own]] = ref_cell[~own]
+    loops = []
+    for fi in range(mesh.n_faces):
+        ids = face_loop(mesh, fi)
+        P = mesh.vertices[ids]
+        if b[fi] >= 0:
+            normal = seeds[b[fi]] - seeds[a[fi]]
+        else:
+            k = int(np.nonzero((P == P[0]).all(axis=0) & np.isin(P[0], (0.0, 1.0)))[0][0])
+            normal = np.zeros(3)
+            normal[k] = 2.0 * (P[0, k] - seeds[a[fi], k])
+        r = P - P.mean(axis=0)
+        e2 = np.cross(normal, r[0])
+        loops.append(ids[np.argsort(np.arctan2(r @ e2, r @ r[0]))])
+    return loops
 
 
 def cone_volume_centroid(faces, apex):

@@ -216,6 +216,30 @@ def test_solver_failure_exits_3_and_saves_partial_state(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_solver_failure_exits_3_when_partial_state_cannot_be_saved(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", physics={},
+                       solver={"max_iterations": 1, "rel_tol": 1e-14})
+    (tmp_path / "u.csv.failed").mkdir()
+    out = tmp_path / "u.csv"
+    assert run(["solve", "-c", str(cfg), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "partial state not saved" in err and "u.csv.failed" in err
+    assert "solver failure" in err
+    assert not out.exists()
+
+
+def test_study_failure_is_kept_when_partial_report_cannot_be_saved(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        mesh={"family": "voronoi", "rng_seed": 1},
+        study={"levels": [{"n_seeds": 20}, {"n_seeds": 0}]},
+    )
+    (tmp_path / "r.csv.failed").mkdir()
+    assert run(["study", "-c", str(cfg), "-o", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "partial report not saved" in err and "need at least one seed" in err
+
+
 def test_regularized_solve_runs(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -427,6 +451,29 @@ def test_file_system_error_exits_2_naming_the_path(tmp_path, monkeypatch, capsys
     vp.save_mesh(vp.generate_cube_mesh(1), "m.vpm")
     write_config(tmp_path / "missing.json", mesh={"family": "file", "path": "missing.vpm"})
     write_config(tmp_path / "c.json", mesh={"family": "file", "path": "m.vpm"})
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+
+
+@pytest.mark.parametrize("command, output, path", [
+    ("solve", {}, "no/u.csv"),
+    ("solve", {"solution": "no/u.csv"}, "no/u.csv"),
+    ("study", {"report": "no/r.csv"}, "no/r.csv"),
+    ("study", {"plot": "no/r.plotdat"}, "no/r.plotdat"),
+], ids=["solve-out", "solve-solution", "study-report", "study-plot"])
+def test_missing_output_directory_exits_2_before_computing(
+    tmp_path, monkeypatch, capsys, command, output, path
+):
+    monkeypatch.chdir(tmp_path)
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail(f"{command} computed before checking its output paths")
+
+    monkeypatch.setattr("vempb.solver.newton_solve", must_not_run)
+    monkeypatch.setattr("vempb.analysis.run_convergence_study", must_not_run)
+    write_config(tmp_path / "c.json", study={"levels": [{"n": 1}, {"n": 2}]}, output=output)
+    argv = [command, "-c", "c.json"] + (["-o", path] if not output else [])
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err

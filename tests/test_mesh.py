@@ -8,6 +8,7 @@ from vempb.mesh import MeshError, VpmParseError
 
 from _oracles import (
     all_mirror_voronoi_mesh,
+    angle_sorted_voronoi_loops,
     build_polymesh,
     cell_face_loops,
     cell_faces,
@@ -228,6 +229,45 @@ def test_voronoi_matches_all_mirror_build(n_seeds, rng_seed):
     assert np.abs(m.cell_centroid - ref.cell_centroid).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n_seeds, rng_seed", [(200, 5), (1024, 0)])
+def test_voronoi_faces_keep_qhull_ridge_order(n_seeds, rng_seed):
+    # the build trusts Qhull to list each ridge's vertices in cyclic order;
+    # every face must be the directed cycle of the angle sort about its ridge
+    # normal, starting anywhere (tier-1 CI also runs this on the oldest SciPy
+    # that pyproject.toml allows)
+    seeds = np.random.default_rng(rng_seed).random((n_seeds, 3))
+    m = vp.voronoi_mesh_from_seeds(seeds)
+    for fi, ref in enumerate(angle_sorted_voronoi_loops(m, seeds)):
+        loop = face_loop(m, fi)
+        assert np.array_equal(np.roll(loop, -loop.argmin()), np.roll(ref, -ref.argmin())), fi
+
+
+def test_voronoi_rejects_a_misordered_ridge(monkeypatch):
+    # a ridge whose vertices are out of cyclic order is rejected, not repaired:
+    # two vertices of one seed-seed ridge swapped in the second Qhull pass
+    seeds = np.random.default_rng(0).random((20, 3))
+    real, calls, swapped = vp.mesh.Voronoi, [], []
+
+    def swapping_voronoi(points):
+        vor = real(points)
+        calls.append(len(points))
+        if len(calls) == 2:
+            r = next(
+                r for r, pq in enumerate(vor.ridge_points)
+                if pq.max() < len(seeds) and len(vor.ridge_vertices[r]) >= 4
+            )
+            loop = vor.ridge_vertices[r]
+            loop[1], loop[2] = loop[2], loop[1]
+            swapped.extend(vor.ridge_points[r].tolist())
+        return vor
+
+    monkeypatch.setattr(vp.mesh, "Voronoi", swapping_voronoi)
+    message = r"^non-watertight cell \d+: edge \(\d+,\d+\) is not paired with its reverse$"
+    with pytest.raises(MeshError, match=message) as exc:
+        vp.voronoi_mesh_from_seeds(seeds)
+    assert len(calls) == 2 and exc.value.cell in swapped
+
+
 def test_voronoi_degenerate_face_names_both_seeds():
     # a genuine face of area 1.3e-15 between seeds 709 and 1002; once tiny
     # faces are merged rather than rejected (ROADMAP item 9) this seed set is
@@ -244,15 +284,16 @@ def test_voronoi_degenerate_face_names_both_seeds():
         (lambda: vp.generate_tet_mesh(2),
          "af8325df7f666295f3cd0336d785d789caa117dd1a08ef5f3b7d8ffd839150b1"),
         (lambda: vp.generate_voronoi_mesh(200, 5),
-         "adde44dc3155ad7c50f24351487843fcbadd7129a0ee2fd3bb163fe539892451"),
+         "053bf9dc9ed2901cd50ec22d936583213179505b4f1a75e5d6c3e128ae810bf4"),
     ],
 )
 def test_structured_meshes_unchanged(make, digest, tmp_path):
     # digests of the files written before the generators were vectorised; the
     # Voronoi one was re-pinned when the build began choosing its mirrors
     # (Qhull numbers and rounds the vertices of another input point set
-    # differently), after test_voronoi_matches_all_mirror_build held; the
-    # Kuhn cell order also feeds the structured point locator in analysis
+    # differently), after test_voronoi_matches_all_mirror_build held, and again
+    # when faces took Qhull's ridge order (same directed cycles, renumbered);
+    # the Kuhn cell order also feeds the structured point locator in analysis
     path = tmp_path / "m.vpm"
     vp.save_mesh(make(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -231,7 +231,7 @@ def test_batched_builder_matches_per_cell_reference(make):
         (lambda: vp.generate_tet_mesh(2),
          "8d41b6fc4f2ef1d6317f71bf035bb1574ce7bb86d4f804950ddb27032d892aed"),
         (lambda: vp.generate_voronoi_mesh(64, 0),
-         "5adb8f17cbe34edea061871b5399bb706c1670f71ee0d8ae90b50f5c304c9bd9"),
+         "8d380278de247a9d212fd11619c758bf91b0b805118aa16e7d176770a3f3502e"),
     ],
     ids=["cube3", "tet2", "voronoi64"],
 )
@@ -239,8 +239,8 @@ def test_projector_groups_unchanged(make, digest):
     # digests of the cells, vertex ids, pi_nabla and pi0_grad blocks stacked
     # per DoF count n (increasing), as projectors were stored per group before
     # they became global operators (the Voronoi one re-pinned when the mesh
-    # build began choosing its mirrors); stab_q is checked against the
-    # per-cell reference instead
+    # build began choosing its mirrors, and when faces took Qhull's ridge
+    # order); stab_q is checked against the per-cell reference instead
     m = make()
     projs = vp.build_projectors(m)
     n_dofs = np.diff(m.cell_vertex_ptr)
