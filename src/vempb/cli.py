@@ -11,9 +11,9 @@ values are checked where they are used.  Given the same config
 to stdout only.
 
 Exit codes: 0 success, 2 validation/parse failure (a missing or unwritable
-file included; solve and study check that their output directories exist
-before they compute), 3 solver failure (also when its partial state cannot
-be saved).
+file included; mesh gen, solve and study check that their output
+directories exist before they compute), 3 solver failure (also when its
+partial state cannot be saved).
 """
 
 from __future__ import annotations
@@ -214,6 +214,7 @@ def _save_partial(write, path: str, what: str) -> None:
 
 
 def cmd_mesh_gen(args) -> int:
+    _check_output_dirs(args.out)
     m = build_mesh(vars(args))
     meshmod.save_mesh(m, args.out)
     print(f"wrote {args.out}: {m.n_vertices} vertices, {m.n_faces} faces, {m.n_cells} cells")

@@ -18,9 +18,10 @@ original seeds are exactly the clipped cells: a point beyond wall q in
 seed i's region lies in i's first-pass region too, so i's mirror across q
 is present and nearer, and a point inside the cube is never nearer to the
 mirror of seed j than to j.  Each of its ridges is one face, shared by the
-two seeds it separates.  The structured generators hand per-cell integer
-vertex loops to an assembly path that finds shared faces with a single
-``np.unique`` over canonicalised loops.  Geometry (centroids, measures, cell
+two seeds it separates.  The structured generators number their faces
+straight from the grid: the cube's table of face loops says which loops of
+a cube meet each other or a loop of the cube below, so every face is
+stored at its first appearance.  Geometry (centroids, measures, cell
 diameters) comes from exact polygonal face integrals via the divergence
 theorem; face diameters are left to the regularity audit, their one reader.
 """
@@ -119,79 +120,6 @@ class PolyMesh:
 
     def total_volume(self) -> float:
         return float(self.cell_volume.sum())
-
-
-def _assemble(
-    vertices: np.ndarray,
-    rows: np.ndarray,
-    lens: np.ndarray,
-    loop_cell: np.ndarray,
-    n_cells: int,
-    family: str | None,
-    n: int | None,
-) -> PolyMesh:
-    """Shared-face mesh from loops given as rows padded with -1 (``rows[l, :lens[l]]``).
-
-    ``loop_cell`` gives each loop's cell and must be nondecreasing.  Each loop
-    is canonicalised (rotated to its minimum vertex, the smaller of its two
-    directions kept) so one ``np.unique`` over the padded rows finds the
-    shared faces.
-    """
-    n_loops = len(rows)
-    invalid = lens < 3
-    keys = np.full_like(rows, -1)
-    forward = np.zeros(n_loops, dtype=bool)
-    for m in np.unique(lens[~invalid]):
-        idx = np.nonzero(lens == m)[0]
-        R = rows[idx, :m]
-        srt = np.sort(R, axis=1)
-        invalid[idx] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        j = np.arange(m)
-        fwd = np.take_along_axis(R, (R.argmin(axis=1)[:, None] + j) % m, axis=1)
-        # both directions start at the (unique) minimum, so position 1 decides
-        forward[idx] = fwd[:, 1] < fwd[:, -1]
-        keys[idx, :m] = np.where(forward[idx, None], fwd, fwd[:, -j % m])
-    if invalid.any():
-        li = int(np.argmax(invalid))
-        ck = int(loop_cell[li])
-        raise MeshError(f"cell {ck}: invalid face loop {rows[li, :lens[li]].tolist()}", cell=ck)
-
-    _, first, inverse, counts = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    fid = rank[inverse.reshape(-1)]
-    first, counts = first[order], counts[order]
-    # occurrence number of every loop among the loops of its face, in loop order
-    by_face = np.argsort(fid, kind="stable")
-    occ = np.empty(n_loops, dtype=np.int64)
-    occ[by_face] = np.arange(n_loops) - np.repeat(np.cumsum(counts) - counts, counts)
-
-    bad = (occ >= 2) | ((occ == 1) & (forward == forward[first[fid]]))
-    if bad.any():
-        li = int(np.argmax(bad))
-        ck, fi = int(loop_cell[li]), int(fid[li])
-        if occ[li] >= 2:
-            raise MeshError(f"face {fi} referenced by more than two cells", cell=ck)
-        raise MeshError(f"cell {ck}: face {fi} repeated with the same orientation", cell=ck)
-
-    refs = np.where(occ == 0, fid + 1, -(fid + 1))
-    stored, stored_lens = rows[first], lens[first]
-    mesh = PolyMesh(
-        vertices=np.asarray(vertices, dtype=float),
-        face_ptr=np.concatenate([[0], np.cumsum(stored_lens)]),
-        face_vertex=stored[np.arange(stored.shape[1]) < stored_lens[:, None]],
-        cell_ptr=np.searchsorted(loop_cell, np.arange(n_cells + 1)),
-        cell_face=refs,
-        family=family,
-        n=n,
-    )
-    _index_cells(mesh)
-    validate_topology(mesh)
-    compute_geometry(mesh)
-    return mesh
 
 
 def _index_cells(mesh: PolyMesh) -> None:
@@ -407,18 +335,51 @@ def _structured_mesh(n: int, cell_faces: np.ndarray, family: str) -> PolyMesh:
 
     ``cell_faces`` (cells per cube, faces per cell, loop length, 3) holds the
     outward face loops as corner steps from a cube's low corner.  Cubes are
-    numbered with x fastest, then y, then z.
+    numbered with x fastest, then y, then z, each with its loops in table
+    order.  Faces are numbered by first appearance and stored as first
+    given; a later appearance references its face with a negative sign.  A
+    loop on a cube's low wall a first appeared as the high-wall loop (its
+    corner steps plus e_a) of the cube below, if that is in the grid; any
+    other loop as the earlier loop of its own cube with the same corners, if
+    there is one.
     """
     if n < 1:
         raise ValueError("cells-per-axis must be >= 1")
-    s = np.arange(n)
-    base = _grid_offsets(np.stack(np.meshgrid(s, s, s, indexing="ij")[::-1], axis=-1), n)
     cpc, fpc, m = cell_faces.shape[:3]
-    rows = (base.reshape(-1, 1, 1, 1) + _grid_offsets(cell_faces, n)).reshape(-1, m)
-    loop_cell = np.repeat(np.arange(n**3 * cpc), fpc)
-    return _assemble(
-        _vertex_grid(n), rows, np.full(len(rows), m), loop_cell, n**3 * cpc, family, n
+    table = cell_faces.reshape(-1, m, 3)
+    corners = [sorted(map(tuple, loop)) for loop in table.tolist()]
+    # per table loop: the step back to the cube of its first appearance and
+    # that appearance's table loop (-1: none, the loop is new in every cube)
+    shift = np.zeros_like(table[:, 0])
+    partner = np.full(len(table), -1)
+    for l, loop in enumerate(table):
+        low = np.flatnonzero((loop == 0).all(axis=0))
+        if len(low):
+            shift[l, low[0]] = 1
+            partner[l] = corners.index(sorted(map(tuple, (loop + shift[l]).tolist())))
+        else:
+            partner[l] = next((k for k in range(l) if corners[k] == corners[l]), -1)
+
+    cube = np.stack(np.unravel_index(np.arange(n**3), (n, n, n))[::-1], axis=-1)[:, None]
+    holder = cube - shift                                       # (cubes, loops, 3)
+    new = (partner < 0) | (holder < 0).any(axis=2)
+    # flat (cube, loop) index of every loop's first appearance
+    first = (holder @ np.array([1, n, n * n])) * len(table) + partner
+    first[new] = np.flatnonzero(new)
+    face_id = np.cumsum(new) - 1
+    rows = _grid_offsets(cube, n)[..., None] + _grid_offsets(table, n)
+    mesh = PolyMesh(
+        vertices=_vertex_grid(n),
+        face_ptr=m * np.arange(face_id[-1] + 2),
+        face_vertex=rows[new].ravel(),
+        cell_ptr=fpc * np.arange(n**3 * cpc + 1),
+        cell_face=np.where(new, 1, -1).ravel() * (face_id[first.ravel()] + 1),
+        family=family,
+        n=n,
     )
+    _index_cells(mesh)
+    validate_topology(mesh)
+    return compute_geometry(mesh)
 
 
 _CUBE_FACES = np.array([[
@@ -701,8 +662,11 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
     Face diameters, which no other code reads, are computed here.  The
     star-shape heuristic accepts a face (cell) when the fan of triangles
     (cone of tetrahedra) from its centroid has strictly positive signed
-    measures; exact for convex geometry.
+    measures; exact for convex geometry.  ``gamma_min`` must be a finite
+    number >= 0, else ``ValueError``.
     """
+    if not 0.0 <= gamma_min < np.inf:
+        raise ValueError(f"gamma_min must be finite and >= 0, got {gamma_min}")
     V = mesh.vertices
     f_diam = _diameters(V, mesh.face_ptr, mesh.face_vertex)
     ref_cell, ref_face, _, c_ref, va, vb = _flat_corners(mesh)

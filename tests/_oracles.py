@@ -9,8 +9,11 @@ a loop over the cells.  ``all_mirror_voronoi_mesh`` is the Voronoi build on
 the seeds and every wall mirror, the reference for the library's choice of
 mirrors; ``angle_sorted_voronoi_loops`` sorts a Voronoi mesh's face loops by
 angle about their ridge normals, the reference for the build's use of
-Qhull's vertex order.  ``build_polymesh`` assembles small hand-built meshes
-from per-cell vertex loops through the structured generators' assembly path.
+Qhull's vertex order.  ``build_polymesh`` builds small hand-built meshes
+and rebuilds generated ones from per-cell vertex loops, one loop at a time:
+a loop whose vertex set appeared before references that face, the reference
+for the first-appearance numbering that the structured generators read off
+their cube tables.
 ``face_loop``, ``cell_faces``, ``cell_vertex_ids`` and ``cell_face_loops``
 slice one face's vertex loop, one cell's signed faces, sorted vertices and
 outward vertex loops out of the mesh's CSR arrays, and
@@ -50,24 +53,51 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from vempb.forms import LoadSpec
-from vempb.mesh import KUHN_PERMUTATIONS, MeshError, _assemble, _concat_index, _mirrored_voronoi
+from vempb.mesh import (
+    KUHN_PERMUTATIONS,
+    MeshError,
+    PolyMesh,
+    _index_cells,
+    _mirrored_voronoi,
+    compute_geometry,
+    validate_topology,
+)
 from vempb.solver import mesh_quadrature
 from vempb.projectors import build_projectors, face_integral_rows
 
 
 def build_polymesh(vertices, cell_loops, family=None, n=None):
-    """Assemble a mesh from per-cell outward-oriented vertex loops.
+    """Mesh from per-cell outward-oriented vertex loops, one loop at a time.
 
-    Shared faces are deduplicated; the second cell referencing a face must
-    supply it with the opposite cycle direction.  Faces are numbered by first
-    appearance and stored as first given.
+    A loop whose vertex set appeared before references that face with a
+    negative sign; any other loop is a new face, numbered by first
+    appearance and stored as given.  ``validate_topology`` and
+    ``compute_geometry`` then reject what is not a mesh (a bad loop, a face
+    used three times or twice with the same orientation), naming the cell.
     """
-    loops = [np.asarray(loop, dtype=np.int64) for cell in cell_loops for loop in cell]
-    lens = np.array([len(loop) for loop in loops], dtype=np.int64)
-    rows = np.full((len(loops), lens.max()), -1, dtype=np.int64)
-    rows[np.repeat(np.arange(len(loops)), lens), _concat_index(lens)] = np.concatenate(loops)
-    loop_cell = np.repeat(np.arange(len(cell_loops)), [len(cell) for cell in cell_loops])
-    return _assemble(vertices, rows, lens, loop_cell, len(cell_loops), family, n)
+    face_of, loops, refs, cell_ptr = {}, [], [], [0]
+    for cell in cell_loops:
+        for loop in cell:
+            key = frozenset(np.asarray(loop).tolist())
+            if key in face_of:
+                refs.append(-face_of[key])
+            else:
+                loops.append(np.asarray(loop, dtype=np.int64))
+                face_of[key] = len(loops)
+                refs.append(len(loops))
+        cell_ptr.append(len(refs))
+    mesh = PolyMesh(
+        np.asarray(vertices, dtype=float),
+        np.cumsum([0] + [len(loop) for loop in loops]),
+        np.concatenate(loops),
+        np.array(cell_ptr),
+        np.array(refs),
+        family=family,
+        n=n,
+    )
+    _index_cells(mesh)
+    validate_topology(mesh)
+    return compute_geometry(mesh)
 
 
 def face_loop(mesh, fi):

@@ -38,6 +38,34 @@ def test_mesh_gen_rejects_bad_size(tmp_path, capsys):
     assert run(["mesh", "gen", "--family", "tet", "--n", "0", "-o", str(out)]) == 2
 
 
+@pytest.mark.parametrize("family, generator", [
+    (["cubic", "--n", "2"], "generate_cube_mesh"),
+    (["tet", "--n", "2"], "generate_tet_mesh"),
+    (["voronoi", "--n-seeds", "4096"], "generate_voronoi_mesh"),
+], ids=["cubic", "tet", "voronoi"])
+def test_mesh_gen_checks_output_directory_before_building(
+    tmp_path, monkeypatch, capsys, family, generator
+):
+    monkeypatch.chdir(tmp_path)
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("mesh gen built the mesh before checking its output path")
+
+    monkeypatch.setattr(f"vempb.mesh.{generator}", must_not_run)
+    assert run(["mesh", "gen", "--family", *family, "-o", "no/m.vpm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no/m.vpm" in err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-0.1"])
+def test_mesh_check_rejects_meaningless_gamma_min(tmp_path, capsys, gamma):
+    out = tmp_path / "m.vpm"
+    vp.save_mesh(vp.generate_cube_mesh(1), out)
+    assert run(["mesh", "check", str(out), "--gamma-min", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gamma_min") and "quality check" not in captured.out
+
+
 def test_mesh_check_valid_file(tmp_path, capsys):
     out = tmp_path / "m.vpm"
     run(["mesh", "gen", "--family", "voronoi", "--n-seeds", "20", "--rng-seed", "3", "-o", str(out)])

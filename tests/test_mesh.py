@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -392,11 +393,14 @@ UNIT_TET_VERTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=fl
 UNIT_TET_LOOPS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
 
+# each bad cell below fails to close, which validate_topology checks before it
+# counts face uses; a face used three times, or twice with one orientation, by
+# cells that do close is covered by test_load_parse_error_messages
 @pytest.mark.parametrize("bad", [(0, 3, 3, 2), (0, 3, 2, 0), (0, 3)])
 def test_build_rejects_invalid_loop(bad):
     loops = [np.array(l) for l in UNIT_TET_LOOPS]
     loops[1] = np.array(bad)
-    with pytest.raises(MeshError, match="cell 0: invalid face loop") as exc:
+    with pytest.raises(MeshError, match="^non-watertight cell 0: ") as exc:
         build_polymesh(UNIT_TET_VERTS, [loops])
     assert exc.value.cell == 0
 
@@ -404,7 +408,8 @@ def test_build_rejects_invalid_loop(bad):
 def test_build_rejects_face_used_by_three_cells():
     fwd = [np.array(l) for l in UNIT_TET_LOOPS]
     rev = [l[::-1].copy() for l in fwd]
-    with pytest.raises(MeshError, match="referenced by more than two cells") as exc:
+    # the third cell's one loop is face 0 again, so it does not close
+    with pytest.raises(MeshError, match="^non-watertight cell 2: ") as exc:
         build_polymesh(UNIT_TET_VERTS, [fwd, rev, [np.array((2, 3, 1))]])
     assert exc.value.cell == 2
 
@@ -412,9 +417,20 @@ def test_build_rejects_face_used_by_three_cells():
 def test_build_rejects_shared_face_with_same_orientation():
     fwd = [np.array(l) for l in UNIT_TET_LOOPS]
     # the same cycle as (1, 2, 3), rotated
-    with pytest.raises(MeshError, match="cell 1: face 0 repeated with the same orientation") as exc:
+    with pytest.raises(MeshError, match="^non-watertight cell 1: ") as exc:
         build_polymesh(UNIT_TET_VERTS, [fwd, [np.array((3, 1, 2))]])
     assert exc.value.cell == 1
+
+
+@pytest.mark.parametrize("family, n", [("cubic", n) for n in range(1, 6)]
+                         + [("tet", n) for n in range(1, 5)])
+def test_structured_faces_numbered_by_first_appearance(family, n):
+    """Rebuilding a structured mesh from its own outward cell loops changes no field."""
+    m = vp.generate_cube_mesh(n) if family == "cubic" else vp.generate_tet_mesh(n)
+    m2 = permuted_copy(m, np.arange(m.n_cells))
+    for field in dataclasses.fields(m):
+        a, b = getattr(m, field.name), getattr(m2, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
 
 def test_voronoi_volume_against_monte_carlo():
@@ -509,6 +525,16 @@ def test_quality_voronoi_star_shaped():
 def test_quality_gamma_one_always_fails():
     for m in (vp.generate_cube_mesh(2), vp.generate_tet_mesh(1)):
         assert not vp.check_mesh_assumptions(m, gamma_min=1.0).passed
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1])
+def test_quality_rejects_meaningless_gamma_min(gamma):
+    with pytest.raises(ValueError, match="gamma_min must be finite and >= 0"):
+        vp.check_mesh_assumptions(vp.generate_cube_mesh(1), gamma_min=gamma)
+
+
+def test_quality_gamma_zero_passes_a_regular_mesh():
+    assert vp.check_mesh_assumptions(vp.generate_cube_mesh(1), gamma_min=0.0).passed
 
 
 @pytest.mark.parametrize(
