@@ -9,7 +9,6 @@ from .mesh import (
     box_levelset,
     check_mesh_assumptions,
     classify_interface,
-    compute_geometry,
     generate_cube_mesh,
     generate_tet_mesh,
     generate_voronoi_mesh,

@@ -222,9 +222,12 @@ def cmd_mesh_gen(args) -> int:
 
 
 def cmd_mesh_check(args) -> int:
+    # options first: a bad value exits before the file is parsed
+    meshmod._check_gamma_min(args.gamma_min)
+    levelset = box_levelset(args.threshold)
     m = meshmod.load_mesh(args.path)
     report = meshmod.check_mesh_assumptions(m, gamma_min=args.gamma_min)
-    flags = meshmod.classify_interface(m, box_levelset(args.threshold))
+    flags = meshmod.classify_interface(m, levelset)
     print(f"vertices: {m.n_vertices}  faces: {m.n_faces}  cells: {m.n_cells}")
     print(f"total volume: {m.total_volume():.17g}")
     print(f"mean size h: {report.mean_size:.17g}")

@@ -21,15 +21,17 @@ mirror of seed j than to j.  Each of its ridges is one face, shared by the
 two seeds it separates.  The structured generators number their faces
 straight from the grid: the cube's table of face loops says which loops of
 a cube meet each other or a loop of the cube below, so every face is
-stored at its first appearance.  Geometry (centroids, measures, cell
-diameters) comes from exact polygonal face integrals via the divergence
-theorem; face diameters are left to the regularity audit, their one reader.
+stored at its first appearance.  Constructing a :class:`PolyMesh`, the one
+path for every builder, indexes and checks it, measures its geometry
+(centroids, measures, cell diameters) from exact polygonal face integrals
+via the divergence theorem and makes its arrays read-only; face diameters
+are left to the regularity audit, their one reader.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,14 +80,17 @@ def box_levelset(threshold: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass
 class PolyMesh:
-    """Polyhedral mesh with precomputed exact geometry, topology in CSR arrays.
+    """Polyhedral mesh with exact geometry, topology in CSR arrays.
 
     Face fi's loop is ``face_vertex[face_ptr[fi]:face_ptr[fi + 1]]``; cell
     ci's face refs and sorted unique vertices (its local DoF order) are sliced
-    alike by ``cell_ptr`` and ``cell_vertex_ptr``.  :func:`_index_cells` and
-    :func:`compute_geometry` fill the fields below, all read by the solver;
-    face diameters, read only by :func:`check_mesh_assumptions`, are computed
-    there.  The mesh is immutable afterwards.
+    alike by ``cell_ptr`` and ``cell_vertex_ptr``.  Construction copies the
+    given arrays, then in one walk over the face corners indexes the cells,
+    checks the topology and measures the geometry (:class:`MeshError` on the
+    first fault), filling the fields below, all read by the solver; face
+    diameters, read only by :func:`check_mesh_assumptions`, are computed
+    there.  Every array is then read-only, so moved vertices make a new mesh:
+    ``dataclasses.replace(mesh, vertices=moved)``.
     """
 
     vertices: np.ndarray                 # (nv, 3)
@@ -96,15 +101,25 @@ class PolyMesh:
     family: str | None = None            # generator tag: cubic | tet | voronoi
     n: int | None = None                 # cells-per-axis for structured families
 
-    cell_vertex_ptr: np.ndarray | None = None    # (nc + 1,) offsets into cell_vertex
-    cell_vertex: np.ndarray | None = None        # sorted unique vertices per cell
-    face_normal: np.ndarray | None = None
-    face_centroid: np.ndarray | None = None
-    face_area: np.ndarray | None = None
-    cell_centroid: np.ndarray | None = None
-    cell_volume: np.ndarray | None = None
-    cell_diameter: np.ndarray | None = None
-    boundary_vertex: np.ndarray | None = None
+    cell_vertex_ptr: np.ndarray = field(init=False)    # (nc + 1,) offsets into cell_vertex
+    cell_vertex: np.ndarray = field(init=False)        # sorted unique vertices per cell
+    face_normal: np.ndarray = field(init=False)
+    face_centroid: np.ndarray = field(init=False)
+    face_area: np.ndarray = field(init=False)
+    cell_centroid: np.ndarray = field(init=False)
+    cell_volume: np.ndarray = field(init=False)
+    cell_diameter: np.ndarray = field(init=False)
+    boundary_vertex: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name in ("vertices", "face_ptr", "face_vertex", "cell_ptr", "cell_face"):
+            setattr(self, name, np.array(getattr(self, name)))
+        corners = _flat_corners(self)
+        use = _index_cells(self, corners)
+        _check_topology(self, corners, use)
+        _measure(self, corners)
+        for array in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
+            array.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -122,15 +137,16 @@ class PolyMesh:
         return float(self.cell_volume.sum())
 
 
-def _index_cells(mesh: PolyMesh) -> None:
-    ref_cell, ref_face, _, c_ref, va, _ = _flat_corners(mesh)
+def _index_cells(mesh: PolyMesh, corners) -> np.ndarray:
+    """Fill cell vertices and boundary-vertex flags; return each face's reference count."""
+    ref_cell, ref_face, _, c_ref, va, _ = corners
     nv = mesh.n_vertices
     cell, mesh.cell_vertex = np.divmod(np.unique(ref_cell[c_ref] * nv + va), nv)
     mesh.cell_vertex_ptr = np.searchsorted(cell, np.arange(mesh.n_cells + 1))
-    boundary_face = np.bincount(ref_face, minlength=mesh.n_faces) == 1
-    bv = np.zeros(nv, dtype=bool)
-    bv[va[boundary_face[ref_face[c_ref]]]] = True
-    mesh.boundary_vertex = bv
+    use = np.bincount(ref_face, minlength=mesh.n_faces)
+    mesh.boundary_vertex = np.zeros(nv, dtype=bool)
+    mesh.boundary_vertex[va[(use == 1)[ref_face[c_ref]]]] = True
+    return use
 
 
 def _concat_index(lens: np.ndarray) -> np.ndarray:
@@ -192,28 +208,11 @@ def _cone_tets(mesh: PolyMesh):
     return cell, apex, np.stack([e1, e2, e3], axis=1), dets
 
 
-def validate_topology(mesh: PolyMesh) -> None:
-    """Check that every cell is a closed, oriented surface and face-use counts."""
-    nf = mesh.n_faces
-    refs = mesh.cell_face
-    fi = np.abs(refs) - 1
-    _check_watertight(mesh)
-
-    use = np.bincount(fi, minlength=nf)
-    sign_sum = np.bincount(fi[refs > 0], minlength=nf) - np.bincount(fi[refs < 0], minlength=nf)
-    bad = np.nonzero((use < 1) | (use > 2))[0]
-    if len(bad):
-        raise MeshError(f"face {bad[0]} referenced {use[bad[0]]} times (expected 1 or 2)")
-    twice = np.nonzero(use == 2)[0]
-    if np.any(sign_sum[twice] != 0):
-        fi = twice[np.nonzero(sign_sum[twice] != 0)[0][0]]
-        raise MeshError(f"interior face {fi} used twice with the same orientation")
-
-
-def _check_watertight(mesh: PolyMesh) -> None:
+def _check_topology(mesh: PolyMesh, corners, use: np.ndarray) -> None:
+    """Check that every cell is a closed, oriented surface, then the face-use counts ``use``."""
     # per cell, every directed edge of the outward-oriented face loops must
     # appear exactly once in each direction
-    ref_cell, _, ref_sign, c_ref, va, vb = _flat_corners(mesh)
+    ref_cell, ref_face, ref_sign, c_ref, va, vb = corners
     flip = ref_sign[c_ref] < 0
     ea = np.where(flip, vb, va)
     eb = np.where(flip, va, vb)
@@ -223,12 +222,9 @@ def _check_watertight(mesh: PolyMesh) -> None:
     order = np.lexsort((ea, lo, hi, cell))
     cell_s, lo_s, hi_s, ea_s = cell[order], lo[order], hi[order], ea[order]
     n = len(cell_s)
-    same = (
-        (cell_s[:-1] == cell_s[1:])
-        & (lo_s[:-1] == lo_s[1:])
-        & (hi_s[:-1] == hi_s[1:])
-        & (ea_s[:-1] != ea_s[1:])
-    )
+    # the same undirected edge of the same cell, once in each direction
+    same = (cell_s[:-1] == cell_s[1:]) & (lo_s[:-1] == lo_s[1:]) & (hi_s[:-1] == hi_s[1:])
+    same &= ea_s[:-1] != ea_s[1:]
     even = np.arange(0, n - 1, 2)
     good = same[even]
     if n % 2 == 1 or not good.all():
@@ -240,15 +236,23 @@ def _check_watertight(mesh: PolyMesh) -> None:
             cell=ci,
         )
 
+    bad = np.nonzero((use < 1) | (use > 2))[0]
+    if len(bad):
+        raise MeshError(f"face {bad[0]} referenced {use[bad[0]]} times (expected 1 or 2)")
+    sign_sum = np.bincount(ref_face, weights=ref_sign, minlength=mesh.n_faces)
+    one_way = np.nonzero((use == 2) & (sign_sum != 0))[0]
+    if len(one_way):
+        raise MeshError(f"interior face {one_way[0]} used twice with the same orientation")
 
-def compute_geometry(mesh: PolyMesh) -> PolyMesh:
+
+def _measure(mesh: PolyMesh, corners) -> None:
     """Fill face normals, centroids and areas, and cell centroids, volumes and diameters.
 
     Face diameters are left to :func:`check_mesh_assumptions`.  Cell volumes
     use the divergence theorem with exact polygonal face integrals; centroids
     come from the matching signed-tetrahedron first moments.  A non-positive
     cell volume is reported as an orientation error.  No closure test is
-    needed: once :func:`_check_watertight` has paired each directed edge of a
+    needed: once :func:`_check_topology` has paired each directed edge of a
     cell's outward loops with its reverse, the vector areas of its faces sum
     to zero in exact arithmetic.  Faces and cells are processed in groups of
     equal vertex count so the pass is array arithmetic.
@@ -284,7 +288,7 @@ def compute_geometry(mesh: PolyMesh) -> PolyMesh:
     vptr = mesh.cell_vertex_ptr
     p0 = np.add.reduceat(V[mesh.cell_vertex], vptr[:-1], axis=0) / np.diff(vptr)[:, None]
 
-    ref_cell, ref_face, ref_sign, c_ref, va, vb = _flat_corners(mesh)
+    ref_cell, ref_face, ref_sign, c_ref, va, vb = corners
     n_out = f_normal[ref_face] * ref_sign[:, None]
     rel_f = f_centroid[ref_face] - p0[ref_cell]
     contrib = f_area[ref_face] * np.einsum("rj,rj->r", rel_f, n_out)
@@ -312,7 +316,6 @@ def compute_geometry(mesh: PolyMesh) -> PolyMesh:
     mesh.cell_centroid = c_centroid
     mesh.cell_volume = c_volume
     mesh.cell_diameter = _diameters(V, vptr, mesh.cell_vertex)
-    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,7 @@ def _structured_mesh(n: int, cell_faces: np.ndarray, family: str) -> PolyMesh:
     first[new] = np.flatnonzero(new)
     face_id = np.cumsum(new) - 1
     rows = _grid_offsets(cube, n)[..., None] + _grid_offsets(table, n)
-    mesh = PolyMesh(
+    return PolyMesh(
         vertices=_vertex_grid(n),
         face_ptr=m * np.arange(face_id[-1] + 2),
         face_vertex=rows[new].ravel(),
@@ -377,9 +380,6 @@ def _structured_mesh(n: int, cell_faces: np.ndarray, family: str) -> PolyMesh:
         family=family,
         n=n,
     )
-    _index_cells(mesh)
-    validate_topology(mesh)
-    return compute_geometry(mesh)
 
 
 _CUBE_FACES = np.array([[
@@ -590,10 +590,7 @@ def _mirrored_voronoi(seeds: np.ndarray, owner: np.ndarray, wall_of: np.ndarray)
     ref = np.arange(1, len(keep) + 1)
     cell_ptr = np.searchsorted(ref_cell[order], np.arange(ns + 1))
     cell_face = np.concatenate([ref, -ref[shared]])[order]
-    mesh = PolyMesh(V, face_ptr, face_vertex, cell_ptr, cell_face, family="voronoi")
-    _index_cells(mesh)
-    validate_topology(mesh)
-    return compute_geometry(mesh)
+    return PolyMesh(V, face_ptr, face_vertex, cell_ptr, cell_face, family="voronoi")
 
 
 def generate_voronoi_mesh(n_seeds: int, rng_seed: int) -> PolyMesh:
@@ -656,6 +653,11 @@ class MeshQualityReport:
         return min(self.min_edge_face_ratio, self.min_face_cell_ratio)
 
 
+def _check_gamma_min(gamma_min: float) -> None:
+    if not 0.0 <= gamma_min < np.inf:
+        raise ValueError(f"gamma_min must be finite and >= 0, got {gamma_min}")
+
+
 def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQualityReport:
     """Audit the edge/face/cell diameter chain and centroid star-shapedness.
 
@@ -665,8 +667,7 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
     measures; exact for convex geometry.  ``gamma_min`` must be a finite
     number >= 0, else ``ValueError``.
     """
-    if not 0.0 <= gamma_min < np.inf:
-        raise ValueError(f"gamma_min must be finite and >= 0, got {gamma_min}")
+    _check_gamma_min(gamma_min)
     V = mesh.vertices
     f_diam = _diameters(V, mesh.face_ptr, mesh.face_vertex)
     ref_cell, ref_face, _, c_ref, va, vb = _flat_corners(mesh)
@@ -802,13 +803,9 @@ def load_mesh(path) -> PolyMesh:
     extra = next(rows, None)
     if extra is not None:
         raise VpmParseError(f"unexpected content after cell record {nc - 1}", extra[0])
-    mesh = PolyMesh(verts, face_ptr, face_vertex, cell_ptr, cell_face)
-    _index_cells(mesh)
     try:
-        validate_topology(mesh)
-        compute_geometry(mesh)
+        return PolyMesh(verts, face_ptr, face_vertex, cell_ptr, cell_face)
     except MeshError as exc:
         # the face's own record, else the cell's, else the last record read
         no = cell_lines[-1] if exc.cell is None else cell_lines[exc.cell]
         raise VpmParseError(str(exc), no if exc.face is None else face_lines[exc.face]) from exc
-    return mesh

@@ -13,7 +13,8 @@ Qhull's vertex order.  ``build_polymesh`` builds small hand-built meshes
 and rebuilds generated ones from per-cell vertex loops, one loop at a time:
 a loop whose vertex set appeared before references that face, the reference
 for the first-appearance numbering that the structured generators read off
-their cube tables.
+their cube tables; it only constructs the ``PolyMesh``, which indexes,
+checks and measures the mesh as it does for every library builder.
 ``face_loop``, ``cell_faces``, ``cell_vertex_ids`` and ``cell_face_loops``
 slice one face's vertex loop, one cell's signed faces, sorted vertices and
 outward vertex loops out of the mesh's CSR arrays, and
@@ -57,10 +58,7 @@ from vempb.mesh import (
     KUHN_PERMUTATIONS,
     MeshError,
     PolyMesh,
-    _index_cells,
     _mirrored_voronoi,
-    compute_geometry,
-    validate_topology,
 )
 from vempb.solver import mesh_quadrature
 from vempb.projectors import build_projectors, face_integral_rows
@@ -71,9 +69,9 @@ def build_polymesh(vertices, cell_loops, family=None, n=None):
 
     A loop whose vertex set appeared before references that face with a
     negative sign; any other loop is a new face, numbered by first
-    appearance and stored as given.  ``validate_topology`` and
-    ``compute_geometry`` then reject what is not a mesh (a bad loop, a face
-    used three times or twice with the same orientation), naming the cell.
+    appearance and stored as given.  Constructing the ``PolyMesh`` rejects
+    what is not a mesh (a bad loop, a face used three times or twice with the
+    same orientation), naming the cell.
     """
     face_of, loops, refs, cell_ptr = {}, [], [], [0]
     for cell in cell_loops:
@@ -86,7 +84,7 @@ def build_polymesh(vertices, cell_loops, family=None, n=None):
                 face_of[key] = len(loops)
                 refs.append(len(loops))
         cell_ptr.append(len(refs))
-    mesh = PolyMesh(
+    return PolyMesh(
         np.asarray(vertices, dtype=float),
         np.cumsum([0] + [len(loop) for loop in loops]),
         np.concatenate(loops),
@@ -95,9 +93,6 @@ def build_polymesh(vertices, cell_loops, family=None, n=None):
         family=family,
         n=n,
     )
-    _index_cells(mesh)
-    validate_topology(mesh)
-    return compute_geometry(mesh)
 
 
 def face_loop(mesh, fi):

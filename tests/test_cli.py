@@ -66,6 +66,24 @@ def test_mesh_check_rejects_meaningless_gamma_min(tmp_path, capsys, gamma):
     assert captured.err.startswith("error: gamma_min") and "quality check" not in captured.out
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--gamma-min", "nan", "gamma_min"),
+    ("--gamma-min", "inf", "gamma_min"),
+    ("--gamma-min", "-0.1", "gamma_min"),
+    ("--threshold", "nan", "box threshold"),
+    ("--threshold", "inf", "box threshold"),
+])
+def test_mesh_check_rejects_bad_options_before_reading_the_file(
+    monkeypatch, capsys, option, value, message
+):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("mesh check read the mesh before checking its options")
+
+    monkeypatch.setattr("vempb.mesh.load_mesh", must_not_run)
+    assert run(["mesh", "check", "m.vpm", option, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_mesh_check_valid_file(tmp_path, capsys):
     out = tmp_path / "m.vpm"
     run(["mesh", "gen", "--family", "voronoi", "--n-seeds", "20", "--rng-seed", "3", "-o", str(out)])

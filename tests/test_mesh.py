@@ -370,7 +370,7 @@ def test_face_planarity():
 
 
 # ---------------------------------------------------------------------------
-# compute_geometry
+# geometry measured by construction
 
 
 def test_unit_tetrahedron_geometry():
@@ -393,7 +393,28 @@ UNIT_TET_VERTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=fl
 UNIT_TET_LOOPS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
 
-# each bad cell below fails to close, which validate_topology checks before it
+def test_mesh_cannot_drift_from_its_geometry():
+    """Arrays are read-only, and a mesh with moved vertices is measured anew."""
+    cube2 = vp.generate_cube_mesh(2)
+    for field in dataclasses.fields(cube2):
+        value = getattr(cube2, field.name)
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable, field.name
+    with pytest.raises(ValueError, match="read-only"):
+        cube2.vertices *= 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        cube2.cell_volume[0] = 1.0
+    # the mesh keeps its own copy of the arrays it was built from
+    verts = UNIT_TET_VERTS.copy()
+    tet = build_polymesh(verts, [[np.array(l) for l in UNIT_TET_LOOPS]])
+    verts *= 2.0
+    assert tet.vertices.max() == 1.0 and tet.total_volume() == pytest.approx(1.0 / 6.0)
+
+    assert dataclasses.replace(cube2, vertices=2 * cube2.vertices).total_volume() == 8.0
+    with pytest.raises(MeshError, match="degenerate face 0"):
+        dataclasses.replace(cube2, vertices=1e-8 * cube2.vertices)
+
+
+# each bad cell below fails to close, which construction checks before it
 # counts face uses; a face used three times, or twice with one orientation, by
 # cells that do close is covered by test_load_parse_error_messages
 @pytest.mark.parametrize("bad", [(0, 3, 3, 2), (0, 3, 2, 0), (0, 3)])
@@ -555,7 +576,7 @@ def test_quality_report_matches_per_cell_oracle(make):
 
 def test_quality_star_failures_match_per_cell_oracle():
     """Centroids moved out of their faces and cells: both star counters fire."""
-    import dataclasses
+    import copy
 
     m = vp.generate_cube_mesh(2)
     fc = m.face_centroid.copy()
@@ -564,7 +585,8 @@ def test_quality_star_failures_match_per_cell_oracle():
         fc[fi] = corner + 2.0 * (corner - fc[fi])   # in the face plane, outside the face
     cc = m.cell_centroid.copy()
     cc[[1, 6]] += 0.3                                # outside the cell
-    m = dataclasses.replace(m, face_centroid=fc, cell_centroid=cc)
+    m = copy.copy(m)
+    m.face_centroid, m.cell_centroid = fc, cc
     rep = vp.check_mesh_assumptions(m)
     got = (rep.min_edge_face_ratio, rep.min_face_cell_ratio, rep.star_fail_faces, rep.star_fail_cells)
     assert got == mesh_quality_per_cell(m)
@@ -573,7 +595,7 @@ def test_quality_star_failures_match_per_cell_oracle():
 
 def test_mesh_quadrature_error_names_the_lowest_star_failing_cell():
     """mesh_quadrature and check_mesh_assumptions read the same cone tets."""
-    import dataclasses
+    import copy
 
     from vempb.mesh import _cone_tets
     from vempb.solver import mesh_quadrature
@@ -585,7 +607,8 @@ def test_mesh_quadrature_error_names_the_lowest_star_failing_cell():
         fc[fi] = corner + 2.0 * (corner - fc[fi])
     cc = m.cell_centroid.copy()
     cc[[1, 6]] += 0.3
-    m = dataclasses.replace(m, face_centroid=fc, cell_centroid=cc)
+    m = copy.copy(m)
+    m.face_centroid, m.cell_centroid = fc, cc
     cell, _, _, dets = _cone_tets(m)
     failing = np.unique(cell[dets <= 0])
     assert len(failing) == vp.check_mesh_assumptions(m).star_fail_cells > 0

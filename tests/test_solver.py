@@ -691,7 +691,7 @@ def test_projectors_built_on_another_mesh_are_rejected():
     moved = m.vertices.copy()
     inner = ~m.boundary_vertex
     moved[inner] += 0.03 * np.random.default_rng(0).normal(size=(inner.sum(), 3))
-    projs = vp.build_projectors(vp.compute_geometry(dataclasses.replace(m, vertices=moved)))
+    projs = vp.build_projectors(dataclasses.replace(m, vertices=moved))
     with pytest.raises(ValueError, match="projectors were built on another mesh"):
         Workspace(m, projs)
     with pytest.raises(ValueError, match="coarse projectors were built on another mesh"):
