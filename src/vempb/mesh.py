@@ -121,6 +121,11 @@ class PolyMesh:
         for array in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
             array.flags.writeable = False
 
+    def __reduce__(self):
+        # pickle and copy construct the mesh anew, so their copies are read-only too
+        return PolyMesh, (self.vertices, self.face_ptr, self.face_vertex, self.cell_ptr,
+                          self.cell_face, self.family, self.n)
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)

@@ -49,9 +49,12 @@ formulas on (k, tets) rows.
 The Coulomb field G is held at node length, 0 off the solvent, and the
 sinh argument Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask
 and cosh is masked by [solvent], with no index arrays over the solvent
-nodes.  The sinh argument of the last residual is kept with its u, so the
-Jacobian at the accepted Newton iterate reuses it instead of sweeping again.
-B is pi' times the cell moments of sinh, and the Jacobian pi' blockdiag(M_E) pi.
+nodes.  One sweep per Newton trial forms the argument once and takes both
+the cell moments of sinh, whose product with pi' is B, and the masked-cosh
+cell blocks M_E; the argument lives only for its block.  The Jacobian
+pi' blockdiag(M_E) pi is assembled only from the blocks of an accepted
+step, so a rejected trial and the converged iterate pay for their cosh rows
+but never for a sparse product.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
@@ -237,7 +240,6 @@ class Workspace:
         self.block_cells = np.append(np.unique(first), mesh.n_cells)
         self._physics_key = None
         self._G = None
-        self._sinh_at = None
 
     # -- node blocks -----------------------------------------------------
 
@@ -327,8 +329,7 @@ class Workspace:
 
         The state is the physics and its level set (by identity) and the
         eps_m, kappa_bar^2 and charges that G and the screened term read, so
-        changing any of them on the same instance drops G and the kept sinh
-        argument.
+        changing any of them on the same instance drops G.
         """
         q, x = physics.charge_arrays()
         key = (physics, physics.levelset, physics.eps_m, physics.kappa_bar_sq_solvent,
@@ -336,7 +337,6 @@ class Workspace:
         old = self._physics_key
         if old is not None and old[0] is key[0] and old[1] is key[1] and old[2:] == key[2:]:
             return
-        self._sinh_at = None
         self._G = None
         self.solvent = np.concatenate(
             [physics.solvent_mask(self.points[nodes]) for _, nodes, _ in self._blocks()]
@@ -431,62 +431,50 @@ class Workspace:
             vec[:, mask] = -(physics.eps_s - physics.eps_m) * physics.coulomb_gradient(points).T
         return vec.reshape(3, -1, NQ)
 
-    def _screened_sinh(self, physics: PhysicsConfig, u: np.ndarray):
-        """Sinh argument Pi0 u + G, 0 off the solvent, and the screened-sinh vector B at u.
+    def nonlinear(self, physics: PhysicsConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The screened-sinh vector B at u and the cell blocks M of its Jacobian, in one sweep.
 
-        Both are kept for the next call at the same u, so the Jacobian at an
-        accepted Newton step reuses its residual's sweep; ``_attach`` (with the
-        physics), ``assemble_residual`` and ``newton_solve`` drop them.
+        B has shape (n_vertices,).  M has shape (n_cells, 4, 4): M_E is the
+        symmetric kappa_bar^2 int_E cosh(Pi0 u + G) [solvent] (1, xi) (x) (1, xi),
+        which :meth:`jacobian` assembles.  Raises NonlinearOverflow if the
+        sinh argument is too large.
         """
-        if self._sinh_at is not None and np.array_equal(self._sinh_at[0], u):
-            return self._sinh_at[1:]
-        self._sinh_at = None
+        self._attach(physics)
+        M = np.zeros((self.mesh.n_cells, 4, 4))
+        if not self._has_screening:
+            return np.zeros(self.mesh.n_vertices), M
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
         G = self._coulomb(physics)
-        arg = np.empty(len(self.weights))
+        kbar_sq = physics.kappa_bar_sq_solvent
 
         def moments(cells, nodes, tets):
+            """The 4 moment rows of sinh, then the 10 of the masked cosh."""
+            solvent = self.solvent[nodes].reshape(-1, NQ)
             # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
-            a = np.multiply(self._projected_values(coeff_rows, cells, tets),
-                            self.solvent[nodes].reshape(-1, NQ),
-                            out=arg[nodes].reshape(-1, NQ))
-            a += G[nodes].reshape(-1, NQ)
-            _check_sinh_argument(a)
-            return self._moments(np.sinh(a), tets, physics.kappa_bar_sq_solvent, 4)
+            arg = self._projected_values(coeff_rows, cells, tets)
+            arg *= solvent
+            arg += G[nodes].reshape(-1, NQ)
+            _check_sinh_argument(arg)
+            out = np.empty((14, tets.stop - tets.start))
+            out[:4] = self._moments(np.sinh(arg), tets, kbar_sq, 4)
+            c = np.cosh(arg)
+            c *= solvent
+            out[4:] = self._moments(c, tets, kbar_sq, 10)
+            return out
 
-        mom = self._cell_sums(moments)
-        B = self.projectors.pi.T @ mom.T.ravel()
-        self._sinh_at = (u.copy(), arg, B)
-        return arg, B
-
-    def nonlinear(
-        self, physics: PhysicsConfig, u: np.ndarray, with_jacobian: bool = True
-    ) -> tuple[np.ndarray, sp.csr_matrix | None]:
-        """Global screened-sinh residual and (optionally) its Jacobian."""
-        self._attach(physics)
-        n = self.mesh.n_vertices
-        if not self._has_screening:
-            B = np.zeros(n)
-            return B, (sp.csr_matrix((n, n)) if with_jacobian else None)
-        arg, B = self._screened_sinh(physics, u)
-        if not with_jacobian:
-            return B.copy(), None
-
-        def cosh_moments(cells, nodes, tets):
-            c = np.cosh(arg[nodes]).reshape(-1, NQ)
-            c *= self.solvent[nodes].reshape(-1, NQ)
-            return self._moments(c, tets, physics.kappa_bar_sq_solvent, 10)
-
-        sums = self._cell_sums(cosh_moments)
-        M = np.empty((self.mesh.n_cells, 4, 4))
+        sums = self._cell_sums(moments)
         for col, (i, j) in enumerate(_UPPER_PAIRS):
-            M[:, i, j] = M[:, j, i] = sums[col]
-        cells = np.arange(self.mesh.n_cells + 1)
+            M[:, i, j] = M[:, j, i] = sums[4 + col]
+        return self.projectors.pi.T @ sums[:4].T.ravel(), M
+
+    def jacobian(self, M: np.ndarray) -> sp.csr_matrix:
+        """pi' blockdiag(M_E) pi, (n_vertices, n_vertices), from cell blocks M (n_cells, 4, 4)."""
+        cells = np.arange(len(M) + 1)
         Mb = sp.bsr_matrix((M, cells[:-1], cells), shape=(4 * len(M), 4 * len(M)))
         pi = self.projectors.pi
         J = pi.T.tocsr() @ (Mb.tocsr() @ pi)
         J.sort_indices()
-        return B.copy(), J
+        return J
 
     def error_norms(self, u: np.ndarray, u_exact, grad_u_exact) -> tuple[float, float]:
         """L2 and H1-seminorm errors of the projected solution against exact fields.
@@ -546,8 +534,7 @@ def assemble_residual(
     ws = _workspace_of(mesh, workspace)
     A = ws.stiffness(physics)
     F = ws.load_vector(physics, load)
-    B, _ = ws.nonlinear(physics, u, with_jacobian=False)
-    ws._sinh_at = None    # no Jacobian follows: drop the node-length sinh argument
+    B, _ = ws.nonlinear(physics, u)
     r = A @ u + B - F
     r[mesh.boundary_vertex] = 0.0
     return r
@@ -624,70 +611,67 @@ def newton_solve(
 
     ws = _workspace_of(mesh, workspace)
 
-    def residual(v: np.ndarray) -> np.ndarray:
-        """R(v) on the free DoFs; the Workspace keeps v's sinh argument for the Jacobian."""
-        B, _ = ws.nonlinear(physics, v, with_jacobian=False)
-        return (A @ v + B - F)[free]
+    def residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """R(v) on the free DoFs, and the Jacobian's cell blocks at v."""
+        B, M = ws.nonlinear(physics, v)
+        return (A @ v + B - F)[free], M
 
+    A = ws.stiffness(physics)
+    if not np.all(np.isfinite(A.data)):
+        raise failure("non-finite stiffness entry")
     try:
-        A = ws.stiffness(physics)
-        if not np.all(np.isfinite(A.data)):
-            raise failure("non-finite stiffness entry")
-        try:
-            F = ws.load_vector(physics, load)
-        except NonlinearOverflow as exc:
-            raise failure(f"load: {exc}") from exc
-        try:
-            r = residual(u)
-        except NonlinearOverflow as exc:
-            raise failure(f"initial state: {exc}") from exc
-        rnorm = float(np.linalg.norm(r))
-        report.residual_history.append(rnorm)
-        if not np.isfinite(rnorm):
-            raise failure(f"initial state: residual norm {rnorm}")
-        target = config.rel_tol * rnorm + config.abs_tol
+        F = ws.load_vector(physics, load)
+    except NonlinearOverflow as exc:
+        raise failure(f"load: {exc}") from exc
+    try:
+        r, M = residual(u)
+    except NonlinearOverflow as exc:
+        raise failure(f"initial state: {exc}") from exc
+    rnorm = float(np.linalg.norm(r))
+    report.residual_history.append(rnorm)
+    if not np.isfinite(rnorm):
+        raise failure(f"initial state: residual norm {rnorm}")
+    target = config.rel_tol * rnorm + config.abs_tol
 
-        while not rnorm <= target:    # a NaN norm never reads as converged
-            if report.newton_iterations >= config.max_iterations:
-                raise failure(
-                    f"Newton did not converge in {config.max_iterations} iterations "
-                    f"(residual {rnorm:.3e}, target {target:.3e})"
-                )
-            _, Bmat = ws.nonlinear(physics, u, with_jacobian=True)
-            J = (A + Bmat).tocsr()[free][:, free]
-            delta = np.zeros(mesh.n_vertices)
+    while not rnorm <= target:    # a NaN norm never reads as converged
+        if report.newton_iterations >= config.max_iterations:
+            raise failure(
+                f"Newton did not converge in {config.max_iterations} iterations "
+                f"(residual {rnorm:.3e}, target {target:.3e})"
+            )
+        # the blocks of the accepted iterate: a rejected trial assembles no Jacobian
+        J = (A + ws.jacobian(M)).tocsr()[free][:, free]
+        delta = np.zeros(mesh.n_vertices)
+        try:
+            delta[free], cg_iters = cg_solve(J, -r, config.cg_tol, config.cg_max_iterations)
+        except SolverError as exc:
+            raise failure(f"Newton iteration {report.newton_iterations + 1}: {exc}") from exc
+        report.cg_iterations.append(cg_iters)
+
+        lam = 1.0
+        accepted = False
+        for _ in range(config.max_halvings + 1):
+            trial = u + lam * delta
             try:
-                delta[free], cg_iters = cg_solve(J, -r, config.cg_tol, config.cg_max_iterations)
-            except SolverError as exc:
-                raise failure(f"Newton iteration {report.newton_iterations + 1}: {exc}") from exc
-            report.cg_iterations.append(cg_iters)
+                r_trial, M_trial = residual(trial)
+                t_norm = float(np.linalg.norm(r_trial))
+            except NonlinearOverflow:
+                t_norm = np.inf
+            if np.isfinite(t_norm) and t_norm < rnorm:
+                accepted = True
+                break
+            lam *= 0.5
+            report.damping_events += 1
+        if not accepted:
+            raise failure(
+                f"Newton damping exhausted at iteration {report.newton_iterations + 1} "
+                f"(residual {rnorm:.3e})"
+            )
+        u, r, M, rnorm = trial, r_trial, M_trial, t_norm
+        report.newton_iterations += 1
+        report.residual_history.append(rnorm)
 
-            lam = 1.0
-            accepted = False
-            for _ in range(config.max_halvings + 1):
-                trial = u + lam * delta
-                try:
-                    r_trial = residual(trial)
-                    t_norm = float(np.linalg.norm(r_trial))
-                except NonlinearOverflow:
-                    t_norm = np.inf
-                if np.isfinite(t_norm) and t_norm < rnorm:
-                    accepted = True
-                    break
-                lam *= 0.5
-                report.damping_events += 1
-            if not accepted:
-                raise failure(
-                    f"Newton damping exhausted at iteration {report.newton_iterations + 1} "
-                    f"(residual {rnorm:.3e})"
-                )
-            u, r, rnorm = trial, r_trial, t_norm
-            report.newton_iterations += 1
-            report.residual_history.append(rnorm)
-
-        report.converged = True
-        report.max_abs_u = float(np.abs(u).max()) if len(u) else 0.0
-        report.wall_time = time.perf_counter() - t0
-        return u, report
-    finally:
-        ws._sinh_at = None    # the kept sinh argument is as long as the quadrature
+    report.converged = True
+    report.max_abs_u = float(np.abs(u).max()) if len(u) else 0.0
+    report.wall_time = time.perf_counter() - t0
+    return u, report

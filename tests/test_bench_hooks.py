@@ -62,7 +62,7 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
     assert not {"epsilon", "coulomb_potential"} & set(vars(physics))
     spans = {s.name for s in tracer.spans}
     assert {"solver.workspace", "solver.newton", "solver.stiffness", "solver.load",
-            "solver.residual", "solver.jacobian", "solver.cg", "analysis.error_norms",
+            "solver.jacobian", "solver.cg", "analysis.error_norms",
             "forms.coeff"} <= spans
 
 

@@ -193,7 +193,9 @@ def test_molecular_cell_contributes_nothing():
     ci = 0  # cell inside the molecular box; so is every cell sharing one of its vertices
     ids = cell_vertex_ids(m, ci)
     u = np.random.default_rng(0).normal(size=m.n_vertices)
-    r, J = Workspace(m).nonlinear(phys, u)
+    ws = Workspace(m)
+    r, M = ws.nonlinear(phys, u)
+    J = ws.jacobian(M)
     assert np.all(r[ids] == 0.0)
     assert np.all(J[ids].toarray() == 0.0)
 
@@ -202,7 +204,8 @@ def test_zero_state_no_charges_gives_projected_mass_jacobian():
     phys = solvent_physics()
     m = vp.generate_voronoi_mesh(8, 3)
     ws = Workspace(m)
-    r, J = ws.nonlinear(phys, np.zeros(m.n_vertices))
+    r, M = ws.nonlinear(phys, np.zeros(m.n_vertices))
+    J = ws.jacobian(M)
     assert np.abs(r).max() == 0.0
     mass = np.zeros((m.n_vertices, m.n_vertices))
     for ci in range(m.n_cells):
@@ -220,16 +223,15 @@ def test_jacobian_matches_finite_differences(random_cells):
     for m in _meshes(random_cells):
         ws = Workspace(m)
         u = rng.normal(size=m.n_vertices) * 0.5
-        _, J = ws.nonlinear(phys, u)
-        J = J.toarray()
+        J = ws.jacobian(ws.nonlinear(phys, u)[1]).toarray()
         if np.abs(J).max() == 0.0:
             continue
         J_fd = np.zeros_like(J)
         for k in range(m.n_vertices):
             up = u.copy(); up[k] += step
             dn = u.copy(); dn[k] -= step
-            rp, _ = ws.nonlinear(phys, up, with_jacobian=False)
-            rm, _ = ws.nonlinear(phys, dn, with_jacobian=False)
+            rp, _ = ws.nonlinear(phys, up)
+            rm, _ = ws.nonlinear(phys, dn)
             J_fd[:, k] = (rp - rm) / (2 * step)
         assert np.abs(J - J_fd).max() <= 1e-6 * np.abs(J).max()
 
@@ -239,7 +241,8 @@ def test_jacobian_symmetry(random_cells):
     phys = vp.PhysicsConfig()
     for m in _meshes(random_cells):
         u = rng.normal(size=m.n_vertices)
-        J = Workspace(m).nonlinear(phys, u)[1].toarray()
+        ws = Workspace(m)
+        J = ws.jacobian(ws.nonlinear(phys, u)[1]).toarray()
         assert np.abs(J - J.T).max() <= 1e-13 * max(1.0, np.abs(J).max())
 
 

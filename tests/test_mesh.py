@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -414,6 +416,19 @@ def test_mesh_cannot_drift_from_its_geometry():
         dataclasses.replace(cube2, vertices=1e-8 * cube2.vertices)
 
 
+def test_pickled_and_deep_copied_meshes_stay_read_only():
+    cube2 = vp.generate_cube_mesh(2)
+    for twin in (pickle.loads(pickle.dumps(cube2)), copy.deepcopy(cube2)):
+        assert twin is not cube2
+        for field in dataclasses.fields(cube2):
+            value, want = getattr(twin, field.name), getattr(cube2, field.name)
+            if isinstance(want, np.ndarray):
+                assert not value.flags.writeable, field.name
+                assert value.dtype == want.dtype and np.array_equal(value, want), field.name
+            else:
+                assert value == want, field.name
+
+
 # each bad cell below fails to close, which construction checks before it
 # counts face uses; a face used three times, or twice with one orientation, by
 # cells that do close is covered by test_load_parse_error_messages
@@ -576,8 +591,6 @@ def test_quality_report_matches_per_cell_oracle(make):
 
 def test_quality_star_failures_match_per_cell_oracle():
     """Centroids moved out of their faces and cells: both star counters fire."""
-    import copy
-
     m = vp.generate_cube_mesh(2)
     fc = m.face_centroid.copy()
     for fi in (0, 5, 17):
@@ -595,8 +608,6 @@ def test_quality_star_failures_match_per_cell_oracle():
 
 def test_mesh_quadrature_error_names_the_lowest_star_failing_cell():
     """mesh_quadrature and check_mesh_assumptions read the same cone tets."""
-    import copy
-
     from vempb.mesh import _cone_tets
     from vempb.solver import mesh_quadrature
 

@@ -96,7 +96,7 @@ def test_global_symmetry():
     A = ws.stiffness(phys)
     assert abs(A - A.T).max() <= 1e-13
     u = np.random.default_rng(0).normal(size=m.n_vertices) * 0.2
-    J = A + ws.nonlinear(phys, u)[1]
+    J = A + ws.jacobian(ws.nonlinear(phys, u)[1])
     assert abs(J - J.T).max() <= 1e-13
 
 
@@ -134,7 +134,7 @@ def test_global_jacobian_matches_finite_difference_residual():
     F = ws.load_vector(phys, load)
     rng = np.random.default_rng(3)
     u = rng.normal(size=m.n_vertices) * 0.3
-    J = (A + ws.nonlinear(phys, u)[1]).toarray()
+    J = (A + ws.jacobian(ws.nonlinear(phys, u)[1])).toarray()
     free = ~m.boundary_vertex
     step = 1e-6
     J_fd = np.zeros_like(J)
@@ -191,15 +191,6 @@ def test_all_boundary_mesh_needs_no_newton_step(monkeypatch):
     assert report.converged and report.newton_iterations == 0
     assert calls == []
     assert np.array_equal(u, load.boundary_values(m.vertices))
-
-
-def test_assemble_residual_drops_the_kept_sinh_argument():
-    m = vp.generate_tet_mesh(3)
-    phys = _screened_tet_physics()
-    ws = Workspace(m)
-    u = np.random.default_rng(6).normal(size=m.n_vertices) * 0.1
-    vp.assemble_residual(m, phys, vp.regularized_load(), u, workspace=ws)
-    assert ws._sinh_at is None
 
 
 def test_constrained_solution_has_exact_boundary_values():
@@ -400,7 +391,7 @@ def test_linear_case_matches_dense_direct_solve():
 
 
 # ---------------------------------------------------------------------------
-# node blocks and the kept sinh argument
+# node blocks and the Newton sweep
 
 
 def _screened_tet_physics():
@@ -419,7 +410,8 @@ def _assembled(mesh, phys, load):
     """Every output of the node sweeps and of a Newton solve, as arrays."""
     ws = Workspace(mesh)
     u = np.random.default_rng(8).normal(size=mesh.n_vertices) * 0.3
-    B, J = ws.nonlinear(phys, u, with_jacobian=True)
+    B, M = ws.nonlinear(phys, u)
+    J = ws.jacobian(M)
     u_h, report = vp.newton_solve(mesh, phys, load, workspace=ws)
     out = {
         "A": ws.stiffness(phys).toarray(), "F": ws.load_vector(phys, load), "B": B,
@@ -448,28 +440,34 @@ def test_results_independent_of_block_size(case, monkeypatch):
 
 
 def test_newton_sweeps_projected_values_once_per_residual(monkeypatch):
+    """One sweep per trial; a Jacobian only for each accepted iterate that takes a step."""
     m = vp.generate_tet_mesh(4)
     phys = _screened_tet_physics()
     ws = Workspace(m)
-    sweeps, calls = [], []
-    value_coeffs, nonlinear = ws.projectors.value_coeffs, ws.nonlinear
+    sweeps, calls, jacobians = [], [], []
+    value_coeffs, nonlinear, jacobian = ws.projectors.value_coeffs, ws.nonlinear, ws.jacobian
 
     def counting_coeffs(u):
         sweeps.append(1)
         return value_coeffs(u)
 
-    def counting_nonlinear(physics, u, with_jacobian=True):
-        calls.append(with_jacobian)
-        return nonlinear(physics, u, with_jacobian)
+    def counting_nonlinear(physics, u):
+        calls.append(len(sweeps))
+        out = nonlinear(physics, u)
+        assert len(sweeps) == calls[-1] + 1
+        return out
+
+    def counting_jacobian(M):
+        jacobians.append(1)
+        return jacobian(M)
 
     monkeypatch.setattr(ws.projectors, "value_coeffs", counting_coeffs)
     monkeypatch.setattr(ws, "nonlinear", counting_nonlinear)
+    monkeypatch.setattr(ws, "jacobian", counting_jacobian)
     _, report = vp.newton_solve(m, phys, vp.regularized_load(), workspace=ws)
-    residuals = calls.count(False)
-    assert calls.count(True) == report.newton_iterations > 0
-    assert residuals == len(report.residual_history) + report.damping_events
-    assert len(sweeps) == residuals
-    assert ws._sinh_at is None
+    assert len(calls) == len(report.residual_history) + report.damping_events
+    assert len(sweeps) == len(calls)
+    assert len(jacobians) == report.newton_iterations > 0
 
 
 @pytest.mark.parametrize("max_halvings", [20, 0])
@@ -480,12 +478,11 @@ def test_newton_halves_a_step_whose_residual_overflows(monkeypatch, max_halvings
     ws = Workspace(m)
     residuals, nonlinear = [], ws.nonlinear
 
-    def second_residual_overflows(physics, u, with_jacobian=True):
-        if not with_jacobian:
-            residuals.append(u.copy())
-            if len(residuals) == 2:
-                raise vp.NonlinearOverflow("sinh argument over the guard")
-        return nonlinear(physics, u, with_jacobian)
+    def second_residual_overflows(physics, u):
+        residuals.append(u.copy())
+        if len(residuals) == 2:
+            raise vp.NonlinearOverflow("sinh argument over the guard")
+        return nonlinear(physics, u)
 
     monkeypatch.setattr(ws, "nonlinear", second_residual_overflows)
     config = vp.NewtonConfig(max_halvings=max_halvings)
@@ -506,26 +503,79 @@ def test_newton_halves_a_step_whose_residual_overflows(monkeypatch, max_halvings
         assert np.abs(u - u_plain).max() < 1e-8
 
 
-def test_kept_sinh_argument_follows_the_content_of_u():
+@pytest.mark.parametrize("rejected", [None, "overflow", "growth"])
+def test_newton_steps_with_the_jacobian_of_the_accepted_iterate(monkeypatch, rejected):
+    """CG gets the Jacobian at the accepted iterate, never at a rejected trial."""
+    m = vp.generate_tet_mesh(4)
+    phys, load = _screened_tet_physics(), vp.regularized_load()
+    ws = Workspace(m)
+    events, nonlinear = [], ws.nonlinear
+
+    def recording_nonlinear(physics, u):
+        """Logs each trial; if ``rejected``, the second overflows or its residual grows."""
+        events.append(("trial", u.copy()))
+        if rejected and sum(e[0] == "trial" for e in events) == 2:
+            if rejected == "overflow":
+                raise vp.NonlinearOverflow("sinh argument over the guard")
+            B, M = nonlinear(physics, u)
+            return B + 1e12, M
+        return nonlinear(physics, u)
+
+    def recording_cg(J, b, *args):
+        events.append(("cg", J.copy()))
+        return cg_solve(J, b, *args)
+
+    monkeypatch.setattr(ws, "nonlinear", recording_nonlinear)
+    monkeypatch.setattr(solver, "cg_solve", recording_cg)
+    _, report = vp.newton_solve(m, phys, load, workspace=ws)
+    assert report.converged and report.damping_events == (1 if rejected else 0)
+    monkeypatch.undo()
+    A = ws.stiffness(phys)
+    free = ~m.boundary_vertex
+    steps = 0
+    for k, event in enumerate(events):
+        if event[0] != "cg":
+            continue
+        # the accepted iterate is the last trial before this step: a rejected one is
+        # always followed by another trial
+        u_k = next(e[1] for e in reversed(events[:k]) if e[0] == "trial")
+        want = (A + ws.jacobian(ws.nonlinear(phys, u_k)[1])).tocsr()[free][:, free]
+        assert np.array_equal(event[1].toarray(), want.toarray()), steps
+        steps += 1
+    assert steps == report.newton_iterations > 0
+
+
+def _node_arrays(ws):
+    """Each node-length array the Workspace holds, also inside tuples and lists, and its bytes."""
+    out = {}
+    for name, value in vars(ws).items():
+        for k, a in enumerate(value if isinstance(value, (tuple, list)) else [value]):
+            if isinstance(a, np.ndarray) and a.ndim and len(a) == len(ws.weights):
+                out[name, k] = (a, a.tobytes())
+    return out
+
+
+def test_workspace_holds_no_node_array_that_follows_u():
     m = vp.generate_tet_mesh(3)
     phys = _screened_tet_physics()
     ws = Workspace(m)
-    u = np.random.default_rng(9).normal(size=m.n_vertices)
-    ws.nonlinear(phys, u, with_jacobian=False)
-    u[m.n_vertices // 2] += 0.5          # the same array, changed in place
-    B, J = ws.nonlinear(phys, u, with_jacobian=True)
-    B_fresh, J_fresh = Workspace(m).nonlinear(phys, u, with_jacobian=True)
-    assert np.array_equal(B, B_fresh)
-    assert np.array_equal(J.toarray(), J_fresh.toarray())
-    # another physics at the same u drops the kept argument
-    other = vp.PhysicsConfig(kappa=2.0, charges=[(5.0, (0.25, 0.25, 0.25))])
-    B_other, _ = ws.nonlinear(other, u, with_jacobian=False)
-    assert np.array_equal(B_other, Workspace(m).nonlinear(other, u, with_jacobian=False)[0])
+    rng = np.random.default_rng(9)
+    ws.nonlinear(phys, rng.normal(size=m.n_vertices) * 0.1)
+    held = _node_arrays(ws)
+    assert {("points", 0), ("weights", 0), ("solvent", 0), ("_G", 0)} <= set(held)
+    ws.nonlinear(phys, rng.normal(size=m.n_vertices) * 0.1)
+    u, _ = vp.newton_solve(m, phys, vp.regularized_load(), workspace=ws)
+    vp.assemble_residual(m, phys, vp.regularized_load(), u, workspace=ws)
+    now = _node_arrays(ws)
+    assert now.keys() == held.keys()
+    for key, (a, data) in held.items():
+        assert now[key][0] is a and now[key][1] == data, key
 
 
 def _fresh(mesh, phys, u):
-    B, J = Workspace(mesh).nonlinear(phys, u, with_jacobian=True)
-    return B, J.toarray()
+    ws = Workspace(mesh)
+    B, M = ws.nonlinear(phys, u)
+    return B, ws.jacobian(M).toarray()
 
 
 @pytest.mark.parametrize("change", ["kappa", "levelset", "eps_m"])
@@ -536,7 +586,7 @@ def test_physics_changed_in_place_matches_a_fresh_workspace(change):
                             charges=[(5.0, (0.25, 0.25, 0.25))])
     ws = Workspace(m)
     u = np.random.default_rng(10).normal(size=m.n_vertices) * 0.1
-    before, _ = ws.nonlinear(phys, u, with_jacobian=True)
+    before, _ = ws.nonlinear(phys, u)
     A_before = ws.stiffness(phys).toarray()
     if change == "kappa":
         assert not before.any()
@@ -545,15 +595,19 @@ def test_physics_changed_in_place_matches_a_fresh_workspace(change):
         phys.levelset = vp.box_levelset(0.4)
     else:
         phys.eps_m = 4.0
-    B, J = ws.nonlinear(phys, u, with_jacobian=True)
+    B, M = ws.nonlinear(phys, u)
     B_fresh, J_fresh = _fresh(m, phys, u)
     assert np.abs(B_fresh).max() > 100
     assert not np.array_equal(B_fresh, before)
     assert np.array_equal(B, B_fresh)
-    assert np.array_equal(J.toarray(), J_fresh)
+    assert np.array_equal(ws.jacobian(M).toarray(), J_fresh)
     A = ws.stiffness(phys).toarray()
     assert np.array_equal(A, Workspace(m).stiffness(phys).toarray())
     assert np.array_equal(A, A_before) == (change == "kappa")
+    # another physics at the same u
+    other = vp.PhysicsConfig(kappa=2.0, charges=[(5.0, (0.25, 0.25, 0.25))])
+    B_other, _ = ws.nonlinear(other, u)
+    assert np.array_equal(B_other, _fresh(m, other, u)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +635,10 @@ def test_factored_sweeps_match_node_row_oracle(case):
     sine = vp.manufactured_sine()
     for load in (vp.regularized_load(), sine):
         assert _rel(ws.load_vector(phys, load), ref.load(load)) <= 1e-13, load
-    B, J = ws.nonlinear(phys, u)
+    B, M = ws.nonlinear(phys, u)
     B_ref, J_ref = ref.nonlinear(u)
     assert _rel(B, B_ref) <= 1e-13
-    assert _rel(J.toarray(), J_ref) <= 1e-13
+    assert _rel(ws.jacobian(M).toarray(), J_ref) <= 1e-13
     got = ws.error_norms(u, sine.u_exact, sine.grad_u_exact)
     want = ref.error_norms(u, sine.u_exact, sine.grad_u_exact)
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
@@ -606,13 +660,13 @@ def test_charges_changed_on_the_instance_match_a_fresh_physics(how):
         phys.charges[0] = new
     fresh_phys = vp.PhysicsConfig(kappa=4.0, charges=[new])
     fresh = Workspace(m)
-    B, J = ws.nonlinear(phys, u)
-    B_fresh, J_fresh = fresh.nonlinear(fresh_phys, u)
+    B, M = ws.nonlinear(phys, u)
+    B_fresh, M_fresh = fresh.nonlinear(fresh_phys, u)
     assert np.array_equal(ws._coulomb(phys), fresh._coulomb(fresh_phys))
     F = ws.load_vector(phys, load)
     assert np.array_equal(F, fresh.load_vector(fresh_phys, load))
     assert np.array_equal(B, B_fresh)
-    assert np.array_equal(J.toarray(), J_fresh.toarray())
+    assert np.array_equal(ws.jacobian(M).toarray(), fresh.jacobian(M_fresh).toarray())
     assert not np.array_equal(B, B_before) and not np.array_equal(F, F_before)
 
 
