@@ -8,8 +8,21 @@ runs over blocks of about ``BLOCK_NODES`` nodes made of whole cells, so its
 temporaries scale with the block, not the mesh.  Each block reduces its rows
 per cell with `reduceat` into per-cell arrays; a cell's sum never spans two
 blocks, so the summation order, and with it every result, is independent of
-the block size.  Every form is then sparse algebra on the operators, which
-act on the vertex values, such as the stiffness grad' eps grad + stab' sigma stab.
+the block size.
+
+The stiffness and the Jacobian are sums of small dense cell blocks over
+each cell's D DoFs: eps_E grad_E' grad_E + sigma_E stab_E' stab_E and
+pi_E' M_E pi_E, with grad_E (3, D), stab_E (D, D) and pi_E (4, D) read
+straight from the operators' CSR rows, which are contiguous per cell.  The
+blocks of the cells of one DoF count are batched matrix products.  Their
+upper triangles, which lie in the upper triangle of the matrix as each
+cell's DoF ids are sorted, sum into one CSR pattern with one ``bincount``,
+and an entry and its transpose read the same sum, so both matrices are
+exactly symmetric.  The pattern, the slot of every upper block entry in it,
+and the free-DoF sub-block depend on the mesh only: the Workspace builds
+them on its first assembly, not at construction.  A and J share the
+pattern, so A + J restricted to the free DoFs is one data add and one
+gather.
 
 The field sweeps of the manufactured load and of the error norms, where
 the exact field and its gradient are evaluated at every node, run their
@@ -51,10 +64,9 @@ sinh argument Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask
 and cosh is masked by [solvent], with no index arrays over the solvent
 nodes.  One sweep per Newton trial forms the argument once and takes both
 the cell moments of sinh, whose product with pi' is B, and the masked-cosh
-cell blocks M_E; the argument lives only for its block.  The Jacobian
-pi' blockdiag(M_E) pi is assembled only from the blocks of an accepted
-step, so a rejected trial and the converged iterate pay for their cosh rows
-but never for a sparse product.
+cell blocks M_E; the argument lives only for its block.  The Jacobian is
+assembled only from the blocks of an accepted step, so a rejected trial and
+the converged iterate pay for their cosh rows but never for an assembly.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
@@ -71,6 +83,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -78,7 +91,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forms import LoadSpec, NonlinearOverflow, PhysicsConfig, SINH_ARG_LIMIT
-from .mesh import MeshError, PolyMesh, _cone_tets
+from .mesh import MeshError, PolyMesh, _cone_tets, _segments_by_length
 from .projectors import CellProjectorSet, build_projectors
 
 
@@ -215,6 +228,73 @@ class SolveReport:
     damping_events: int = 0
     wall_time: float = 0.0
     max_abs_u: float = 0.0
+
+
+@dataclass(frozen=True)
+class _BlockPattern:
+    """The CSR pattern of a mesh's cell blocks, on all DoFs and on the free ones.
+
+    A cell's DoF ids are sorted, so entry (a, b), a <= b, of its (D, D)
+    block lies in the pattern's upper triangle.  These entries, cell by cell
+    in ``np.triu_indices`` order with the cells grouped by DoF count as
+    :func:`~vempb.mesh._segments_by_length` yields them, sum into the upper
+    entries as ``bincount(slot, entries)``.  ``full`` is the pattern, whose
+    data give each entry's upper entry, so an entry and its transpose hold
+    the same sum; ``free`` is its free-DoF sub-block, whose data give each
+    entry's position in ``full``.  Their index arrays are read-only, as every
+    matrix on the pattern shares them.
+    """
+
+    slot: np.ndarray
+    full: sp.csr_matrix
+    free: sp.csr_matrix
+
+    def matrix(self, upper_entries: np.ndarray) -> sp.csr_matrix:
+        """The (n_vertices, n_vertices) sum of the blocks' flat upper entries."""
+        data = np.bincount(self.slot, upper_entries)[self.full.data]
+        return sp.csr_matrix((data, self.full.indices, self.full.indptr), shape=self.full.shape)
+
+    def free_matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The (free, free) sub-block of the matrix with the pattern's ``data``."""
+        return sp.csr_matrix((data[self.free.data], self.free.indices, self.free.indptr),
+                             shape=self.free.shape)
+
+
+def _block_pattern(mesh: PolyMesh) -> _BlockPattern:
+    """The union of the cells' DoF cliques, and the slot of each upper block entry in it."""
+    nv = mesh.n_vertices
+    keys = []
+    for _, at in _segments_by_length(mesh.cell_vertex_ptr):
+        ids = mesh.cell_vertex[at]
+        a, b = np.triu_indices(at.shape[1])
+        keys.append((ids[:, a] * nv + ids[:, b]).ravel())
+    upper, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    rows, cols = np.divmod(upper, nv)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
+    # each upper entry holds its number + 1 (never 0, which a sum or a slice would drop);
+    # adding the strict upper triangle transposed gives every entry its upper entry's number
+    U = sp.csr_matrix((np.arange(1, len(upper) + 1), cols, indptr), shape=(nv, nv))
+    full = U + sp.triu(U, k=1, format="csr").T
+    full.data -= 1
+    # likewise every entry's position + 1, sliced to the free DoFs
+    position = sp.csr_matrix((np.arange(1, full.nnz + 1), full.indices, full.indptr),
+                             shape=full.shape)
+    free = ~mesh.boundary_vertex
+    sub = position[free][:, free]
+    sub.data -= 1
+    for index in (full.indices, full.indptr, sub.indices, sub.indptr):
+        index.setflags(write=False)
+    return _BlockPattern(slot, full, sub)
+
+
+def _cell_operator_rows(op: sp.csr_matrix, first_row: np.ndarray, rows: int, dofs: int):
+    """Rows ``first_row[c]:first_row[c] + rows`` of ``op`` per cell c, (cells, rows, dofs).
+
+    A cell's rows reach its ``dofs`` DoFs in order, so they are
+    ``rows * dofs`` consecutive entries of ``op.data``.
+    """
+    at = op.indptr[first_row][:, None] + np.arange(rows * dofs)
+    return op.data[at].reshape(-1, rows, dofs)
 
 
 class Workspace:
@@ -364,11 +444,35 @@ class Workspace:
 
     # -- assembly --------------------------------------------------------
 
+    @cached_property
+    def _pattern(self) -> _BlockPattern:
+        """The CSR pattern of the cell blocks, built on the first assembly."""
+        return _block_pattern(self.mesh)
+
+    def _assemble(self, blocks) -> sp.csr_matrix:
+        """The (n_vertices, n_vertices) sum of the cell blocks that ``blocks`` returns.
+
+        ``blocks(idx, at)`` gets the cells ``idx`` of one DoF count D and
+        their DoF positions ``at`` (cells, D) in ``mesh.cell_vertex``, and
+        returns their symmetric blocks (cells, D, D), of which the upper
+        triangles are summed.
+        """
+        upper = []
+        for idx, at in _segments_by_length(self.mesh.cell_vertex_ptr):
+            d = at.shape[1]
+            a, b = np.triu_indices(d)
+            # np.take: fancy indexing is several times slower on many short rows
+            upper.append(np.take(blocks(idx, at).reshape(len(idx), d * d), a * d + b, axis=1))
+        return self._pattern.matrix(np.concatenate(upper, axis=None))
+
     def stiffness(self, physics: PhysicsConfig) -> sp.csr_matrix:
         """Projected-gradient consistency term plus a dofi-dofi stabilization.
 
-        The stabilization is scaled by h_E times the cell-averaged dielectric,
-        which keeps the two parts spectrally comparable for any contrast.
+        The (n_vertices, n_vertices) sum over cells of
+        eps_E grad_E' grad_E + sigma_E stab_E' stab_E, with eps_E the integral
+        of the dielectric over E, grad_E (3, D) and stab_E (D, D).  The
+        stabilization is scaled by sigma_E = h_E eps_E / |E|, which keeps the
+        two parts spectrally comparable for any contrast.
         """
         self._attach(physics)
         # summed node by node: the per-tet tables round the cell integrals of eps
@@ -379,11 +483,16 @@ class Workspace:
             for cells, nodes, _ in self._blocks()
         ])
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
-        # K' diag(w) K, K the grad rows stacked on the stab rows
-        K = sp.vstack([self.projectors.grad, self.projectors.stab], format="csr")
-        n_dofs = np.diff(self.mesh.cell_vertex_ptr)
-        w = np.concatenate([np.repeat(eps_int, 3), np.repeat(sigma, n_dofs)])
-        return (K.T @ (sp.diags(w) @ K)).tocsr()
+        P = self.projectors
+
+        def blocks(idx, at):
+            d = at.shape[1]
+            grad = _cell_operator_rows(P.grad, 3 * idx, 3, d)
+            stab = _cell_operator_rows(P.stab, at[:, 0], d, d)    # a row per DoF position
+            return (eps_int[idx, None, None] * np.matmul(grad.transpose(0, 2, 1), grad)
+                    + sigma[idx, None, None] * np.matmul(stab.transpose(0, 2, 1), stab))
+
+        return self._assemble(blocks)
 
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large.
@@ -468,13 +577,19 @@ class Workspace:
         return self.projectors.pi.T @ sums[:4].T.ravel(), M
 
     def jacobian(self, M: np.ndarray) -> sp.csr_matrix:
-        """pi' blockdiag(M_E) pi, (n_vertices, n_vertices), from cell blocks M (n_cells, 4, 4)."""
-        cells = np.arange(len(M) + 1)
-        Mb = sp.bsr_matrix((M, cells[:-1], cells), shape=(4 * len(M), 4 * len(M)))
+        """The (n_vertices, n_vertices) sum over cells of pi_E' M_E pi_E.
+
+        M holds the symmetric cell blocks (n_cells, 4, 4) of :meth:`nonlinear`;
+        pi_E (4, D) is cell E's rows of the projector.  The matrix shares the
+        pattern of :meth:`stiffness`.
+        """
         pi = self.projectors.pi
-        J = pi.T.tocsr() @ (Mb.tocsr() @ pi)
-        J.sort_indices()
-        return J
+
+        def blocks(idx, at):
+            pi_E = _cell_operator_rows(pi, 4 * idx, 4, at.shape[1])
+            return np.matmul(pi_E.transpose(0, 2, 1), np.matmul(M[idx], pi_E))
+
+        return self._assemble(blocks)
 
     def error_norms(self, u: np.ndarray, u_exact, grad_u_exact) -> tuple[float, float]:
         """L2 and H1-seminorm errors of the projected solution against exact fields.
@@ -559,8 +674,11 @@ def cg_solve(
     if max_iterations is None:
         max_iterations = 10 * len(b)
     diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise SolverError("matrix diagonal not positive; Jacobi preconditioner invalid")
+    bad = ~np.isfinite(diag) | (diag <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolverError(f"matrix diagonal entry {i} is {diag[i]}, not positive and finite; "
+                          "Jacobi preconditioner invalid")
     iterations = 0
 
     def count(_):
@@ -619,6 +737,7 @@ def newton_solve(
     A = ws.stiffness(physics)
     if not np.all(np.isfinite(A.data)):
         raise failure("non-finite stiffness entry")
+    pattern = ws._pattern    # J shares the pattern of A
     try:
         F = ws.load_vector(physics, load)
     except NonlinearOverflow as exc:
@@ -640,7 +759,7 @@ def newton_solve(
                 f"(residual {rnorm:.3e}, target {target:.3e})"
             )
         # the blocks of the accepted iterate: a rejected trial assembles no Jacobian
-        J = (A + ws.jacobian(M)).tocsr()[free][:, free]
+        J = pattern.free_matrix(A.data + ws.jacobian(M).data)
         delta = np.zeros(mesh.n_vertices)
         try:
             delta[free], cg_iters = cg_solve(J, -r, config.cg_tol, config.cg_max_iterations)

@@ -37,6 +37,10 @@ and Coulomb fields that the library evaluates on coordinate columns.
 Pi0 u as c0 + xi . c with the cell's coefficients repeated over its nodes,
 then the weighted products with (1, xi) and (1, xi) (x) (1, xi), summed node
 by node per cell, on the library's projector operators.
+``NodeRowForms.stiffness`` (K' diag(w) K), ``spgemm_jacobian``
+(pi' blockdiag(M_E) pi) and ``free_block`` (the free-DoF slice) are SciPy
+sparse products and slices, the references for the Workspace's assembly of
+dense cell blocks onto one pattern.
 ``manufactured_linear`` is the patch-test load u = a0 + a.x, and
 ``residual_with`` the residual A u + B(u) - F on a given stiffness and load
 vector, with B from ``Workspace.nonlinear``.  ``radial_ion`` is the
@@ -651,12 +655,18 @@ class NodeRowForms:
         return c[:, 0] + np.einsum("pj,pj->p", self.xi, c[:, 1:])
 
     def stiffness(self):
+        """K' diag(w) K (dense), K the grad rows stacked on the stab rows.
+
+        w holds each cell's dielectric integral eps_E once per grad row and
+        sigma_E = h_E eps_E / |E| once per stab row.
+        """
         P = self.P
         eps_int = self._cells(self.weights * self.eps)
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
+        K = sp.vstack([P.grad, P.stab], format="csr")
         n_dofs = np.diff(self.mesh.cell_vertex_ptr)
-        return (P.grad.T @ sp.diags(np.repeat(eps_int, 3)) @ P.grad
-                + P.stab.T @ sp.diags(np.repeat(sigma, n_dofs)) @ P.stab).toarray()
+        w = np.concatenate([np.repeat(eps_int, 3), np.repeat(sigma, n_dofs)])
+        return (K.T @ (sp.diags(w) @ K)).toarray()
 
     def _assemble(self, flux_rows, source):
         """grad' flux + pi' moments: per-node flux rows (n, 3) and source values."""
@@ -692,6 +702,19 @@ class NodeRowForms:
         gdiff = grad_u_exact(self.points) - self._spread(self.P.gradients(u))
         return (float(np.sqrt(self.weights @ diff**2)),
                 float(np.sqrt(self.weights @ (gdiff**2).sum(axis=1))))
+
+
+def spgemm_jacobian(projectors, M):
+    """pi' blockdiag(M_E) pi, from the cell blocks M (n_cells, 4, 4)."""
+    cells = np.arange(len(M) + 1)
+    Mb = sp.bsr_matrix((M, cells[:-1], cells), shape=(4 * len(M), 4 * len(M)))
+    pi = projectors.pi
+    return pi.T.tocsr() @ (Mb.tocsr() @ pi)
+
+
+def free_block(matrix, free):
+    """The rows and columns of ``matrix`` on the boolean mask ``free``."""
+    return matrix.tocsr()[free][:, free]
 
 
 def manufactured_linear(coeffs=(0.0, 1.0, 0.0, 0.0)) -> LoadSpec:

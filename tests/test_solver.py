@@ -13,8 +13,8 @@ from vempb.projectors import face_integral_rows
 from vempb.solver import SolverError, Workspace, cg_solve
 
 from _oracles import (
-    NodeRowForms, cell_projector_blocks, cell_projector_reference, kkt_solve, local_stiffness,
-    manufactured_linear, residual_with,
+    NodeRowForms, cell_projector_blocks, cell_projector_reference, free_block, kkt_solve,
+    local_stiffness, manufactured_linear, residual_with, spgemm_jacobian,
 )
 from test_mesh import permuted_copy
 
@@ -98,6 +98,66 @@ def test_global_symmetry():
     u = np.random.default_rng(0).normal(size=m.n_vertices) * 0.2
     J = A + ws.jacobian(ws.nonlinear(phys, u)[1])
     assert abs(J - J.T).max() <= 1e-13
+
+
+PATTERN_CASES = {
+    "cube2": lambda: vp.generate_cube_mesh(2),
+    "kuhn2": lambda: vp.generate_tet_mesh(2),
+    "voronoi64": lambda: vp.generate_voronoi_mesh(64, 0),    # 14 DoF counts
+}
+
+
+@pytest.mark.parametrize("case", list(PATTERN_CASES))
+def test_block_assembly_matches_the_sparse_product_oracle(case, monkeypatch):
+    """Stiffness and Jacobian match the sparse products; the CG matrix is (A + J)[free][:, free]."""
+    m = PATTERN_CASES[case]()
+    phys, load = _screened_tet_physics(), vp.regularized_load()
+    ws = Workspace(m)
+    A = ws.stiffness(phys)
+    u = np.random.default_rng(0).normal(size=m.n_vertices) * 0.3
+    M = ws.nonlinear(phys, u)[1]
+    J = ws.jacobian(M)
+    # relative: an absolute bound would pin the summation order of the entries
+    assert _rel(A.toarray(), NodeRowForms(m, phys).stiffness()) <= 1e-13
+    assert _rel(J.toarray(), spgemm_jacobian(ws.projectors, M).toarray()) <= 1e-13
+    assert np.abs(J).max() > 0
+    for X in (A, J):
+        assert np.array_equal(X.toarray(), X.T.toarray())
+
+    events, jacobian = [], ws.jacobian
+
+    def recording_jacobian(M):
+        events.append(jacobian(M))
+        return events[-1]
+
+    def recording_cg(K, b, *args):
+        events.append(K)
+        return cg_solve(K, b, *args)
+
+    monkeypatch.setattr(ws, "jacobian", recording_jacobian)
+    monkeypatch.setattr(solver, "cg_solve", recording_cg)
+    _, report = vp.newton_solve(m, phys, load, workspace=ws)
+    assert len(events) == 2 * report.newton_iterations > 0
+    free = ~m.boundary_vertex
+    for J_k, K in zip(events[::2], events[1::2]):
+        assert np.array_equal(K.toarray(), free_block(A + J_k, free).toarray())
+
+
+def test_block_pattern_is_built_once_and_only_on_demand(monkeypatch):
+    m = vp.generate_tet_mesh(3)
+    phys, load = _screened_tet_physics(), vp.regularized_load()
+    builds, build = [], solver._block_pattern
+    monkeypatch.setattr(solver, "_block_pattern", lambda mesh: builds.append(mesh) or build(mesh))
+    ws = Workspace(m)
+    # set-up holds no pattern, so its cost falls on the first assembly
+    assert not any(isinstance(v, solver._BlockPattern) for v in vars(ws).values())
+    assert not builds
+    u, _ = vp.newton_solve(m, phys, load, workspace=ws)
+    vp.assemble_residual(m, phys, load, u, workspace=ws)
+    phys.kappa = 2.0
+    vp.assemble_residual(m, phys, load, u, workspace=ws)
+    ws.jacobian(ws.nonlinear(phys, u)[1])
+    assert len(builds) == 1
 
 
 def test_assembly_permutation_invariant():
@@ -241,6 +301,14 @@ def test_cg_without_allowed_iterations_fails(limit):
     A = sp.identity(10, format="csr")
     with pytest.raises(SolverError, match="CG did not converge"):
         cg_solve(A, np.arange(10, dtype=float), max_iterations=limit)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_cg_rejects_a_diagonal_not_positive_and_finite(bad):
+    """Checked before the first iteration, naming the first bad entry; NaN passes ``diag <= 0``."""
+    A = sp.diags([2.0, bad, np.nan, 3.0]).tocsr()
+    with pytest.raises(SolverError, match=f"diagonal entry 1 is {bad}, not positive and finite"):
+        cg_solve(A, np.ones(4))
 
 
 def test_cg_zero_rhs():
