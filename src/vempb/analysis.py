@@ -212,8 +212,9 @@ def compare_to_reference(
             raise ValueError(f"{what} projectors were built on another mesh")
     if fine_projectors is None:
         fine_projectors = build_projectors(fine_mesh)
-    coeff_rows = np.ascontiguousarray(fine_projectors.value_coeffs(u_ref).T)
-    grads = fine_projectors.gradients(u_ref)
+    coeffs = fine_projectors.value_coeffs(u_ref)
+    coeff_rows = np.ascontiguousarray(coeffs.T)
+    grads = coeffs[:, 1:] / fine_mesh.cell_diameter[:, None]
     centroid_rows = np.ascontiguousarray(fine_mesh.cell_centroid.T)
 
     ws = Workspace(coarse_mesh, coarse_projectors)

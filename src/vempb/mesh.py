@@ -146,7 +146,9 @@ def _index_cells(mesh: PolyMesh, corners) -> np.ndarray:
     """Fill cell vertices and boundary-vertex flags; return each face's reference count."""
     ref_cell, ref_face, _, c_ref, va, _ = corners
     nv = mesh.n_vertices
-    cell, mesh.cell_vertex = np.divmod(np.unique(ref_cell[c_ref] * nv + va), nv)
+    # the distinct keys by a sort and a first-of-run mask: np.unique is several times slower
+    keys = np.sort(ref_cell[c_ref] * nv + va)
+    cell, mesh.cell_vertex = np.divmod(keys[np.diff(keys, prepend=-1) != 0], nv)
     mesh.cell_vertex_ptr = np.searchsorted(cell, np.arange(mesh.n_cells + 1))
     use = np.bincount(ref_face, minlength=mesh.n_faces)
     mesh.boundary_vertex = np.zeros(nv, dtype=bool)

@@ -9,9 +9,8 @@ because edge traces are piecewise linear (trapezoid rule).
 
 :func:`face_integral_rows` holds these face integrals flat, aligned with the
 mesh's ``face_vertex``.  :func:`build_projectors` sums them over all cells
-with array operations into sparse operators on the vertex values
-(:class:`CellProjectorSet`), so that every global form is a product of
-operators.
+with array operations into one sparse operator on the vertex values
+(:class:`CellProjectorSet`), from which every discrete form is built.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def face_integral_rows(mesh: PolyMesh) -> np.ndarray:
         c = 0.5 * edge_len[:, :, None] * edge_out
         flux_rows = c + np.roll(c, 1, axis=1)                        # (F, m, 3)
 
-        # boundary integral of the linear part (x - x_f).grad, per DoF
+        # boundary integral of the linear part (x - x_f) . grad, per DoF
         bnd_moment = np.einsum("fm,fmj->fj", w_bnd, P - mesh.face_centroid[idx][:, None, :])
         lin = np.einsum("fj,fmj->fm", bnd_moment, flux_rows) / area[:, None]
         perimeter = edge_len.sum(axis=1)
@@ -57,24 +56,18 @@ def face_integral_rows(mesh: PolyMesh) -> np.ndarray:
 
 @dataclass
 class CellProjectorSet:
-    """Projectors of every cell as CSR operators on the vertex values u.
+    """Projectors of every cell as one CSR operator on the vertex values u.
 
-    Cell E's rows reach only its DoFs, its sorted vertex ids
-    ``cell_vertex[cell_vertex_ptr[E]:cell_vertex_ptr[E + 1]]``; D = len(cell_vertex).
-
-    - ``pi`` (4C, nv): rows 4E..4E+3, the coefficients on the scaled monomials
-      {1, xi1, xi2, xi3}, xi = (x - x_E)/h_E; also the L2 projector of the
-      enhanced degree-1 space;
-    - ``grad`` (3C, nv): rows 3E..3E+2, the constant projected gradient (rows
-      1..3 of ``pi`` divided by h_E);
-    - ``stab`` (D, nv): one row per DoF of cell E, I - D_E pi_E with D_E the
-      monomial values at the vertices, the remainder the stabilization acts on.
+    ``pi`` (4C, nv): rows 4E..4E+3 are cell E's coefficients on the scaled
+    monomials {1, xi1, xi2, xi3}, xi = (x - x_E)/h_E; it is also the L2
+    projector of the enhanced degree-1 space.  Cell E's rows reach only its
+    DoFs, its sorted vertex ids ``cell_vertex[cell_vertex_ptr[E]:cell_vertex_ptr[E + 1]]``,
+    in that order, so they are 4 D consecutive entries of ``pi.data``,
+    D = len(cell_vertex).  The projected gradient is rows 1..3 over h_E.
     """
 
     mesh: PolyMesh
     pi: sp.csr_matrix
-    grad: sp.csr_matrix
-    stab: sp.csr_matrix
 
     def value_coeffs(self, u: np.ndarray) -> np.ndarray:
         """Projected polynomial coefficients of the global field u per cell, (C, 4)."""
@@ -82,28 +75,16 @@ class CellProjectorSet:
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         """Projected gradient of the global field u per cell, (C, 3)."""
-        return (self.grad @ u).reshape(-1, 3)
-
-
-def _cell_rows(first: np.ndarray, rows_per_cell) -> tuple[np.ndarray, np.ndarray]:
-    """DoF positions and CSR row pointer of one block of rows per cell.
-
-    Cell E gets ``rows_per_cell`` (scalar or per cell) consecutive rows, each
-    over its DoF positions ``first[E]:first[E + 1]`` in order.
-    """
-    row_cell = np.repeat(np.arange(len(first) - 1), rows_per_cell)
-    row_len = np.diff(first)[row_cell]
-    ptr = np.concatenate([[0], np.cumsum(row_len)])
-    return np.arange(ptr[-1]) - np.repeat(ptr[:-1] - first[row_cell], row_len), ptr
+        return self.value_coeffs(u)[:, 1:] / self.mesh.cell_diameter[:, None]
 
 
 def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
-    """Projectors of every cell as the operators of :class:`CellProjectorSet`.
+    """The projector of every cell as the operator ``pi`` of :class:`CellProjectorSet`.
 
     Per cell, |E| pi0_grad is the signed sum of face normals times face
     integral rows, and the constant coefficient matches the boundary mean;
     both sums run over flat arrays of all face-vertex corners, accumulated
-    with ``bincount`` in (cell, face) order straight into the operators'
+    with ``bincount`` in (cell, face) order straight into the operator's
     entry order (cell, row, vertex).
     """
     rows = face_integral_rows(mesh)
@@ -123,8 +104,7 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     dof_bin = first[corner_cell] + slot
     bnd = np.bincount(dof_bin, weights=w, minlength=first[-1])
     # |E| * gradient rows, flat (cell, component, slot); grad_at[d, k] is DoF d's component k
-    dofs = np.arange(first[-1])
-    grad_at = (2 * first[dof_cell] + dofs)[:, None] + np.outer(n_dofs[dof_cell], range(3))
+    grad_at = (2 * first[dof_cell] + np.arange(first[-1]))[:, None] + np.outer(n_dofs[dof_cell], range(3))
     flux = (ref_sign[:, None] * mesh.face_normal[ref_face]).take(c_ref, axis=0) * w[:, None]
     grad_bin = grad_at.take(dof_bin, axis=0)
     grad = np.bincount(grad_bin.ravel(), weights=flux.ravel(), minlength=3 * first[-1])
@@ -145,21 +125,10 @@ def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     # a cell's pi rows are its c0 row followed by its h * grad rows
     pi = np.insert(h[grad_cell] * grad, 3 * first[dof_cell], c0)
 
-    # stab entry (j, k) of cell E: delta_jk - (1, xi(v_j)) . (c0_k, c_lin_k); the entries of
-    # row j run over k, so xi(v_j) repeats along the row while c0 and c_lin are taken at k
-    k, stab_ptr = _cell_rows(first, n_dofs)
-    row_len = n_dofs[dof_cell]
-    stab = -c0.take(k)
-    for i in range(3):
-        xi = (mesh.vertices[mesh.cell_vertex, i] - mesh.cell_centroid[dof_cell, i]) / h[dof_cell]
-        stab -= np.repeat(xi, row_len) * c_lin[i].take(k)
-    stab[stab_ptr[:-1] + dofs - first[dof_cell]] += 1.0
-    # the columns are the vertex ids at the DoF positions
-    (pi_pos, pi_ptr), (grad_pos, grad_ptr) = _cell_rows(first, 4), _cell_rows(first, 3)
-    cv, C = mesh.cell_vertex, mesh.n_cells
+    # a cell's 4 rows each run over its DoF positions; the columns are the vertex ids there
+    row_len = np.repeat(n_dofs, 4)
+    pos = np.repeat(np.repeat(first[:-1], 4), row_len) + _concat_index(row_len)
+    ptr = np.concatenate([[0], np.cumsum(row_len)])
     return CellProjectorSet(
-        mesh,
-        pi=sp.csr_matrix((pi, cv[pi_pos], pi_ptr), shape=(4 * C, nv)),
-        grad=sp.csr_matrix((grad, cv[grad_pos], grad_ptr), shape=(3 * C, nv)),
-        stab=sp.csr_matrix((stab, cv[k], stab_ptr), shape=(first[-1], nv)),
+        mesh, sp.csr_matrix((pi, mesh.cell_vertex[pos], ptr), shape=(4 * mesh.n_cells, nv))
     )

@@ -2,7 +2,7 @@
 
 Assembly runs through a per-mesh :class:`Workspace`: the flat quadrature
 of :func:`mesh_quadrature` (contiguous per cell) plus the
-projector operators of :func:`~vempb.projectors.build_projectors`.  Every
+projector operator pi of :func:`~vempb.projectors.build_projectors`.  Every
 node sweep (level set, Coulomb field, loads, screened sinh term, error norms)
 runs over blocks of about ``BLOCK_NODES`` nodes made of whole cells, so its
 temporaries scale with the block, not the mesh.  Each block reduces its rows
@@ -12,17 +12,19 @@ the block size.
 
 The stiffness and the Jacobian are sums of small dense cell blocks over
 each cell's D DoFs: eps_E grad_E' grad_E + sigma_E stab_E' stab_E and
-pi_E' M_E pi_E, with grad_E (3, D), stab_E (D, D) and pi_E (4, D) read
-straight from the operators' CSR rows, which are contiguous per cell.  The
-blocks of the cells of one DoF count are batched matrix products.  Their
-upper triangles, which lie in the upper triangle of the matrix as each
-cell's DoF ids are sorted, sum into one CSR pattern with one ``bincount``,
-and an entry and its transpose read the same sum, so both matrices are
-exactly symmetric.  The pattern, the slot of every upper block entry in it,
-and the free-DoF sub-block depend on the mesh only: the Workspace builds
-them on its first assembly, not at construction.  A and J share the
-pattern, so A + J restricted to the free DoFs is one data add and one
-gather.
+pi_E' M_E pi_E.  pi_E (4, D) is read straight from pi's CSR rows, which are
+contiguous per cell, and grad_E = pi_E[1:] / h_E (3, D) and stab_E =
+I - D_E pi_E (D, D), D_E the values of (1, xi) at the cell's vertices, are
+formed from it.  The blocks of the cells of one DoF count are batched
+matrix products.  Their upper triangles, which lie in the upper triangle of
+the matrix as each cell's DoF ids are sorted, sum into one CSR pattern with
+one ``bincount``, and an entry and its transpose read the same sum, so both
+matrices are exactly symmetric.  The pattern, the slot of every upper block
+entry in it, and the free-DoF sub-block depend on the mesh only: the
+Workspace builds them on its first assembly, not at construction.  A and J
+share the pattern, so A + J restricted to the free DoFs is one data add and
+one gather.  The loads are one product with pi': grad' flux is pi' of the
+flux over h_E in the linear rows.
 
 The field sweeps of the manufactured load and of the error norms, where
 the exact field and its gradient are evaluated at every node, run their
@@ -287,18 +289,18 @@ def _block_pattern(mesh: PolyMesh) -> _BlockPattern:
     return _BlockPattern(slot, full, sub)
 
 
-def _cell_operator_rows(op: sp.csr_matrix, first_row: np.ndarray, rows: int, dofs: int):
-    """Rows ``first_row[c]:first_row[c] + rows`` of ``op`` per cell c, (cells, rows, dofs).
+def _cell_pi(pi: sp.csr_matrix, cells: np.ndarray, dofs: int) -> np.ndarray:
+    """The projector rows pi_E of ``cells``, all with ``dofs`` DoFs: (cells, 4, dofs).
 
-    A cell's rows reach its ``dofs`` DoFs in order, so they are
-    ``rows * dofs`` consecutive entries of ``op.data``.
+    A cell's 4 rows reach its DoFs in order, so they are ``4 * dofs``
+    consecutive entries of ``pi.data``.
     """
-    at = op.indptr[first_row][:, None] + np.arange(rows * dofs)
-    return op.data[at].reshape(-1, rows, dofs)
+    at = pi.indptr[4 * cells][:, None] + np.arange(4 * dofs)
+    return pi.data[at].reshape(-1, 4, dofs)
 
 
 class Workspace:
-    """Flat quadrature and projector operators for fast repeated assembly."""
+    """Flat quadrature and the projector operator for fast repeated assembly."""
 
     def __init__(self, mesh: PolyMesh, projectors: CellProjectorSet | None = None):
         if projectors is not None and projectors.mesh is not mesh:
@@ -470,9 +472,12 @@ class Workspace:
 
         The (n_vertices, n_vertices) sum over cells of
         eps_E grad_E' grad_E + sigma_E stab_E' stab_E, with eps_E the integral
-        of the dielectric over E, grad_E (3, D) and stab_E (D, D).  The
-        stabilization is scaled by sigma_E = h_E eps_E / |E|, which keeps the
-        two parts spectrally comparable for any contrast.
+        of the dielectric over E.  Both are formed from the cell's projector
+        rows pi_E (4, D): the projected gradient grad_E = pi_E[1:] / h_E (3, D)
+        and the remainder stab_E = I - D_E pi_E (D, D), D_E the values of
+        (1, xi) at the cell's sorted vertices.  The stabilization is scaled
+        by sigma_E = h_E eps_E / |E|, which keeps the two parts spectrally
+        comparable for any contrast.
         """
         self._attach(physics)
         # summed node by node: the per-tet tables round the cell integrals of eps
@@ -482,13 +487,21 @@ class Workspace:
                             self.cell_ptr[cells] - nodes.start)
             for cells, nodes, _ in self._blocks()
         ])
-        sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
-        P = self.projectors
+        mesh = self.mesh
+        h = mesh.cell_diameter
+        sigma = h * eps_int / mesh.cell_volume
+        pi = self.projectors.pi
 
         def blocks(idx, at):
             d = at.shape[1]
-            grad = _cell_operator_rows(P.grad, 3 * idx, 3, d)
-            stab = _cell_operator_rows(P.stab, at[:, 0], d, d)    # a row per DoF position
+            pi_E = _cell_pi(pi, idx, d)
+            h_E = h[idx, None, None]
+            grad = pi_E[:, 1:] / h_E
+            # D_E pi_E = 1 c0 + xi c_lin, xi (cells, D, 3) at the cell's sorted vertices
+            xi = mesh.vertices.take(mesh.cell_vertex[at], axis=0)
+            xi -= mesh.cell_centroid[idx, None]
+            xi /= h_E
+            stab = np.eye(d) - (pi_E[:, :1] + np.matmul(xi, pi_E[:, 1:]))
             return (eps_int[idx, None, None] * np.matmul(grad.transpose(0, 2, 1), grad)
                     + sigma[idx, None, None] * np.matmul(stab.transpose(0, 2, 1), stab))
 
@@ -497,17 +510,25 @@ class Workspace:
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large.
 
-        The manufactured sweep is pooled: it starts and joins its own threads,
-        and of the caller's code only ``u_exact`` and ``grad_u_exact`` run on
-        them.
+        F = grad' flux + pi' moments, from the per-cell flux integrals and
+        source moments of (1, xi), is one product with pi'.  The manufactured
+        sweep is pooled: it starts and joins its own threads, and of the
+        caller's code only ``u_exact`` and ``grad_u_exact`` run on them.
         """
         self._attach(physics)
-        P = self.projectors
         if load.mode == "regularized":
             flux = self._cell_sums(
                 lambda cells, nodes, tets: self._integrals(self._jump_flux(physics, nodes), tets)
             )
-            return P.grad.T @ flux.T.ravel()
+            moments = np.zeros((4, self.mesh.n_cells))
+        else:
+            flux, moments = np.split(self._manufactured_sums(physics, load), [3])
+        # grad = pi's rows 1..3 over h_E, so a cell's flux over h_E adds to its linear moments
+        moments[1:] += flux / self.mesh.cell_diameter
+        return self.projectors.pi.T @ moments.T.ravel()
+
+    def _manufactured_sums(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
+        """Per-cell integrals of the manufactured load: 3 flux rows, then 4 source moments."""
         # G is evaluated here, on the calling thread, before the pooled sweep
         G = self._coulomb(physics) if self._has_screening else None
         kbar_sq = physics.kappa_bar_sq_solvent
@@ -529,8 +550,7 @@ class Workspace:
             out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
             return out
 
-        sums = self._cell_sums(integrals, pooled=True)
-        return P.grad.T @ sums[:3].T.ravel() + P.pi.T @ sums[3:].T.ravel()
+        return self._cell_sums(integrals, pooled=True)
 
     def _jump_flux(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
         """Rows of -(eps - eps_m) grad G at a block's nodes, (3, tets, NQ), 0 off the solvent."""
@@ -586,7 +606,7 @@ class Workspace:
         pi = self.projectors.pi
 
         def blocks(idx, at):
-            pi_E = _cell_operator_rows(pi, 4 * idx, 4, at.shape[1])
+            pi_E = _cell_pi(pi, idx, at.shape[1])
             return np.matmul(pi_E.transpose(0, 2, 1), np.matmul(M[idx], pi_E))
 
         return self._assemble(blocks)
@@ -601,7 +621,7 @@ class Workspace:
         cells.
         """
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
-        grad_rows = np.ascontiguousarray(self.projectors.gradients(u).T)
+        grad_rows = coeff_rows[1:] / self.mesh.cell_diameter
 
         def squares(cells, nodes, tets):
             points = self.points[nodes]
@@ -722,9 +742,13 @@ def newton_solve(
     u[~free] = load.boundary_values(mesh.vertices[~free])
     report = SolveReport()
 
-    def failure(message: str) -> SolverError:
-        # u is read when the error is built: the last accepted iterate
+    def finish() -> None:
+        # u is read when this runs: the last accepted iterate
+        report.max_abs_u = float(np.abs(u).max()) if len(u) else 0.0
         report.wall_time = time.perf_counter() - t0
+
+    def failure(message: str) -> SolverError:
+        finish()
         return SolverError(message, u=u, report=report)
 
     ws = _workspace_of(mesh, workspace)
@@ -791,6 +815,5 @@ def newton_solve(
         report.residual_history.append(rnorm)
 
     report.converged = True
-    report.max_abs_u = float(np.abs(u).max()) if len(u) else 0.0
-    report.wall_time = time.perf_counter() - t0
+    finish()
     return u, report

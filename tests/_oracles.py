@@ -19,7 +19,7 @@ checks and measures the mesh as it does for every library builder.
 slice one face's vertex loop, one cell's signed faces, sorted vertices and
 outward vertex loops out of the mesh's CSR arrays, and
 ``cell_projector_blocks`` one cell's dense projector matrices out of the
-global operators of ``build_projectors``.  ``mesh_quality_per_cell``, the
+global operator ``pi`` of ``build_projectors``.  ``mesh_quality_per_cell``, the
 reference for the batched ``check_mesh_assumptions``, walks the faces and
 the cells one by one.  The cell-by-cell references of batched library code
 start from library face data: ``cell_projector_reference``, the reference
@@ -36,7 +36,8 @@ and Coulomb fields that the library evaluates on coordinate columns.
 ``Workspace``, forms every integrand at every node of ``mesh_quadrature``:
 Pi0 u as c0 + xi . c with the cell's coefficients repeated over its nodes,
 then the weighted products with (1, xi) and (1, xi) (x) (1, xi), summed node
-by node per cell, on the library's projector operators.
+by node per cell, on the library's projector ``pi`` and on grad and stab
+rows stacked from ``cell_projector_reference``.
 ``NodeRowForms.stiffness`` (K' diag(w) K), ``spgemm_jacobian``
 (pi' blockdiag(M_E) pi) and ``free_block`` (the free-DoF slice) are SciPy
 sparse products and slices, the references for the Workspace's assembly of
@@ -479,26 +480,24 @@ CellProjectorBlocks = namedtuple("CellProjectorBlocks", "vertex_ids pi_nabla pi0
 
 
 def cell_projector_blocks(projectors, ci):
-    """Cell ``ci``'s dense projector matrices, read back from the operators of ``build_projectors``.
+    """Cell ``ci``'s dense projector matrices, read back from the operator ``pi`` of ``build_projectors``.
 
-    The rows of ``pi`` (4), ``grad`` (3) and ``stab`` (one per DoF) that belong
-    to the cell must each reach exactly the cell's sorted vertex ids, and are
-    restricted to those columns.
+    The cell's 4 rows of ``pi`` must each reach exactly the cell's sorted
+    vertex ids, and are restricted to those columns.  The projected gradient
+    (rows 1..3 over h_E) and the remainder I - D_E pi_E, D_E the values of
+    {1, xi} at the vertices, are formed from them.
     """
     mesh = projectors.mesh
-    dofs = slice(mesh.cell_vertex_ptr[ci], mesh.cell_vertex_ptr[ci + 1])
     vids = cell_vertex_ids(mesh, ci)
-    rows = {
-        "pi_nabla": projectors.pi[4 * ci:4 * ci + 4],
-        "pi0_grad": projectors.grad[3 * ci:3 * ci + 3],
-        "stab_q": projectors.stab[dofs],
-    }
-    for name, block in rows.items():
-        n = block.shape[0]
-        assert (np.array_equal(block.indptr, len(vids) * np.arange(n + 1))
-                and np.array_equal(block.indices, np.tile(vids, n))), \
-            f"cell {ci}: a {name} row does not reach exactly the cell's vertices"
-    return CellProjectorBlocks(vids, *(block[:, vids].toarray() for block in rows.values()))
+    block = projectors.pi[4 * ci:4 * ci + 4]
+    assert (np.array_equal(block.indptr, len(vids) * np.arange(5))
+            and np.array_equal(block.indices, np.tile(vids, 4))), \
+        f"cell {ci}: a pi row does not reach exactly the cell's vertices"
+    pi_nabla = block[:, vids].toarray()
+    h = mesh.cell_diameter[ci]
+    dof_matrix = np.column_stack([np.ones(len(vids)), (mesh.vertices[vids] - mesh.cell_centroid[ci]) / h])
+    stab_q = np.eye(len(vids)) - dof_matrix @ pi_nabla
+    return CellProjectorBlocks(vids, pi_nabla, pi_nabla[1:] / h, stab_q)
 
 
 def cell_projector_reference(mesh, ci, integral_rows):
@@ -622,13 +621,19 @@ class NodeRowForms:
     Every integrand is evaluated at every quadrature node, multiplied by the
     node weight and by the monomials (1, xi) of its node, and summed per cell
     with one ``reduceat`` over the nodes; the forms are then the sparse
-    products on ``build_projectors``'s operators.
+    products on ``build_projectors``'s ``pi`` and on the grad and stab rows
+    of ``cell_projector_reference``.
     """
 
     def __init__(self, mesh, physics):
         self.mesh, self.physics = mesh, physics
         self.points, self.weights, self.xi, _, self.cell_ptr, *_ = mesh_quadrature(mesh)
         self.P = build_projectors(mesh)
+        # the grad and stab rows of every cell from the per-cell reference, not from pi
+        rows = face_integral_rows(mesh)
+        refs = [cell_projector_reference(mesh, ci, rows) for ci in range(mesh.n_cells)]
+        self.grad = _stacked_cell_rows([(r.vertex_ids, r.pi0_grad) for r in refs], mesh.n_vertices)
+        self.stab = _stacked_cell_rows([(r.vertex_ids, r.stab_q) for r in refs], mesh.n_vertices)
         self.solvent = physics.solvent_mask(self.points)
         self.eps = np.where(self.solvent, physics.eps_s, physics.eps_m)
         self.kbar = physics.kappa_bar_sq_solvent
@@ -660,20 +665,18 @@ class NodeRowForms:
         w holds each cell's dielectric integral eps_E once per grad row and
         sigma_E = h_E eps_E / |E| once per stab row.
         """
-        P = self.P
         eps_int = self._cells(self.weights * self.eps)
         sigma = self.mesh.cell_diameter * eps_int / self.mesh.cell_volume
-        K = sp.vstack([P.grad, P.stab], format="csr")
+        K = sp.vstack([self.grad, self.stab], format="csr")
         n_dofs = np.diff(self.mesh.cell_vertex_ptr)
         w = np.concatenate([np.repeat(eps_int, 3), np.repeat(sigma, n_dofs)])
         return (K.T @ (sp.diags(w) @ K)).toarray()
 
     def _assemble(self, flux_rows, source):
         """grad' flux + pi' moments: per-node flux rows (n, 3) and source values."""
-        P = self.P
         flux = self._cells(self.weights * flux_rows.T)
         mom = self._moments(self.weights * source, UPPER_PAIRS[:4])
-        return P.grad.T @ flux.T.ravel() + P.pi.T @ mom.T.ravel()
+        return self.grad.T @ flux.T.ravel() + self.P.pi.T @ mom.T.ravel()
 
     def load(self, load):
         if load.mode == "regularized":
@@ -702,6 +705,15 @@ class NodeRowForms:
         gdiff = grad_u_exact(self.points) - self._spread(self.P.gradients(u))
         return (float(np.sqrt(self.weights @ diff**2)),
                 float(np.sqrt(self.weights @ (gdiff**2).sum(axis=1))))
+
+
+def _stacked_cell_rows(cell_rows, n_columns):
+    """CSR stack, in cell order, of each cell's dense rows (k, D) over its vertex ids (D,)."""
+    return sp.vstack([
+        sp.csr_matrix((rows.ravel(), np.tile(vids, len(rows)), len(vids) * np.arange(len(rows) + 1)),
+                      shape=(len(rows), n_columns))
+        for vids, rows in cell_rows
+    ], format="csr")
 
 
 def spgemm_jacobian(projectors, M):

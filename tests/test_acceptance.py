@@ -40,7 +40,7 @@ def test_criterion_1_projector_reproduction(random_cells):
         for m, ci in random_cells:
             if id(m) not in by_mesh:
                 by_mesh[id(m)] = vp.build_projectors(m)
-            # (vertex_ids, pi_nabla) of the cell, read back from the operators
+            # (vertex_ids, pi_nabla) of the cell, read back from pi
             vids, pi_nabla = cell_projector_blocks(by_mesh[id(m)], ci)[:2]
             for a0, a in [(1.0, np.zeros(3)), (0.0, np.eye(3)[0]), (0.0, np.eye(3)[1]),
                           (0.0, np.eye(3)[2]), (rng.normal(), rng.normal(size=3))]:

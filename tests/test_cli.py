@@ -274,6 +274,20 @@ def test_solver_failure_exits_3_when_partial_state_cannot_be_saved(tmp_path, cap
     assert not out.exists()
 
 
+def test_solver_failure_reports_max_abs_u_of_its_last_iterate(tmp_path):
+    # the config of the CI run that expects exit 3: one Newton step cannot reach rel_tol
+    path = tmp_path / "fail.json"
+    path.write_text(json.dumps({
+        "mesh": {"family": "cubic", "n": 2},
+        "solver": {"max_iterations": 1, "rel_tol": 1e-14},
+    }))
+    cfg = cli.load_config(path)
+    m = cli.build_mesh(cfg["mesh"])
+    with pytest.raises(vp.SolverError) as err:
+        vp.newton_solve(m, cli.build_physics(cfg), cli.build_load(cfg), cli.build_newton(cfg))
+    assert err.value.report.max_abs_u == np.abs(err.value.u).max() > 0
+
+
 def test_study_failure_is_kept_when_partial_report_cannot_be_saved(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",

@@ -211,10 +211,8 @@ def test_batched_builder_matches_per_cell_reference(make):
     rows = face_integral_rows(m)
     n_dofs = [len(cell_vertex_ids(m, ci)) for ci in range(m.n_cells)]
     assert len(vp.Workspace(m, projs).groups) == len(set(n_dofs))
-    # one row block per cell: 4 coefficient rows, 3 gradient rows, one stab row per DoF
+    # one row block per cell: its 4 coefficient rows
     assert projs.pi.shape == (4 * m.n_cells, m.n_vertices)
-    assert projs.grad.shape == (3 * m.n_cells, m.n_vertices)
-    assert projs.stab.shape == (sum(n_dofs), m.n_vertices)
     for ci in range(m.n_cells):
         blocks = cell_projector_blocks(projs, ci)
         ref = cell_projector_reference(m, ci, rows)
@@ -227,20 +225,22 @@ def test_batched_builder_matches_per_cell_reference(make):
     "make, digest",
     [
         (lambda: vp.generate_cube_mesh(3),
-         "c4a647769a0ea125e1297f00fd20e343442d6151f2846c93eae3e0225f51fb96"),
+         "f444ff6e1367dab00f9803b0a05ab373de9c10915145a97b22f257998bf782fb"),
         (lambda: vp.generate_tet_mesh(2),
-         "8d41b6fc4f2ef1d6317f71bf035bb1574ce7bb86d4f804950ddb27032d892aed"),
+         "00df6d8cf9b69d8228d4157c19c6a598ea9d8f792c83e57d7c79f8b4db8c81c2"),
         (lambda: vp.generate_voronoi_mesh(64, 0),
-         "8d380278de247a9d212fd11619c758bf91b0b805118aa16e7d176770a3f3502e"),
+         "fa4af92c11333fa0d7adb00e2b9d98e0d0de4e4b3a833d5652dd033f37a244ec"),
     ],
     ids=["cube3", "tet2", "voronoi64"],
 )
 def test_projector_groups_unchanged(make, digest):
-    # digests of the cells, vertex ids, pi_nabla and pi0_grad blocks stacked
-    # per DoF count n (increasing), as projectors were stored per group before
-    # they became global operators (the Voronoi one re-pinned when the mesh
-    # build began choosing its mirrors, and when faces took Qhull's ridge
-    # order); stab_q is checked against the per-cell reference instead
+    # digests of the cells, vertex ids and pi_nabla blocks stacked per DoF
+    # count n (increasing), as projectors were stored per group before they
+    # became global operators; pi is the only operator stored, so the digests
+    # cover it alone, computed before grad and stab stopped being stored (the
+    # Voronoi mesh's pi last changed when the mesh build began choosing its
+    # mirrors, and when faces took Qhull's ridge order); pi0_grad and stab_q
+    # are checked against the per-cell reference instead
     m = make()
     projs = vp.build_projectors(m)
     n_dofs = np.diff(m.cell_vertex_ptr)
@@ -249,6 +249,6 @@ def test_projector_groups_unchanged(make, digest):
         cells = np.nonzero(n_dofs == n)[0]
         blocks = [cell_projector_blocks(projs, ci) for ci in cells]
         h.update(cells.tobytes())
-        for k in range(3):
+        for k in range(2):
             h.update(np.stack([b[k] for b in blocks]).tobytes())
     assert h.hexdigest() == digest
