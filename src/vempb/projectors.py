@@ -73,10 +73,6 @@ class CellProjectorSet:
         """Projected polynomial coefficients of the global field u per cell, (C, 4)."""
         return (self.pi @ u).reshape(-1, 4)
 
-    def gradients(self, u: np.ndarray) -> np.ndarray:
-        """Projected gradient of the global field u per cell, (C, 3)."""
-        return self.value_coeffs(u)[:, 1:] / self.mesh.cell_diameter[:, None]
-
 
 def build_projectors(mesh: PolyMesh) -> CellProjectorSet:
     """The projector of every cell as the operator ``pi`` of :class:`CellProjectorSet`.

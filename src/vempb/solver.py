@@ -3,7 +3,7 @@
 Assembly runs through a per-mesh :class:`Workspace`: the flat quadrature
 of :func:`mesh_quadrature` (contiguous per cell) plus the
 projector operator pi of :func:`~vempb.projectors.build_projectors`.  Every
-node sweep (level set, Coulomb field, loads, screened sinh term, error norms)
+node sweep (the physics state, loads, screened sinh term, error norms)
 runs over blocks of about ``BLOCK_NODES`` nodes made of whole cells, so its
 temporaries scale with the block, not the mesh.  Each block reduces its rows
 per cell with `reduceat` into per-cell arrays; a cell's sum never spans two
@@ -37,10 +37,11 @@ sweep.  The exact-field callables (``u_exact``, ``grad_u_exact`` and those
 passed to :meth:`Workspace.error_norms`) are the only caller code that
 runs on the pool's threads, and they may be called from several threads
 at once, one block per call.  :class:`~vempb.forms.PhysicsConfig` methods
-run only on the calling thread: G is evaluated before the pooled load
-sweep, and every sweep that calls one (level set, Coulomb field and
-gradient, the regularized flux) stays serial, as do the sinh and cosh sweeps:
-pooled, Kuhn 6 and 12 solves (q = 5, kappa = 4) took 1.26 s, not 0.92 s, on 2 CPUs.
+run only on the calling thread: the physics state (level set, dielectric
+and G) is evaluated before any pooled sweep, and every sweep that calls one
+(the physics state, the regularized flux) stays serial, as do the sinh and
+cosh sweeps: pooled, Kuhn 6 and 12 solves (q = 5, kappa = 4) took 1.26 s,
+not 0.92 s, on 2 CPUs.
 
 Each cell is split into the cone tetrahedra (x_E, x_f, v_i, v_i+1) of
 :func:`~vempb.mesh._cone_tets`, and one rule is mapped onto each from the
@@ -57,16 +58,20 @@ of the reference rule: Pi0 u at the nodes is the per-tet coefficients
 s (1, xi) (x) (1, xi) are s times the tables w (1, r) and w (1, r) (x) (1, r),
 then the congruence with blockdiag(1, C_t), scaled by det_t, summed over
 each cell's tets.  The load fluxes and the squared errors are integrated
-with the weight row of the same table, times det_t; the dielectric
-integral of the stiffness is summed node by node.  The per-tet maps are row
-formulas on (k, tets) rows.
+with the weight row of the same table, times det_t.  The per-tet maps are
+row formulas on (k, tets) rows.
 
-The Coulomb field G is held at node length, 0 off the solvent, and the
-sinh argument Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask
-and cosh is masked by [solvent], with no index arrays over the solvent
-nodes.  One sweep per Newton trial forms the argument once and takes both
-the cell moments of sinh, whose product with pi' is B, and the masked-cosh
-cell blocks M_E; the argument lives only for its block.  The Jacobian is
+A physics state is evaluated at the nodes once, in one sweep, when a form
+first reads it: the solvent mask of the nodes, the integral of the
+dielectric over each cell, summed node by node, and the Coulomb field G.
+Its key is the physics and its level set (by identity) with eps_m, eps_s,
+kappa_bar^2 and the charges, so an in-place change of any of them is seen.
+G is held at node length, 0 off the solvent, and the sinh argument
+Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask and cosh is
+masked by [solvent], with no index arrays over the solvent nodes.  One
+sweep per Newton trial forms the argument once and takes both the cell
+moments of sinh, whose product with pi' is B, and the masked-cosh cell
+blocks M_E; the argument lives only for its block.  The Jacobian is
 assembled only from the blocks of an accepted step, so a rejected trial and
 the converged iterate pay for their cosh rows but never for an assembly.
 
@@ -300,7 +305,12 @@ def _cell_pi(pi: sp.csr_matrix, cells: np.ndarray, dofs: int) -> np.ndarray:
 
 
 class Workspace:
-    """Flat quadrature and the projector operator for fast repeated assembly."""
+    """Flat quadrature and the projector operator for fast repeated assembly.
+
+    It also holds the last physics state it was given, evaluated at its
+    nodes: the solvent mask, each cell's integral of the dielectric and G.
+    A form that reads a changed state, eps_s included, evaluates it again.
+    """
 
     def __init__(self, mesh: PolyMesh, projectors: CellProjectorSet | None = None):
         if projectors is not None and projectors.mesh is not mesh:
@@ -321,7 +331,6 @@ class Workspace:
         ) - 1
         self.block_cells = np.append(np.unique(first), mesh.n_cells)
         self._physics_key = None
-        self._G = None
 
     # -- node blocks -----------------------------------------------------
 
@@ -404,45 +413,40 @@ class Workspace:
         out *= self.dets[tets] * scale
         return out
 
-    # -- physics cache ---------------------------------------------------
+    # -- physics state ---------------------------------------------------
 
     def _attach(self, physics: PhysicsConfig) -> None:
-        """Evaluate the level set once per physics state; kappa_bar^2 > 0 only on ``solvent``.
+        """Evaluate ``physics`` at the nodes in one sweep, unless its state is the one held.
 
-        The state is the physics and its level set (by identity) and the
-        eps_m, kappa_bar^2 and charges that G and the screened term read, so
-        changing any of them on the same instance drops G.
+        Sets the ``solvent`` mask of the nodes (kappa_bar^2 > 0 only there),
+        ``_eps_int``, each cell's integral of the dielectric, and ``_G``, the
+        Coulomb field at every node, 0 off the solvent, or None when no node
+        is screened.  The key holds every field these and the screened term read.
         """
         q, x = physics.charge_arrays()
-        key = (physics, physics.levelset, physics.eps_m, physics.kappa_bar_sq_solvent,
-               q.tobytes(), x.tobytes())
+        key = (physics, physics.levelset, physics.eps_m, physics.eps_s,
+               physics.kappa_bar_sq_solvent, q.tobytes(), x.tobytes())
         old = self._physics_key
         if old is not None and old[0] is key[0] and old[1] is key[1] and old[2:] == key[2:]:
             return
-        self._G = None
-        self.solvent = np.concatenate(
-            [physics.solvent_mask(self.points[nodes]) for _, nodes, _ in self._blocks()]
-        )
-        self._has_screening = physics.kappa_bar_sq_solvent > 0 and bool(self.solvent.any())
+        screened = physics.kappa_bar_sq_solvent > 0
+        solvent = np.empty(len(self.weights), dtype=bool)
+        G = np.zeros(len(self.weights)) if screened else None
+        eps_int = []
+        for cells, nodes, _ in self._blocks():
+            points = self.points[nodes]
+            mask = solvent[nodes] = physics.solvent_mask(points)
+            # node by node: the per-tet tables round the cell integrals a few ulps further off
+            eps_int.append(np.add.reduceat(
+                self.weights[nodes] * np.where(mask, physics.eps_s, physics.eps_m),
+                self.cell_ptr[cells] - nodes.start,
+            ))
+            if screened and mask.any():
+                # the solvent points with contiguous coordinate columns
+                G[nodes][mask] = physics.coulomb_potential(points.T.compress(mask, axis=1).T)
+        self.solvent, self._eps_int = solvent, np.concatenate(eps_int)
+        self._G = G if screened and solvent.any() else None
         self._physics_key = key
-
-    def _solvent_points(self, nodes: slice) -> tuple[np.ndarray, np.ndarray]:
-        """A block's solvent mask and its solvent points, (m, 3) with contiguous columns."""
-        mask = self.solvent[nodes]
-        return mask, self.points[nodes].T.compress(mask, axis=1).T
-
-    def _coulomb(self, physics: PhysicsConfig) -> np.ndarray:
-        """G at every node, 0 off the solvent; evaluated on the first screened use."""
-        if self._G is None:
-            self._G = np.zeros(len(self.weights))
-            for _, nodes, _ in self._blocks():
-                mask, points = self._solvent_points(nodes)
-                if len(points):
-                    self._G[nodes][mask] = physics.coulomb_potential(points)
-        return self._G
-
-    def _epsilon(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
-        return np.where(self.solvent[nodes], physics.eps_s, physics.eps_m)
 
     # -- assembly --------------------------------------------------------
 
@@ -480,13 +484,7 @@ class Workspace:
         comparable for any contrast.
         """
         self._attach(physics)
-        # summed node by node: the per-tet tables round the cell integrals of eps
-        # a few ulps further from the exact value
-        eps_int = np.concatenate([
-            np.add.reduceat(self.weights[nodes] * self._epsilon(physics, nodes),
-                            self.cell_ptr[cells] - nodes.start)
-            for cells, nodes, _ in self._blocks()
-        ])
+        eps_int = self._eps_int
         mesh = self.mesh
         h = mesh.cell_diameter
         sigma = h * eps_int / mesh.cell_volume
@@ -529,9 +527,8 @@ class Workspace:
 
     def _manufactured_sums(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """Per-cell integrals of the manufactured load: 3 flux rows, then 4 source moments."""
-        # G is evaluated here, on the calling thread, before the pooled sweep
-        G = self._coulomb(physics) if self._has_screening else None
-        kbar_sq = physics.kappa_bar_sq_solvent
+        G, kbar_sq = self._G, physics.kappa_bar_sq_solvent
+        eps_s, eps_m = physics.eps_s, physics.eps_m
 
         def integrals(cells, nodes, tets):
             """3 flux rows, then the 4 moment rows of the source."""
@@ -543,7 +540,8 @@ class Workspace:
                 arg = load.u_exact(points) * self.solvent[nodes] + G[nodes]
                 _check_sinh_argument(arg)
                 source = kbar_sq * np.sinh(arg)
-            flux = np.multiply(load.grad_u_exact(points).T, self._epsilon(physics, nodes),
+            flux = np.multiply(load.grad_u_exact(points).T,
+                               np.where(self.solvent[nodes], eps_s, eps_m),
                                out=np.empty((3, len(points))))
             out = np.empty((7, tets.stop - tets.start))
             out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
@@ -555,8 +553,9 @@ class Workspace:
     def _jump_flux(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
         """Rows of -(eps - eps_m) grad G at a block's nodes, (3, tets, NQ), 0 off the solvent."""
         vec = np.zeros((3, nodes.stop - nodes.start))
-        mask, points = self._solvent_points(nodes)
-        if len(points):
+        mask = self.solvent[nodes]
+        if mask.any():
+            points = self.points[nodes].T.compress(mask, axis=1).T
             vec[:, mask] = -(physics.eps_s - physics.eps_m) * physics.coulomb_gradient(points).T
         return vec.reshape(3, -1, NQ)
 
@@ -570,10 +569,10 @@ class Workspace:
         """
         self._attach(physics)
         M = np.zeros((self.mesh.n_cells, 4, 4))
-        if not self._has_screening:
+        G = self._G
+        if G is None:
             return np.zeros(self.mesh.n_vertices), M
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
-        G = self._coulomb(physics)
         kbar_sq = physics.kappa_bar_sq_solvent
 
         def moments(cells, nodes, tets):

@@ -702,7 +702,8 @@ class NodeRowForms:
 
     def error_norms(self, u, u_exact, grad_u_exact):
         diff = u_exact(self.points) - self.projected_values(u)
-        gdiff = grad_u_exact(self.points) - self._spread(self.P.gradients(u))
+        grad = self.P.value_coeffs(u)[:, 1:] / self.mesh.cell_diameter[:, None]
+        gdiff = grad_u_exact(self.points) - self._spread(grad)
         return (float(np.sqrt(self.weights @ diff**2)),
                 float(np.sqrt(self.weights @ (gdiff**2).sum(axis=1))))
 

@@ -161,7 +161,7 @@ def test_k_consistency_identities(random_cells):
         q_dofs = rng.normal() + m.vertices @ (q_grad := rng.normal(size=3))
         # the stabilized part contributes nothing between two linears
         eps_int = np.add.reduceat(ws.weights * phys.epsilon(ws.points), ws.cell_ptr[:-1])
-        p_grad = ws.projectors.gradients(p_dofs)
+        p_grad = ws.projectors.value_coeffs(p_dofs)[:, 1:] / m.cell_diameter[:, None]
         expect = eps_int @ (p_grad @ q_grad)
         assert K @ q_dofs @ p_dofs == pytest.approx(expect, rel=1e-12, abs=1e-13)
         # and the remainder annihilates the linear DoF vector

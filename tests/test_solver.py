@@ -646,7 +646,7 @@ def _fresh(mesh, phys, u):
     return B, ws.jacobian(M).toarray()
 
 
-@pytest.mark.parametrize("change", ["kappa", "levelset", "eps_m"])
+@pytest.mark.parametrize("change", ["kappa", "levelset", "eps_m", "eps_s"])
 def test_physics_changed_in_place_matches_a_fresh_workspace(change):
     """A Workspace follows changes made to the same physics instance."""
     m = vp.generate_tet_mesh(3)
@@ -661,8 +661,10 @@ def test_physics_changed_in_place_matches_a_fresh_workspace(change):
         phys.kappa = 4.0
     elif change == "levelset":
         phys.levelset = vp.box_levelset(0.4)
-    else:
+    elif change == "eps_m":
         phys.eps_m = 4.0
+    else:
+        phys.eps_s = 40.0
     B, M = ws.nonlinear(phys, u)
     B_fresh, J_fresh = _fresh(m, phys, u)
     assert np.abs(B_fresh).max() > 100
@@ -676,6 +678,49 @@ def test_physics_changed_in_place_matches_a_fresh_workspace(change):
     other = vp.PhysicsConfig(kappa=2.0, charges=[(5.0, (0.25, 0.25, 0.25))])
     B_other, _ = ws.nonlinear(other, u)
     assert np.array_equal(B_other, _fresh(m, other, u)[0])
+
+
+def test_stiffness_follows_eps_s_changed_in_place_without_screening():
+    """The held cell integrals of eps follow eps_s also where kappa_bar^2 stays 0."""
+    m = vp.generate_tet_mesh(3)
+    phys = vp.PhysicsConfig(kappa=0.0)
+    ws = Workspace(m)
+    A_before = ws.stiffness(phys).toarray()
+    phys.eps_s = 40.0
+    A = ws.stiffness(phys).toarray()
+    assert not np.array_equal(A, A_before)
+    assert np.array_equal(A, Workspace(m).stiffness(phys).toarray())
+
+
+def test_physics_state_is_evaluated_in_one_pass(monkeypatch):
+    """Per physics state each node is classified once and each solvent node gets G once."""
+    m = vp.generate_tet_mesh(3)
+    phys = _screened_tet_physics()
+    classified, coulomb = [], []
+
+    def recording(calls, method):
+        def wrapped(points):
+            calls.append(points.copy())
+            return method(points)
+        return wrapped
+
+    monkeypatch.setattr(phys, "solvent_mask", recording(classified, phys.solvent_mask))
+    monkeypatch.setattr(phys, "coulomb_potential", recording(coulomb, phys.coulomb_potential))
+    ws = Workspace(m)
+    load = vp.regularized_load()
+    u, report = vp.newton_solve(m, phys, load, workspace=ws)
+    vp.assemble_residual(m, phys, load, u, workspace=ws)
+    assert report.newton_iterations > 1
+    solvent_points = ws.points[ws.solvent]
+    assert 0 < len(solvent_points) < len(ws.points)
+    assert np.array_equal(np.concatenate(classified), ws.points)
+    assert np.array_equal(np.concatenate(coulomb), solvent_points)
+    # an in-place change of kappa is one more pass, and no more
+    n_classified, n_coulomb = len(classified), len(coulomb)
+    phys.kappa = 2.0
+    vp.newton_solve(m, phys, load, workspace=ws)
+    assert np.array_equal(np.concatenate(classified[n_classified:]), ws.points)
+    assert np.array_equal(np.concatenate(coulomb[n_coulomb:]), solvent_points)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +775,7 @@ def test_charges_changed_on_the_instance_match_a_fresh_physics(how):
     fresh = Workspace(m)
     B, M = ws.nonlinear(phys, u)
     B_fresh, M_fresh = fresh.nonlinear(fresh_phys, u)
-    assert np.array_equal(ws._coulomb(phys), fresh._coulomb(fresh_phys))
+    assert np.array_equal(ws._G, fresh._G)
     F = ws.load_vector(phys, load)
     assert np.array_equal(F, fresh.load_vector(fresh_phys, load))
     assert np.array_equal(B, B_fresh)
