@@ -84,9 +84,11 @@ class PhysicsConfig:
     def solvent_mask(self, points: np.ndarray) -> np.ndarray:
         return self.levelset(np.atleast_2d(points)) > 0
 
+    # besides tests, only perfbench/ reads this; it goes with ROADMAP item 1
     def epsilon(self, points: np.ndarray) -> np.ndarray:
         return np.where(self.solvent_mask(points), self.eps_s, self.eps_m)
 
+    # besides tests, only perfbench/ reads this; it goes with ROADMAP item 1
     def kappa_bar_sq(self, points: np.ndarray) -> np.ndarray:
         return np.where(self.solvent_mask(points), self.kappa_bar_sq_solvent, 0.0)
 

@@ -716,10 +716,9 @@ def check_mesh_assumptions(mesh: PolyMesh, gamma_min: float = 0.05) -> MeshQuali
 
 def save_mesh(mesh: PolyMesh, path) -> None:
     """Write the VPM text format (version 1), coordinates at 17 significant digits."""
-    lines = ["vpm 1", f"vertices {mesh.n_vertices}"]
-    lines += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in mesh.vertices]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"vpm 1\nvertices {mesh.n_vertices}\n")
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
         fh.write(f"faces {mesh.n_faces}\n" + _records(mesh.face_ptr, mesh.face_vertex))
         fh.write(f"cells {mesh.n_cells}\n" + _records(mesh.cell_ptr, mesh.cell_face))
 

@@ -15,16 +15,16 @@ each cell's D DoFs: eps_E grad_E' grad_E + sigma_E stab_E' stab_E and
 pi_E' M_E pi_E.  pi_E (4, D) is read straight from pi's CSR rows, which are
 contiguous per cell, and grad_E = pi_E[1:] / h_E (3, D) and stab_E =
 I - D_E pi_E (D, D), D_E the values of (1, xi) at the cell's vertices, are
-formed from it.  The blocks of the cells of one DoF count are batched
-matrix products.  Their upper triangles, which lie in the upper triangle of
-the matrix as each cell's DoF ids are sorted, sum into one CSR pattern with
-one ``bincount``, and an entry and its transpose read the same sum, so both
-matrices are exactly symmetric.  The pattern, the slot of every upper block
-entry in it, and the free-DoF sub-block depend on the mesh only: the
-Workspace builds them on its first assembly, not at construction.  A and J
-share the pattern, so A + J restricted to the free DoFs is one data add and
-one gather.  The loads are one product with pi': grad' flux is pi' of the
-flux over h_E in the linear rows.
+formed from it.  The Workspace's block pattern, built from the mesh alone
+on its first assembly, holds the cells grouped by DoF count, the CSR
+pattern and its free-DoF sub-block, and assembles every matrix: a group's
+blocks are batched matrix products, and their upper triangles, in the
+matrix's upper triangle as each cell's DoF ids are sorted, sum into the
+pattern with one ``bincount``.  An entry and its transpose read the same
+sum, so both matrices are exactly symmetric.  A and J share the pattern,
+so A + J restricted to the free DoFs is one data add and one gather.  The
+loads are one product with pi': grad' flux is pi' of the flux over h_E in
+the linear rows.
 
 The field sweeps of the manufactured load and of the error norms, where
 the exact field and its gradient are evaluated at every node, run their
@@ -194,6 +194,7 @@ def mesh_quadrature(mesh: PolyMesh):
             maps, dets)
 
 
+# besides tests, only perfbench/ reads this (analysis.cell_quadrature); it goes with ROADMAP item 1
 def cell_quadrature(mesh: PolyMesh, ci: int):
     """Points and weights of cell ``ci``: its slice of :func:`mesh_quadrature`."""
     points, weights, _, _, cell_ptr, *_ = mesh_quadrature(mesh)
@@ -239,26 +240,35 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _BlockPattern:
-    """The CSR pattern of a mesh's cell blocks, on all DoFs and on the free ones.
+    """A mesh's cells by DoF count, and the CSR pattern their blocks sum into.
 
-    A cell's DoF ids are sorted, so entry (a, b), a <= b, of its (D, D)
-    block lies in the pattern's upper triangle.  These entries, cell by cell
-    in ``np.triu_indices`` order with the cells grouped by DoF count as
-    :func:`~vempb.mesh._segments_by_length` yields them, sum into the upper
-    entries as ``bincount(slot, entries)``.  ``full`` is the pattern, whose
-    data give each entry's upper entry, so an entry and its transpose hold
-    the same sum; ``free`` is its free-DoF sub-block, whose data give each
-    entry's position in ``full``.  Their index arrays are read-only, as every
-    matrix on the pattern shares them.
+    ``groups`` holds per DoF count D the cells ``idx``, their DoF positions
+    ``at`` (cells, D) in ``mesh.cell_vertex`` and the flat index a * D + b of
+    each upper block entry (a, b), a <= b, which lies in the pattern's upper
+    triangle as a cell's DoF ids are sorted.  ``slot`` gives the upper entry
+    of each, in the order :meth:`matrix` takes them.  ``full`` is the
+    pattern, whose data give each entry's upper entry, so an entry and its
+    transpose hold the same sum; ``free`` is its free-DoF sub-block, whose
+    data give each entry's position in ``full``.  The index arrays are
+    read-only, as every matrix on the pattern shares them.
     """
 
+    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     slot: np.ndarray
     full: sp.csr_matrix
     free: sp.csr_matrix
 
-    def matrix(self, upper_entries: np.ndarray) -> sp.csr_matrix:
-        """The (n_vertices, n_vertices) sum of the blocks' flat upper entries."""
-        data = np.bincount(self.slot, upper_entries)[self.full.data]
+    def matrix(self, blocks) -> sp.csr_matrix:
+        """The (n_vertices, n_vertices) sum of the cell blocks that ``blocks`` returns.
+
+        ``blocks(idx, at)`` gets one group's cells and DoF positions and
+        returns their symmetric blocks (cells, D, D), of which the upper
+        triangles are summed.
+        """
+        # np.take: fancy indexing is several times slower on many short rows
+        upper = [np.take(blocks(idx, at).reshape(len(idx), -1), tri, axis=1)
+                 for idx, at, tri in self.groups]
+        data = np.bincount(self.slot, np.concatenate(upper, axis=None))[self.full.data]
         return sp.csr_matrix((data, self.full.indices, self.full.indptr), shape=self.full.shape)
 
     def free_matrix(self, data: np.ndarray) -> sp.csr_matrix:
@@ -268,12 +278,14 @@ class _BlockPattern:
 
 
 def _block_pattern(mesh: PolyMesh) -> _BlockPattern:
-    """The union of the cells' DoF cliques, and the slot of each upper block entry in it."""
+    """The cells by DoF count, the union of their DoF cliques and each upper entry's slot."""
     nv = mesh.n_vertices
-    keys = []
-    for _, at in _segments_by_length(mesh.cell_vertex_ptr):
+    groups, keys = [], []
+    for idx, at in _segments_by_length(mesh.cell_vertex_ptr):
+        d = at.shape[1]
         ids = mesh.cell_vertex[at]
-        a, b = np.triu_indices(at.shape[1])
+        a, b = np.triu_indices(d)
+        groups.append((idx, at, a * d + b))
         keys.append((ids[:, a] * nv + ids[:, b]).ravel())
     upper, slot = np.unique(np.concatenate(keys), return_inverse=True)
     rows, cols = np.divmod(upper, nv)
@@ -289,9 +301,10 @@ def _block_pattern(mesh: PolyMesh) -> _BlockPattern:
     free = ~mesh.boundary_vertex
     sub = position[free][:, free]
     sub.data -= 1
-    for index in (full.indices, full.indptr, sub.indices, sub.indptr):
+    for index in (full.indices, full.indptr, sub.indices, sub.indptr,
+                  *(array for group in groups for array in group)):
         index.setflags(write=False)
-    return _BlockPattern(slot, full, sub)
+    return _BlockPattern(groups, slot, full, sub)
 
 
 def _cell_pi(pi: sp.csr_matrix, cells: np.ndarray, dofs: int) -> np.ndarray:
@@ -318,6 +331,7 @@ class Workspace:
         self.mesh = mesh
         self.projectors = projectors if projectors is not None else build_projectors(mesh)
 
+        # besides tests, only perfbench/ reads xi and cop; they go with ROADMAP item 1
         (self.points, self.weights, self.xi, self.cop, self.cell_ptr,
          self.maps, self.dets) = mesh_quadrature(mesh)
         self._tet_ptr = self.cell_ptr // NQ
@@ -452,24 +466,8 @@ class Workspace:
 
     @cached_property
     def _pattern(self) -> _BlockPattern:
-        """The CSR pattern of the cell blocks, built on the first assembly."""
+        """The cell groups and CSR pattern of every assembly, built on the first one."""
         return _block_pattern(self.mesh)
-
-    def _assemble(self, blocks) -> sp.csr_matrix:
-        """The (n_vertices, n_vertices) sum of the cell blocks that ``blocks`` returns.
-
-        ``blocks(idx, at)`` gets the cells ``idx`` of one DoF count D and
-        their DoF positions ``at`` (cells, D) in ``mesh.cell_vertex``, and
-        returns their symmetric blocks (cells, D, D), of which the upper
-        triangles are summed.
-        """
-        upper = []
-        for idx, at in _segments_by_length(self.mesh.cell_vertex_ptr):
-            d = at.shape[1]
-            a, b = np.triu_indices(d)
-            # np.take: fancy indexing is several times slower on many short rows
-            upper.append(np.take(blocks(idx, at).reshape(len(idx), d * d), a * d + b, axis=1))
-        return self._pattern.matrix(np.concatenate(upper, axis=None))
 
     def stiffness(self, physics: PhysicsConfig) -> sp.csr_matrix:
         """Projected-gradient consistency term plus a dofi-dofi stabilization.
@@ -503,7 +501,7 @@ class Workspace:
             return (eps_int[idx, None, None] * np.matmul(grad.transpose(0, 2, 1), grad)
                     + sigma[idx, None, None] * np.matmul(stab.transpose(0, 2, 1), stab))
 
-        return self._assemble(blocks)
+        return self._pattern.matrix(blocks)
 
     def load_vector(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
         """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large.
@@ -608,7 +606,7 @@ class Workspace:
             pi_E = _cell_pi(pi, idx, at.shape[1])
             return np.matmul(pi_E.transpose(0, 2, 1), np.matmul(M[idx], pi_E))
 
-        return self._assemble(blocks)
+        return self._pattern.matrix(blocks)
 
     def error_norms(self, u: np.ndarray, u_exact, grad_u_exact) -> tuple[float, float]:
         """L2 and H1-seminorm errors of the projected solution against exact fields.
@@ -705,16 +703,16 @@ def cg_solve(
         iterations += 1
 
     # scipy tests the residual before each iteration, so it needs one pass more
-    # to accept an iterate that converges on the last allowed iteration; with
-    # maxiter = 0 it would return x = 0 as converged
+    # to accept an iterate that converges on the last allowed iteration (with
+    # maxiter = 0 it would return x = 0 as converged); a failed solve ran it too
     x, info = spla.cg(
         A, b, rtol=tol, atol=0.0, maxiter=max(max_iterations, 0) + 1, M=sp.diags(1.0 / diag),
         callback=count,
     )
     if info != 0:
         raise SolverError(
-            f"CG did not converge in {max_iterations} iterations "
-            f"(relative residual {np.linalg.norm(b - A @ x) / np.linalg.norm(b):.3e})"
+            f"CG did not converge in {max_iterations} iterations (relative residual "
+            f"{np.linalg.norm(b - A @ x) / np.linalg.norm(b):.3e} after iteration {iterations})"
         )
     return x, iterations
 

@@ -143,6 +143,27 @@ def test_block_assembly_matches_the_sparse_product_oracle(case, monkeypatch):
         assert np.array_equal(K.toarray(), free_block(A + J_k, free).toarray())
 
 
+def test_cell_groups_are_walked_once_per_workspace(monkeypatch):
+    """The block pattern keeps the DoF-count groups, so no assembly walks the cells again."""
+    m = vp.generate_voronoi_mesh(64, 0)
+    phys, load = _screened_tet_physics(), vp.regularized_load()
+    walks, segments = [], solver._segments_by_length
+
+    def counting(ptr):
+        walks.append(ptr)
+        return segments(ptr)
+
+    monkeypatch.setattr(solver, "_segments_by_length", counting)
+    ws = Workspace(m)
+    u, report = vp.newton_solve(m, phys, load, workspace=ws)
+    vp.assemble_residual(m, phys, load, u, workspace=ws)
+    vp.assemble_residual(m, phys, load, u, workspace=ws)
+    ws.jacobian(ws.nonlinear(phys, u)[1])
+    assert report.newton_iterations > 0
+    assert len(walks) == 1 and walks[0] is m.cell_vertex_ptr
+    assert len(ws._pattern.groups) == len(ws.groups) > 1
+
+
 def test_block_pattern_is_built_once_and_only_on_demand(monkeypatch):
     m = vp.generate_tet_mesh(3)
     phys, load = _screened_tet_physics(), vp.regularized_load()
@@ -301,6 +322,22 @@ def test_cg_without_allowed_iterations_fails(limit):
     A = sp.identity(10, format="csr")
     with pytest.raises(SolverError, match="CG did not converge"):
         cg_solve(A, np.arange(10, dtype=float), max_iterations=limit)
+
+
+def test_cg_failure_names_the_iteration_of_its_residual():
+    """SciPy runs one pass past the limit, and the message says whose residual it reports."""
+    rng = np.random.default_rng(0)
+    B = rng.normal(size=(6, 6))
+    A = sp.csr_matrix(B @ B.T + np.eye(6))
+    b = rng.normal(size=6)
+    x6, iters = cg_solve(A, b, max_iterations=6)
+    assert iters == 6
+    with pytest.raises(SolverError, match="in 5 iterations") as err:
+        cg_solve(A, b, max_iterations=5)
+    residual = np.linalg.norm(b - A @ x6) / np.linalg.norm(b)
+    assert f"(relative residual {residual:.3e} after iteration 6)" in str(err.value)
+    with pytest.raises(SolverError, match=r"in 0 iterations \(.* after iteration 1\)"):
+        cg_solve(A, b, max_iterations=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
