@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import box_levelset
+from .mesh import _FixedFields, box_levelset
 
 SINH_ARG_LIMIT = 700.0
 CHARGE_SINGULARITY_TOL = 1e-14
@@ -34,22 +34,26 @@ class NonlinearOverflow(ArithmeticError):
 
 
 @dataclass
-class PhysicsConfig:
+class PhysicsConfig(_FixedFields):
     """Dielectric constants, screening parameter, point charges, level set.
 
     ``kappa`` is the Debye-Hueckel parameter; the effective screening
     coefficient is eps_s * kappa^2 in the solvent region and zero in the
     molecular region.  The level set is any callable mapping points (n, 3)
-    to values (n,), negative inside the molecular region.  Charge locations
+    to values (n,), negative inside the molecular region.  ``charges`` holds
+    (q, (x, y, z)) pairs, kept as a tuple of float tuples; charge locations
     must lie in the closed molecular region.
+
+    Every field is checked once, at construction, and fixed from then on:
+    assigning one raises ``FrozenInstanceError``.  A changed physics is a
+    new one, ``dataclasses.replace(physics, kappa=...)``, which is checked
+    anew.  Methods may still be wrapped on the instance.
     """
 
     eps_m: float = 2.0
     eps_s: float = 80.0
     kappa: float = 1.0 / (20.0 * np.sqrt(2.0))
-    charges: list[tuple[float, tuple[float, float, float]]] = field(
-        default_factory=lambda: [(1.0, (0.0, 0.0, 0.0))]
-    )
+    charges: tuple[tuple[float, tuple[float, float, float]], ...] = ((1.0, (0.0, 0.0, 0.0)),)
     levelset: Callable[[np.ndarray], np.ndarray] = field(default_factory=box_levelset)
 
     def __post_init__(self):
@@ -58,16 +62,8 @@ class PhysicsConfig:
             raise ValueError("permittivities must be positive and finite")
         if not 0 <= self.kappa < np.inf:
             raise ValueError("kappa must be non-negative and finite")
-        self.charge_arrays()
-
-    def charge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Charges q (n,) and locations x (n, 3), read from ``charges`` as it is now.
-
-        Raises ValueError if a value is not finite or a location lies
-        outside the closed molecular region of the current level set.
-        """
         q = np.array([q for q, _ in self.charges], dtype=float)
-        x = np.array([x for _, x in self.charges], dtype=float).reshape(-1, 3)
+        x = np.array([x for _, x in self.charges], dtype=float).reshape(len(q), 3)
         if not (np.isfinite(q).all() and np.isfinite(x).all()):
             raise ValueError(f"charges must be finite, got {self.charges}")
         outside = np.nonzero(self.levelset(x) > 0)[0] if len(x) else []
@@ -75,7 +71,10 @@ class PhysicsConfig:
             raise ValueError(
                 f"charge at {self.charges[outside[0]][1]} lies outside the molecular region"
             )
-        return q, x
+        q.flags.writeable = x.flags.writeable = False
+        self.charges = tuple((float(qi), tuple(map(float, xi))) for qi, xi in zip(q, x))
+        self._q, self._x = q, x
+        self._fixed = True
 
     @property
     def kappa_bar_sq_solvent(self) -> float:
@@ -96,7 +95,7 @@ class PhysicsConfig:
         """Sum of (q_i/eps_m)/|x - x_i| over the point charges."""
         pts = np.atleast_2d(points)
         out = np.zeros(len(pts))
-        for q, x in zip(*self.charge_arrays()):
+        for q, x in zip(self._q, self._x):
             _, r = _charge_offsets(pts, x)
             out += (q / self.eps_m) / r
         return out
@@ -104,7 +103,7 @@ class PhysicsConfig:
     def coulomb_gradient(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         out = np.zeros((3, len(pts)))
-        for q, x in zip(*self.charge_arrays()):
+        for q, x in zip(self._q, self._x):
             rel, r = _charge_offsets(pts, x)
             r3 = r**3
             for j in range(3):
@@ -121,7 +120,7 @@ def _charge_offsets(pts: np.ndarray, x: np.ndarray):
     return rel, r
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadSpec:
     """Right-hand-side selection: regularized charge splitting or manufactured.
 

@@ -24,14 +24,14 @@ a cube meet each other or a loop of the cube below, so every face is
 stored at its first appearance.  Constructing a :class:`PolyMesh`, the one
 path for every builder, indexes and checks it, measures its geometry
 (centroids, measures, cell diameters) from exact polygonal face integrals
-via the divergence theorem and makes its arrays read-only; face diameters
-are left to the regularity audit, their one reader.
+via the divergence theorem, makes its arrays read-only and fixes its
+fields; face diameters are left to the regularity audit, their one reader.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,8 +78,29 @@ def box_levelset(threshold: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     return levelset
 
 
+class _FixedFields:
+    """Base of a dataclass whose fields are fixed once its ``__post_init__`` sets ``_fixed``.
+
+    Assigning or deleting a field then raises ``FrozenInstanceError``; other
+    attributes, such as a method wrapped on the instance, can still be set.
+    ``dataclasses.replace`` constructs anew, so its result is checked too.
+    """
+
+    _fixed = False
+
+    def __setattr__(self, name, value):
+        if self._fixed and name in self.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._fixed and name in self.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+
 @dataclass
-class PolyMesh:
+class PolyMesh(_FixedFields):
     """Polyhedral mesh with exact geometry, topology in CSR arrays.
 
     Face fi's loop is ``face_vertex[face_ptr[fi]:face_ptr[fi + 1]]``; cell
@@ -89,8 +110,9 @@ class PolyMesh:
     checks the topology and measures the geometry (:class:`MeshError` on the
     first fault), filling the fields below, all read by the solver; face
     diameters, read only by :func:`check_mesh_assumptions`, are computed
-    there.  Every array is then read-only, so moved vertices make a new mesh:
-    ``dataclasses.replace(mesh, vertices=moved)``.
+    there.  Every array is then read-only and every field fixed, so moved
+    vertices make a new mesh: ``dataclasses.replace(mesh, vertices=moved)``.
+    Vertices that are not finite (n, 3) coordinates raise :class:`MeshError`.
     """
 
     vertices: np.ndarray                 # (nv, 3)
@@ -114,12 +136,19 @@ class PolyMesh:
     def __post_init__(self) -> None:
         for name in ("vertices", "face_ptr", "face_vertex", "cell_ptr", "cell_face"):
             setattr(self, name, np.array(getattr(self, name)))
+        V = self.vertices
+        if V.ndim != 2 or V.shape[1] != 3:
+            raise MeshError(f"vertex 0: expected 3 coordinates, vertices have shape {V.shape}")
+        bad = ~np.isfinite(V).all(axis=1)
+        if bad.any():
+            raise MeshError(f"vertex {int(np.argmax(bad))}: non-finite coordinate")
         corners = _flat_corners(self)
         use = _index_cells(self, corners)
         _check_topology(self, corners, use)
         _measure(self, corners)
         for array in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
             array.flags.writeable = False
+        self._fixed = True
 
     def __reduce__(self):
         # pickle and copy construct the mesh anew, so their copies are read-only too

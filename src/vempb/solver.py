@@ -64,8 +64,9 @@ row formulas on (k, tets) rows.
 A physics state is evaluated at the nodes once, in one sweep, when a form
 first reads it: the solvent mask of the nodes, the integral of the
 dielectric over each cell, summed node by node, and the Coulomb field G.
-Its key is the physics and its level set (by identity) with eps_m, eps_s,
-kappa_bar^2 and the charges, so an in-place change of any of them is seen.
+A physics, like a Newton config, a load and a mesh, is fixed once
+constructed, so the state is keyed by the physics instance; a changed
+physics is a new one, made with ``dataclasses.replace``.
 G is held at node length, 0 off the solvent, and the sinh argument
 Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask and cosh is
 masked by [solvent], with no index arrays over the solvent nodes.  One
@@ -211,7 +212,7 @@ class SolverError(Exception):
         self.report = report
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
@@ -320,9 +321,10 @@ def _cell_pi(pi: sp.csr_matrix, cells: np.ndarray, dofs: int) -> np.ndarray:
 class Workspace:
     """Flat quadrature and the projector operator for fast repeated assembly.
 
-    It also holds the last physics state it was given, evaluated at its
-    nodes: the solvent mask, each cell's integral of the dielectric and G.
-    A form that reads a changed state, eps_s included, evaluates it again.
+    It also holds the state of the last physics instance it was given,
+    evaluated at its nodes: the solvent mask, each cell's integral of the
+    dielectric and G.  A physics is fixed once constructed; a changed one,
+    ``dataclasses.replace(physics, kappa=...)``, is a new instance.
     """
 
     def __init__(self, mesh: PolyMesh, projectors: CellProjectorSet | None = None):
@@ -344,7 +346,7 @@ class Workspace:
             self.cell_ptr, np.arange(0, len(self.weights), BLOCK_NODES), side="right"
         ) - 1
         self.block_cells = np.append(np.unique(first), mesh.n_cells)
-        self._physics_key = None
+        self._physics = None
 
     # -- node blocks -----------------------------------------------------
 
@@ -430,18 +432,14 @@ class Workspace:
     # -- physics state ---------------------------------------------------
 
     def _attach(self, physics: PhysicsConfig) -> None:
-        """Evaluate ``physics`` at the nodes in one sweep, unless its state is the one held.
+        """Evaluate ``physics`` at the nodes in one sweep, unless it is the physics held.
 
         Sets the ``solvent`` mask of the nodes (kappa_bar^2 > 0 only there),
         ``_eps_int``, each cell's integral of the dielectric, and ``_G``, the
         Coulomb field at every node, 0 off the solvent, or None when no node
-        is screened.  The key holds every field these and the screened term read.
+        is screened.  A physics is fixed once constructed: the instance is the key.
         """
-        q, x = physics.charge_arrays()
-        key = (physics, physics.levelset, physics.eps_m, physics.eps_s,
-               physics.kappa_bar_sq_solvent, q.tobytes(), x.tobytes())
-        old = self._physics_key
-        if old is not None and old[0] is key[0] and old[1] is key[1] and old[2:] == key[2:]:
+        if physics is self._physics:
             return
         screened = physics.kappa_bar_sq_solvent > 0
         solvent = np.empty(len(self.weights), dtype=bool)
@@ -460,7 +458,7 @@ class Workspace:
                 G[nodes][mask] = physics.coulomb_potential(points.T.compress(mask, axis=1).T)
         self.solvent, self._eps_int = solvent, np.concatenate(eps_int)
         self._G = G if screened and solvent.any() else None
-        self._physics_key = key
+        self._physics = physics
 
     # -- assembly --------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import warnings
@@ -175,7 +176,7 @@ def test_block_pattern_is_built_once_and_only_on_demand(monkeypatch):
     assert not builds
     u, _ = vp.newton_solve(m, phys, load, workspace=ws)
     vp.assemble_residual(m, phys, load, u, workspace=ws)
-    phys.kappa = 2.0
+    phys = dataclasses.replace(phys, kappa=2.0)
     vp.assemble_residual(m, phys, load, u, workspace=ws)
     ws.jacobian(ws.nonlinear(phys, u)[1])
     assert len(builds) == 1
@@ -683,9 +684,12 @@ def _fresh(mesh, phys, u):
     return B, ws.jacobian(M).toarray()
 
 
-@pytest.mark.parametrize("change", ["kappa", "levelset", "eps_m", "eps_s"])
+_CHANGED = {"kappa": 4.0, "levelset": vp.box_levelset(0.4), "eps_m": 4.0, "eps_s": 40.0}
+
+
+@pytest.mark.parametrize("change", list(_CHANGED))
 def test_physics_changed_in_place_matches_a_fresh_workspace(change):
-    """A Workspace follows changes made to the same physics instance."""
+    """A Workspace follows a physics replaced by one with a changed field."""
     m = vp.generate_tet_mesh(3)
     phys = vp.PhysicsConfig(kappa=0.0 if change == "kappa" else 4.0,
                             charges=[(5.0, (0.25, 0.25, 0.25))])
@@ -695,13 +699,9 @@ def test_physics_changed_in_place_matches_a_fresh_workspace(change):
     A_before = ws.stiffness(phys).toarray()
     if change == "kappa":
         assert not before.any()
-        phys.kappa = 4.0
-    elif change == "levelset":
-        phys.levelset = vp.box_levelset(0.4)
-    elif change == "eps_m":
-        phys.eps_m = 4.0
-    else:
-        phys.eps_s = 40.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(phys, change, _CHANGED[change])
+    phys = dataclasses.replace(phys, **{change: _CHANGED[change]})
     B, M = ws.nonlinear(phys, u)
     B_fresh, J_fresh = _fresh(m, phys, u)
     assert np.abs(B_fresh).max() > 100
@@ -723,14 +723,14 @@ def test_stiffness_follows_eps_s_changed_in_place_without_screening():
     phys = vp.PhysicsConfig(kappa=0.0)
     ws = Workspace(m)
     A_before = ws.stiffness(phys).toarray()
-    phys.eps_s = 40.0
+    phys = dataclasses.replace(phys, eps_s=40.0)
     A = ws.stiffness(phys).toarray()
     assert not np.array_equal(A, A_before)
     assert np.array_equal(A, Workspace(m).stiffness(phys).toarray())
 
 
 def test_physics_state_is_evaluated_in_one_pass(monkeypatch):
-    """Per physics state each node is classified once and each solvent node gets G once."""
+    """Per physics each node is classified once and each solvent node gets G once."""
     m = vp.generate_tet_mesh(3)
     phys = _screened_tet_physics()
     classified, coulomb = [], []
@@ -741,8 +741,11 @@ def test_physics_state_is_evaluated_in_one_pass(monkeypatch):
             return method(points)
         return wrapped
 
-    monkeypatch.setattr(phys, "solvent_mask", recording(classified, phys.solvent_mask))
-    monkeypatch.setattr(phys, "coulomb_potential", recording(coulomb, phys.coulomb_potential))
+    def record(physics):
+        for attr, calls in (("solvent_mask", classified), ("coulomb_potential", coulomb)):
+            monkeypatch.setattr(physics, attr, recording(calls, getattr(physics, attr)))
+
+    record(phys)
     ws = Workspace(m)
     load = vp.regularized_load()
     u, report = vp.newton_solve(m, phys, load, workspace=ws)
@@ -752,10 +755,12 @@ def test_physics_state_is_evaluated_in_one_pass(monkeypatch):
     assert 0 < len(solvent_points) < len(ws.points)
     assert np.array_equal(np.concatenate(classified), ws.points)
     assert np.array_equal(np.concatenate(coulomb), solvent_points)
-    # an in-place change of kappa is one more pass, and no more
+    # a physics replaced with another kappa is one more pass, and no more
     n_classified, n_coulomb = len(classified), len(coulomb)
-    phys.kappa = 2.0
-    vp.newton_solve(m, phys, load, workspace=ws)
+    phys = dataclasses.replace(phys, kappa=2.0)
+    record(phys)
+    u, _ = vp.newton_solve(m, phys, load, workspace=ws)
+    vp.assemble_residual(m, phys, load, u, workspace=ws)
     assert np.array_equal(np.concatenate(classified[n_classified:]), ws.points)
     assert np.array_equal(np.concatenate(coulomb[n_coulomb:]), solvent_points)
 
@@ -805,9 +810,12 @@ def test_charges_changed_on_the_instance_match_a_fresh_physics(how):
     B_before, _ = ws.nonlinear(phys, u)
     new = (2.0, (0.1, 0.2, 0.3))
     if how == "reassigned":
-        phys.charges = [new]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            phys.charges = [new]
     else:
-        phys.charges[0] = new
+        with pytest.raises(TypeError):
+            phys.charges[0] = new
+    phys = dataclasses.replace(phys, charges=(new,) + phys.charges[1:])
     fresh_phys = vp.PhysicsConfig(kappa=4.0, charges=[new])
     fresh = Workspace(m)
     B, M = ws.nonlinear(phys, u)
@@ -821,17 +829,20 @@ def test_charges_changed_on_the_instance_match_a_fresh_physics(how):
 
 
 def test_charge_moved_outside_the_molecular_region_is_rejected():
+    """A replaced charge or level set is checked anew; the physics held stays as it was."""
     m = vp.generate_tet_mesh(2)
     phys = _screened_tet_physics()
     ws = Workspace(m)
-    ws.nonlinear(phys, np.zeros(m.n_vertices))
-    phys.charges = [(1.0, (0.9, 0.9, 0.9))]
-    with pytest.raises(ValueError, match="outside the molecular region"):
-        phys.coulomb_potential(np.array([[0.1, 0.1, 0.1]]))
-    with pytest.raises(ValueError, match="outside the molecular region"):
-        ws.nonlinear(phys, np.zeros(m.n_vertices))
-    with pytest.raises(ValueError, match="outside the molecular region"):
-        vp.newton_solve(m, phys, vp.regularized_load())
+    B, _ = ws.nonlinear(phys, np.zeros(m.n_vertices))
+    outside = [(1.0, (0.9, 0.9, 0.9))]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phys.charges = outside
+    with pytest.raises(ValueError, match=r"charge at \(0.9, 0.9, 0.9\) lies outside the molecular"):
+        dataclasses.replace(phys, charges=outside)
+    with pytest.raises(ValueError, match=r"charge at \(0.25, 0.25, 0.25\) lies outside the mol"):
+        dataclasses.replace(phys, levelset=vp.box_levelset(0.2))
+    assert phys.charges == ((5.0, (0.25, 0.25, 0.25)),)
+    assert np.array_equal(ws.nonlinear(phys, np.zeros(m.n_vertices))[0], B)
 
 
 # ---------------------------------------------------------------------------
@@ -855,12 +866,51 @@ def test_newton_config_rejects_non_finite_tolerances(field, value):
         vp.NewtonConfig(**{field: value})
 
 
+@pytest.mark.parametrize("make", [
+    _screened_tet_physics, vp.NewtonConfig, vp.regularized_load, vp.manufactured_sine,
+], ids=["physics", "newton", "regularized", "manufactured"])
+def test_configs_are_fixed_once_constructed(make):
+    """No field can be assigned or deleted; a copy is fixed too."""
+    config = make()
+    for twin in (config, copy.copy(config)):
+        for field in dataclasses.fields(twin):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(twin, field.name, getattr(twin, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(twin, field.name)
+
+
+def test_physics_holds_its_charges_fixed():
+    """Charges are float tuples with read-only arrays; methods can still be wrapped."""
+    phys = vp.PhysicsConfig(kappa=4.0, charges=[[5, np.array([0.25, 0.25, 0.25])]])
+    assert phys.charges == ((5.0, (0.25, 0.25, 0.25)),)
+    assert all(type(v) is float for v in (phys.charges[0][0], *phys.charges[0][1]))
+    with pytest.raises(TypeError):
+        phys.charges[0] = (1.0, (0.1, 0.1, 0.1))
+    with pytest.raises(ValueError, match="read-only"):
+        phys._x[0, 0] = 0.1
+    with pytest.raises(ValueError, match="read-only"):
+        phys._q[0] = 1.0
+    points = np.array([[0.7, 0.7, 0.7]])
+    want = phys.coulomb_potential(points)
+    phys.coulomb_potential = lambda p: 2 * want
+    assert phys.coulomb_potential(points) == 2 * want
+    del phys.coulomb_potential
+    assert phys.coulomb_potential(points) == want
+    # three charges with two coordinates each are not two charges with three
+    with pytest.raises(ValueError):
+        vp.PhysicsConfig(charges=[(1.0, (0.1, 0.1))] * 3)
+
+
 def test_charge_reassigned_to_nan_is_rejected_by_the_solve():
-    m = vp.generate_cube_mesh(4)
+    """A NaN charge never reaches a solve: it cannot be assigned, and a replaced physics raises."""
     phys = vp.PhysicsConfig(kappa=1.0, charges=[(1.0, (0.1, 0.1, 0.1))])
-    phys.charges = [(np.nan, (0.1, 0.1, 0.1))]
-    with pytest.raises(ValueError, match="finite"):
-        vp.newton_solve(m, phys, vp.regularized_load())
+    nan = [(np.nan, (0.1, 0.1, 0.1))]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phys.charges = nan
+    with pytest.raises(ValueError, match="charges must be finite"):
+        dataclasses.replace(phys, charges=nan)
+    assert phys.charges == ((1.0, (0.1, 0.1, 0.1)),)
 
 
 def test_non_finite_initial_residual_is_a_solver_failure():

@@ -121,7 +121,7 @@ def test_pool_never_runs_physics_methods(use_pool, monkeypatch):
     physics = _screened_tet_physics()
     threads = set()
     for attr in ("solvent_mask", "epsilon", "kappa_bar_sq", "coulomb_potential",
-                 "coulomb_gradient", "charge_arrays"):
+                 "coulomb_gradient"):
         monkeypatch.setattr(physics, attr, _on_threads(getattr(physics, attr), threads))
     monkeypatch.setattr(solver, "BLOCK_NODES", 1000)
     use_pool(True)
