@@ -112,7 +112,8 @@ class PolyMesh(_FixedFields):
     diameters, read only by :func:`check_mesh_assumptions`, are computed
     there.  Every array is then read-only and every field fixed, so moved
     vertices make a new mesh: ``dataclasses.replace(mesh, vertices=moved)``.
-    Vertices that are not finite (n, 3) coordinates raise :class:`MeshError`.
+    Vertices that are not finite (n, 3) coordinates, and face vertex or
+    cell face references out of range, raise :class:`MeshError`.
     """
 
     vertices: np.ndarray                 # (nv, 3)
@@ -142,6 +143,17 @@ class PolyMesh(_FixedFields):
         bad = ~np.isfinite(V).all(axis=1)
         if bad.any():
             raise MeshError(f"vertex {int(np.argmax(bad))}: non-finite coordinate")
+        fv, cf = self.face_vertex, self.cell_face
+        bad = (fv < 0) | (fv >= len(V))
+        if bad.any():
+            k = int(np.argmax(bad))
+            fi = int(np.searchsorted(self.face_ptr, k, side="right")) - 1
+            raise MeshError(f"face {fi}: vertex index {fv[k]} out of range", face=fi)
+        bad = (cf == 0) | (np.abs(cf) > self.n_faces)
+        if bad.any():
+            k = int(np.argmax(bad))
+            ci = int(np.searchsorted(self.cell_ptr, k, side="right")) - 1
+            raise MeshError(f"cell {ci}: face index {cf[k]} out of range", cell=ci)
         corners = _flat_corners(self)
         use = _index_cells(self, corners)
         _check_topology(self, corners, use)

@@ -40,8 +40,8 @@ at once, one block per call.  :class:`~vempb.forms.PhysicsConfig` methods
 run only on the calling thread: the physics state (level set, dielectric
 and G) is evaluated before any pooled sweep, and every sweep that calls one
 (the physics state, the regularized flux) stays serial, as do the sinh and
-cosh sweeps: pooled, Kuhn 6 and 12 solves (q = 5, kappa = 4) took 1.26 s,
-not 0.92 s, on 2 CPUs.
+cosh sweeps: one Kuhn 12 sweep (q = 5, kappa = 4) took 77-84 ms pooled and
+59-64 ms serial on 2 CPUs, with one BLAS thread.
 
 Each cell is split into the cone tetrahedra (x_E, x_f, v_i, v_i+1) of
 :func:`~vempb.mesh._cone_tets`, and one rule is mapped onto each from the
@@ -72,17 +72,27 @@ Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask and cosh is
 masked by [solvent], with no index arrays over the solvent nodes.  One
 sweep per Newton trial forms the argument once and takes both the cell
 moments of sinh, whose product with pi' is B, and the masked-cosh cell
-blocks M_E; the argument lives only for its block.  The Jacobian is
-assembled only from the blocks of an accepted step, so a rejected trial and
-the converged iterate pay for their cosh rows but never for an assembly.
+blocks M_E; the argument lives only for its block.  The sweep at u0 takes,
+in place of the cosh rows, the moments of the mask and of the argument
+itself (see below).  The Jacobian is assembled only from the blocks of an
+accepted step, so a rejected trial and the converged iterate pay for their
+cosh rows but never for an assembly.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
 step is solved with Jacobi-preconditioned conjugate gradients.  u0 holds
-the Dirichlet values, and Newton and CG work on the free DoFs only.  Damping
-halves the step while the residual norm fails to decrease strictly; an
-overflow of the sinh argument during a trial step is treated the same way.
-An overflow in the manufactured load or at u0 ends the solve as a failure.
+the Dirichlet values, and Newton and CG work on the free DoFs only.  The
+first step solves the Debye-Hueckel problem, the screened term linearized
+at Pi0 u + G = 0 (Holst and Saied, J. Comput. Chem. 16, 1995): its matrix
+is A + sum_E pi_E' M0_E pi_E, M0_E = kappa_bar^2 int_E [solvent]
+(1, xi) (x) (1, xi), and its right-hand side -(A u0 + B0(u0) - F), B0 the
+term kappa_bar^2 (Pi0 u + G) [solvent] in place of the sinh.  Linearizing at
+G instead, where G is large next to the molecule, makes exp-type Newton
+creep: the residual falls by about e per step.  Every later step is
+Newton's at the accepted iterate.  Damping halves the step, the first one
+too, while the residual norm fails to decrease strictly; an overflow of the
+sinh argument during a trial step is treated the same way.  An overflow in
+the manufactured load or at u0 ends the solve as a failure.
 """
 
 from __future__ import annotations
@@ -563,33 +573,59 @@ class Workspace:
         which :meth:`jacobian` assembles.  Raises NonlinearOverflow if the
         sinh argument is too large.
         """
+        B, _, M = self._sinh_sweep(physics, u, linearized=False)
+        return B, M
+
+    def debye_huckel(self, physics: PhysicsConfig,
+                     u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B at u, and the screened term linearized at Pi0 u + G = 0, in one sweep.
+
+        Returns B as :meth:`nonlinear` does, B0 = pi' kappa_bar^2
+        int (Pi0 u + G) [solvent] (1, xi) (n_vertices,), the Debye-Hueckel
+        term at u, and its cell blocks M0 (n_cells, 4, 4),
+        M0_E = kappa_bar^2 int_E [solvent] (1, xi) (x) (1, xi), which
+        :meth:`jacobian` assembles.  Raises NonlinearOverflow if the sinh
+        argument is too large.
+        """
+        return self._sinh_sweep(physics, u, linearized=True)
+
+    def _sinh_sweep(self, physics: PhysicsConfig, u: np.ndarray, linearized: bool):
+        """(B, None, M), or with ``linearized`` (B, B0, M0): see :meth:`debye_huckel`."""
         self._attach(physics)
         M = np.zeros((self.mesh.n_cells, 4, 4))
         G = self._G
         if G is None:
-            return np.zeros(self.mesh.n_vertices), M
+            nv = self.mesh.n_vertices
+            return np.zeros(nv), np.zeros(nv) if linearized else None, M
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
         kbar_sq = physics.kappa_bar_sq_solvent
 
         def moments(cells, nodes, tets):
-            """The 4 moment rows of sinh, then the 10 of the masked cosh."""
+            """The 4 moment rows of sinh, then the 10 of the masked cosh, or the 10 of
+            the mask and the 4 of the argument."""
             solvent = self.solvent[nodes].reshape(-1, NQ)
             # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
             arg = self._projected_values(coeff_rows, cells, tets)
             arg *= solvent
             arg += G[nodes].reshape(-1, NQ)
             _check_sinh_argument(arg)
-            out = np.empty((14, tets.stop - tets.start))
+            out = np.empty((18 if linearized else 14, tets.stop - tets.start))
             out[:4] = self._moments(np.sinh(arg), tets, kbar_sq, 4)
-            c = np.cosh(arg)
-            c *= solvent
-            out[4:] = self._moments(c, tets, kbar_sq, 10)
+            if linearized:
+                out[4:14] = self._moments(solvent.astype(float), tets, kbar_sq, 10)
+                out[14:] = self._moments(arg, tets, kbar_sq, 4)
+            else:
+                c = np.cosh(arg)
+                c *= solvent
+                out[4:] = self._moments(c, tets, kbar_sq, 10)
             return out
 
         sums = self._cell_sums(moments)
         for col, (i, j) in enumerate(_UPPER_PAIRS):
             M[:, i, j] = M[:, j, i] = sums[4 + col]
-        return self.projectors.pi.T @ sums[:4].T.ravel(), M
+        pi_t = self.projectors.pi.T
+        return (pi_t @ sums[:4].T.ravel(), pi_t @ sums[14:].T.ravel() if linearized else None,
+                M)
 
     def jacobian(self, M: np.ndarray) -> sp.csr_matrix:
         """The (n_vertices, n_vertices) sum over cells of pi_E' M_E pi_E.
@@ -722,8 +758,12 @@ def newton_solve(
     config: NewtonConfig | None = None,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Damped Newton iteration from u = 0 (boundary values applied).
+    """Damped Newton iteration from u0: u = 0 with the boundary values applied.
 
+    The first step solves the Debye-Hueckel problem at u0, sinh linearized
+    at Pi0 u + G = 0 (Holst and Saied 1995); every later step linearizes at
+    the accepted iterate.  Every step, the first included, is damped and
+    counted alike.
     Stops when the residual norm falls below rel_tol * ||R(u0)|| + abs_tol.
     Every failure, an overflow in the load or at u0 and a non-finite
     ||R(u0)|| included, raises :class:`SolverError` carrying the last
@@ -762,14 +802,17 @@ def newton_solve(
     except NonlinearOverflow as exc:
         raise failure(f"load: {exc}") from exc
     try:
-        r, M = residual(u)
+        B, B0, M = ws.debye_huckel(physics, u)
     except NonlinearOverflow as exc:
         raise failure(f"initial state: {exc}") from exc
-    rnorm = float(np.linalg.norm(r))
+    Au = A @ u
+    rnorm = float(np.linalg.norm((Au + B - F)[free]))
     report.residual_history.append(rnorm)
     if not np.isfinite(rnorm):
         raise failure(f"initial state: residual norm {rnorm}")
     target = config.rel_tol * rnorm + config.abs_tol
+    # the first step solves the Debye-Hueckel problem: sinh linearized at 0, with M = M0
+    step_rhs = -(Au + B0 - F)[free]
 
     while not rnorm <= target:    # a NaN norm never reads as converged
         if report.newton_iterations >= config.max_iterations:
@@ -781,7 +824,8 @@ def newton_solve(
         J = pattern.free_matrix(A.data + ws.jacobian(M).data)
         delta = np.zeros(mesh.n_vertices)
         try:
-            delta[free], cg_iters = cg_solve(J, -r, config.cg_tol, config.cg_max_iterations)
+            delta[free], cg_iters = cg_solve(J, step_rhs, config.cg_tol,
+                                             config.cg_max_iterations)
         except SolverError as exc:
             raise failure(f"Newton iteration {report.newton_iterations + 1}: {exc}") from exc
         report.cg_iterations.append(cg_iters)
@@ -805,7 +849,7 @@ def newton_solve(
                 f"Newton damping exhausted at iteration {report.newton_iterations + 1} "
                 f"(residual {rnorm:.3e})"
             )
-        u, r, M, rnorm = trial, r_trial, M_trial, t_norm
+        u, M, rnorm, step_rhs = trial, M_trial, t_norm, -r_trial
         report.newton_iterations += 1
         report.residual_history.append(rnorm)
 

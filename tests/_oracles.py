@@ -700,6 +700,21 @@ class NodeRowForms:
         J = sum(pi[4 * c:4 * c + 4].T @ M[c] @ pi[4 * c:4 * c + 4] for c in range(len(M)))
         return B, J
 
+    def debye_huckel(self, u):
+        """B0 and the cell blocks M0 of the screened term linearized at Pi0 u + G = 0.
+
+        B0 = pi' int kappa_bar^2 (Pi0 u + G) [solvent] (1, xi) and
+        M0_E = int_E kappa_bar^2 [solvent] (1, xi) (x) (1, xi), node by node.
+        """
+        s = self.weights * self.kbar * self.solvent
+        arg = (self.projected_values(u) + self.G) * self.solvent
+        B0 = self.P.pi.T @ self._moments(s * arg, UPPER_PAIRS[:4]).T.ravel()
+        sums = self._moments(s, UPPER_PAIRS)
+        M0 = np.empty((self.mesh.n_cells, 4, 4))
+        for col, (i, j) in enumerate(UPPER_PAIRS):
+            M0[:, i, j] = M0[:, j, i] = sums[col]
+        return B0, M0
+
     def error_norms(self, u, u_exact, grad_u_exact):
         diff = u_exact(self.points) - self.projected_values(u)
         grad = self.P.value_coeffs(u)[:, 1:] / self.mesh.cell_diameter[:, None]

@@ -446,6 +446,31 @@ def test_mesh_rejects_vertices_that_are_not_finite_triples():
     assert str(err.value) == "vertex 0: expected 3 coordinates, vertices have shape (27, 2)"
 
 
+def test_mesh_rejects_face_vertices_out_of_range():
+    """The first bad entry is named; unchecked, -1 wrapped to the last vertex."""
+    cube1 = vp.generate_cube_mesh(1)
+    first = int(np.argmax(cube1.face_vertex == 7))
+    face = int(np.searchsorted(cube1.face_ptr, first, side="right")) - 1
+    for bad in (-1, 99):
+        fv = np.where(cube1.face_vertex == 7, bad, cube1.face_vertex)
+        with pytest.raises(MeshError) as err:
+            dataclasses.replace(cube1, face_vertex=fv)
+        assert str(err.value) == f"face {face}: vertex index {bad} out of range"
+        assert err.value.face == face
+
+
+def test_mesh_rejects_cell_faces_out_of_range():
+    """A face reference must be a signed 1-based face number: 0 and 7 name no face of cube 1."""
+    cube1 = vp.generate_cube_mesh(1)
+    for bad in (0, 7, -7):
+        cf = cube1.cell_face.copy()
+        cf[[2, 4]] = bad
+        with pytest.raises(MeshError) as err:
+            dataclasses.replace(cube1, cell_face=cf)
+        assert str(err.value) == f"cell 0: face index {bad} out of range"
+        assert err.value.cell == 0
+
+
 def test_pickled_and_deep_copied_meshes_stay_read_only():
     cube2 = vp.generate_cube_mesh(2)
     for twin in (pickle.loads(pickle.dumps(cube2)), copy.deepcopy(cube2)):

@@ -546,34 +546,45 @@ def test_results_independent_of_block_size(case, monkeypatch):
 
 
 def test_newton_sweeps_projected_values_once_per_residual(monkeypatch):
-    """One sweep per trial; a Jacobian only for each accepted iterate that takes a step."""
+    """One sweep per trial, the Debye-Hueckel one at u0 first; a Jacobian per step."""
     m = vp.generate_tet_mesh(4)
     phys = _screened_tet_physics()
     ws = Workspace(m)
     sweeps, calls, jacobians = [], [], []
-    value_coeffs, nonlinear, jacobian = ws.projectors.value_coeffs, ws.nonlinear, ws.jacobian
+    value_coeffs, jacobian = ws.projectors.value_coeffs, ws.jacobian
 
     def counting_coeffs(u):
         sweeps.append(1)
         return value_coeffs(u)
 
-    def counting_nonlinear(physics, u):
-        calls.append(len(sweeps))
-        out = nonlinear(physics, u)
-        assert len(sweeps) == calls[-1] + 1
-        return out
+    def counting(name):
+        method = getattr(ws, name)
+
+        def wrapped(physics, u):
+            calls.append((name, len(sweeps)))
+            out = method(physics, u)
+            assert len(sweeps) == calls[-1][1] + 1
+            return out
+        return wrapped
 
     def counting_jacobian(M):
-        jacobians.append(1)
+        jacobians.append(M)
         return jacobian(M)
 
     monkeypatch.setattr(ws.projectors, "value_coeffs", counting_coeffs)
-    monkeypatch.setattr(ws, "nonlinear", counting_nonlinear)
+    for name in ("nonlinear", "debye_huckel"):
+        monkeypatch.setattr(ws, name, counting(name))
     monkeypatch.setattr(ws, "jacobian", counting_jacobian)
     _, report = vp.newton_solve(m, phys, vp.regularized_load(), workspace=ws)
     assert len(calls) == len(report.residual_history) + report.damping_events
+    assert [name for name, _ in calls] == ["debye_huckel"] + ["nonlinear"] * (len(calls) - 1)
     assert len(sweeps) == len(calls)
     assert len(jacobians) == report.newton_iterations > 0
+    # the first step's blocks are those of the mask, not of cosh at u0
+    monkeypatch.undo()
+    u0 = np.zeros(m.n_vertices)
+    assert np.array_equal(jacobians[0], ws.debye_huckel(phys, u0)[2])
+    assert not np.array_equal(jacobians[0], ws.nonlinear(phys, u0)[1])
 
 
 @pytest.mark.parametrize("max_halvings", [20, 0])
@@ -582,19 +593,25 @@ def test_newton_halves_a_step_whose_residual_overflows(monkeypatch, max_halvings
     m = vp.generate_tet_mesh(4)
     phys, load = _screened_tet_physics(), vp.regularized_load()
     ws = Workspace(m)
-    residuals, nonlinear = [], ws.nonlinear
+    residuals, nonlinear, debye_huckel = [], ws.nonlinear, ws.debye_huckel
 
-    def second_residual_overflows(physics, u):
+    def initial_state(physics, u):
+        residuals.append(u.copy())
+        return debye_huckel(physics, u)
+
+    def first_trial_overflows(physics, u):
         residuals.append(u.copy())
         if len(residuals) == 2:
             raise vp.NonlinearOverflow("sinh argument over the guard")
         return nonlinear(physics, u)
 
-    monkeypatch.setattr(ws, "nonlinear", second_residual_overflows)
+    monkeypatch.setattr(ws, "debye_huckel", initial_state)
+    monkeypatch.setattr(ws, "nonlinear", first_trial_overflows)
     config = vp.NewtonConfig(max_halvings=max_halvings)
     if max_halvings == 0:
         with pytest.raises(SolverError, match="Newton damping exhausted at iteration 1 ") as err:
             vp.newton_solve(m, phys, load, config, workspace=ws)
+        assert len(residuals) == 2
         assert np.array_equal(err.value.u, residuals[0])      # u0
         assert err.value.report.damping_events == 1
         assert not err.value.report.converged
@@ -603,7 +620,7 @@ def test_newton_halves_a_step_whose_residual_overflows(monkeypatch, max_halvings
         u_plain, plain = vp.newton_solve(m, phys, load)
         assert plain.damping_events == 0
         assert report.converged and report.damping_events == 1
-        assert report.newton_iterations == plain.newton_iterations + 1
+        assert report.newton_iterations > plain.newton_iterations
         # the halved step is taken from the same iterate as the full one
         assert np.allclose(residuals[2] - residuals[0], 0.5 * (residuals[1] - residuals[0]))
         assert np.abs(u - u_plain).max() < 1e-8
@@ -611,14 +628,19 @@ def test_newton_halves_a_step_whose_residual_overflows(monkeypatch, max_halvings
 
 @pytest.mark.parametrize("rejected", [None, "overflow", "growth"])
 def test_newton_steps_with_the_jacobian_of_the_accepted_iterate(monkeypatch, rejected):
-    """CG gets the Jacobian at the accepted iterate, never at a rejected trial."""
+    """CG first gets A + J0 of the Debye-Hueckel blocks at u0, then the Jacobian at the
+    accepted iterate, never at a rejected trial."""
     m = vp.generate_tet_mesh(4)
     phys, load = _screened_tet_physics(), vp.regularized_load()
     ws = Workspace(m)
-    events, nonlinear = [], ws.nonlinear
+    events, nonlinear, debye_huckel = [], ws.nonlinear, ws.debye_huckel
+
+    def initial_state(physics, u):
+        events.append(("trial", u.copy()))
+        return debye_huckel(physics, u)
 
     def recording_nonlinear(physics, u):
-        """Logs each trial; if ``rejected``, the second overflows or its residual grows."""
+        """Logs each trial; if ``rejected``, the first overflows or its residual grows."""
         events.append(("trial", u.copy()))
         if rejected and sum(e[0] == "trial" for e in events) == 2:
             if rejected == "overflow":
@@ -628,15 +650,16 @@ def test_newton_steps_with_the_jacobian_of_the_accepted_iterate(monkeypatch, rej
         return nonlinear(physics, u)
 
     def recording_cg(J, b, *args):
-        events.append(("cg", J.copy()))
+        events.append(("cg", J.copy(), b.copy()))
         return cg_solve(J, b, *args)
 
+    monkeypatch.setattr(ws, "debye_huckel", initial_state)
     monkeypatch.setattr(ws, "nonlinear", recording_nonlinear)
     monkeypatch.setattr(solver, "cg_solve", recording_cg)
     _, report = vp.newton_solve(m, phys, load, workspace=ws)
     assert report.converged and report.damping_events == (1 if rejected else 0)
     monkeypatch.undo()
-    A = ws.stiffness(phys)
+    A, F = ws.stiffness(phys), ws.load_vector(phys, load)
     free = ~m.boundary_vertex
     steps = 0
     for k, event in enumerate(events):
@@ -645,10 +668,24 @@ def test_newton_steps_with_the_jacobian_of_the_accepted_iterate(monkeypatch, rej
         # the accepted iterate is the last trial before this step: a rejected one is
         # always followed by another trial
         u_k = next(e[1] for e in reversed(events[:k]) if e[0] == "trial")
-        want = (A + ws.jacobian(ws.nonlinear(phys, u_k)[1])).tocsr()[free][:, free]
+        if steps == 0:
+            # the Debye-Hueckel step: sinh linearized at 0 around u0
+            _, B, M = ws.debye_huckel(phys, u_k)
+        else:
+            B, M = ws.nonlinear(phys, u_k)
+        want = (A + ws.jacobian(M)).tocsr()[free][:, free]
         assert np.array_equal(event[1].toarray(), want.toarray()), steps
+        assert np.array_equal(event[2], -(A @ u_k + B - F)[free]), steps
         steps += 1
     assert steps == report.newton_iterations > 0
+
+
+def test_debye_huckel_start_cuts_the_screened_newton_steps():
+    """Kuhn 6, q = 5, kappa = 4: 8 Newton steps from the linearization at G, 6 from DH."""
+    m = vp.generate_tet_mesh(6)
+    u, report = vp.newton_solve(m, _screened_tet_physics(), vp.regularized_load())
+    assert report.converged and report.newton_iterations <= 6
+    assert abs(report.max_abs_u - 7.3960743018519866) <= 1e-8 * 7.3960743018519866
 
 
 def _node_arrays(ws):
@@ -797,6 +834,21 @@ def test_factored_sweeps_match_node_row_oracle(case):
     got = ws.error_norms(u, sine.u_exact, sine.grad_u_exact)
     want = ref.error_norms(u, sine.u_exact, sine.grad_u_exact)
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_debye_huckel_term_matches_node_row_oracle(case):
+    """B0 and M0 against the node-by-node integrals of (Pi0 u + G) [solvent] and [solvent]."""
+    make, physics = ORACLE_CASES[case]
+    mesh, phys = make(), physics()
+    ws, ref = Workspace(mesh), NodeRowForms(mesh, phys)
+    u = np.random.default_rng(12).normal(size=mesh.n_vertices) * 0.3
+    B, B0, M0 = ws.debye_huckel(phys, u)
+    B0_ref, M0_ref = ref.debye_huckel(u)
+    assert np.abs(M0_ref).max() > 0
+    assert np.array_equal(B, ws.nonlinear(phys, u)[0])
+    assert _rel(B0, B0_ref) <= 1e-12
+    assert _rel(M0, M0_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("how", ["reassigned", "edited"])
