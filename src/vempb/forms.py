@@ -1,15 +1,18 @@
 """Physics coefficients, Coulomb fields and right-hand-side selection.
 
-The dielectric and screening coefficients switch on the sign of the level
-set at each quadrature node (points on the surface count as molecular); no
-sub-cell interface reconstruction is attempted.  The element forms built on
-them (the stabilized stiffness, the screened sinh term and the loads) are
-assembled batched over all cells by :class:`vempb.solver.Workspace`.
+The material is a property of the cell: the dielectric and screening
+coefficients are constant on each cell, switched by the sign of the level
+set at its centroid (a centroid on the surface counts as molecular), and a
+cell whose closure holds a point charge is molecular whatever its centroid.
+No sub-cell interface reconstruction is attempted; on a mesh that resolves
+the interface every cell lies on one side of it.  The element forms built
+on them (the stabilized stiffness, the screened sinh term and the loads)
+are assembled batched over all cells by :class:`vempb.solver.Workspace`.
 
 The singular Coulomb part of the potential enters the nonlinear term and
-the load; it is evaluated only where the screening coefficient is nonzero,
-which keeps quadrature nodes away from the charge locations (charges sit in
-the unscreened molecular region).
+the load; it is evaluated only in the screened (solvent) cells, none of
+which holds a charge, so every node it is evaluated at lies off the charge
+locations.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ class PhysicsConfig(_FixedFields):
     to values (n,), negative inside the molecular region.  ``charges`` holds
     (q, (x, y, z)) pairs, kept as a tuple of float tuples; charge locations
     must lie in the closed molecular region.
+
+    The solver gives each mesh cell one material: a cell cut by the surface
+    takes the side of its centroid, and a cell holding a charge (on its
+    boundary included) is molecular.
 
     Every field is checked once, at construction, and fixed from then on:
     assigning one raises ``FrozenInstanceError``.  A changed physics is a

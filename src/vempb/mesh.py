@@ -660,7 +660,8 @@ def classify_interface(mesh: PolyMesh, levelset: Callable[[np.ndarray], np.ndarr
     Samples are the cell's vertices, its face centroids, and its centroid.
     A cell is an interface cell iff both strictly negative and strictly
     positive samples occur; zeros alone (surface aligned with cell boundary)
-    do not flag.  Returns a boolean array over cells.
+    do not flag.  Returns a boolean array over cells.  These are the cut
+    cells whose material the solver takes from the side of their centroid.
     """
     ref_cell, ref_face, _, c_ref, va, _ = _flat_corners(mesh)
     # every sample with its cell: face corners, face centroids, cell centroids

@@ -61,15 +61,20 @@ each cell's tets.  The load fluxes and the squared errors are integrated
 with the weight row of the same table, times det_t.  The per-tet maps are
 row formulas on (k, tets) rows.
 
-A physics state is evaluated at the nodes once, in one sweep, when a form
-first reads it: the solvent mask of the nodes, the integral of the
-dielectric over each cell, summed node by node, and the Coulomb field G.
+A physics state is evaluated once, in one pass, when a form first reads
+it: the material of each cell, the integral of the dielectric over each
+cell, summed node by node, and the Coulomb field G at the nodes.  A cell is
+solvent when the level set is positive at its centroid, unless its closure
+holds a point charge: such a cell is molecular, so G is never evaluated at
+a charge.  The charges are located in the cone tets (barycentrics from the
+tet maps), testing only the cells within h_E of each charge.
 A physics, like a Newton config, a load and a mesh, is fixed once
 constructed, so the state is keyed by the physics instance; a changed
 physics is a new one, made with ``dataclasses.replace``.
 G is held at node length, 0 off the solvent, and the sinh argument
 Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask and cosh is
-masked by [solvent], with no index arrays over the solvent nodes.  One
+masked by [solvent], each node's cell's material, spread over a block's
+nodes, with no index arrays over the solvent nodes.  One
 sweep per Newton trial forms the argument once and takes both the cell
 moments of sinh, whose product with pi' is B, and the masked-cosh cell
 blocks M_E; the argument lives only for its block.  The sweep at u0 takes,
@@ -140,6 +145,8 @@ REFERENCE_TET_WEIGHTS = np.concatenate([
 # quadrature nodes per sweep block (rounded up to whole cells): every node sweep
 # runs block by block, so its temporaries scale with the block, not the mesh
 BLOCK_NODES = 2**15
+# slack of the barycentric test that finds the cells holding a charge
+CHARGE_CELL_TOL = 1e-10
 # (i, j), i <= j, of the symmetric per-cell 4x4 moments of (1, xi), and the rows of
 # the (r_i, r_k) moments, k = 0..2, for each i
 _UPPER_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
@@ -331,9 +338,9 @@ def _cell_pi(pi: sp.csr_matrix, cells: np.ndarray, dofs: int) -> np.ndarray:
 class Workspace:
     """Flat quadrature and the projector operator for fast repeated assembly.
 
-    It also holds the state of the last physics instance it was given,
-    evaluated at its nodes: the solvent mask, each cell's integral of the
-    dielectric and G.  A physics is fixed once constructed; a changed one,
+    It also holds the state of the last physics instance it was given: the
+    material of each cell, each cell's integral of the dielectric and G at
+    the nodes.  A physics is fixed once constructed; a changed one,
     ``dataclasses.replace(physics, kappa=...)``, is a new instance.
     """
 
@@ -442,22 +449,25 @@ class Workspace:
     # -- physics state ---------------------------------------------------
 
     def _attach(self, physics: PhysicsConfig) -> None:
-        """Evaluate ``physics`` at the nodes in one sweep, unless it is the physics held.
+        """Evaluate ``physics`` on the cells and nodes in one pass, unless it is the physics held.
 
-        Sets the ``solvent`` mask of the nodes (kappa_bar^2 > 0 only there),
-        ``_eps_int``, each cell's integral of the dielectric, and ``_G``, the
-        Coulomb field at every node, 0 off the solvent, or None when no node
-        is screened.  A physics is fixed once constructed: the instance is the key.
+        Sets ``_solvent``, the material of each cell (kappa_bar^2 > 0 only in
+        solvent cells): the side of the level set at its centroid, except
+        that a cell whose closure holds a point charge is molecular.  Also
+        ``_eps_int``, each cell's integral of the dielectric, summed node by
+        node, and ``_G``, the Coulomb field at every node, 0 off the solvent,
+        or None when no cell is screened.  A physics is fixed once
+        constructed: the instance is the key.
         """
         if physics is self._physics:
             return
         screened = physics.kappa_bar_sq_solvent > 0
-        solvent = np.empty(len(self.weights), dtype=bool)
+        self._solvent = (physics.solvent_mask(self.mesh.cell_centroid)
+                         & ~self._charge_cells(physics))
         G = np.zeros(len(self.weights)) if screened else None
         eps_int = []
         for cells, nodes, _ in self._blocks():
-            points = self.points[nodes]
-            mask = solvent[nodes] = physics.solvent_mask(points)
+            mask = self._solvent_nodes(cells)
             # node by node: the per-tet tables round the cell integrals a few ulps further off
             eps_int.append(np.add.reduceat(
                 self.weights[nodes] * np.where(mask, physics.eps_s, physics.eps_m),
@@ -465,10 +475,39 @@ class Workspace:
             ))
             if screened and mask.any():
                 # the solvent points with contiguous coordinate columns
-                G[nodes][mask] = physics.coulomb_potential(points.T.compress(mask, axis=1).T)
-        self.solvent, self._eps_int = solvent, np.concatenate(eps_int)
-        self._G = G if screened and solvent.any() else None
+                G[nodes][mask] = physics.coulomb_potential(
+                    self.points[nodes].T.compress(mask, axis=1).T)
+        self._eps_int = np.concatenate(eps_int)
+        self._G = G if screened and self._solvent.any() else None
         self._physics = physics
+
+    def _charge_cells(self, physics: PhysicsConfig) -> np.ndarray:
+        """Per cell, whether its closure holds a point charge of ``physics``: (n_cells,).
+
+        A point lies in cell E iff it lies in one of E's cone tets, whose
+        barycentrics r solve xi = r C_t; only the cells within h_E of the
+        point are tested.  A charge on a shared face, edge or vertex is in
+        every cell that touches it, up to ``CHARGE_CELL_TOL`` in r.
+        """
+        mesh = self.mesh
+        holds = np.zeros(mesh.n_cells, dtype=bool)
+        for _, x in physics.charges:
+            offset = np.asarray(x) - mesh.cell_centroid
+            near = np.nonzero(np.einsum("cj,cj->c", offset, offset) <= mesh.cell_diameter**2)[0]
+            # the tets of the near cells, cell by cell
+            counts = self._cell_tets[near]
+            first = np.cumsum(counts) - counts
+            tets = np.arange(counts.sum()) + np.repeat(self._tet_ptr[near] - first, counts)
+            cell = np.repeat(near, counts)
+            xi = offset[cell] / mesh.cell_diameter[cell, None]
+            r = np.linalg.solve(self.maps[:, :, tets].transpose(2, 1, 0), xi[:, :, None])[..., 0]
+            inside = (r.min(axis=1) >= -CHARGE_CELL_TOL) & (r.sum(axis=1) <= 1 + CHARGE_CELL_TOL)
+            holds[cell[inside]] = True
+        return holds
+
+    def _solvent_nodes(self, cells: slice) -> np.ndarray:
+        """The material of a block's nodes, each its cell's, True in the solvent: (block nodes,)."""
+        return np.repeat(self._solvent[cells], NQ * self._cell_tets[cells])
 
     # -- assembly --------------------------------------------------------
 
@@ -522,7 +561,8 @@ class Workspace:
         self._attach(physics)
         if load.mode == "regularized":
             flux = self._cell_sums(
-                lambda cells, nodes, tets: self._integrals(self._jump_flux(physics, nodes), tets)
+                lambda cells, nodes, tets: self._integrals(self._jump_flux(physics, cells, nodes),
+                                                           tets)
             )
             moments = np.zeros((4, self.mesh.n_cells))
         else:
@@ -539,15 +579,15 @@ class Workspace:
         def integrals(cells, nodes, tets):
             """3 flux rows, then the 4 moment rows of the source."""
             points = self.points[nodes]
+            solvent = self._solvent_nodes(cells)
             if G is None:
                 source = np.zeros(len(points))
             else:
                 # u_exact * 0 + 0 is +0 off the solvent, where G is 0
-                arg = load.u_exact(points) * self.solvent[nodes] + G[nodes]
+                arg = load.u_exact(points) * solvent + G[nodes]
                 _check_sinh_argument(arg)
                 source = kbar_sq * np.sinh(arg)
-            flux = np.multiply(load.grad_u_exact(points).T,
-                               np.where(self.solvent[nodes], eps_s, eps_m),
+            flux = np.multiply(load.grad_u_exact(points).T, np.where(solvent, eps_s, eps_m),
                                out=np.empty((3, len(points))))
             out = np.empty((7, tets.stop - tets.start))
             out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
@@ -556,10 +596,10 @@ class Workspace:
 
         return self._cell_sums(integrals, pooled=True)
 
-    def _jump_flux(self, physics: PhysicsConfig, nodes: slice) -> np.ndarray:
+    def _jump_flux(self, physics: PhysicsConfig, cells: slice, nodes: slice) -> np.ndarray:
         """Rows of -(eps - eps_m) grad G at a block's nodes, (3, tets, NQ), 0 off the solvent."""
         vec = np.zeros((3, nodes.stop - nodes.start))
-        mask = self.solvent[nodes]
+        mask = self._solvent_nodes(cells)
         if mask.any():
             points = self.points[nodes].T.compress(mask, axis=1).T
             vec[:, mask] = -(physics.eps_s - physics.eps_m) * physics.coulomb_gradient(points).T
@@ -603,7 +643,7 @@ class Workspace:
         def moments(cells, nodes, tets):
             """The 4 moment rows of sinh, then the 10 of the masked cosh, or the 10 of
             the mask and the 4 of the argument."""
-            solvent = self.solvent[nodes].reshape(-1, NQ)
+            solvent = self._solvent_nodes(cells).reshape(-1, NQ)
             # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
             arg = self._projected_values(coeff_rows, cells, tets)
             arg *= solvent

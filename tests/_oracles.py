@@ -47,6 +47,10 @@ dense cell blocks onto one pattern.
 vector, with B from ``Workspace.nonlinear``.  ``radial_ion`` is the
 regularized unknown of a charge at the centre of a dielectric sphere, from a
 radial boundary value problem solved by ``scipy.integrate.solve_bvp``.
+``solvent_cells`` is the material of each cell by the face planes of the
+cells that hold a charge, and ``NodeMaskWorkspace`` a Workspace that
+classifies every quadrature node instead, with the same sums: on a mesh
+whose cells each lie on one side of the level set, the two agree bit for bit.
 """
 
 from collections import namedtuple
@@ -65,7 +69,7 @@ from vempb.mesh import (
     PolyMesh,
     _mirrored_voronoi,
 )
-from vempb.solver import mesh_quadrature
+from vempb.solver import NQ, Workspace, _UPPER_PAIRS, _check_sinh_argument, mesh_quadrature
 from vempb.projectors import build_projectors, face_integral_rows
 
 
@@ -611,6 +615,22 @@ def coulomb_gradient_rowwise(physics, points):
     return out
 
 
+def solvent_cells(mesh, physics, tol=1e-10):
+    """Each cell's material, True in the solvent, one cell and one face at a time.
+
+    A cell takes the side of the level set at its centroid, except that a
+    convex cell whose closure holds a charge, every outward face plane
+    having the charge on its inner side up to ``tol`` h_E, is molecular.
+    """
+    solvent = physics.levelset(mesh.cell_centroid) > 0
+    for ci in range(mesh.n_cells):
+        for _, x in physics.charges:
+            if all(sgn * mesh.face_normal[fi] @ (np.asarray(x) - mesh.face_centroid[fi])
+                   <= tol * mesh.cell_diameter[ci] for fi, sgn in cell_faces(mesh, ci)):
+                solvent[ci] = False
+    return solvent
+
+
 # (i, j), i <= j, of the symmetric 4x4 moments of (1, xi)
 UPPER_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
 
@@ -622,7 +642,8 @@ class NodeRowForms:
     node weight and by the monomials (1, xi) of its node, and summed per cell
     with one ``reduceat`` over the nodes; the forms are then the sparse
     products on ``build_projectors``'s ``pi`` and on the grad and stab rows
-    of ``cell_projector_reference``.
+    of ``cell_projector_reference``.  Each node takes the material of its
+    cell, from :func:`solvent_cells`.
     """
 
     def __init__(self, mesh, physics):
@@ -634,7 +655,7 @@ class NodeRowForms:
         refs = [cell_projector_reference(mesh, ci, rows) for ci in range(mesh.n_cells)]
         self.grad = _stacked_cell_rows([(r.vertex_ids, r.pi0_grad) for r in refs], mesh.n_vertices)
         self.stab = _stacked_cell_rows([(r.vertex_ids, r.stab_q) for r in refs], mesh.n_vertices)
-        self.solvent = physics.solvent_mask(self.points)
+        self.solvent = np.repeat(solvent_cells(mesh, physics), np.diff(self.cell_ptr))
         self.eps = np.where(self.solvent, physics.eps_s, physics.eps_m)
         self.kbar = physics.kappa_bar_sq_solvent
         sp_points = self.points[self.solvent]
@@ -721,6 +742,99 @@ class NodeRowForms:
         gdiff = grad_u_exact(self.points) - self._spread(grad)
         return (float(np.sqrt(self.weights @ diff**2)),
                 float(np.sqrt(self.weights @ (gdiff**2).sum(axis=1))))
+
+
+class NodeMaskWorkspace(Workspace):
+    """A Workspace whose material is the level set's side at every quadrature node.
+
+    It holds the node mask ``solvent`` in place of the per-cell material and
+    reads it in the physics state, the loads and the sinh sweep, with the
+    Workspace's own sums in the Workspace's order.  The point charges play no
+    part in the mask.
+    """
+
+    def _attach(self, physics):
+        if physics is self._physics:
+            return
+        screened = physics.kappa_bar_sq_solvent > 0
+        solvent = np.empty(len(self.weights), dtype=bool)
+        G = np.zeros(len(self.weights)) if screened else None
+        eps_int = []
+        for cells, nodes, _ in self._blocks():
+            points = self.points[nodes]
+            mask = solvent[nodes] = physics.solvent_mask(points)
+            eps_int.append(np.add.reduceat(
+                self.weights[nodes] * np.where(mask, physics.eps_s, physics.eps_m),
+                self.cell_ptr[cells] - nodes.start,
+            ))
+            if screened and mask.any():
+                G[nodes][mask] = physics.coulomb_potential(points.T.compress(mask, axis=1).T)
+        self.solvent, self._eps_int = solvent, np.concatenate(eps_int)
+        self._G = G if screened and solvent.any() else None
+        self._physics = physics
+
+    def _manufactured_sums(self, physics, load):
+        G, kbar_sq = self._G, physics.kappa_bar_sq_solvent
+
+        def integrals(cells, nodes, tets):
+            points = self.points[nodes]
+            if G is None:
+                source = np.zeros(len(points))
+            else:
+                arg = load.u_exact(points) * self.solvent[nodes] + G[nodes]
+                _check_sinh_argument(arg)
+                source = kbar_sq * np.sinh(arg)
+            flux = np.multiply(load.grad_u_exact(points).T,
+                               np.where(self.solvent[nodes], physics.eps_s, physics.eps_m),
+                               out=np.empty((3, len(points))))
+            out = np.empty((7, tets.stop - tets.start))
+            out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
+            out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
+            return out
+
+        return self._cell_sums(integrals)
+
+    def _jump_flux(self, physics, cells, nodes):
+        vec = np.zeros((3, nodes.stop - nodes.start))
+        mask = self.solvent[nodes]
+        if mask.any():
+            points = self.points[nodes].T.compress(mask, axis=1).T
+            vec[:, mask] = -(physics.eps_s - physics.eps_m) * physics.coulomb_gradient(points).T
+        return vec.reshape(3, -1, NQ)
+
+    def _sinh_sweep(self, physics, u, linearized):
+        self._attach(physics)
+        M = np.zeros((self.mesh.n_cells, 4, 4))
+        G = self._G
+        if G is None:
+            nv = self.mesh.n_vertices
+            return np.zeros(nv), np.zeros(nv) if linearized else None, M
+        coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
+        kbar_sq = physics.kappa_bar_sq_solvent
+
+        def moments(cells, nodes, tets):
+            solvent = self.solvent[nodes].reshape(-1, NQ)
+            arg = self._projected_values(coeff_rows, cells, tets)
+            arg *= solvent
+            arg += G[nodes].reshape(-1, NQ)
+            _check_sinh_argument(arg)
+            out = np.empty((18 if linearized else 14, tets.stop - tets.start))
+            out[:4] = self._moments(np.sinh(arg), tets, kbar_sq, 4)
+            if linearized:
+                out[4:14] = self._moments(solvent.astype(float), tets, kbar_sq, 10)
+                out[14:] = self._moments(arg, tets, kbar_sq, 4)
+            else:
+                c = np.cosh(arg)
+                c *= solvent
+                out[4:] = self._moments(c, tets, kbar_sq, 10)
+            return out
+
+        sums = self._cell_sums(moments)
+        for col, (i, j) in enumerate(_UPPER_PAIRS):
+            M[:, i, j] = M[:, j, i] = sums[4 + col]
+        pi_t = self.projectors.pi.T
+        return (pi_t @ sums[:4].T.ravel(), pi_t @ sums[14:].T.ravel() if linearized else None,
+                M)
 
 
 def _stacked_cell_rows(cell_rows, n_columns):

@@ -16,6 +16,7 @@ from _oracles import (
     manufactured_linear,
     oriented_tet_faces,
     p1_tet_stiffness,
+    solvent_cells,
 )
 
 
@@ -160,7 +161,9 @@ def test_k_consistency_identities(random_cells):
         p_dofs = rng.normal() + m.vertices @ rng.normal(size=3)
         q_dofs = rng.normal() + m.vertices @ (q_grad := rng.normal(size=3))
         # the stabilized part contributes nothing between two linears
-        eps_int = np.add.reduceat(ws.weights * phys.epsilon(ws.points), ws.cell_ptr[:-1])
+        eps = np.where(solvent_cells(m, phys), phys.eps_s, phys.eps_m)
+        eps_int = np.add.reduceat(ws.weights * np.repeat(eps, np.diff(ws.cell_ptr)),
+                                  ws.cell_ptr[:-1])
         p_grad = ws.projectors.value_coeffs(p_dofs)[:, 1:] / m.cell_diameter[:, None]
         expect = eps_int @ (p_grad @ q_grad)
         assert K @ q_dofs @ p_dofs == pytest.approx(expect, rel=1e-12, abs=1e-13)

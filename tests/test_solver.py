@@ -14,8 +14,9 @@ from vempb.projectors import face_integral_rows
 from vempb.solver import SolverError, Workspace, cg_solve
 
 from _oracles import (
-    NodeRowForms, cell_projector_blocks, cell_projector_reference, free_block, kkt_solve,
-    local_stiffness, manufactured_linear, residual_with, spgemm_jacobian,
+    NodeMaskWorkspace, NodeRowForms, cell_projector_blocks, cell_projector_reference, free_block,
+    kkt_solve, local_stiffness, manufactured_linear, residual_with, solvent_cells,
+    spgemm_jacobian,
 )
 from test_mesh import permuted_copy
 
@@ -705,7 +706,10 @@ def test_workspace_holds_no_node_array_that_follows_u():
     rng = np.random.default_rng(9)
     ws.nonlinear(phys, rng.normal(size=m.n_vertices) * 0.1)
     held = _node_arrays(ws)
-    assert {("points", 0), ("weights", 0), ("solvent", 0), ("_G", 0)} <= set(held)
+    assert {("points", 0), ("weights", 0), ("_G", 0)} <= set(held)
+    # the material is held per cell: no node array is a mask
+    assert not any(a.dtype == bool for a, _ in held.values())
+    assert ws._solvent.shape == (m.n_cells,)
     ws.nonlinear(phys, rng.normal(size=m.n_vertices) * 0.1)
     u, _ = vp.newton_solve(m, phys, vp.regularized_load(), workspace=ws)
     vp.assemble_residual(m, phys, vp.regularized_load(), u, workspace=ws)
@@ -767,7 +771,7 @@ def test_stiffness_follows_eps_s_changed_in_place_without_screening():
 
 
 def test_physics_state_is_evaluated_in_one_pass(monkeypatch):
-    """Per physics each node is classified once and each solvent node gets G once."""
+    """Per physics each cell centroid is classified once and each solvent node gets G once."""
     m = vp.generate_tet_mesh(3)
     phys = _screened_tet_physics()
     classified, coulomb = [], []
@@ -788,9 +792,9 @@ def test_physics_state_is_evaluated_in_one_pass(monkeypatch):
     u, report = vp.newton_solve(m, phys, load, workspace=ws)
     vp.assemble_residual(m, phys, load, u, workspace=ws)
     assert report.newton_iterations > 1
-    solvent_points = ws.points[ws.solvent]
+    solvent_points = ws.points[np.repeat(solvent_cells(m, phys), np.diff(ws.cell_ptr))]
     assert 0 < len(solvent_points) < len(ws.points)
-    assert np.array_equal(np.concatenate(classified), ws.points)
+    assert len(classified) == 1 and np.array_equal(classified[0], m.cell_centroid)
     assert np.array_equal(np.concatenate(coulomb), solvent_points)
     # a physics replaced with another kappa is one more pass, and no more
     n_classified, n_coulomb = len(classified), len(coulomb)
@@ -798,7 +802,8 @@ def test_physics_state_is_evaluated_in_one_pass(monkeypatch):
     record(phys)
     u, _ = vp.newton_solve(m, phys, load, workspace=ws)
     vp.assemble_residual(m, phys, load, u, workspace=ws)
-    assert np.array_equal(np.concatenate(classified[n_classified:]), ws.points)
+    assert len(classified) == n_classified + 1
+    assert np.array_equal(classified[-1], m.cell_centroid)
     assert np.array_equal(np.concatenate(coulomb[n_coulomb:]), solvent_points)
 
 
@@ -849,6 +854,84 @@ def test_debye_huckel_term_matches_node_row_oracle(case):
     assert np.array_equal(B, ws.nonlinear(phys, u)[0])
     assert _rel(B0, B0_ref) <= 1e-12
     assert _rel(M0, M0_ref) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# materials by cell
+
+
+FITTED_CASES = {
+    "cube4": lambda: vp.generate_cube_mesh(4),
+    "kuhn4": lambda: vp.generate_tet_mesh(4),
+}
+
+
+@pytest.mark.parametrize("physics", [vp.PhysicsConfig, _screened_tet_physics],
+                         ids=["default", "screened"])
+@pytest.mark.parametrize("case", list(FITTED_CASES))
+def test_fitted_mesh_forms_equal_the_node_mask_bit_for_bit(case, physics):
+    """Where the box [0, 0.5]^3 is a union of cells, classing cells classes every node alike."""
+    mesh, phys = FITTED_CASES[case](), physics()
+    ws, ref = Workspace(mesh), NodeMaskWorkspace(mesh)
+    A = ws.stiffness(phys)
+    assert np.array_equal(A.toarray(), ref.stiffness(phys).toarray())
+    assert np.array_equal(np.repeat(ws._solvent, np.diff(ws.cell_ptr)), ref.solvent)
+    assert 0 < ws._solvent.sum() < mesh.n_cells
+    sine = vp.manufactured_sine()
+    for load in (vp.regularized_load(), sine):
+        assert np.array_equal(ws.load_vector(phys, load), ref.load_vector(phys, load)), load
+    u = np.random.default_rng(13).normal(size=mesh.n_vertices) * 0.3
+    for got, want in zip((*ws.nonlinear(phys, u), *ws.debye_huckel(phys, u)),
+                         (*ref.nonlinear(phys, u), *ref.debye_huckel(phys, u))):
+        assert np.array_equal(got, want)
+    # the sine load drives the screened Newton through overflowing trials
+    load = sine if physics is vp.PhysicsConfig else vp.regularized_load()
+    u, report = vp.newton_solve(mesh, phys, load, workspace=ws)
+    u_ref, report_ref = vp.newton_solve(mesh, phys, load, workspace=ref)
+    assert np.array_equal(u, u_ref)
+    assert report.cg_iterations == report_ref.cg_iterations
+    assert (ws.error_norms(u, sine.u_exact, sine.grad_u_exact)
+            == ref.error_norms(u_ref, sine.u_exact, sine.grad_u_exact))
+
+
+# unit charges in cut cells of Voronoi 64 (rng 0) whose centroids lie in the solvent
+CUT_CELL_CHARGES = [(0.4164, 0.3188, 0.3866), (0.3227, 0.3782, 0.4033),
+                    (0.3861, 0.4174, 0.4476)]
+
+
+@pytest.mark.parametrize("x", CUT_CELL_CHARGES, ids=["a", "b", "c"])
+def test_charge_in_a_cut_cell_with_a_solvent_centroid_converges(x):
+    """The cell holding the charge is molecular, so G stays off the charge and Newton is quick.
+
+    Classing that cell by its centroid alone puts the charge in the solvent:
+    Newton then takes 21-23 steps to a state with max|u| of 21-28.
+    """
+    mesh = vp.generate_voronoi_mesh(64, 0)
+    phys = vp.PhysicsConfig(charges=[(1.0, x)])
+    ws = Workspace(mesh)
+    u, report = vp.newton_solve(mesh, phys, vp.regularized_load(), workspace=ws)
+    assert report.converged and report.newton_iterations <= 3
+    assert np.abs(u).max() <= 2.0
+    # the charge's cell is molecular, though its centroid lies in the solvent
+    assert np.array_equal(ws._solvent, solvent_cells(mesh, phys))
+    assert (phys.solvent_mask(mesh.cell_centroid) & ~ws._solvent).any()
+
+
+def test_cells_holding_a_charge_are_molecular():
+    """Kuhn 2, molecular box [0, 0.1]^3: every centroid is solvent, yet 6 tets hold the charge."""
+    mesh = vp.generate_tet_mesh(2)
+    phys = vp.PhysicsConfig(kappa=1.0, levelset=vp.box_levelset(0.1))
+    assert phys.charges == ((1.0, (0.0, 0.0, 0.0)),)
+    assert phys.solvent_mask(mesh.cell_centroid).all()
+    ws = Workspace(mesh)
+    _, _, M0 = ws.debye_huckel(phys, np.zeros(mesh.n_vertices))
+    # the 6 Kuhn tets of the cube [0, 0.5]^3 share the origin as a vertex
+    cell_of = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_vertex_ptr))
+    holds = np.zeros(mesh.n_cells, dtype=bool)
+    holds[cell_of[~mesh.vertices[mesh.cell_vertex].any(axis=1)]] = True
+    assert holds.sum() == 6
+    assert np.array_equal(~M0.any(axis=(1, 2)), holds)
+    assert np.array_equal(ws._solvent, ~holds)
 
 
 @pytest.mark.parametrize("how", ["reassigned", "edited"])
