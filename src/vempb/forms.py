@@ -137,7 +137,8 @@ class LoadSpec:
     projected grad v) + (screened sinh(u_ex + G), projected v).
 
     ``u_exact`` and ``grad_u_exact`` may be called from several threads at
-    once, one node block per call: each field sweep of
+    once, one node block per call (the load calls ``u_exact`` at a block's
+    solvent nodes only, where the source lives): each field sweep of
     :class:`vempb.solver.Workspace` that calls them starts and joins its own
     threads.  PhysicsConfig methods run only on the calling thread.
     """

@@ -27,7 +27,7 @@ loads are one product with pi': grad' flux is pi' of the flux over h_E in
 the linear rows.
 
 The field sweeps of the manufactured load and of the error norms, where
-the exact field and its gradient are evaluated at every node, run their
+the exact field and its gradient are evaluated at the nodes, run their
 blocks on a thread pool with one worker per CPU of the process, one
 worker on one CPU.  Each such sweep starts its own pool and joins its
 threads before it returns, so no thread outlives a sweep and nothing needs
@@ -40,8 +40,10 @@ at once, one block per call.  :class:`~vempb.forms.PhysicsConfig` methods
 run only on the calling thread: the physics state (level set, dielectric
 and G) is evaluated before any pooled sweep, and every sweep that calls one
 (the physics state, the regularized flux) stays serial, as do the sinh and
-cosh sweeps: one Kuhn 12 sweep (q = 5, kappa = 4) took 77-84 ms pooled and
-59-64 ms serial on 2 CPUs, with one BLAS thread.
+cosh sweeps.  One Kuhn 12 sweep (q = 5, kappa = 4) took 65-79 ms pooled
+against 36-38 ms serial at 2^15-node blocks, and 32-34 ms against 33-34 ms
+at 2^17, where the solves' peak RSS rose from 234-239 to 254-256 MB
+(2 CPUs, one BLAS thread).
 
 Each cell is split into the cone tetrahedra (x_E, x_f, v_i, v_i+1) of
 :func:`~vempb.mesh._cone_tets`, and one rule is mapped onto each from the
@@ -63,25 +65,30 @@ row formulas on (k, tets) rows.
 
 A physics state is evaluated once, in one pass, when a form first reads
 it: the material of each cell, the integral of the dielectric over each
-cell, summed node by node, and the Coulomb field G at the nodes.  A cell is
-solvent when the level set is positive at its centroid, unless its closure
-holds a point charge: such a cell is molecular, so G is never evaluated at
-a charge.  The charges are located in the cone tets (barycentrics from the
-tet maps), testing only the cells within h_E of each charge.
+cell, summed node by node, the solvent cells' tets block by block, and the
+Coulomb field G at those tets' nodes.  A cell is solvent when the level
+set is positive at its centroid, unless its closure holds a point charge:
+such a cell is molecular, so G is never evaluated at a charge.  The
+charges are located in the cone tets (barycentrics from the tet maps),
+testing only the cells within h_E of each charge.
 A physics, like a Newton config, a load and a mesh, is fixed once
 constructed, so the state is keyed by the physics instance; a changed
 physics is a new one, made with ``dataclasses.replace``.
-G is held at node length, 0 off the solvent, and the sinh argument
-Pi0 u [solvent] + G is therefore 0 there: sinh needs no mask and cosh is
-masked by [solvent], each node's cell's material, spread over a block's
-nodes, with no index arrays over the solvent nodes.  One
-sweep per Newton trial forms the argument once and takes both the cell
-moments of sinh, whose product with pi' is B, and the masked-cosh cell
-blocks M_E; the argument lives only for its block.  The sweep at u0 takes,
-in place of the cosh rows, the moments of the mask and of the argument
-itself (see below).  The Jacobian is assembled only from the blocks of an
-accepted step, so a rejected trial and the converged iterate pay for their
-cosh rows but never for an assembly.
+The screened term kappa_bar^2 sinh(Pi0 u + G) lives in the solvent only,
+so G is held at the solvent cells' nodes only, one entry per node, and the
+screened sweeps (sinh and cosh, the Debye-Hueckel terms, the regularized
+flux and the manufactured source) run over each block's solvent cells'
+tets alone, with their maps and dets gathered once per block: no node
+mask, no node gather or scatter.  Each solvent cell reduces its own tets in
+the order of the full block, so its sums are those of a sweep over every
+tet, and a molecular cell's are exactly 0.  One sweep per Newton trial
+forms the argument once and takes both the cell moments of sinh, whose
+product with pi' is B, and the cosh cell blocks M_E; the argument lives
+only for its block.  The sweep at u0 takes, in place of the cosh rows, the
+moments of 1 and of the argument itself (see below).  The Jacobian is
+assembled only from the blocks of an accepted step, so a rejected trial
+and the converged iterate pay for their cosh rows but never for an
+assembly.
 
 The Jacobian of the screened sinh term is positive semidefinite (cosh > 0)
 and the stiffness is positive definite on the free DoFs, so every Newton
@@ -96,8 +103,9 @@ G instead, where G is large next to the molecule, makes exp-type Newton
 creep: the residual falls by about e per step.  Every later step is
 Newton's at the accepted iterate.  Damping halves the step, the first one
 too, while the residual norm fails to decrease strictly; an overflow of the
-sinh argument during a trial step is treated the same way.  An overflow in
-the manufactured load or at u0 ends the solve as a failure.
+sinh argument or of the residual norm during a trial step is treated the
+same way.  An overflow in the manufactured load or at u0 ends the solve as
+a failure.
 """
 
 from __future__ import annotations
@@ -339,9 +347,11 @@ class Workspace:
     """Flat quadrature and the projector operator for fast repeated assembly.
 
     It also holds the state of the last physics instance it was given: the
-    material of each cell, each cell's integral of the dielectric and G at
-    the nodes.  A physics is fixed once constructed; a changed one,
-    ``dataclasses.replace(physics, kappa=...)``, is a new instance.
+    material of each cell, each cell's integral of the dielectric, the
+    solvent cells' tets of each node block and G at those tets' nodes only,
+    over which the screened sweeps run with no mask.  A physics is fixed
+    once constructed; a changed one, ``dataclasses.replace(physics,
+    kappa=...)``, is a new instance.
     """
 
     def __init__(self, mesh: PolyMesh, projectors: CellProjectorSet | None = None):
@@ -377,74 +387,56 @@ class Workspace:
         for c0, c1 in zip(self.block_cells[:-1], self.block_cells[1:]):
             yield slice(c0, c1), slice(NQ * ptr[c0], NQ * ptr[c1]), slice(ptr[c0], ptr[c1])
 
-    def _cell_sums(self, block, pooled: bool = False) -> np.ndarray:
-        """Per-cell sums of the per-tet rows ``block(cells, nodes, tets)`` returns.
+    def _cell_sums(self, block) -> np.ndarray:
+        """Per-cell sums of the per-tet rows ``block(cells, nodes, tets)`` returns, pooled.
 
         A block's rows have shape (..., block tets); the sums have shape
         (..., n_cells), each row reduced contiguously over the cell's tets.
-        Each block is reduced on its own and the blocks are joined in order,
-        so ``pooled``, which runs them on the threads of :func:`_pool_map`,
-        changes no bit.  A pooled ``block`` must call no PhysicsConfig method.
+        The blocks run on the threads of :func:`_pool_map`, each reduced on
+        its own and joined in order, so the sums are the serial sweep's bits.
+        ``block`` must call no PhysicsConfig method.
         """
         def reduced(b):
             cells, nodes, tets = b
             return np.add.reduceat(block(cells, nodes, tets), self._tet_ptr[cells] - tets.start,
                                    axis=-1)
 
-        return np.concatenate(list((_pool_map if pooled else map)(reduced, self._blocks())),
-                              axis=-1)
+        return np.concatenate(_pool_map(reduced, self._blocks()), axis=-1)
 
-    def _tet_rows(self, rows: np.ndarray, cells: slice) -> np.ndarray:
-        """Per-cell rows (k, n_cells) repeated over a block's tets: (k, block tets)."""
+    def _solvent_sums(self, block, rows: int) -> np.ndarray:
+        """Per-cell sums (rows, n_cells) of the per-tet rows ``block(cells, tets, g)`` returns.
+
+        Each node block with a solvent cell calls ``block`` once, with its
+        solvent cells, their tets, cell by cell, and the slice of ``_G`` at
+        those tets' nodes.  Each row is reduced contiguously over a cell's
+        tets, as in :meth:`_cell_sums`; molecular cells' sums are 0.
+        """
+        out = np.zeros((rows, self.mesh.n_cells))
+        sums = [np.add.reduceat(block(cells, tets, g), at, axis=-1)
+                for at, cells, tets, g in filter(None, self._sblocks)]
+        if sums:
+            out[:, self._solvent] = np.concatenate(sums, axis=-1)
+        return out
+
+    def _tet_rows(self, rows: np.ndarray, cells) -> np.ndarray:
+        """Per-cell rows (k, n_cells) repeated over the tets of ``cells``: (k, tets)."""
         return np.repeat(rows[:, cells], self._cell_tets[cells], axis=1)
 
-    def _projected_values(self, coeff_rows: np.ndarray, cells: slice, tets: slice) -> np.ndarray:
-        """Pi0 u at a block's nodes, (tets, NQ), from the value coefficient rows (4, n_cells).
+    def _tets_of(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tets of ``cells``, cell by cell, and the position of each cell's first among them."""
+        counts = self._cell_tets[cells]
+        first = np.cumsum(counts) - counts
+        return np.arange(counts.sum()) + np.repeat(self._tet_ptr[cells] - first, counts), first
 
-        With xi = r C_t, c0 + xi . c = c0 + r . (C_t c): the per-tet
-        coefficients (c0, C_t c) times the table of (1, r).
-        """
-        c = self._tet_rows(coeff_rows, cells)
-        C = self.maps[:, :, tets]
-        a = np.empty_like(c)
-        a[0] = c[0]
-        for i in range(3):
-            _dot3(C[i], c[1:], out=a[1 + i])
-        return a.T @ _REF_VALUES
+    def _tet_points(self, tets: np.ndarray) -> np.ndarray:
+        """The nodes of ``tets``, tet by tet: (nodes, 3), each coordinate one contiguous column."""
+        return np.take(self.points.T.reshape(3, -1, NQ), tets, axis=1).reshape(3, -1).T
 
-    def _integrals(self, values: np.ndarray, tets: slice) -> np.ndarray:
-        """Integrals over a block's tets of node values (k, tets, NQ): rows (k, tets)."""
-        # row 0 of a two-row table: a one-row product goes through BLAS gemv, whose
-        # rounding of a row depends on the row count
-        ref = (_REF_MOMENTS[:2] @ values.reshape(-1, NQ).T)[0]
-        return ref.reshape(len(values), -1) * self.dets[tets]
-
-    def _moments(self, s: np.ndarray, tets: slice, scale: float, rows: int) -> np.ndarray:
-        """scale times the integrals of s e_i e_j, e = (1, xi), over a block's tets: (rows, tets).
-
-        (i, j) runs over the first ``rows`` of _UPPER_PAIRS: 4 rows for the
-        moments of s (1, xi), 10 for the symmetric 4x4 of s (1, xi) (x) (1, xi).
-        The moments of s on the reference tet, the product of s (tets, NQ)
-        with the table, map to xi by the congruence with blockdiag(1, C_t),
-        times det_t.
-        """
-        m = _REF_MOMENTS[:rows] @ s.T
-        C = self.maps[:, :, tets]
-        out = np.empty_like(m)
-        out[0] = m[0]
-        for j in range(3):
-            _dot3(m[1:4], C[:, j], out=out[1 + j])
-        if rows > 4:
-            # (Q C)_il = sum_k Q_ik C_kl, Q_ik the moments of s r_i r_k; then C' Q C
-            QC = np.empty(C.shape)
-            for i in range(3):
-                Q = m[_Q_ROWS[i]]
-                for l in range(3):
-                    _dot3(Q, C[:, l], out=QC[i, l])
-            for row, (i, j) in enumerate(_UPPER_PAIRS[4:], start=4):
-                _dot3(C[:, i - 1], QC[:, j - 1], out=out[row])
-        out *= self.dets[tets] * scale
-        return out
+    def _tet_maps(self, tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The maps (3, 3, tets) and dets (tets,) of ``tets``."""
+        # each tet's map is 9 contiguous entries of ``maps``: gather them tet by tet
+        maps = np.take(self.maps.transpose(2, 0, 1), tets, axis=0)
+        return maps.transpose(1, 2, 0), self.dets[tets]
 
     # -- physics state ---------------------------------------------------
 
@@ -455,30 +447,40 @@ class Workspace:
         solvent cells): the side of the level set at its centroid, except
         that a cell whose closure holds a point charge is molecular.  Also
         ``_eps_int``, each cell's integral of the dielectric, summed node by
-        node, and ``_G``, the Coulomb field at every node, 0 off the solvent,
-        or None when no cell is screened.  A physics is fixed once
-        constructed: the instance is the key.
+        node; ``_sblocks``, per node block its solvent cells, their tets,
+        cell by cell, with each cell's first position among them, and the
+        slice of ``_G`` at those tets' nodes, or None where the block has no
+        solvent cell; and ``_G``, the Coulomb field at the solvent cells'
+        nodes only, one entry per node in block order, or None when no cell
+        is screened.  A physics is fixed once constructed: the instance is
+        the key.
         """
         if physics is self._physics:
             return
-        screened = physics.kappa_bar_sq_solvent > 0
-        self._solvent = (physics.solvent_mask(self.mesh.cell_centroid)
-                         & ~self._charge_cells(physics))
-        G = np.zeros(len(self.weights)) if screened else None
-        eps_int = []
+        solvent = (physics.solvent_mask(self.mesh.cell_centroid)
+                   & ~self._charge_cells(physics))
+        eps = np.where(solvent, physics.eps_s, physics.eps_m)
+        screened = physics.kappa_bar_sq_solvent > 0 and solvent.any()
+        G = np.empty(NQ * self._cell_tets[solvent].sum()) if screened else None
+        eps_int, sblocks, g0 = [], [], 0
         for cells, nodes, _ in self._blocks():
-            mask = self._solvent_nodes(cells)
             # node by node: the per-tet tables round the cell integrals a few ulps further off
             eps_int.append(np.add.reduceat(
-                self.weights[nodes] * np.where(mask, physics.eps_s, physics.eps_m),
+                self.weights[nodes] * np.repeat(eps[cells], NQ * self._cell_tets[cells]),
                 self.cell_ptr[cells] - nodes.start,
             ))
-            if screened and mask.any():
-                # the solvent points with contiguous coordinate columns
-                G[nodes][mask] = physics.coulomb_potential(
-                    self.points[nodes].T.compress(mask, axis=1).T)
+            in_block = cells.start + np.flatnonzero(solvent[cells])
+            if not len(in_block):
+                sblocks.append(None)
+                continue
+            tets, at = self._tets_of(in_block)
+            g = slice(g0, g0 + NQ * len(tets))
+            g0 = g.stop
+            sblocks.append((at, in_block, tets, g))
+            if screened:
+                G[g] = physics.coulomb_potential(self._tet_points(tets))
+        self._solvent, self._sblocks, self._G = solvent, sblocks, G
         self._eps_int = np.concatenate(eps_int)
-        self._G = G if screened and self._solvent.any() else None
         self._physics = physics
 
     def _charge_cells(self, physics: PhysicsConfig) -> np.ndarray:
@@ -494,20 +496,13 @@ class Workspace:
         for _, x in physics.charges:
             offset = np.asarray(x) - mesh.cell_centroid
             near = np.nonzero(np.einsum("cj,cj->c", offset, offset) <= mesh.cell_diameter**2)[0]
-            # the tets of the near cells, cell by cell
-            counts = self._cell_tets[near]
-            first = np.cumsum(counts) - counts
-            tets = np.arange(counts.sum()) + np.repeat(self._tet_ptr[near] - first, counts)
-            cell = np.repeat(near, counts)
+            tets, _ = self._tets_of(near)
+            cell = np.repeat(near, self._cell_tets[near])
             xi = offset[cell] / mesh.cell_diameter[cell, None]
             r = np.linalg.solve(self.maps[:, :, tets].transpose(2, 1, 0), xi[:, :, None])[..., 0]
             inside = (r.min(axis=1) >= -CHARGE_CELL_TOL) & (r.sum(axis=1) <= 1 + CHARGE_CELL_TOL)
             holds[cell[inside]] = True
         return holds
-
-    def _solvent_nodes(self, cells: slice) -> np.ndarray:
-        """The material of a block's nodes, each its cell's, True in the solvent: (block nodes,)."""
-        return np.repeat(self._solvent[cells], NQ * self._cell_tets[cells])
 
     # -- assembly --------------------------------------------------------
 
@@ -554,16 +549,21 @@ class Workspace:
         """Load vector F; raises NonlinearOverflow if a manufactured sinh argument is too large.
 
         F = grad' flux + pi' moments, from the per-cell flux integrals and
-        source moments of (1, xi), is one product with pi'.  The manufactured
-        sweep is pooled: it starts and joins its own threads, and of the
-        caller's code only ``u_exact`` and ``grad_u_exact`` run on them.
+        source moments of (1, xi), is one product with pi'.  The regularized
+        flux -(eps - eps_m) grad G is integrated over the solvent cells' tets
+        only, on the calling thread.  The manufactured sweep is pooled: it
+        starts and joins its own threads, and of the caller's code only
+        ``u_exact``, at a block's solvent nodes, and ``grad_u_exact``, at all
+        its nodes, run on them.
         """
         self._attach(physics)
         if load.mode == "regularized":
-            flux = self._cell_sums(
-                lambda cells, nodes, tets: self._integrals(self._jump_flux(physics, cells, nodes),
-                                                           tets)
-            )
+            def jump_flux(cells, tets, g):
+                grad = physics.coulomb_gradient(self._tet_points(tets)).T
+                return _integrals((-(physics.eps_s - physics.eps_m) * grad).reshape(3, -1, NQ),
+                                  self.dets[tets])
+
+            flux = self._solvent_sums(jump_flux, 3)
             moments = np.zeros((4, self.mesh.n_cells))
         else:
             flux, moments = np.split(self._manufactured_sums(physics, load), [3])
@@ -572,38 +572,35 @@ class Workspace:
         return self.projectors.pi.T @ moments.T.ravel()
 
     def _manufactured_sums(self, physics: PhysicsConfig, load: LoadSpec) -> np.ndarray:
-        """Per-cell integrals of the manufactured load: 3 flux rows, then 4 source moments."""
-        G, kbar_sq = self._G, physics.kappa_bar_sq_solvent
-        eps_s, eps_m = physics.eps_s, physics.eps_m
+        """Per-cell integrals of the manufactured load: 3 flux rows, then 4 source moments.
 
-        def integrals(cells, nodes, tets):
-            """3 flux rows, then the 4 moment rows of the source."""
+        One pooled sweep: each block's flux over all its tets, and the source
+        kappa_bar^2 sinh(u_exact + G) over its solvent cells' tets, where G is
+        held; the source moments of molecular cells are 0.
+        """
+        G, kbar_sq = self._G, physics.kappa_bar_sq_solvent
+        eps = np.where(self._solvent, physics.eps_s, physics.eps_m)
+
+        def integrals(block):
+            """A block's 3 flux rows, then the 4 moment rows of the source, per cell."""
+            (cells, nodes, tets), solvent = block
             points = self.points[nodes]
-            solvent = self._solvent_nodes(cells)
-            if G is None:
-                source = np.zeros(len(points))
-            else:
-                # u_exact * 0 + 0 is +0 off the solvent, where G is 0
-                arg = load.u_exact(points) * solvent + G[nodes]
+            flux = np.multiply(load.grad_u_exact(points).T,
+                               np.repeat(eps[cells], NQ * self._cell_tets[cells]),
+                               out=np.empty((3, len(points))))
+            out = np.zeros((7, cells.stop - cells.start))
+            out[:3] = np.add.reduceat(_integrals(flux.reshape(3, -1, NQ), self.dets[tets]),
+                                      self._tet_ptr[cells] - tets.start, axis=-1)
+            if G is not None and solvent is not None:
+                at, in_block, stets, g = solvent
+                arg = load.u_exact(self._tet_points(stets)) + G[g]
                 _check_sinh_argument(arg)
                 source = kbar_sq * np.sinh(arg)
-            flux = np.multiply(load.grad_u_exact(points).T, np.where(solvent, eps_s, eps_m),
-                               out=np.empty((3, len(points))))
-            out = np.empty((7, tets.stop - tets.start))
-            out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
-            out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
+                out[3:, in_block - cells.start] = np.add.reduceat(
+                    _moments(source.reshape(-1, NQ), *self._tet_maps(stets), 4), at, axis=-1)
             return out
 
-        return self._cell_sums(integrals, pooled=True)
-
-    def _jump_flux(self, physics: PhysicsConfig, cells: slice, nodes: slice) -> np.ndarray:
-        """Rows of -(eps - eps_m) grad G at a block's nodes, (3, tets, NQ), 0 off the solvent."""
-        vec = np.zeros((3, nodes.stop - nodes.start))
-        mask = self._solvent_nodes(cells)
-        if mask.any():
-            points = self.points[nodes].T.compress(mask, axis=1).T
-            vec[:, mask] = -(physics.eps_s - physics.eps_m) * physics.coulomb_gradient(points).T
-        return vec.reshape(3, -1, NQ)
+        return np.concatenate(_pool_map(integrals, zip(self._blocks(), self._sblocks)), axis=-1)
 
     def nonlinear(self, physics: PhysicsConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The screened-sinh vector B at u and the cell blocks M of its Jacobian, in one sweep.
@@ -640,27 +637,24 @@ class Workspace:
         coeff_rows = np.ascontiguousarray(self.projectors.value_coeffs(u).T)
         kbar_sq = physics.kappa_bar_sq_solvent
 
-        def moments(cells, nodes, tets):
-            """The 4 moment rows of sinh, then the 10 of the masked cosh, or the 10 of
-            the mask and the 4 of the argument."""
-            solvent = self._solvent_nodes(cells).reshape(-1, NQ)
-            # Pi0 u * 0 + 0 is +0 off the solvent, where G is 0, so sinh is 0 there
-            arg = self._projected_values(coeff_rows, cells, tets)
-            arg *= solvent
-            arg += G[nodes].reshape(-1, NQ)
+        def moments(cells, tets, g):
+            """The 4 moment rows of sinh, then the 10 of cosh, or the 10 of 1 and the 4 of
+            the argument."""
+            C, dets = self._tet_maps(tets)
+            w = dets * kbar_sq
+            arg = _projected_values(self._tet_rows(coeff_rows, cells), C)
+            arg += G[g].reshape(-1, NQ)
             _check_sinh_argument(arg)
-            out = np.empty((18 if linearized else 14, tets.stop - tets.start))
-            out[:4] = self._moments(np.sinh(arg), tets, kbar_sq, 4)
+            out = np.empty((18 if linearized else 14, len(tets)))
+            out[:4] = _moments(np.sinh(arg), C, w, 4)
             if linearized:
-                out[4:14] = self._moments(solvent.astype(float), tets, kbar_sq, 10)
-                out[14:] = self._moments(arg, tets, kbar_sq, 4)
+                out[4:14] = _moments(np.ones_like(arg), C, w, 10)
+                out[14:] = _moments(arg, C, w, 4)
             else:
-                c = np.cosh(arg)
-                c *= solvent
-                out[4:] = self._moments(c, tets, kbar_sq, 10)
+                out[4:] = _moments(np.cosh(arg), C, w, 10)
             return out
 
-        sums = self._cell_sums(moments)
+        sums = self._solvent_sums(moments, 18 if linearized else 14)
         for col, (i, j) in enumerate(_UPPER_PAIRS):
             M[:, i, j] = M[:, j, i] = sums[4 + col]
         pi_t = self.projectors.pi.T
@@ -698,17 +692,67 @@ class Workspace:
             points = self.points[nodes]
             sq = np.empty((2, tets.stop - tets.start, NQ))
             np.subtract(u_exact(points).reshape(-1, NQ),
-                        self._projected_values(coeff_rows, cells, tets), out=sq[0])
+                        _projected_values(self._tet_rows(coeff_rows, cells), self.maps[:, :, tets]),
+                        out=sq[0])
             sq[0] **= 2
             gdiff = grad_u_exact(points).T.reshape(3, -1, NQ)
             gdiff = gdiff - self._tet_rows(grad_rows, cells)[:, :, None]
             gdiff **= 2
             np.add(gdiff[0], gdiff[1], out=sq[1])
             sq[1] += gdiff[2]
-            return self._integrals(sq, tets)
+            return _integrals(sq, self.dets[tets])
 
-        l2, h1 = self._cell_sums(squares, pooled=True).sum(axis=1)
+        l2, h1 = self._cell_sums(squares).sum(axis=1)
         return float(np.sqrt(l2)), float(np.sqrt(h1))
+
+
+def _projected_values(c: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Pi0 u at the nodes of some tets, (tets, NQ), from their value coefficients c (4, tets).
+
+    With xi = r C_t, c0 + xi . c = c0 + r . (C_t c): the per-tet
+    coefficients (c0, C_t c) times the table of (1, r); C (3, 3, tets) are
+    the tets' maps.
+    """
+    a = np.empty_like(c)
+    a[0] = c[0]
+    for i in range(3):
+        _dot3(C[i], c[1:], out=a[1 + i])
+    return a.T @ _REF_VALUES
+
+
+def _integrals(values: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """Integrals over some tets of node values (k, tets, NQ): rows (k, tets)."""
+    # row 0 of a two-row table: a one-row product goes through BLAS gemv, whose
+    # rounding of a row depends on the row count
+    ref = (_REF_MOMENTS[:2] @ values.reshape(-1, NQ).T)[0]
+    return ref.reshape(len(values), -1) * dets
+
+
+def _moments(s: np.ndarray, C: np.ndarray, w: np.ndarray, rows: int) -> np.ndarray:
+    """w_t times the moments of s e_i e_j, e = (1, xi), on each tet t: (rows, tets).
+
+    (i, j) runs over the first ``rows`` of _UPPER_PAIRS: 4 rows for the
+    moments of s (1, xi), 10 for the symmetric 4x4 of s (1, xi) (x) (1, xi).
+    The moments of s on the reference tet, the product of s (tets, NQ)
+    with the table, map to xi by the congruence with blockdiag(1, C_t),
+    C (3, 3, tets) the tets' maps; w is det_t, times any scale.
+    """
+    m = _REF_MOMENTS[:rows] @ s.T
+    out = np.empty_like(m)
+    out[0] = m[0]
+    for j in range(3):
+        _dot3(m[1:4], C[:, j], out=out[1 + j])
+    if rows > 4:
+        # (Q C)_il = sum_k Q_ik C_kl, Q_ik the moments of s r_i r_k; then C' Q C
+        QC = np.empty(C.shape)
+        for i in range(3):
+            Q = m[_Q_ROWS[i]]
+            for l in range(3):
+                _dot3(Q, C[:, l], out=QC[i, l])
+        for row, (i, j) in enumerate(_UPPER_PAIRS[4:], start=4):
+            _dot3(C[:, i - 1], QC[:, j - 1], out=out[row])
+    out *= w
+    return out
 
 
 def _dot3(a, b, out: np.ndarray) -> np.ndarray:
@@ -720,7 +764,8 @@ def _dot3(a, b, out: np.ndarray) -> np.ndarray:
 
 
 def _check_sinh_argument(arg: np.ndarray) -> None:
-    amax = float(np.abs(arg).max()) if len(arg) else 0.0
+    # max and -min: no |arg| temporary; np.maximum carries a NaN as abs().max() did
+    amax = float(np.maximum(arg.max(), -arg.min())) if arg.size else 0.0
     if amax > SINH_ARG_LIMIT:
         raise NonlinearOverflow(f"sinh argument {amax:.3g} exceeds {SINH_ARG_LIMIT:g}")
 
@@ -876,7 +921,9 @@ def newton_solve(
             trial = u + lam * delta
             try:
                 r_trial, M_trial = residual(trial)
-                t_norm = float(np.linalg.norm(r_trial))
+                # a trial near the sinh limit may square past the float range: inf, rejected
+                with np.errstate(over="ignore"):
+                    t_norm = float(np.linalg.norm(r_trial))
             except NonlinearOverflow:
                 t_norm = np.inf
             if np.isfinite(t_norm) and t_norm < rnorm:

@@ -69,7 +69,16 @@ from vempb.mesh import (
     PolyMesh,
     _mirrored_voronoi,
 )
-from vempb.solver import NQ, Workspace, _UPPER_PAIRS, _check_sinh_argument, mesh_quadrature
+from vempb.solver import (
+    NQ,
+    Workspace,
+    _UPPER_PAIRS,
+    _check_sinh_argument,
+    _integrals,
+    _moments,
+    _projected_values,
+    mesh_quadrature,
+)
 from vempb.projectors import build_projectors, face_integral_rows
 
 
@@ -748,9 +757,11 @@ class NodeMaskWorkspace(Workspace):
     """A Workspace whose material is the level set's side at every quadrature node.
 
     It holds the node mask ``solvent`` in place of the per-cell material and
-    reads it in the physics state, the loads and the sinh sweep, with the
-    Workspace's own sums in the Workspace's order.  The point charges play no
-    part in the mask.
+    G at every node, 0 off the solvent, and reads them in the physics state,
+    the loads and the sinh sweep, which run over every tet of each node
+    block and multiply by the mask; the per-tet sums are the Workspace's
+    own, in the Workspace's order.  The point charges play no part in the
+    mask.
     """
 
     def _attach(self, physics):
@@ -773,6 +784,25 @@ class NodeMaskWorkspace(Workspace):
         self._G = G if screened and solvent.any() else None
         self._physics = physics
 
+    def _serial_sums(self, block):
+        """The Workspace's per-cell sums of ``block(cells, nodes, tets)``, block by block, serial."""
+        return np.concatenate([np.add.reduceat(block(cells, nodes, tets),
+                                               self._tet_ptr[cells] - tets.start, axis=-1)
+                               for cells, nodes, tets in self._blocks()], axis=-1)
+
+    def load_vector(self, physics, load):
+        self._attach(physics)
+        if load.mode == "regularized":
+            flux = self._serial_sums(
+                lambda cells, nodes, tets: _integrals(self._jump_flux(physics, cells, nodes),
+                                                      self.dets[tets])
+            )
+            moments = np.zeros((4, self.mesh.n_cells))
+        else:
+            flux, moments = np.split(self._manufactured_sums(physics, load), [3])
+        moments[1:] += flux / self.mesh.cell_diameter
+        return self.projectors.pi.T @ moments.T.ravel()
+
     def _manufactured_sums(self, physics, load):
         G, kbar_sq = self._G, physics.kappa_bar_sq_solvent
 
@@ -788,11 +818,11 @@ class NodeMaskWorkspace(Workspace):
                                np.where(self.solvent[nodes], physics.eps_s, physics.eps_m),
                                out=np.empty((3, len(points))))
             out = np.empty((7, tets.stop - tets.start))
-            out[:3] = self._integrals(flux.reshape(3, -1, NQ), tets)
-            out[3:] = self._moments(source.reshape(-1, NQ), tets, 1.0, 4)
+            out[:3] = _integrals(flux.reshape(3, -1, NQ), self.dets[tets])
+            out[3:] = _moments(source.reshape(-1, NQ), self.maps[:, :, tets], self.dets[tets], 4)
             return out
 
-        return self._cell_sums(integrals)
+        return self._serial_sums(integrals)
 
     def _jump_flux(self, physics, cells, nodes):
         vec = np.zeros((3, nodes.stop - nodes.start))
@@ -814,22 +844,23 @@ class NodeMaskWorkspace(Workspace):
 
         def moments(cells, nodes, tets):
             solvent = self.solvent[nodes].reshape(-1, NQ)
-            arg = self._projected_values(coeff_rows, cells, tets)
+            C, w = self.maps[:, :, tets], self.dets[tets] * kbar_sq
+            arg = _projected_values(self._tet_rows(coeff_rows, cells), C)
             arg *= solvent
             arg += G[nodes].reshape(-1, NQ)
             _check_sinh_argument(arg)
             out = np.empty((18 if linearized else 14, tets.stop - tets.start))
-            out[:4] = self._moments(np.sinh(arg), tets, kbar_sq, 4)
+            out[:4] = _moments(np.sinh(arg), C, w, 4)
             if linearized:
-                out[4:14] = self._moments(solvent.astype(float), tets, kbar_sq, 10)
-                out[14:] = self._moments(arg, tets, kbar_sq, 4)
+                out[4:14] = _moments(solvent.astype(float), C, w, 10)
+                out[14:] = _moments(arg, C, w, 4)
             else:
                 c = np.cosh(arg)
                 c *= solvent
-                out[4:] = self._moments(c, tets, kbar_sq, 10)
+                out[4:] = _moments(c, C, w, 10)
             return out
 
-        sums = self._cell_sums(moments)
+        sums = self._serial_sums(moments)
         for col, (i, j) in enumerate(_UPPER_PAIRS):
             M[:, i, j] = M[:, j, i] = sums[4 + col]
         pi_t = self.projectors.pi.T

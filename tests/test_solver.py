@@ -11,7 +11,7 @@ import vempb as vp
 from vempb import solver
 from vempb.solver import mesh_quadrature
 from vempb.projectors import face_integral_rows
-from vempb.solver import SolverError, Workspace, cg_solve
+from vempb.solver import NQ, SolverError, Workspace, cg_solve
 
 from _oracles import (
     NodeMaskWorkspace, NodeRowForms, cell_projector_blocks, cell_projector_reference, free_block,
@@ -468,6 +468,16 @@ def test_negative_solver_limit_rejected(limit):
     vp.NewtonConfig(**{limit: 0})
 
 
+def test_trial_whose_residual_norm_overflows_is_damped_without_a_warning():
+    """Kuhn 4, q = 5, kappa = 4, manufactured sine: early trials square past the float range."""
+    m = vp.generate_tet_mesh(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, report = vp.newton_solve(m, _screened_tet_physics(), vp.manufactured_sine())
+    assert report.converged and report.damping_events > 0
+    assert abs(report.max_abs_u - 1.1519322205798017) <= 1e-8 * 1.1519322205798017
+
+
 def test_newton_cg_limit_carries_state():
     m = vp.generate_cube_mesh(4)
     load = vp.manufactured_sine()
@@ -519,10 +529,14 @@ def _assembled(mesh, phys, load):
     u = np.random.default_rng(8).normal(size=mesh.n_vertices) * 0.3
     B, M = ws.nonlinear(phys, u)
     J = ws.jacobian(M)
+    B_dh, B0, M0 = ws.debye_huckel(phys, u)
     u_h, report = vp.newton_solve(mesh, phys, load, workspace=ws)
     out = {
         "A": ws.stiffness(phys).toarray(), "F": ws.load_vector(phys, load), "B": B,
-        "J": J.toarray(), "u": u_h, "residuals": np.array(report.residual_history),
+        "J": J.toarray(), "B_dh": B_dh, "B0": B0, "M0": M0,
+        "F_regularized": ws.load_vector(phys, vp.regularized_load()),
+        "F_sine": ws.load_vector(phys, vp.manufactured_sine()),
+        "u": u_h, "residuals": np.array(report.residual_history),
         "cg": np.array(report.cg_iterations),
     }
     if load.mode == "manufactured":
@@ -544,6 +558,70 @@ def test_results_independent_of_block_size(case, monkeypatch):
     for block_nodes in (1, 1000):
         for key, want in results[10**9].items():
             assert np.array_equal(results[block_nodes][key], want), (block_nodes, key)
+
+
+def _form_digests(mesh, phys):
+    """The first 16 hex digits of the SHA-256 of A, both loads, (B, M) and (B0, M0) at one u."""
+    ws = Workspace(mesh)
+    A = ws.stiffness(phys)
+    u = np.random.default_rng(8).normal(size=mesh.n_vertices) * 0.3
+    B, M = ws.nonlinear(phys, u)
+    B_dh, B0, M0 = ws.debye_huckel(phys, u)
+    assert np.array_equal(B_dh, B)
+    arrays = {
+        "A": (A.data, A.indices, A.indptr),
+        "F_regularized": (ws.load_vector(phys, vp.regularized_load()),),
+        "F_sine": (ws.load_vector(phys, vp.manufactured_sine()),),
+        "B": (B,), "M": (M,), "B0": (B0,), "M0": (M0,),
+    }
+    out = {}
+    for name, parts in arrays.items():
+        h = hashlib.sha256()
+        for a in parts:
+            h.update(np.ascontiguousarray(a).tobytes())
+        out[name] = h.hexdigest()[:16]
+    return out, ws
+
+
+FORM_DIGEST_CASES = {
+    "kuhn3": (
+        lambda: vp.generate_tet_mesh(3), _screened_tet_physics,
+        {"A": "76ebc4a94e963b1f", "F_regularized": "9b3fe120a2d6110c",
+         "F_sine": "0f71c7a97ac07825", "B": "e49fa667617d6528", "M": "e4039f7bbb24e92c",
+         "B0": "e85f655e029ded17", "M0": "0f9ab3a419610b6d"},
+    ),
+    # the cell holding the charge is cut, with its centroid in the solvent
+    "voronoi64-cut": (
+        lambda: vp.generate_voronoi_mesh(64, 0),
+        lambda: vp.PhysicsConfig(charges=[(1.0, (0.4164, 0.3188, 0.3866))]),
+        {"A": "9722c701fcbaa36e", "F_regularized": "aac1413cf46795b2",
+         "F_sine": "c3418bb21229e3fe", "B": "0dd3b7e9ae934080", "M": "80ab7c8515ed1c63",
+         "B0": "4fe975891eb84962", "M0": "fbced50d935977f3"},
+    ),
+    # every cell molecular: no solvent cell, so G is None
+    "kuhn3-molecular": (
+        lambda: vp.generate_tet_mesh(3),
+        lambda: dataclasses.replace(_screened_tet_physics(), levelset=vp.box_levelset(1.5)),
+        {"A": "7167f6c2c6b957bb", "F_regularized": "076a27c79e5ace2a",
+         "F_sine": "3333f91812ec8db0", "B": "076a27c79e5ace2a", "M": "92e3526074bf8e81",
+         "B0": "076a27c79e5ace2a", "M0": "92e3526074bf8e81"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FORM_DIGEST_CASES))
+def test_screened_forms_unchanged(case):
+    """A, F, (B, M) and (B0, M0) keep the bits of the sweeps that ran over every tet.
+
+    The digests were taken when the screened sweeps still multiplied every
+    node of a block by its cell's material, before they ran over the solvent
+    cells' tets alone; like the quadrature digests, they pin one platform's
+    rounding.
+    """
+    make, physics, want = FORM_DIGEST_CASES[case]
+    got, ws = _form_digests(make(), physics())
+    assert got == want
+    assert (ws._G is None) == (case == "kuhn3-molecular")
 
 
 def test_newton_sweeps_projected_values_once_per_residual(monkeypatch):
@@ -706,14 +784,19 @@ def test_workspace_holds_no_node_array_that_follows_u():
     rng = np.random.default_rng(9)
     ws.nonlinear(phys, rng.normal(size=m.n_vertices) * 0.1)
     held = _node_arrays(ws)
-    assert {("points", 0), ("weights", 0), ("_G", 0)} <= set(held)
+    assert {("points", 0), ("weights", 0)} <= set(held)
     # the material is held per cell: no node array is a mask
     assert not any(a.dtype == bool for a, _ in held.values())
     assert ws._solvent.shape == (m.n_cells,)
+    # G is held at the solvent cells' nodes only, one entry per node
+    assert 0 < ws._solvent.sum() < m.n_cells
+    assert ws._G.shape == (NQ * ws._cell_tets[ws._solvent].sum(),)
+    held["_G", 0] = (ws._G, ws._G.tobytes())
     ws.nonlinear(phys, rng.normal(size=m.n_vertices) * 0.1)
     u, _ = vp.newton_solve(m, phys, vp.regularized_load(), workspace=ws)
     vp.assemble_residual(m, phys, vp.regularized_load(), u, workspace=ws)
     now = _node_arrays(ws)
+    now["_G", 0] = (ws._G, ws._G.tobytes())
     assert now.keys() == held.keys()
     for key, (a, data) in held.items():
         assert now[key][0] is a and now[key][1] == data, key
